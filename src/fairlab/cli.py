@@ -6,7 +6,8 @@
     fairlab verify chain.jsonl
 
 Exit codes: 0 when the run completed and every gating audit holds, 1 on a
-fairness violation in a gating check, 2 on usage or IO errors.
+fairness violation in a gating check or a chain that breaks a chain rule, 2
+on usage, IO or malformed-input errors.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from typing import Optional
 
 from .audit import audit_trace
+from .chain import Chain
 from .core import validate_config
 from .simnet.generators import (
     benign_schedule,
@@ -29,7 +31,7 @@ from .simnet.generators import (
 from .simnet.runner import Simulation
 from .simnet.scenario import Scenario, load_scenario, save_scenario
 from .simnet.trace import Trace
-from .validity import certificate_from_dict, verify_certificate
+from .validity import INVALID, VALID, certificate_from_dict, verify_certificate
 
 USAGE_ERROR = 2
 GATE_ERROR = 1
@@ -91,39 +93,25 @@ def _generate(args: argparse.Namespace) -> Scenario:
         else:
             base = segment_schedule(cfg, depth=args.depth, seed=args.seed)
         scenario = probabilistic_adversary(base, args.p, args.seed)
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.rmax is not None:
-        overrides["r_max"] = args.rmax
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-    return scenario
+    return _override(scenario, mode=args.mode, r_max=args.rmax)
+
+
+def _override(scenario: Scenario, **fields) -> Scenario:
+    """Replace the scenario fields given on the command line (not None)."""
+    given = {name: value for name, value in fields.items() if value is not None}
+    return dataclasses.replace(scenario, **given) if given else scenario
 
 
 def _apply_run_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.rmax is not None:
-        overrides["r_max"] = args.rmax
-    if args.seed is not None:
-        overrides["wrapper_seed"] = args.seed
-        overrides["coin_seed"] = str(args.seed)
-    if args.parties is not None:
-        overrides["n"] = args.parties
-    if args.faults is not None:
-        overrides["t"] = args.faults
-    return dataclasses.replace(scenario, **overrides) if overrides else scenario
+    seed = args.seed
+    return _override(scenario, mode=args.mode, r_max=args.rmax, n=args.parties, t=args.faults,
+                     wrapper_seed=seed, coin_seed=None if seed is None else str(seed))
 
 
 def _run(args: argparse.Namespace) -> int:
     scenario = _apply_run_overrides(load_scenario(args.scenario), args)
     sim = Simulation(scenario)
-    for event in scenario.events:
-        sim.execute(event)
-    sim.drain()
-    trace = sim.finish()
+    trace = sim.run()
     report = audit_trace(trace)
     if args.out:
         trace.save(args.out)
@@ -159,17 +147,31 @@ def _audit(args: argparse.Namespace) -> int:
 def _verify(args: argparse.Namespace) -> int:
     with open(args.chain) as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("kind") != "chain-header":
+    if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "chain-header":
         raise ValueError("chain file does not start with a chain-header line")
     cfg = validate_config(lines[0]["n"], lines[0]["t"])
+    # Replaying through Chain.submit applies a run's chain-level rules too:
+    # consecutive numbers, no re-delivery, no proposer equivocation.
+    chain = Chain(cfg)
     results = []
-    all_ok = True
     for entry in lines[1:]:
+        if not isinstance(entry, dict):
+            raise ValueError("chain entry is not a JSON object")
         cert = certificate_from_dict(entry["certificate"])
-        verdict = verify_certificate(cfg, cert)
-        results.append({"number": entry["number"], "status": verdict.status,
-                        "reason": verdict.reason})
-        all_ok = all_ok and verdict.ok
+        if entry["number"] != cert.proposal.block_number:
+            reason = "wrong-block-number"
+        else:
+            outcome = chain.submit(cert.proposer, cert)
+            if outcome.ok:
+                reason = None
+            elif outcome.reason == "invalid-certificate":
+                # Only a rejected certificate is verified again, to name its fault.
+                reason = verify_certificate(cfg, cert).reason
+            else:
+                reason = outcome.reason or outcome.status  # equivocation has no reason
+        results.append({"number": entry["number"], "status": INVALID if reason else VALID,
+                        "reason": reason})
+    all_ok = all(row["status"] == VALID for row in results)
     if args.format == "structured":
         print(json.dumps({"blocks": results, "ok": all_ok}, sort_keys=True))
     else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 PartyId = int
 MarketId = str
@@ -24,11 +25,12 @@ class QuorumConfig:
         if self.n < 3 * self.t + 1:
             raise ValueError(f"unsound resilience: n={self.n} < 3t+1={3 * self.t + 1}")
 
-    @property
+    # Cached: read for every accepted vote and every blocking-relation test.
+    @cached_property
     def weak_size(self) -> int:
         return self.t + 1
 
-    @property
+    @cached_property
     def strong_size(self) -> int:
         return self.n - self.t
 
@@ -82,28 +84,20 @@ def make_request(market: MarketId, payload: bytes) -> Request:
 # derived key; honest and byzantine code paths only ever sign with their own
 # identity, so forgery is impossible by construction rather than by hardness.
 
+@lru_cache(maxsize=1024)  # every sign and verify derives one; parties are few
 def _party_key(party: PartyId) -> bytes:
     return hashlib.sha256(b"fairlab-party-key|%d" % party).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attestation:
     signer: PartyId
     digest: str
 
-    def content_digest(self) -> str:
-        return self.digest
-
 
 def sign(signer: PartyId, content: bytes) -> Attestation:
-    h = hashlib.sha256()
-    h.update(_party_key(signer))
-    h.update(content)
-    return Attestation(signer=signer, digest=h.hexdigest())
+    return Attestation(signer, hashlib.sha256(_party_key(signer) + content).hexdigest())
 
 
 def verify(att: Attestation, content: bytes) -> bool:
-    h = hashlib.sha256()
-    h.update(_party_key(att.signer))
-    h.update(content)
-    return att.digest == h.hexdigest()
+    return att.digest == hashlib.sha256(_party_key(att.signer) + content).hexdigest()

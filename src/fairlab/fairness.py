@@ -48,11 +48,7 @@ def max_median(store: VoteStore, cfg: QuorumConfig, r: RequestId) -> MedianSumma
     Equivalence with full subset enumeration is covered by an exhaustive test.
     """
     ts = tuple(v.ts for v in store.votes_for(r) if v.ts is not None)
-    q = cfg.strong_size
-    if len(ts) < q:
-        raise ValueError(f"request {r[:12]} has {len(ts)} timestamped votes, needs {q}")
-    top = sorted(ts)[-q:]
-    return MedianSummary(request=r, timestamps=ts, m_r=median_timestamp(top))
+    return MedianSummary(request=r, timestamps=ts, m_r=max_median_of(ts, cfg.strong_size))
 
 
 def max_median_of(timestamps: Iterable[Timestamp], q: int) -> Timestamp:
@@ -63,12 +59,26 @@ def max_median_of(timestamps: Iterable[Timestamp], q: int) -> Timestamp:
     return median_timestamp(ordered[-q:])
 
 
+def achievable_medians(timestamps: Iterable[Timestamp], q: int) -> set[Timestamp]:
+    """Median of every q-subset, by enumeration; empty below q timestamps."""
+    return {median_timestamp(sub) for sub in combinations(sorted(timestamps), q)}
+
+
 def enumerate_max_median(timestamps: Iterable[Timestamp], q: int) -> Timestamp:
-    """Brute-force reference: enumerate every q-subset. Test oracle only."""
-    ordered = sorted(timestamps)
-    if len(ordered) < q:
-        raise ValueError("not enough timestamps")
-    return max(median_timestamp(sub) for sub in combinations(ordered, q))
+    """Brute-force reference for max_median_of; ValueError below q timestamps.
+    Test oracle only."""
+    return max(achievable_medians(timestamps, q))
+
+
+def timed_request_order(store: VoteStore, requests: Iterable[RequestId]) -> list[RequestId]:
+    """In-block order of a timed block: by the median of each request's cited
+    vote timestamps, ties broken on id, so a verifier recomputes it from the
+    cited votes alone."""
+
+    def cited_median(r: RequestId) -> Timestamp:
+        return median_timestamp([v.ts for v in store.votes_for(r) if v.ts is not None])
+
+    return sorted(requests, key=lambda r: (cited_median(r), r))
 
 
 def timed_precedes(store: VoteStore, cfg: QuorumConfig, r2: RequestId, pivot: MedianSummary) -> bool:

@@ -10,11 +10,19 @@ logs so a verifier can recheck the emission conditions with no leader state.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .core import PartyId, QuorumConfig, Request, RequestId, Timestamp
-from .fairness import MedianSummary, blocks, max_median, median_timestamp, timed_precedes
+from .core import PartyId, QuorumConfig, Request, RequestId
+from .fairness import (
+    MedianSummary,
+    blocks,
+    max_median,
+    median_timestamp,
+    timed_precedes,
+    timed_request_order,
+)
 from .votes import TIMESTAMPED, Vote, VoteStore, make_vote
 
 NEVERENDING = "neverending"
@@ -32,10 +40,6 @@ class CandidateBlock:
     seed: RequestId
     members: tuple[RequestId, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
 
 @dataclass(frozen=True)
 class Proposal:
@@ -48,13 +52,6 @@ class Proposal:
     # in sequence order. Self-contained evidence for the block verifiers.
     votes_by_party: dict[PartyId, tuple[Vote, ...]]
     request_table: dict[RequestId, Request]
-
-    def cited_requests(self) -> list[RequestId]:
-        seen: dict[RequestId, None] = {}
-        for votes in self.votes_by_party.values():
-            for v in votes:
-                seen.setdefault(v.request, None)
-        return list(seen)
 
 
 @dataclass
@@ -95,7 +92,6 @@ class LeaderState:
     fallback_blocks_emitted: int = 0
     max_candidate_order: int = 0
     cutoff_events: int = 0
-    carried_invalid: tuple[PartyId, ...] = ()
 
 
 def new_leader(cfg: QuorumConfig, mode: str, party: PartyId, instance: str,
@@ -111,12 +107,9 @@ def new_leader(cfg: QuorumConfig, mode: str, party: PartyId, instance: str,
 
 
 # -- shared helpers ----------------------------------------------------------
-
-def _quorum_order(state: LeaderState, at: dict[RequestId, int]) -> list[RequestId]:
-    """Requests holding the given quorum, first-completed first; residual ties
-    (impossible with a strict counter, kept for robustness) break on id."""
-    return sorted(at, key=lambda rid: (at[rid], rid))
-
+#
+# The store's weak_at and strong_at maps are filled in completion order, so
+# iterating them visits seeds first-completed first.
 
 def _outside_blocker_exists(state: LeaderState, members: set[RequestId]) -> bool:
     store, cfg = state.store, state.cfg
@@ -177,12 +170,9 @@ def _prune_non_blocking(state: LeaderState, seed: RequestId,
 def _build_proposal(state: LeaderState, requests: list[RequestId], mode_tag: str,
                     pivot: Optional[MedianSummary]) -> Proposal:
     store = state.store
-    table = {}
-    votes_by_party = {}
-    for party, accepted in store.accepted_logs().items():
-        votes_by_party[party] = tuple(accepted)
-        for v in accepted:
-            table.setdefault(v.request, store.requests[v.request])
+    votes_by_party = {p: tuple(log.accepted) for p, log in store.logs.items() if log.accepted}
+    # The store indexes exactly the requests the cited votes name.
+    table = {rid: store.requests[rid] for rid in store.known_requests()}
     return Proposal(
         instance=state.instance,
         block_number=state.block_number,
@@ -194,13 +184,22 @@ def _build_proposal(state: LeaderState, requests: list[RequestId], mode_tag: str
     )
 
 
-def _cited_median(store: VoteStore, rid: RequestId) -> Timestamp:
-    return median_timestamp([v.ts for v in store.votes_for(rid) if v.ts is not None])
-
-
-def _timed_request_order(store: VoteStore, requests: list[RequestId]) -> list[RequestId]:
-    # In-block order is locally recomputable from the cited votes.
-    return sorted(requests, key=lambda rid: (_cited_median(store, rid), rid))
+def _low_set(store: VoteStore, seed: RequestId, cutoff: float) -> list[RequestId]:
+    """Requests other than seed holding a vote, accepted at or before
+    acceptance index `cutoff`, timestamped below the latest such vote for
+    seed. A cutoff of math.inf takes every accepted vote."""
+    seed_max_ts = max(
+        vote.ts for vote, index in store.acceptance_records(seed) if index <= cutoff
+    )
+    low = []
+    for rid in store.known_requests():
+        if rid == seed:
+            continue
+        for vote, index in store.acceptance_records(rid):
+            if index <= cutoff and vote.ts < seed_max_ts:
+                low.append(rid)
+                break
+    return low
 
 
 # -- block-fair engine (may never emit, by design) ---------------------------
@@ -209,10 +208,10 @@ def neverending_step(state: LeaderState) -> Optional[Proposal]:
     if state.mode != NEVERENDING:
         raise ValueError("engine is not in neverending mode")
     store, cfg = state.store, state.cfg
-    seeds = _quorum_order(state, store.strong_at)
-    if not seeds:
+    seed = next(iter(store.strong_at), None)
+    if seed is None:
         return None
-    members, _ = _grow_closure(state, seeds[0], cfg.strong_size, respect_cutoff=False)
+    members, _ = _grow_closure(state, seed, cfg.strong_size, respect_cutoff=False)
     state.max_candidate_order = max(state.max_candidate_order, len(members))
     if _outside_blocker_exists(state, set(members)):
         return None
@@ -222,51 +221,28 @@ def neverending_step(state: LeaderState) -> Optional[Proposal]:
 # -- clock-fair engine -------------------------------------------------------
 
 def _first_quorum_pivot(state: LeaderState, seed: RequestId) -> MedianSummary:
-    """Median of the timestamps in the first strong quorum observed for seed."""
-    q = state.cfg.strong_size
-    records = state.store.acceptance_records(seed)
-    first = sorted(records, key=lambda av: av.index)[:q]
-    ts = tuple(av.vote.ts for av in first)
+    """Median of the timestamps in the first strong quorum observed for seed
+    (votes_for lists voters in acceptance order)."""
+    ts = tuple(v.ts for v in state.store.votes_for(seed)[:state.cfg.strong_size])
     return MedianSummary(request=seed, timestamps=ts, m_r=median_timestamp(ts))
-
-
-def _frozen_low_set(state: LeaderState, seed: RequestId) -> list[RequestId]:
-    """Requests that, at the moment seed completed its strong quorum, already
-    had an accepted vote timestamped below some vote for seed."""
-    store = state.store
-    cutoff_index = store.strong_at[seed]
-    seed_max_ts = max(
-        av.vote.ts for av in store.acceptance_records(seed) if av.index <= cutoff_index
-    )
-    low = []
-    for rid in store.known_requests():
-        if rid == seed:
-            continue
-        for av in store.acceptance_records(rid):
-            if av.index <= cutoff_index and av.vote.ts is not None and av.vote.ts < seed_max_ts:
-                low.append(rid)
-                break
-    return low
 
 
 def clocked_step(state: LeaderState) -> Optional[Proposal]:
     if state.mode != CLOCKED:
         raise ValueError("engine is not in clocked mode")
     store, cfg = state.store, state.cfg
-    seeds = _quorum_order(state, store.strong_at)
-    if not seeds:
+    seed = next(iter(store.strong_at), None)
+    if seed is None:
         return None
-    seed = seeds[0]
     pivot = _first_quorum_pivot(state, seed)
-    low_set = _frozen_low_set(state, seed)
+    # The low set is frozen at the moment seed completed its strong quorum.
+    low_set = _low_set(store, seed, store.strong_at[seed])
     # Wait until one common set of n-t active parties holds valid votes for
     # every request that was already timestamped below the seed when it
     # completed its quorum.
     covering = 0
     for party in store.active_parties():
-        log = store.logs[party]
-        voted = {v.request for v in log.accepted}
-        if all(rid in voted for rid in low_set):
+        if all(store.logs[party].seq_of(rid) is not None for rid in low_set):
             covering += 1
     if covering < cfg.strong_size:
         return None
@@ -281,7 +257,7 @@ def clocked_step(state: LeaderState) -> Optional[Proposal]:
             members.append(rid)
     if any(store.accepted_count(m) < cfg.strong_size for m in members):
         return None
-    ordered = _timed_request_order(store, members)
+    ordered = timed_request_order(store, members)
     return _build_proposal(state, ordered, TIMED_FAIR, pivot=pivot)
 
 
@@ -293,15 +269,12 @@ def _hybrid_candidates(state: LeaderState) -> tuple[list[CandidateBlock], bool]:
     store, cfg = state.store, state.cfg
     candidates = []
     crossed = False
-    for seed in _quorum_order(state, store.weak_at):
+    for seed in store.weak_at:
         members, halted = _grow_closure(state, seed, cfg.weak_size, respect_cutoff=True)
-        if halted:
-            crossed = True
         members = _prune_non_blocking(state, seed, members)
         candidates.append(CandidateBlock(seed=seed, members=tuple(members)))
         state.max_candidate_order = max(state.max_candidate_order, len(members))
-        if len(members) > state.r_max:
-            crossed = True
+        crossed = halted or len(members) > state.r_max
         if crossed:
             break
     return candidates, crossed
@@ -332,31 +305,21 @@ def _hybrid_fallback(state: LeaderState) -> Optional[Proposal]:
     if not remaining:
         state.fallback_active = False
         return None
-    for seed in _quorum_order(state, store.strong_at):
+    for seed in store.strong_at:
         if seed not in remaining:
             continue
         pivot = max_median(store, cfg, seed)
-        seed_max_ts = max(v.ts for v in store.votes_for(seed))
-        low_set = []
-        for rid in store.known_requests():
-            if rid == seed:
-                continue
-            if any(v.ts is not None and v.ts < seed_max_ts for v in store.votes_for(rid)):
-                low_set.append(rid)
         ready = True
         members = [seed]
-        for rid in low_set:
-            below = sum(1 for v in store.votes_for(rid) if v.ts is not None and v.ts < pivot.m_r)
-            if below >= cfg.weak_size:
+        for rid in _low_set(store, seed, math.inf):
+            if timed_precedes(store, cfg, rid, pivot):
                 members.append(rid)
             elif store.accepted_count(rid) < cfg.strong_size:
                 ready = False
                 break
-        if not ready:
+        if not ready or any(store.accepted_count(m) < cfg.strong_size for m in members):
             continue
-        if any(store.accepted_count(m) < cfg.strong_size for m in members):
-            continue
-        ordered = _timed_request_order(store, members)
+        ordered = timed_request_order(store, members)
         state.fallback_blocks_emitted += 1
         return _build_proposal(state, ordered, TIMED_FAIR, pivot=pivot)
     return None
@@ -407,8 +370,8 @@ def replay_undelivered(state: LeaderState, next_block: int,
             replayed = make_vote(party, state.instance, next_block, seq, v.ts, v.request)
             fresh.ingest(replayed, state.store.requests.get(v.request))
             seq += 1
-    invalid = tuple(sorted(set(state.carried_invalid) | set(state.store.invalid_parties())))
-    for party in invalid:
+    # The old store already holds every exclusion carried into it.
+    for party in state.store.invalid_parties():
         fresh.mark_invalid(party)
     snapshot = tuple(r for r in state.fallback_snapshot if r not in delivered)
     return replace(
@@ -418,5 +381,4 @@ def replay_undelivered(state: LeaderState, next_block: int,
         delivered=set(delivered),
         fallback_snapshot=snapshot,
         fallback_active=state.fallback_active and bool(snapshot),
-        carried_invalid=invalid,
     )

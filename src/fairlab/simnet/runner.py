@@ -298,13 +298,12 @@ class Simulation:
                           via="schedule", tag=event.get("tag"))
         elif action == "deliver":
             mid = event["msg"]
-            if mid not in self.pool:
-                if self.rng is not None and mid in self._known_mids:
-                    pass  # the probabilistic wrapper already delivered it
-                else:
-                    raise ValueError(f"schedule delivers unknown or dropped message {mid}")
-            else:
+            if mid in self.pool:
                 self._deliver(mid, "schedule")
+            elif self.rng is None or mid not in self._known_mids:
+                # A known message missing from the pool was already delivered
+                # by the probabilistic wrapper; anything else is a bad schedule.
+                raise ValueError(f"schedule delivers unknown or dropped message {mid}")
         elif action == "flush":
             tags = event.get("tags")
             seen_only = event.get("seen_only", False)
@@ -408,7 +407,14 @@ class Simulation:
         self._stepped_version = {}
         self._rec("incarnation", block=self.chain.next_number)
 
-    # -- drain and summary ------------------------------------------------------
+    # -- run loop, drain and summary --------------------------------------------
+
+    def run(self) -> Trace:
+        """Execute every scheduled event, drain to quiescence, summarize."""
+        for event in self.sc.events:
+            self.execute(event)
+        self.drain()
+        return self.finish()
 
     def drain(self) -> None:
         self._rec("checkpoint", label="drain")
@@ -475,17 +481,4 @@ class Simulation:
 
 def run(scenario: Scenario) -> Trace:
     """Execute a scenario to quiescence and return its trace."""
-    sim = Simulation(scenario)
-    for event in scenario.events:
-        sim.execute(event)
-    sim.drain()
-    return sim.finish()
-
-
-def run_with_chain(scenario: Scenario) -> tuple[Trace, list[str]]:
-    sim = Simulation(scenario)
-    for event in scenario.events:
-        sim.execute(event)
-    sim.drain()
-    trace = sim.finish()
-    return trace, sim.chain_lines()
+    return Simulation(scenario).run()

@@ -16,21 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from operator import attrgetter
 from typing import Optional
 
-from .core import (
-    Attestation,
-    PartyId,
-    QuorumConfig,
-    Request,
-    RequestId,
-    request_id,
-    verify,
-)
-from .fairness import MedianSummary, median_timestamp
+from .core import Attestation, PartyId, QuorumConfig, Request, request_id, verify
+from .fairness import MedianSummary, achievable_medians, blocks, timed_precedes, timed_request_order
 from .leaders import TIMED_FAIR, Proposal
-from .votes import Vote, vote_payload
+from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore, vote_payload
 
 VALID = "valid"
 INVALID = "invalid"
@@ -44,10 +36,6 @@ class VerifyOutcome:
     @property
     def ok(self) -> bool:
         return self.status == VALID
-
-
-def _ok() -> VerifyOutcome:
-    return VerifyOutcome(VALID)
 
 
 def _bad(reason: str) -> VerifyOutcome:
@@ -65,90 +53,44 @@ class BlockCertificate:
         ).hexdigest()
 
 
-class _Evidence:
-    """Cited votes reshaped for verification: per-voter valid prefixes."""
-
-    def __init__(self) -> None:
-        self.valid_by_party: dict[PartyId, list[Vote]] = {}
-        self.mismatch_found = False
-
-    def seq_of(self, party: PartyId, rid: RequestId) -> Optional[int]:
-        for v in self.valid_by_party.get(party, []):
-            if v.request == rid:
-                return v.seq
-        return None
-
-    def votes_for(self, rid: RequestId) -> list[Vote]:
-        out = []
-        for votes in self.valid_by_party.values():
-            for v in votes:
-                if v.request == rid:
-                    out.append(v)
-        return out
-
-    def cited_requests(self) -> list[RequestId]:
-        seen: dict[RequestId, None] = {}
-        for votes in self.valid_by_party.values():
-            for v in votes:
-                seen.setdefault(v.request, None)
-        return list(seen)
-
-    def count_before(self, r: RequestId, r2: RequestId) -> int:
-        count = 0
-        for party, votes in self.valid_by_party.items():
-            seq_r = self.seq_of(party, r)
-            if seq_r is None:
-                continue
-            seq_r2 = self.seq_of(party, r2)
-            if seq_r2 is None or seq_r < seq_r2:
-                count += 1
-        return count
-
-
 def _collect_evidence(cfg: QuorumConfig, cert: BlockCertificate,
-                      timestamped: bool) -> tuple[Optional[_Evidence], Optional[VerifyOutcome]]:
+                      timestamped: bool) -> tuple[Optional[VoteStore], Optional[VerifyOutcome]]:
+    """Check every cited vote and index the cited evidence in a fresh store,
+    the same index the engines decide on. A voter whose timestamps run
+    against its sequence numbers keeps the votes before the mismatch and is
+    marked invalid."""
     prop = cert.proposal
-    ev = _Evidence()
+    instance, block, table = prop.instance, prop.block_number, prop.request_table
+    store = VoteStore(cfg, TIMESTAMPED if timestamped else PLAIN, instance, block)
     for party, votes in prop.votes_by_party.items():
         if not (0 <= party < cfg.n):
             return None, _bad("bad-attestation")
-        expected_seq = 0
-        prefix: list[Vote] = []
-        truncated = False
-        for v in sorted(votes, key=lambda v: v.seq):
+        log = store.logs[party]
+        for expected_seq, v in enumerate(sorted(votes, key=attrgetter("seq"))):
             if v.party != party:
                 return None, _bad("bad-attestation")
             if not verify(v.att, vote_payload(v.instance, v.block, v.seq, v.ts, v.request)):
                 return None, _bad("bad-attestation")
-            if v.instance != prop.instance or v.block != prop.block_number:
+            if v.instance != instance or v.block != block:
                 return None, _bad("bad-attestation")
             if v.seq != expected_seq:
                 return None, _bad("missing-history")
-            expected_seq += 1
-            if v.request not in prop.request_table:
+            if v.request not in table:
                 return None, _bad("missing-history")
             if timestamped:
                 if v.ts is None:
                     return None, _bad("missing-history")
-                if prefix and not truncated and v.ts <= prefix[-1].ts:
+                if log.accepted and not log.invalid and v.ts <= log.accepted[-1].ts:
                     # Sequence and timestamp orders disagree: this vote and all
                     # that follow from this voter are discounted.
-                    ev.mismatch_found = True
-                    truncated = True
-            if not truncated:
-                prefix.append(v)
-        if prefix:
-            ev.valid_by_party[party] = prefix
-    for rid, req in prop.request_table.items():
+                    store.mark_invalid(party)
+            if not log.invalid:
+                store.accept(v)
+    for rid, req in table.items():
         if request_id(req.market, req.payload) != rid:
             return None, _bad("bad-attestation")
-    return ev, None
-
-
-def _achievable_medians(timestamps: list[int], q: int) -> set[int]:
-    if len(timestamps) < q:
-        return set()
-    return {median_timestamp(sub) for sub in combinations(sorted(timestamps), q)}
+        store.register_request(req)
+    return store, None
 
 
 def _verify(cfg: QuorumConfig, cert: BlockCertificate, timestamped: bool) -> VerifyOutcome:
@@ -157,46 +99,31 @@ def _verify(cfg: QuorumConfig, cert: BlockCertificate, timestamped: bool) -> Ver
         return _bad("empty-block")
     if len(set(prop.requests)) != len(prop.requests):
         return _bad("duplicate-request")
-    ev, err = _collect_evidence(cfg, cert, timestamped)
+    store, err = _collect_evidence(cfg, cert, timestamped)
     if err is not None:
         return err
     for rid in prop.requests:
-        if len(ev.votes_for(rid)) < cfg.strong_size:
+        if store.accepted_count(rid) < cfg.strong_size:
             return _bad("insufficient-votes")
-    if timestamped and ev.mismatch_found:
+    if store.invalid_parties():
+        # Some voter's timestamps ran against its sequence numbers.
         return _bad("timestamp-order")
 
     member_set = set(prop.requests)
+    omitted = [rid for rid in store.known_requests() if rid not in member_set]
     if prop.mode_tag == TIMED_FAIR:
         if prop.pivot is None or prop.pivot.request not in member_set:
             return _bad("invalid-pivot")
-        seed_ts = [v.ts for v in ev.votes_for(prop.pivot.request)]
-        if prop.pivot.m_r not in _achievable_medians(seed_ts, cfg.strong_size):
+        seed_ts = [v.ts for v in store.votes_for(prop.pivot.request)]
+        if prop.pivot.m_r not in achievable_medians(seed_ts, cfg.strong_size):
             return _bad("invalid-pivot")
-        for rid in ev.cited_requests():
-            if rid in member_set:
-                continue
-            below = sum(1 for v in ev.votes_for(rid) if v.ts < prop.pivot.m_r)
-            if below >= cfg.weak_size:
-                return _bad("omitted-blocked-request")
-        medians = {
-            rid: median_timestamp([v.ts for v in ev.votes_for(rid)])
-            for rid in prop.requests
-        }
-        ordered = sorted(prop.requests, key=lambda rid: (medians[rid], rid))
-        if list(prop.requests) != ordered:
+        if any(timed_precedes(store, cfg, rid, prop.pivot) for rid in omitted):
+            return _bad("omitted-blocked-request")
+        if list(prop.requests) != timed_request_order(store, prop.requests):
             return _bad("timestamp-order")
-    else:
-        table = prop.request_table
-        for rid in ev.cited_requests():
-            if rid in member_set:
-                continue
-            for member in prop.requests:
-                if table[rid].market != table[member].market:
-                    continue
-                if ev.count_before(member, rid) < cfg.weak_size:
-                    return _bad("omitted-blocked-request")
-    return _ok()
+    elif any(blocks(store, cfg, rid, member) for rid in omitted for member in prop.requests):
+        return _bad("omitted-blocked-request")
+    return VerifyOutcome(VALID)
 
 
 def verify_block(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
@@ -252,39 +179,76 @@ def certificate_to_dict(cert: BlockCertificate) -> dict:
     }
 
 
+def _typed(value, kind: type, field: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"certificate field {field!r} must be a {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _is_uint64(value) -> bool:
+    return isinstance(value, int) and 0 <= value < 2**64
+
+
+def _uint64(value, field: str) -> int:
+    if not _is_uint64(value):
+        raise ValueError(f"certificate field {field!r} must be an integer in [0, 2**64), "
+                         f"not {value!r}")
+    return value
+
+
+def _vote_row(row) -> list:
+    """One cited vote, [seq, ts, request-id, attestation-digest]; one call per
+    row, as certificates cite every vote in the store."""
+    if not (isinstance(row, list) and len(row) == 4 and _is_uint64(row[0])
+            and (row[1] is None or _is_uint64(row[1]))
+            and isinstance(row[2], str) and isinstance(row[3], str)):
+        raise ValueError(f"certificate vote row must be [seq, ts, request, attestation] "
+                         f"with seq and ts in [0, 2**64), not {row!r}")
+    return row
+
+
 def certificate_from_dict(data: dict) -> BlockCertificate:
+    """Rebuild a certificate from its canonical dict. Shapes and integer
+    ranges are checked here, so hostile input raises ValueError instead of
+    failing deep inside verification."""
+    _typed(data, dict, "certificate")
+    instance = _typed(data["instance"], str, "instance")
+    block = _uint64(data["block"], "block")
     pivot = None
     if data["pivot"] is not None:
+        raw = _typed(data["pivot"], dict, "pivot")
         pivot = MedianSummary(
-            request=data["pivot"]["request"],
-            timestamps=tuple(data["pivot"]["timestamps"]),
-            m_r=data["pivot"]["median"],
+            request=_typed(raw["request"], str, "pivot.request"),
+            timestamps=tuple(_uint64(ts, "pivot.timestamps")
+                             for ts in _typed(raw["timestamps"], list, "pivot.timestamps")),
+            m_r=_uint64(raw["median"], "pivot.median"),
         )
     votes_by_party = {}
-    for party_s, votes in data["votes"].items():
+    for party_s, rows in _typed(data["votes"], dict, "votes").items():
         party = int(party_s)
+        # Positional construction: certificates cite every vote in the store,
+        # and keyword calls cost a third more per vote.
         votes_by_party[party] = tuple(
-            Vote(
-                instance=data["instance"],
-                block=data["block"],
-                seq=seq,
-                ts=ts,
-                request=rid,
-                att=Attestation(signer=party, digest=att),
-            )
-            for seq, ts, rid, att in votes
+            Vote(instance, block, seq, ts, rid, Attestation(party, att))
+            for seq, ts, rid, att in map(_vote_row, _typed(rows, list, "votes"))
         )
-    table = {
-        rid: Request(id=rid, market=entry["market"], payload=bytes.fromhex(entry["payload"]))
-        for rid, entry in data["requests_table"].items()
-    }
+    table = {}
+    for rid, entry in _typed(data["requests_table"], dict, "requests_table").items():
+        _typed(entry, dict, "requests_table entry")
+        table[rid] = Request(
+            id=rid,
+            market=_typed(entry["market"], str, "requests_table market"),
+            payload=bytes.fromhex(_typed(entry["payload"], str, "requests_table payload")),
+        )
     prop = Proposal(
-        instance=data["instance"],
-        block_number=data["block"],
-        mode_tag=data["mode"],
-        requests=tuple(data["requests"]),
+        instance=instance,
+        block_number=block,
+        mode_tag=_typed(data["mode"], str, "mode"),
+        requests=tuple(_typed(rid, str, "requests")
+                       for rid in _typed(data["requests"], list, "requests")),
         pivot=pivot,
         votes_by_party=votes_by_party,
         request_table=table,
     )
-    return BlockCertificate(proposal=prop, proposer=data["proposer"])
+    return BlockCertificate(proposal=prop, proposer=_typed(data["proposer"], int, "proposer"))

@@ -30,7 +30,7 @@ PLAIN = "plain"
 TIMESTAMPED = "timestamped"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vote:
     instance: str
     block: int
@@ -52,14 +52,9 @@ def vote_payload(instance: str, block: int, seq: int, ts: Optional[Timestamp], r
     """
     inst = instance.encode("utf-8")
     rid = request.encode("ascii")
-    parts = [b"vote|", struct.pack(">I", len(inst)), inst, struct.pack(">QQ", block, seq)]
-    if ts is None:
-        parts.append(b"\x00")
-    else:
-        parts.append(b"\x01" + struct.pack(">Q", ts))
-    parts.append(struct.pack(">I", len(rid)))
-    parts.append(rid)
-    return b"".join(parts)
+    stamp = b"\x00" if ts is None else b"\x01" + struct.pack(">Q", ts)
+    return b"".join((b"vote|", struct.pack(">I", len(inst)), inst,
+                     struct.pack(">QQ", block, seq), stamp, struct.pack(">I", len(rid)), rid))
 
 
 def make_vote(signer: PartyId, instance: str, block: int, seq: int,
@@ -92,28 +87,34 @@ class IngestOutcome:
     accepted: tuple[Vote, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class PartyVoteLog:
     party: PartyId
     accepted: list[Vote] = field(default_factory=list)
     pending: dict[int, Vote] = field(default_factory=dict)
     invalid: bool = False  # permanently-invalid: accepted never grows again
-
-    @property
-    def active(self) -> bool:
-        return not self.invalid
+    # request -> seq of this party's first accepted vote for it
+    seqs: dict[RequestId, int] = field(default_factory=dict)
 
     def seq_of(self, request: RequestId) -> Optional[int]:
-        for v in self.accepted:
-            if v.request == request:
-                return v.seq
-        return None
+        return self.seqs.get(request)
+
+    def reported_before(self, r: RequestId, r2: RequestId) -> Report:
+        if self.invalid:
+            return Report.UNKNOWN
+        seq_r = self.seqs.get(r)
+        if seq_r is None:
+            return Report.UNKNOWN
+        seq_r2 = self.seqs.get(r2)
+        if seq_r2 is None:
+            # The accepted log is gap-free, so holding r without r2 means the
+            # party reported r and everything below it, but not r2.
+            return Report.YES
+        return Report.YES if seq_r < seq_r2 else Report.NO
 
 
-@dataclass
-class AcceptedVote:
-    vote: Vote
-    index: int  # global acceptance counter, used for arrival-order tie-breaks
+# A vote with its global acceptance counter, used for arrival-order tie-breaks.
+AcceptedVote = tuple[Vote, int]
 
 
 class VoteStore:
@@ -133,7 +134,6 @@ class VoteStore:
         self._counter = 0
         self.weak_at: dict[RequestId, int] = {}
         self.strong_at: dict[RequestId, int] = {}
-        self.strong_quorum_ts: dict[RequestId, tuple[Timestamp, ...]] = {}
         self.version = 0  # bumps on any acceptance or invalidation
 
     # -- ingestion ---------------------------------------------------------
@@ -156,17 +156,13 @@ class VoteStore:
         if log.invalid:
             return IngestOutcome(REJECTED, "party-invalid")
 
-        # Conflicts with what this party already committed to.
-        if v.seq < len(log.accepted):
-            prior = log.accepted[v.seq]
+        # Conflicts with what this party already committed to, accepted or
+        # buffered.
+        prior = log.accepted[v.seq] if v.seq < len(log.accepted) else log.pending.get(v.seq)
+        if prior is not None:
             if prior == v:
                 return IngestOutcome(REJECTED, "duplicate")
-            self._invalidate(log)
-            return IngestOutcome(REJECTED, "equivocation")
-        if v.seq in log.pending:
-            if log.pending[v.seq] == v:
-                return IngestOutcome(REJECTED, "duplicate")
-            self._invalidate(log)
+            self.mark_invalid(v.party)
             return IngestOutcome(REJECTED, "equivocation")
 
         if v.seq > len(log.accepted):
@@ -179,68 +175,63 @@ class VoteStore:
         while cursor is not None:
             if self.mode == TIMESTAMPED and log.accepted:
                 if cursor.ts <= log.accepted[-1].ts:
-                    self._invalidate(log)
+                    self.mark_invalid(v.party)
                     if not newly:
                         return IngestOutcome(REJECTED, "timestamp-order")
                     # v itself was accepted; the cascade hit the mismatch.
                     return IngestOutcome(ACCEPTED, "timestamp-order", tuple(newly))
-            self._accept(log, cursor)
+            self.accept(cursor)
             newly.append(cursor)
             cursor = log.pending.pop(len(log.accepted), None)
         return IngestOutcome(ACCEPTED, None, tuple(newly))
 
-    def _accept(self, log: PartyVoteLog, v: Vote) -> None:
+    def accept(self, v: Vote) -> None:
+        """Append v to its party's log. The caller has checked that v is the
+        party's next sequence number and that the party is still valid.
+
+        A party that votes one request twice is one voter for it: its first
+        vote is the one counted, ordered and cited as its report."""
+        party, request = v.party, v.request
+        log = self.logs[party]
         log.accepted.append(v)
-        slot = self.by_request.setdefault(v.request, {})
-        slot[v.party] = AcceptedVote(v, self._counter)
+        log.seqs.setdefault(request, v.seq)
+        slot = self.by_request.setdefault(request, {})
+        slot.setdefault(party, (v, self._counter))
         count = len(slot)
-        if count == self.cfg.weak_size and v.request not in self.weak_at:
-            self.weak_at[v.request] = self._counter
-        if count == self.cfg.strong_size and v.request not in self.strong_at:
-            self.strong_at[v.request] = self._counter
-            self.strong_quorum_ts[v.request] = tuple(
-                av.vote.ts for av in slot.values() if av.vote.ts is not None
-            )
+        if count == self.cfg.weak_size and request not in self.weak_at:
+            self.weak_at[request] = self._counter
+        if count == self.cfg.strong_size and request not in self.strong_at:
+            self.strong_at[request] = self._counter
         self._counter += 1
         self.version += 1
 
-    def _invalidate(self, log: PartyVoteLog) -> None:
+    def mark_invalid(self, party: PartyId) -> None:
+        """Exclude a party for good: its accepted votes stay usable, nothing
+        more is accepted from it."""
+        log = self.logs[party]
         log.invalid = True
         log.pending.clear()
         self.version += 1
 
-    def mark_invalid(self, party: PartyId) -> None:
-        """Carry a permanent exclusion into a rebuilt store."""
-        self._invalidate(self.logs[party])
-
     # -- queries -----------------------------------------------------------
 
     def reported_before(self, party: PartyId, r: RequestId, r2: RequestId) -> Report:
-        log = self.logs[party]
-        if log.invalid:
-            return Report.UNKNOWN
-        seq_r = log.seq_of(r)
-        if seq_r is None:
-            return Report.UNKNOWN
-        seq_r2 = log.seq_of(r2)
-        if seq_r2 is None:
-            # The accepted log is gap-free, so holding r without r2 means the
-            # party reported r and everything below it, but not r2.
-            return Report.YES
-        return Report.YES if seq_r < seq_r2 else Report.NO
+        return self.logs[party].reported_before(r, r2)
 
     def count_before(self, r: RequestId, r2: RequestId) -> int:
+        # Only a party holding a vote for r can have reported it first.
         return sum(
             1
-            for p in self.logs
-            if self.reported_before(p, r, r2) is Report.YES
+            for party in self.by_request.get(r, {})
+            if self.logs[party].reported_before(r, r2) is Report.YES
         )
 
     def votes_for(self, r: RequestId) -> list[Vote]:
-        """All accepted votes for r, including those a now-invalid party cast
-        before its exclusion (those stay usable as block justification)."""
+        """Each voter's first accepted vote for r, in acceptance order. Votes a
+        now-invalid party cast before its exclusion stay usable as block
+        justification."""
         slot = self.by_request.get(r, {})
-        return [av.vote for av in slot.values()]
+        return [vote for vote, _ in slot.values()]
 
     def accepted_count(self, r: RequestId) -> int:
         return len(self.by_request.get(r, {}))
@@ -250,7 +241,7 @@ class VoteStore:
         return list(self.by_request.keys())
 
     def active_parties(self) -> list[PartyId]:
-        return [p for p, log in self.logs.items() if log.active]
+        return [p for p, log in self.logs.items() if not log.invalid]
 
     def invalid_parties(self) -> list[PartyId]:
         return [p for p, log in self.logs.items() if log.invalid]
@@ -260,6 +251,3 @@ class VoteStore:
 
     def acceptance_records(self, r: RequestId) -> list[AcceptedVote]:
         return list(self.by_request.get(r, {}).values())
-
-    def accepted_logs(self) -> dict[PartyId, list[Vote]]:
-        return {p: list(log.accepted) for p, log in self.logs.items() if log.accepted}

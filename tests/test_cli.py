@@ -81,3 +81,53 @@ def test_verify_flags_tampered_chain(tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["verify", str(chain)]) == 1
     assert "empty-block" in capsys.readouterr().out
+
+
+def _chain_with(tmp_path, edit):
+    """Run a benign scenario to a chain file, then rewrite its lines with
+    `edit(lines)`, where lines[0] is the header and lines[1:] the blocks."""
+    scenario = tmp_path / "s.json"
+    chain = tmp_path / "c.jsonl"
+    run_command(["gen", "benign", "--requests", "2", "--seed", "1", "--out", str(scenario)])
+    run_command(["run", str(scenario), "--chain", str(chain)])
+    lines = chain.read_text().splitlines()
+    edit(lines)
+    chain.write_text("\n".join(lines) + "\n")
+    return chain
+
+
+def test_verify_rejects_repeated_block(tmp_path, capsys):
+    chain = _chain_with(tmp_path, lambda lines: lines.append(lines[1]))
+    capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 1
+    out = capsys.readouterr().out
+    assert "wrong-block-number" in out and "chain: INVALID" in out
+
+
+def _edit_certificate(change):
+    def edit(lines):
+        entry = json.loads(lines[1])
+        change(entry["certificate"])
+        lines[1] = json.dumps(entry, sort_keys=True)
+    return edit
+
+
+def _set_first_vote_seq(cert, seq):
+    party = sorted(cert["votes"])[0]
+    cert["votes"][party][0][0] = seq
+
+
+def test_verify_non_list_requests_exits_two(tmp_path, capsys):
+    chain = _chain_with(tmp_path, _edit_certificate(lambda c: c.update(requests=5)))
+    capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_negative_seq_exits_two(tmp_path, capsys):
+    chain = _chain_with(tmp_path, _edit_certificate(lambda c: _set_first_vote_seq(c, -1)))
+    capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,0 +1,76 @@
+"""Byte-identity pins: SHA-256 of the trace text and of the exported chain
+for the determinism golden suite plus two deeper scenarios.
+
+A refactor that keeps behaviour keeps every digest. A digest that changes
+means a trace or a certificate changed, which has to be a deliberate
+protocol change and comes with new pins.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from fairlab.simnet import fuzz_scenario, segment_schedule
+from fairlab.simnet.runner import Simulation
+
+from test_acceptance import CFG4, _golden_suite
+
+
+def _scenarios():
+    return _golden_suite() + [
+        dataclasses.replace(segment_schedule(CFG4, depth=6, seed=1), mode="neverending"),
+        fuzz_scenario(3, n=4, t=1, mode="hybrid", r_max=3),
+    ]
+
+
+# label -> (trace sha256, chain sha256)
+PINNED = {
+    "cycle-n4": (
+        "24c1793e5374c482a77843e54692c4a74f13307f5b3a4e6d989ed909a47852e0",
+        "b536fd467decba04278a44102a69fc415a40e73e3a2a85a85c6901c2e242cbc5",
+    ),
+    "segments-k2": (
+        "4de763294840fb1aa4ac28c8e54275805a4f23b9b579f7203be9c23198a9f760",
+        "4700ce11bc63a0d0280b504d4f15c9a4ea8c3446c319e0e064956d5b18992434",
+    ),
+    "segments-k4": (
+        "b36119b0dcec4995d7c433e06254d943390f8bd90527343cbae079eda569f618",
+        "1e9a778d342a92aa6abf5e6df21be0b393e202e0c51cc5d6b9ce3fe47c016ddc",
+    ),
+    "benign-r4": (
+        "a6818f03da45f4fc36a96ff702c38a570597d12b8a5d53d146021e27b26ac736",
+        "b5aa6d4522867fcfaf3924f31cc28e6a9c0373fb3ad799379b3f650426e8176e",
+    ),
+    "segments-k2+p0.2": (
+        "66e7b2e549f66adbb60ab0864a86769d01ec8112fac1c5037f393378ca854d45",
+        "ea5a6e31a9bb37688c6be039f9a1737f72c871d13e2489aaa8e40f3a139a1bea",
+    ),
+    "fuzz-17": (
+        "d9549d2dc99072e524ee5570940faf5aabc4489423adc755539b779762d6494a",
+        "0a3a25e18ef7f5c63b27c11046b854833922948d8414d6ebeb86feacde5cc19f",
+    ),
+    "segments-k6": (
+        "db5878aef9e3c9ee347b8eba12e1258220735d19b68c9382fdf1b0ec6c4fc0be",
+        "744ad1a2aeeb0d1ceba5980b986bef171acbaaf88ccb4b3b452bf688a2ccf11a",
+    ),
+    "fuzz-3": (
+        "72a70930a1e1eda9716e18accdfa719cc22792454d2b4470ca25d7b57c40ba9a",
+        "18e5054bea4c8e3b32d916cd01ee5cd3f759b5fb513bdaa40fa895c06ab8a98b",
+    ),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("scenario", _scenarios(), ids=lambda sc: sc.label)
+def test_trace_and_chain_digests_pinned(scenario):
+    sim = Simulation(scenario)
+    for event in scenario.events:
+        sim.execute(event)
+    sim.drain()
+    trace = sim.finish()
+    digests = (_sha256(trace.to_text()), _sha256("\n".join(sim.chain_lines())))
+    assert digests == PINNED[scenario.label]

@@ -151,3 +151,34 @@ def test_verifier_uses_only_certificate_and_config(cfg4):
     direct = verify_certificate(cfg4, cert)
     rehydrated = verify_certificate(cfg4, certificate_from_dict(certificate_to_dict(cert)))
     assert direct == rehydrated
+
+
+def _double_voter_cert(timestamped):
+    """Parties 0 and 1 each vote the only member twice, at seq 0 and seq 1:
+    four votes from two voters, short of the n-t=3 quorum."""
+    from fairlab.fairness import MedianSummary
+    from fairlab.leaders import BLOCK_FAIR, TIMED_FAIR, Proposal
+
+    member = M["m1"]
+    votes_by_party = {
+        party: tuple(
+            make_vote(party, INSTANCE, 0, seq, seq + 1 if timestamped else None, member.id)
+            for seq in (0, 1)
+        )
+        for party in (0, 1)
+    }
+    pivot = MedianSummary(member.id, (1, 1, 2), 1) if timestamped else None
+    prop = Proposal(
+        instance=INSTANCE, block_number=0,
+        mode_tag=TIMED_FAIR if timestamped else BLOCK_FAIR,
+        requests=(member.id,), pivot=pivot,
+        votes_by_party=votes_by_party, request_table={member.id: member},
+    )
+    return BlockCertificate(prop, proposer=0)
+
+
+def test_quorum_counts_voters_not_votes(cfg4):
+    plain = verify_block(cfg4, _double_voter_cert(timestamped=False))
+    assert not plain.ok and plain.reason == "insufficient-votes"
+    timed = verify_block_timestamped(cfg4, _double_voter_cert(timestamped=True))
+    assert not timed.ok and timed.reason == "insufficient-votes"
