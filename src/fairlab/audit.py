@@ -10,6 +10,7 @@ and the engines at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -22,7 +23,6 @@ class TraceView:
     """Everything the checkers need, extracted once and keyed by request name."""
 
     def __init__(self, trace: Trace):
-        self.header = trace.header
         self.n = trace.header["n"]
         self.t = trace.header["t"]
         self.mode = trace.header["mode"]
@@ -64,6 +64,11 @@ class TraceView:
 
     def requests(self) -> list[str]:
         return sorted(self.market)
+
+    # Shared by the relative and the strict checker.
+    @cached_property
+    def relative_constraints(self) -> set[tuple[str, str]]:
+        return _relative_constraints(self, self.honest)
 
     def saw_before(self, party: int, r1: str, r2: str) -> Optional[bool]:
         """Did this party receive r1 before r2? None when it saw neither side
@@ -108,16 +113,14 @@ def _relative_constraints(view: TraceView, honest: list[int]) -> set[tuple[str, 
 def _timed_constraints(view: TraceView, honest: list[int]) -> set[tuple[str, str]]:
     """Pairs separated by a time tau on the presumed-honest local clocks."""
     constraints = set()
-    requests = view.requests()
-    for r1 in requests:
-        for r2 in requests:
-            if r1 == r2 or view.market[r1] != view.market[r2]:
-                continue
-            ts1 = [view.ts[p][r1] for p in honest if r1 in view.ts[p]]
-            ts2 = [view.ts[p][r2] for p in honest if r2 in view.ts[p]]
-            if len(ts1) < len(honest) or len(ts2) < len(honest):
-                continue
-            if max(ts1) < min(ts2):
+    spans = {}  # request every presumed-honest party saw -> (first, last) sighting time
+    for r in view.requests():
+        ts = [view.ts[p][r] for p in honest if r in view.ts[p]]
+        if len(ts) == len(honest):
+            spans[r] = (min(ts), max(ts))
+    for r1, (_, last1) in spans.items():
+        for r2, (first2, _) in spans.items():
+            if r1 != r2 and view.market[r1] == view.market[r2] and last1 < first2:
                 constraints.add((r1, r2))
     return constraints
 
@@ -126,7 +129,7 @@ def check_relative_block_fairness(trace: Trace, view: Optional[TraceView] = None
     """If every honest party received r1 before r2, r1 must land in the same
     block as r2 or earlier."""
     view = view or TraceView(trace)
-    constraints = _relative_constraints(view, view.honest)
+    constraints = view.relative_constraints
     violations = []
     for r1, r2 in sorted(constraints):
         b2 = view.delivered.get(r2)
@@ -163,7 +166,7 @@ def check_strict_relative_fairness(trace: Trace, view: Optional[TraceView] = Non
     """The contradictory first-attempt definition (strictly earlier delivery,
     not same-block). Report-mode only; never gates acceptance."""
     view = view or TraceView(trace)
-    constraints = _relative_constraints(view, view.honest)
+    constraints = view.relative_constraints
     violations = []
     for r1, r2 in sorted(constraints):
         if r2 not in view.final_pos:

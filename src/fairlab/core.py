@@ -20,6 +20,9 @@ class QuorumConfig:
     t: int
 
     def __post_init__(self) -> None:
+        # Scenario files and chain headers reach here unchecked; bool is an int.
+        if type(self.n) is not int or type(self.t) is not int:
+            raise ValueError(f"n and t must be integers, got n={self.n!r} t={self.t!r}")
         if self.n < 1 or self.t < 0:
             raise ValueError(f"degenerate configuration n={self.n} t={self.t}")
         if self.n < 3 * self.t + 1:

@@ -39,6 +39,7 @@ class CandidateBlock:
 
     seed: RequestId
     members: tuple[RequestId, ...]
+    closed: bool  # no outside request blocks a member
 
 
 @dataclass(frozen=True)
@@ -111,25 +112,22 @@ def new_leader(cfg: QuorumConfig, mode: str, party: PartyId, instance: str,
 # The store's weak_at and strong_at maps are filled in completion order, so
 # iterating them visits seeds first-completed first.
 
-def _outside_blocker_exists(state: LeaderState, members: set[RequestId]) -> bool:
-    store, cfg = state.store, state.cfg
-    for rid in store.known_requests():
-        if rid in members:
-            continue
-        for m in members:
-            if blocks(store, cfg, rid, m):
-                return True
-    return False
+def _closure(state: LeaderState, seed: RequestId, threshold: int,
+             respect_cutoff: bool) -> tuple[list[RequestId], bool, bool]:
+    """Grow a candidate from seed: admit, round by round, any outside request
+    that still blocks a member and has at least `threshold` votes, and record
+    its order in state.max_candidate_order. Returns (members, halted,
+    closed): halted means the hybrid cutoff fired during growth, closed that
+    no outside request blocks any member.
 
-
-def _grow_closure(state: LeaderState, seed: RequestId, threshold: int,
-                  respect_cutoff: bool) -> tuple[list[RequestId], bool]:
-    """Grow a candidate from seed: admit any outside request that still blocks
-    a member and has at least `threshold` votes. Returns (members, halted),
-    halted meaning the hybrid cutoff fired during growth."""
+    No member needs pruning later: each one blocks a member admitted before
+    it. The store does not change within a step, so each outside request is
+    tested only against the members after those it is known not to block."""
     store, cfg = state.store, state.cfg
     members: list[RequestId] = [seed]
     member_set = {seed}
+    # outside request -> number of leading members it does not block
+    tested: dict[RequestId, int] = {}
     halted = False
     changed = True
     while changed and not halted:
@@ -137,7 +135,7 @@ def _grow_closure(state: LeaderState, seed: RequestId, threshold: int,
         for rid in store.known_requests():
             if rid in member_set or store.accepted_count(rid) < threshold:
                 continue
-            if any(blocks(store, cfg, rid, m) for m in members):
+            if any(blocks(store, cfg, rid, m) for m in members[tested.get(rid, 0):]):
                 members.append(rid)
                 member_set.add(rid)
                 changed = True
@@ -148,23 +146,15 @@ def _grow_closure(state: LeaderState, seed: RequestId, threshold: int,
                                  state.coin.stop_probability):
                         halted = True
                         break
-    return members, halted
-
-
-def _prune_non_blocking(state: LeaderState, seed: RequestId,
-                        members: list[RequestId]) -> list[RequestId]:
-    """Drop non-seed members that no longer block any other member. Pruning in
-    simultaneous rounds keeps the fixpoint independent of iteration order."""
-    store, cfg = state.store, state.cfg
-    current = list(members)
-    while True:
-        keep = [
-            m for m in current
-            if m == seed or any(blocks(store, cfg, m, o) for o in current if o != m)
-        ]
-        if len(keep) == len(current):
-            return current
-        current = keep
+            else:
+                tested[rid] = len(members)
+    closed = not any(
+        blocks(store, cfg, rid, m)
+        for rid in store.known_requests() if rid not in member_set
+        for m in members[tested.get(rid, 0):]
+    )
+    state.max_candidate_order = max(state.max_candidate_order, len(members))
+    return members, halted, closed
 
 
 def _build_proposal(state: LeaderState, requests: list[RequestId], mode_tag: str,
@@ -211,9 +201,8 @@ def neverending_step(state: LeaderState) -> Optional[Proposal]:
     seed = next(iter(store.strong_at), None)
     if seed is None:
         return None
-    members, _ = _grow_closure(state, seed, cfg.strong_size, respect_cutoff=False)
-    state.max_candidate_order = max(state.max_candidate_order, len(members))
-    if _outside_blocker_exists(state, set(members)):
+    members, _, closed = _closure(state, seed, cfg.strong_size, respect_cutoff=False)
+    if not closed:
         return None
     return _build_proposal(state, members, BLOCK_FAIR, pivot=None)
 
@@ -270,10 +259,8 @@ def _hybrid_candidates(state: LeaderState) -> tuple[list[CandidateBlock], bool]:
     candidates = []
     crossed = False
     for seed in store.weak_at:
-        members, halted = _grow_closure(state, seed, cfg.weak_size, respect_cutoff=True)
-        members = _prune_non_blocking(state, seed, members)
-        candidates.append(CandidateBlock(seed=seed, members=tuple(members)))
-        state.max_candidate_order = max(state.max_candidate_order, len(members))
+        members, halted, closed = _closure(state, seed, cfg.weak_size, respect_cutoff=True)
+        candidates.append(CandidateBlock(seed=seed, members=tuple(members), closed=closed))
         crossed = halted or len(members) > state.r_max
         if crossed:
             break
@@ -284,8 +271,7 @@ def _hybrid_block_fair(state: LeaderState) -> Optional[Proposal]:
     store, cfg = state.store, state.cfg
     candidates, crossed = _hybrid_candidates(state)
     for cand in candidates:
-        member_set = set(cand.members)
-        if _outside_blocker_exists(state, member_set):
+        if not cand.closed:
             continue
         # Every shipped member needs a strong quorum behind it or the block
         # certificate cannot carry n-t votes per request.

@@ -32,7 +32,6 @@ from .trace import Trace
 
 @dataclass
 class Msg:
-    id: int
     sender: PartyId
     recipient: PartyId
     vote: Vote
@@ -170,9 +169,9 @@ class Simulation:
         }
         self.chain = Chain(self.cfg)
         self.pool: dict[int, Msg] = {}
+        # The probabilistic wrapper's seeded sweep order over pool messages.
         self.pool_order: list[int] = []
-        self._next_mid = 0
-        self._known_mids: set[int] = set()
+        self._next_mid = 0  # message ids are dense: every id below was sent
         self.rng = random.Random(scenario.wrapper_seed) if scenario.failure_p else None
         self.step_no = 0
         self.action_index = 0
@@ -210,11 +209,11 @@ class Simulation:
 
     # -- activations ---------------------------------------------------------
 
-    def _activate(self, party: _Party, via: str) -> None:
+    def _activate(self, party: _Party) -> None:
         party.clock += party.rate
-        self._emit_votes(party, via)
+        self._emit_votes(party)
 
-    def _emit_votes(self, party: _Party, via: str) -> None:
+    def _emit_votes(self, party: _Party) -> None:
         if party.kind == SILENT:
             party.outbox = []
             return
@@ -247,13 +246,9 @@ class Simulation:
         for recipient in recipients:
             mid = self._next_mid
             self._next_mid += 1
-            self._known_mids.add(mid)
-            msg = Msg(mid, party.pid, recipient, vote, req, tag)
-            self.pool[mid] = msg
+            self.pool[mid] = Msg(party.pid, recipient, vote, req, tag)
             if self.rng is not None:
                 self.pool_order.insert(self.rng.randrange(len(self.pool_order) + 1), mid)
-            else:
-                self.pool_order.append(mid)
         # A leader ingests its own vote directly.
         if party.pid in self.engines and audience in (None, "all"):
             outcome = self.engines[party.pid].store.ingest(vote, req)
@@ -268,7 +263,7 @@ class Simulation:
     def _deliver(self, mid: int, via: str) -> None:
         msg = self.pool.pop(mid)
         recipient = self.parties[msg.recipient]
-        self._activate(recipient, via)
+        self._activate(recipient)
         self._rec("deliver", msg=mid, to=msg.recipient, sender=msg.sender,
                   request=msg.vote.request, via=via)
         if msg.request.id not in recipient.seen:
@@ -289,7 +284,7 @@ class Simulation:
         if action == "see":
             party = self.parties[event["party"]]
             req = self.requests[event["request"]]
-            self._activate(party, "schedule")
+            self._activate(party)
             if req.id not in party.seen:
                 self._register(req)
                 ts = party.sight(req, event.get("tag", "schedule"),
@@ -300,7 +295,7 @@ class Simulation:
             mid = event["msg"]
             if mid in self.pool:
                 self._deliver(mid, "schedule")
-            elif self.rng is None or mid not in self._known_mids:
+            elif self.rng is None or mid not in range(self._next_mid):
                 # A known message missing from the pool was already delivered
                 # by the probabilistic wrapper; anything else is a bad schedule.
                 raise ValueError(f"schedule delivers unknown or dropped message {mid}")
@@ -423,7 +418,7 @@ class Simulation:
             moved = False
             for party in self.parties:
                 if party.has_unsent():
-                    self._activate(party, "drain")
+                    self._activate(party)
                     moved = True
             pending = sorted(self.pool)
             for mid in pending:

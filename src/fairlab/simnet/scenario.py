@@ -24,6 +24,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+from ..core import validate_config
+
 SILENT = "silent"
 REORDER = "reorder"
 EQUIVOCATE = "equivocate"
@@ -74,6 +76,7 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self) -> None:
+        validate_config(self.n, self.t)  # first: the checks below compare n and t
         if len(self.corrupt) > self.t:
             raise ValueError("corruption set larger than the fault budget")
         for p in self.corrupt:

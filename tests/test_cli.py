@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fairlab.cli import run_command
 
 
@@ -128,6 +130,27 @@ def test_verify_non_list_requests_exits_two(tmp_path, capsys):
 def test_verify_negative_seq_exits_two(tmp_path, capsys):
     chain = _chain_with(tmp_path, _edit_certificate(lambda c: _set_first_vote_seq(c, -1)))
     capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["n", "t"])
+def test_run_string_quorum_size_exits_two(tmp_path, capsys, field):
+    scenario = tmp_path / "s.json"
+    run_command(["gen", "benign", "--requests", "2", "--out", str(scenario)])
+    data = json.loads(scenario.read_text())
+    data[field] = str(data[field])
+    scenario.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_command(["run", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_string_party_count_in_header_exits_two(tmp_path, capsys):
+    chain = tmp_path / "c.jsonl"
+    chain.write_text(json.dumps({"kind": "chain-header", "n": "4", "t": 1}) + "\n")
     assert run_command(["verify", str(chain)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -171,6 +171,50 @@ def test_hybrid_candidate_members_block_each_other(cfg4):
             )
 
 
+def test_closure_closed_flag_matches_brute_force_without_repeat_tests(cfg4, monkeypatch):
+    import fairlab.leaders as leaders
+    from fairlab.fairness import blocks
+
+    pairs = []
+
+    def counting_blocks(store, cfg, r2, r):
+        pairs.append((r2, r))
+        return blocks(store, cfg, r2, r)
+
+    def checked_closure(*args, **kwargs):
+        pairs.clear()
+        result = real_closure(*args, **kwargs)
+        assert len(pairs) == len(set(pairs)), "a pair reached blocks() twice"
+        return result
+
+    real_closure = leaders._closure
+    monkeypatch.setattr(leaders, "blocks", counting_blocks)
+    monkeypatch.setattr(leaders, "_closure", checked_closure)
+    seen = set()
+    for trial in range(150):
+        rng = random.Random(trial)
+        pool = [req(f"c{trial}-{i}", market=rng.choice("AB") if trial % 3 == 0 else "m")
+                for i in range(rng.randint(4, 6))]
+        for r_max in (1, 100):
+            state = engine(cfg4, HYBRID, r_max=r_max)
+            for party in range(4):
+                # some parties miss some requests, leaving them below threshold
+                order = rng.sample(pool, rng.randint(len(pool) - 2, len(pool)))
+                for seq, r in enumerate(order):
+                    ingest(state, party, seq, r, ts=(seq + 1) * 10 + party)
+            store = state.store
+            candidates, _ = _hybrid_candidates(state)
+            for cand in candidates:
+                outside = [r for r in store.known_requests() if r not in cand.members]
+                brute = not any(
+                    blocks(store, cfg4, r, m) for r in outside for m in cand.members
+                )
+                assert cand.closed == brute, (trial, r_max, cand)
+                seen.add((cand.closed, len(cand.members) > r_max))
+    # closed and open candidates, within and past the cutoff, all occurred
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_replay_preserves_order_and_reindexes(cfg4):
     state = engine(cfg4, NEVERENDING)
     for seq, r in enumerate((M["m1"], M["m2"], M["m3"])):
