@@ -31,7 +31,7 @@ from .simnet.generators import (
 from .simnet.runner import Simulation
 from .simnet.scenario import Scenario, load_scenario, save_scenario
 from .simnet.trace import Trace
-from .validity import INVALID, VALID, certificate_from_dict, verify_certificate
+from .validity import INVALID, VALID, certificate_from_dict, uint64, verify_certificate
 
 USAGE_ERROR = 2
 GATE_ERROR = 1
@@ -157,8 +157,9 @@ def _verify(args: argparse.Namespace) -> int:
     for entry in lines[1:]:
         if not isinstance(entry, dict):
             raise ValueError("chain entry is not a JSON object")
+        number = uint64(entry["number"], "number")
         cert = certificate_from_dict(entry["certificate"])
-        if entry["number"] != cert.proposal.block_number:
+        if number != cert.proposal.block_number:
             reason = "wrong-block-number"
         else:
             outcome = chain.submit(cert.proposer, cert)
@@ -169,7 +170,7 @@ def _verify(args: argparse.Namespace) -> int:
                 reason = verify_certificate(cfg, cert).reason
             else:
                 reason = outcome.reason or outcome.status  # equivocation has no reason
-        results.append({"number": entry["number"], "status": INVALID if reason else VALID,
+        results.append({"number": number, "status": INVALID if reason else VALID,
                         "reason": reason})
     all_ok = all(row["status"] == VALID for row in results)
     if args.format == "structured":

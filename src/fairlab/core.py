@@ -11,6 +11,10 @@ MarketId = str
 RequestId = str  # hex digest binding (market, payload)
 Timestamp = int
 
+# Desk scale. Every tool keeps state per party id below n, so a file claiming
+# n = 10**8 would exhaust memory before any other check could reject it.
+MAX_PARTIES = 1024
+
 
 @dataclass(frozen=True)
 class QuorumConfig:
@@ -25,6 +29,8 @@ class QuorumConfig:
             raise ValueError(f"n and t must be integers, got n={self.n!r} t={self.t!r}")
         if self.n < 1 or self.t < 0:
             raise ValueError(f"degenerate configuration n={self.n} t={self.t}")
+        if self.n > MAX_PARTIES:
+            raise ValueError(f"n={self.n} is above the desk-scale limit of {MAX_PARTIES} parties")
         if self.n < 3 * self.t + 1:
             raise ValueError(f"unsound resilience: n={self.n} < 3t+1={3 * self.t + 1}")
 

@@ -51,23 +51,26 @@ def max_median(store: VoteStore, cfg: QuorumConfig, r: RequestId) -> MedianSumma
     return MedianSummary(request=r, timestamps=ts, m_r=max_median_of(ts, cfg.strong_size))
 
 
+def median_bounds(timestamps: Iterable[Timestamp], q: int) -> tuple[Timestamp, Timestamp]:
+    """Smallest and largest median over the q-subsets of a multiset: sorted,
+    with m = (q-1)//2, ts[m] and ts[k-q+m]. A value is the median of some
+    q-subset exactly when it is one of the timestamps between the two."""
+    ordered = sorted(timestamps)
+    if q < 1 or len(ordered) < q:
+        raise ValueError("not enough timestamps")
+    m = (q - 1) // 2
+    return ordered[m], ordered[len(ordered) - q + m]
+
+
 def max_median_of(timestamps: Iterable[Timestamp], q: int) -> Timestamp:
     """Shortcut formula over a bare multiset (q = strong quorum size)."""
-    ordered = sorted(timestamps)
-    if len(ordered) < q:
-        raise ValueError("not enough timestamps")
-    return median_timestamp(ordered[-q:])
-
-
-def achievable_medians(timestamps: Iterable[Timestamp], q: int) -> set[Timestamp]:
-    """Median of every q-subset, by enumeration; empty below q timestamps."""
-    return {median_timestamp(sub) for sub in combinations(sorted(timestamps), q)}
+    return median_bounds(timestamps, q)[1]
 
 
 def enumerate_max_median(timestamps: Iterable[Timestamp], q: int) -> Timestamp:
     """Brute-force reference for max_median_of; ValueError below q timestamps.
     Test oracle only."""
-    return max(achievable_medians(timestamps, q))
+    return max(median_timestamp(sub) for sub in combinations(sorted(timestamps), q))
 
 
 def timed_request_order(store: VoteStore, requests: Iterable[RequestId]) -> list[RequestId]:

@@ -28,6 +28,7 @@ from .votes import TIMESTAMPED, Vote, VoteStore, make_vote
 NEVERENDING = "neverending"
 CLOCKED = "clocked"
 HYBRID = "hybrid"
+MODES = (NEVERENDING, CLOCKED, HYBRID)
 
 BLOCK_FAIR = "block-fair"
 TIMED_FAIR = "timed-fair"

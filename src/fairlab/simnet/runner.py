@@ -325,8 +325,6 @@ class Simulation:
         p = self.sc.failure_p
         self.pool_order = [mid for mid in self.pool_order if mid in self.pool]
         for mid in list(self.pool_order):
-            if mid not in self.pool:
-                continue
             msg = self.pool[mid]
             if msg.sender in self.corrupt or msg.recipient in self.corrupt:
                 continue  # only honest-to-honest traffic escapes the adversary
@@ -420,11 +418,9 @@ class Simulation:
                 if party.has_unsent():
                     self._activate(party)
                     moved = True
-            pending = sorted(self.pool)
-            for mid in pending:
-                if mid in self.pool:
-                    self._deliver(mid, "drain")
-                    moved = True
+            for mid in sorted(self.pool):
+                self._deliver(mid, "drain")
+                moved = True
             self._step_leaders()
             if not moved and not self.pool and not any(
                 p.has_unsent() for p in self.parties

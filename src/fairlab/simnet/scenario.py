@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from ..core import validate_config
+from ..leaders import MODES
 
 SILENT = "silent"
 REORDER = "reorder"
@@ -32,6 +34,59 @@ EQUIVOCATE = "equivocate"
 SKEW = "skew"
 
 BEHAVIOR_KINDS = (SILENT, REORDER, EQUIVOCATE, SKEW)
+PROPOSER_POLICIES = ("race", "round-robin")
+
+# Votes carry uint64 timestamps; clock rates, offsets and skews stay far below.
+CLOCK_LIMIT = 2**32
+
+
+def _int(value, field: str, low: float, high: float) -> None:
+    # bool is an int, but JSON true is no count, id or seed
+    if type(value) is not int or not low <= value < high:
+        raise ValueError(f"scenario field {field!r} must be an integer in [{low}, {high}), "
+                         f"not {value!r}")
+
+
+def _parties(value, n: int, field: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        type(p) is int and 0 <= p < n for p in value
+    ):
+        raise ValueError(f"scenario field {field!r} must list party ids in [0, {n}), "
+                         f"not {value!r}")
+    return tuple(value)
+
+
+def _check_events(events, n: int, requests: dict) -> None:
+    """Reject a schedule action that `Simulation.execute` could not carry out."""
+    if not isinstance(events, (list, tuple)):
+        raise ValueError(f"scenario field 'events' must be a list, not {events!r}")
+    for index, event in enumerate(events):
+        action = event.get("a") if isinstance(event, dict) else None
+        if action == "see":
+            party, request = event.get("party"), event.get("request")
+            ok = (type(party) is int and 0 <= party < n and isinstance(request, str)
+                  and request in requests and isinstance(event.get("tag", ""), str))
+        elif action == "deliver":
+            ok = type(event.get("msg")) is int
+        elif action == "flush":
+            tags = event.get("tags")
+            ok = ((tags is None or isinstance(tags, list)
+                   and all(isinstance(tag, str) for tag in tags))
+                  and type(event.get("seen_only", False)) is bool)
+        else:
+            ok = action == "checkpoint" and isinstance(event.get("label"), str)
+        if not ok:
+            raise ValueError(f"scenario event {index} is malformed: {event!r}")
+
+
+def _specs(kind: type, table, field: str) -> dict:
+    """A party-keyed ClockSpec or BehaviorSpec table from its JSON object."""
+    if not isinstance(table, dict) or not all(isinstance(s, dict) for s in table.values()):
+        raise ValueError(f"scenario field {field!r} must map party ids to objects")
+    try:
+        return {int(p): kind(**spec) for p, spec in table.items()}
+    except TypeError as exc:  # a missing or unknown key
+        raise ValueError(f"scenario field {field!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -40,8 +95,8 @@ class ClockSpec:
     offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate < 1:
-            raise ValueError("clock rate must be >= 1 to keep timestamps monotone")
+        _int(self.rate, "clocks.rate", 1, CLOCK_LIMIT)  # >= 1 keeps timestamps monotone
+        _int(self.offset, "clocks.offset", 0, CLOCK_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -53,6 +108,8 @@ class BehaviorSpec:
     def __post_init__(self) -> None:
         if self.kind not in BEHAVIOR_KINDS:
             raise ValueError(f"unknown byzantine behavior {self.kind!r}")
+        _int(self.seed, "behaviors.seed", -math.inf, math.inf)
+        _int(self.offset, "behaviors.offset", 0, CLOCK_LIMIT)
 
 
 @dataclass
@@ -76,14 +133,39 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self) -> None:
+        """Check every field's type and range, so a hand-edited file or a
+        command-line override fails here with ValueError, not inside the run."""
         validate_config(self.n, self.t)  # first: the checks below compare n and t
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        _int(self.r_max, "r_max", 0, math.inf)
+        self.corrupt = _parties(self.corrupt, self.n, "corrupt")
         if len(self.corrupt) > self.t:
             raise ValueError("corruption set larger than the fault budget")
-        for p in self.corrupt:
-            if not (0 <= p < self.n):
-                raise ValueError(f"corrupt party {p} out of range")
-        if self.failure_p is not None and not (0.0 < self.failure_p <= 1.0):
+        if self.leaders is not None:
+            self.leaders = _parties(self.leaders, self.n, "leaders")
+            if not self.leaders:
+                raise ValueError("scenario field 'leaders' names no party")
+        if self.proposer_policy not in PROPOSER_POLICIES:
+            raise ValueError(f"unknown proposer policy {self.proposer_policy!r}, "
+                             f"expected one of {PROPOSER_POLICIES}")
+        if self.failure_p is not None and not (
+            type(self.failure_p) in (int, float) and 0.0 < self.failure_p <= 1.0
+        ):
             raise ValueError("delivery probability must be in (0, 1]")
+        if not (type(self.coin_stop_p) in (int, float) and 0.0 <= self.coin_stop_p <= 1.0):
+            raise ValueError("scenario field 'coin_stop_p' must be a number in [0, 1]")
+        _int(self.wrapper_seed, "wrapper_seed", -math.inf, math.inf)
+        if not (isinstance(self.coin_seed, str) and isinstance(self.label, str)):
+            raise ValueError("scenario fields 'coin_seed' and 'label' must be strings")
+        if not (self.generator is None or isinstance(self.generator, dict)):
+            raise ValueError("scenario field 'generator' must be an object or null")
+        if not isinstance(self.requests, dict) or not all(
+            isinstance(name, str) and isinstance(market, str)
+            for name, market in self.requests.items()
+        ):
+            raise ValueError("scenario field 'requests' must map request names to markets")
+        _check_events(self.events, self.n, self.requests)
 
     def to_dict(self) -> dict:
         return {
@@ -108,27 +190,24 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ValueError("scenario file is not a JSON object")
         return cls(
             n=data["n"],
             t=data["t"],
             mode=data.get("mode", "neverending"),
             r_max=data.get("r_max", 0),
-            corrupt=tuple(data.get("corrupt", [])),
-            behaviors={
-                int(p): BehaviorSpec(**spec)
-                for p, spec in data.get("behaviors", {}).items()
-            },
-            clocks={
-                int(p): ClockSpec(**spec) for p, spec in data.get("clocks", {}).items()
-            },
-            leaders=None if data.get("leaders") is None else tuple(data["leaders"]),
+            corrupt=data.get("corrupt", ()),
+            behaviors=_specs(BehaviorSpec, data.get("behaviors", {}), "behaviors"),
+            clocks=_specs(ClockSpec, data.get("clocks", {}), "clocks"),
+            leaders=data.get("leaders"),
             proposer_policy=data.get("proposer_policy", "race"),
             failure_p=data.get("failure_p"),
             wrapper_seed=data.get("wrapper_seed", 0),
             coin_stop_p=data.get("coin_stop_p", 1.0),
             coin_seed=data.get("coin_seed", "coin"),
-            requests=dict(data.get("requests", {})),
-            events=list(data.get("events", [])),
+            requests=data.get("requests", {}),
+            events=data.get("events", []),
             generator=data.get("generator"),
             label=data.get("label", ""),
         )

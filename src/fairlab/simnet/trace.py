@@ -11,6 +11,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..core import validate_config
+from ..leaders import MODES
+
+# Record fields the auditor reads, with their JSON types (true is no int).
+AUDITED_FIELDS = {
+    "request": {"id": str, "name": str, "market": str},
+    "sight": {"party": int, "request": str, "ts": int, "step": int},
+    "block": {"number": int, "requests": list, "step": int},
+    "incarnation": {"block": int, "step": int},
+}
+
 
 @dataclass
 class Trace:
@@ -30,10 +41,28 @@ class Trace:
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":
+        """Parse a trace file; ValueError when a line is not a JSON object
+        with a string `kind`, or a field the auditor reads is malformed."""
         records = [json.loads(line) for line in lines if line.strip()]
+        if not all(isinstance(r, dict) and isinstance(r.get("kind"), str) for r in records):
+            raise ValueError("trace line is not a JSON object with a string 'kind'")
         if not records or records[0].get("kind") != "header":
             raise ValueError("trace does not start with a header record")
         header = {k: v for k, v in records[0].items() if k != "kind"}
+        n = validate_config(header.get("n"), header.get("t")).n
+        if header.get("mode") not in MODES:
+            raise ValueError(f"trace header has unknown mode {header.get('mode')!r}")
+        corrupt = header.get("corrupt")
+        if not isinstance(corrupt, list) or not all(type(p) is int and 0 <= p < n for p in corrupt):
+            raise ValueError(f"trace header 'corrupt' must list party ids in [0, {n}), "
+                             f"not {corrupt!r}")
+        for rec in records[1:]:
+            kind = rec["kind"]
+            ok = all(type(rec.get(key)) is typ for key, typ in AUDITED_FIELDS.get(kind, {}).items())
+            if ok and kind == "block":
+                ok = all(isinstance(name, str) for name in rec["requests"])
+            if not ok:
+                raise ValueError(f"malformed {kind!r} trace record: {rec!r}")
         return cls(header=header, records=records[1:])
 
     def save(self, path: str) -> None:

@@ -20,8 +20,8 @@ from operator import attrgetter
 from typing import Optional
 
 from .core import Attestation, PartyId, QuorumConfig, Request, request_id, verify
-from .fairness import MedianSummary, achievable_medians, blocks, timed_precedes, timed_request_order
-from .leaders import TIMED_FAIR, Proposal
+from .fairness import MedianSummary, blocks, median_bounds, timed_precedes, timed_request_order
+from .leaders import BLOCK_FAIR, TIMED_FAIR, Proposal
 from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore, vote_payload
 
 VALID = "valid"
@@ -115,7 +115,8 @@ def _verify(cfg: QuorumConfig, cert: BlockCertificate, timestamped: bool) -> Ver
         if prop.pivot is None or prop.pivot.request not in member_set:
             return _bad("invalid-pivot")
         seed_ts = [v.ts for v in store.votes_for(prop.pivot.request)]
-        if prop.pivot.m_r not in achievable_medians(seed_ts, cfg.strong_size):
+        low, high = median_bounds(seed_ts, cfg.strong_size)
+        if prop.pivot.m_r not in seed_ts or not low <= prop.pivot.m_r <= high:
             return _bad("invalid-pivot")
         if any(timed_precedes(store, cfg, rid, prop.pivot) for rid in omitted):
             return _bad("omitted-blocked-request")
@@ -187,13 +188,13 @@ def _typed(value, kind: type, field: str):
 
 
 def _is_uint64(value) -> bool:
-    return isinstance(value, int) and 0 <= value < 2**64
+    return type(value) is int and 0 <= value < 2**64  # bool is an int
 
 
-def _uint64(value, field: str) -> int:
+def uint64(value, field: str) -> int:
+    """`value` if it is an integer in [0, 2**64); ValueError naming `field` if not."""
     if not _is_uint64(value):
-        raise ValueError(f"certificate field {field!r} must be an integer in [0, 2**64), "
-                         f"not {value!r}")
+        raise ValueError(f"field {field!r} must be an integer in [0, 2**64), not {value!r}")
     return value
 
 
@@ -214,15 +215,15 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
     failing deep inside verification."""
     _typed(data, dict, "certificate")
     instance = _typed(data["instance"], str, "instance")
-    block = _uint64(data["block"], "block")
+    block = uint64(data["block"], "block")
     pivot = None
     if data["pivot"] is not None:
         raw = _typed(data["pivot"], dict, "pivot")
         pivot = MedianSummary(
             request=_typed(raw["request"], str, "pivot.request"),
-            timestamps=tuple(_uint64(ts, "pivot.timestamps")
+            timestamps=tuple(uint64(ts, "pivot.timestamps")
                              for ts in _typed(raw["timestamps"], list, "pivot.timestamps")),
-            m_r=_uint64(raw["median"], "pivot.median"),
+            m_r=uint64(raw["median"], "pivot.median"),
         )
     votes_by_party = {}
     for party_s, rows in _typed(data["votes"], dict, "votes").items():
@@ -241,14 +242,17 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
             market=_typed(entry["market"], str, "requests_table market"),
             payload=bytes.fromhex(_typed(entry["payload"], str, "requests_table payload")),
         )
+    if data["mode"] not in (BLOCK_FAIR, TIMED_FAIR):
+        raise ValueError(f"certificate field 'mode' must be {BLOCK_FAIR!r} or {TIMED_FAIR!r}, "
+                         f"not {data['mode']!r}")
     prop = Proposal(
         instance=instance,
         block_number=block,
-        mode_tag=_typed(data["mode"], str, "mode"),
+        mode_tag=data["mode"],
         requests=tuple(_typed(rid, str, "requests")
                        for rid in _typed(data["requests"], list, "requests")),
         pivot=pivot,
         votes_by_party=votes_by_party,
         request_table=table,
     )
-    return BlockCertificate(proposal=prop, proposer=_typed(data["proposer"], int, "proposer"))
+    return BlockCertificate(proposal=prop, proposer=uint64(data["proposer"], "proposer"))

@@ -1,0 +1,218 @@
+"""Hostile scenario, trace and chain files.
+
+A malformed file must give exit 2 with exactly one `error:` line: never a
+traceback, and never exit 1, which means a well-formed run or chain broke a
+rule. The matrix replaces one field at a time with each value below. A value
+of the wrong JSON type must exit 2; one of the right type may still exit 0,
+1 or 2 on its content. The explicit cases after the matrix each crashed or
+were accepted before the load boundaries checked them.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from fairlab.cli import run_command
+from fairlab.core import MAX_PARTIES
+from fairlab.simnet.scenario import Scenario
+
+BAD_VALUES = ["x", 1.5, [], {}, None, True]
+
+INT, NUM, STR, LIST, DICT, NULL = (int,), (int, float), (str,), (list,), (dict,), (type(None),)
+
+# The JSON types each field may have; bool is never an int here.
+SCENARIO_TYPES = {
+    "n": INT, "t": INT, "mode": STR, "r_max": INT, "corrupt": LIST, "behaviors": DICT,
+    "clocks": DICT, "leaders": LIST + NULL, "proposer_policy": STR, "failure_p": NUM + NULL,
+    "wrapper_seed": INT, "coin_stop_p": NUM, "coin_seed": STR, "requests": DICT,
+    "events": LIST, "generator": DICT + NULL, "label": STR,
+}
+# Only the fields the auditor reads; the others may hold anything.
+TRACE_HEADER_TYPES = {"n": INT, "t": INT, "mode": STR, "corrupt": LIST}
+CHAIN_TYPES = {
+    "header.n": INT, "header.t": INT, "number": INT,
+    "certificate.instance": STR, "certificate.block": INT, "certificate.mode": STR,
+    "certificate.proposer": INT, "certificate.requests": LIST, "certificate.pivot": DICT + NULL,
+    "certificate.votes": DICT, "certificate.requests_table": DICT,
+    "certificate.pivot.request": STR, "certificate.pivot.timestamps": LIST,
+    "certificate.pivot.median": INT,
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A depth-2 segments scenario run in clocked mode, so that its chain has
+    timed certificates with a pivot, plus its trace and chain files."""
+    root = tmp_path_factory.mktemp("hostile")
+    paths = {kind: root / name for kind, name in
+             (("scenario", "s.json"), ("trace", "t.jsonl"), ("chain", "c.jsonl"))}
+    assert run_command(["gen", "segments", "--depth", "2", "--seed", "7", "--mode", "clocked",
+                        "--out", str(paths["scenario"])]) == 0
+    assert run_command(["run", str(paths["scenario"]), "--out", str(paths["trace"]),
+                        "--chain", str(paths["chain"])]) == 0
+    return {kind: path.read_text() for kind, path in paths.items()}
+
+
+def _exit_code(capsys, argv, case):
+    """Run the CLI; exit 2 must come with exactly one `error:` line."""
+    capsys.readouterr()
+    code = run_command(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), case
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+    return code
+
+
+def _check_matrix_case(capsys, argv, types, field, value):
+    code = _exit_code(capsys, argv, (field, value))
+    if field in types and type(value) not in types[field]:
+        assert code == 2, (field, value, code)
+
+
+def _json_lines(text):
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def _write_lines(path, records):
+    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+
+
+# -- the matrix -----------------------------------------------------------------
+
+def test_hostile_scenario_fields(files, tmp_path, capsys):
+    data = json.loads(files["scenario"])
+    path = tmp_path / "s.json"
+    assert set(SCENARIO_TYPES) == {f.name for f in dataclasses.fields(Scenario)}
+    for field in SCENARIO_TYPES:
+        for value in BAD_VALUES:
+            path.write_text(json.dumps({**data, field: value}))
+            _check_matrix_case(capsys, ["run", str(path)], SCENARIO_TYPES, field, value)
+
+
+def test_hostile_trace_header_fields(files, tmp_path, capsys):
+    header, *records = _json_lines(files["trace"])
+    path = tmp_path / "t.jsonl"
+    for field in header:
+        if field == "kind":
+            continue
+        for value in BAD_VALUES:
+            _write_lines(path, [{**header, field: value}] + records)
+            _check_matrix_case(capsys, ["audit", str(path)], TRACE_HEADER_TYPES, field, value)
+
+
+def _chain_variants(header, entry):
+    """(field, value, header, entry) with one chain field replaced by each bad value."""
+    cert = entry["certificate"]
+    for value in BAD_VALUES:
+        for field in ("n", "t"):
+            yield f"header.{field}", value, {**header, field: value}, entry
+        yield "number", value, header, {**entry, "number": value}
+        for field in cert:
+            yield (f"certificate.{field}", value, header,
+                   {**entry, "certificate": {**cert, field: value}})
+        for field in cert["pivot"]:
+            pivot = {**cert["pivot"], field: value}
+            yield (f"certificate.pivot.{field}", value, header,
+                   {**entry, "certificate": {**cert, "pivot": pivot}})
+
+
+def test_hostile_chain_fields(files, tmp_path, capsys):
+    header, entry, *rest = _json_lines(files["chain"])
+    assert entry["certificate"]["pivot"] is not None
+    path = tmp_path / "c.jsonl"
+    for field, value, bad_header, bad_entry in _chain_variants(header, entry):
+        assert field in CHAIN_TYPES, field
+        _write_lines(path, [bad_header, bad_entry] + rest)
+        _check_matrix_case(capsys, ["verify", str(path)], CHAIN_TYPES, field, value)
+
+
+# -- explicit exit-2 cases ------------------------------------------------------
+
+def _first_request(data):
+    return sorted(data["requests"])[0]
+
+
+SCENARIO_CASES = {
+    "r_max-string-hybrid": lambda d: d.update(mode="hybrid", r_max="2"),
+    "corrupt-string-party": lambda d: d.update(corrupt=["1"]),
+    "failure_p-string": lambda d: d.update(failure_p="0.5"),
+    "events-not-a-list": lambda d: d.update(events=5),
+    "clock-rate-string": lambda d: d.update(clocks={"0": {"rate": "1", "offset": 0}}),
+    "behavior-unknown-key": lambda d: d.update(
+        corrupt=[3], behaviors={"3": {"kind": "silent", "speed": 1}}),
+    "see-party-out-of-range": lambda d: d.update(
+        events=[{"a": "see", "party": 9, "request": _first_request(d)}] + d["events"]),
+    "leaders-string": lambda d: d.update(leaders="01"),
+    "leaders-out-of-range": lambda d: d.update(leaders=[7]),
+    "proposer_policy-unknown": lambda d: d.update(proposer_policy="bogus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
+def test_malformed_scenario_exits_two(files, tmp_path, capsys, case):
+    data = json.loads(files["scenario"])
+    SCENARIO_CASES[case](data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    assert _exit_code(capsys, ["run", str(path)], case) == 2
+
+
+def test_unknown_mode_is_named_in_the_error(files, tmp_path, capsys):
+    # Exit 2 alone is no check: an unknown mode used to exit 2 as well, with
+    # "engine is not in hybrid mode".
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**json.loads(files["scenario"]), "mode": "bogus"}))
+    capsys.readouterr()
+    assert run_command(["run", str(path)]) == 2
+    assert "'bogus'" in capsys.readouterr().err
+
+
+def test_negative_rmax_override_exits_two(files, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(files["scenario"])
+    assert _exit_code(capsys, ["run", str(path), "--mode", "hybrid", "--rmax", "-1"],
+                      "rmax") == 2
+
+
+TRACE_CASES = {
+    "header-n-string": lambda lines: lines[0].update(n="4"),
+    "header-corrupt-int": lambda lines: lines[0].update(corrupt=5),
+    "header-n-above-limit": lambda lines: lines[0].update(n=MAX_PARTIES + 1),
+    "record-not-an-object": lambda lines: lines.insert(1, [1, 2]),
+    "sight-ts-string": lambda lines: _first_of_kind(lines, "sight").update(ts="x"),
+    "block-requests-int": lambda lines: _first_of_kind(lines, "block").update(requests=5),
+}
+
+
+def _first_of_kind(lines, kind):
+    return next(rec for rec in lines if rec["kind"] == kind)
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_malformed_trace_exits_two(files, tmp_path, capsys, case):
+    lines = _json_lines(files["trace"])
+    TRACE_CASES[case](lines)
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    assert _exit_code(capsys, ["audit", str(path)], case) == 2
+
+
+CHAIN_CASES = {
+    "header-n-above-limit": lambda lines: lines[0].update(n=MAX_PARTIES + 1),
+    "number-string": lambda lines: lines[1].update(number="0"),
+    "block-true": lambda lines: lines[1]["certificate"].update(block=True),
+    "mode-unknown": lambda lines: lines[1]["certificate"].update(mode="x"),
+    "proposer-negative": lambda lines: lines[1]["certificate"].update(proposer=-1),
+    "proposer-true": lambda lines: lines[1]["certificate"].update(proposer=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_malformed_chain_exits_two(files, tmp_path, capsys, case):
+    lines = _json_lines(files["chain"])
+    CHAIN_CASES[case](lines)
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, lines)
+    assert _exit_code(capsys, ["verify", str(path)], case) == 2
