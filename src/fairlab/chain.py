@@ -8,11 +8,10 @@ sign two different valid certificates for the same height.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import PartyId, QuorumConfig, RequestId
+from .core import PartyId, QuorumConfig, RequestId, canonical_json
 from .leaders import LeaderState, replay_undelivered
 from .validity import (
     BlockCertificate,
@@ -80,8 +79,7 @@ class Chain:
     def export_lines(self) -> list[str]:
         """One block per line; consumed by the auditor and `verify`."""
         return [
-            json.dumps({"number": number, "certificate": certificate_to_dict(cert)},
-                       sort_keys=True)
+            canonical_json({"number": number, "certificate": certificate_to_dict(cert)})
             for number, cert in self.blocks
         ]
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .audit import audit_trace
 from .chain import Chain
-from .core import validate_config
+from .core import canonical_json, validate_config
 from .simnet.generators import (
     benign_schedule,
     cycle_schedule,
@@ -117,10 +117,7 @@ def _run(args: argparse.Namespace) -> int:
         trace.save(args.out)
     if args.chain:
         with open(args.chain, "w") as fh:
-            header = json.dumps(
-                {"kind": "chain-header", "n": scenario.n, "t": scenario.t},
-                sort_keys=True,
-            )
+            header = canonical_json({"kind": "chain-header", "n": scenario.n, "t": scenario.t})
             fh.write("\n".join([header] + sim.chain_lines()) + "\n")
     summary = trace.summary
     if args.format == "structured":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -87,6 +88,34 @@ class Request:
 
 def make_request(market: MarketId, payload: bytes) -> Request:
     return Request(id=request_id(market, payload), market=market, payload=payload)
+
+
+def _canonical_encoder(make_encoder=json.encoder.c_make_encoder):
+    """The encoder behind `canonical_json`, built once. `make_encoder` is
+    CPython's C encoder factory, or None where the interpreter lacks it."""
+    fallback = json.JSONEncoder(sort_keys=True)
+    if make_encoder is None:
+        return fallback.encode
+    # The arguments json.dumps passes for its defaults plus sort_keys=True.
+    markers: dict = {}
+    encode = make_encoder(markers, fallback.default, json.encoder.encode_basestring_ascii,
+                          None, ": ", ", ", True, False, True)
+
+    def canonical(obj) -> str:
+        try:
+            return "".join(encode(obj, 0))
+        except BaseException:
+            # A failed encode leaves its open containers in the circular-
+            # reference markers, where a later object could reuse their ids.
+            markers.clear()
+            raise
+
+    return canonical
+
+
+# `json.dumps(obj, sort_keys=True)` without building an encoder per call: the
+# encoding of every trace line, chain line and certificate digest.
+canonical_json = _canonical_encoder()
 
 
 # Attestations are simulation-level stand-ins for signatures. Each party owns a

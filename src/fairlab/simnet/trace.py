@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from ..core import validate_config
+from ..core import canonical_json, validate_config
 from ..leaders import MODES
 
 # Record fields the auditor reads, with their JSON types (true is no int).
@@ -32,8 +32,8 @@ class Trace:
         self.records.append(record)
 
     def lines(self) -> list[str]:
-        out = [json.dumps({"kind": "header", **self.header}, sort_keys=True)]
-        out.extend(json.dumps(r, sort_keys=True) for r in self.records)
+        out = [canonical_json({"kind": "header", **self.header})]
+        out.extend(map(canonical_json, self.records))
         return out
 
     def to_text(self) -> str:
@@ -42,7 +42,8 @@ class Trace:
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":
         """Parse a trace file; ValueError when a line is not a JSON object
-        with a string `kind`, or a field the auditor reads is malformed."""
+        with a string `kind`, a field the auditor reads is malformed, or a
+        `sight` names a party out of range or an undeclared request."""
         records = [json.loads(line) for line in lines if line.strip()]
         if not all(isinstance(r, dict) and isinstance(r.get("kind"), str) for r in records):
             raise ValueError("trace line is not a JSON object with a string 'kind'")
@@ -56,6 +57,7 @@ class Trace:
         if not isinstance(corrupt, list) or not all(type(p) is int and 0 <= p < n for p in corrupt):
             raise ValueError(f"trace header 'corrupt' must list party ids in [0, {n}), "
                              f"not {corrupt!r}")
+        declared = set()  # ids of the request records read so far
         for rec in records[1:]:
             kind = rec["kind"]
             ok = all(type(rec.get(key)) is typ for key, typ in AUDITED_FIELDS.get(kind, {}).items())
@@ -63,6 +65,11 @@ class Trace:
                 ok = all(isinstance(name, str) for name in rec["requests"])
             if not ok:
                 raise ValueError(f"malformed {kind!r} trace record: {rec!r}")
+            if kind == "request":
+                declared.add(rec["id"])
+            elif kind == "sight" and not (0 <= rec["party"] < n and rec["request"] in declared):
+                raise ValueError(f"'sight' trace record names a party outside [0, {n}) or a "
+                                 f"request no earlier 'request' record declares: {rec!r}")
         return cls(header=header, records=records[1:])
 
     def save(self, path: str) -> None:

@@ -14,12 +14,12 @@ request that a weak quorum timestamped below the declared pivot median.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
-from .core import Attestation, PartyId, QuorumConfig, Request, request_id, verify
+from .core import (Attestation, PartyId, QuorumConfig, Request, canonical_json, request_id,
+                   verify)
 from .fairness import MedianSummary, blocks, median_bounds, timed_precedes, timed_request_order
 from .leaders import BLOCK_FAIR, TIMED_FAIR, Proposal
 from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore, vote_payload
@@ -48,9 +48,7 @@ class BlockCertificate:
     proposer: PartyId
 
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(certificate_to_dict(self), sort_keys=True).encode()
-        ).hexdigest()
+        return hashlib.sha256(canonical_json(certificate_to_dict(self)).encode()).hexdigest()
 
 
 def _collect_evidence(cfg: QuorumConfig, cert: BlockCertificate,
@@ -93,6 +91,17 @@ def _collect_evidence(cfg: QuorumConfig, cert: BlockCertificate,
     return store, None
 
 
+def _is_sub_multiset(part, whole) -> bool:
+    """True iff no value occurs in `part` more often than in `whole`."""
+    pool = list(whole)
+    try:
+        for value in part:
+            pool.remove(value)
+    except ValueError:
+        return False
+    return True
+
+
 def _verify(cfg: QuorumConfig, cert: BlockCertificate, timestamped: bool) -> VerifyOutcome:
     prop = cert.proposal
     if not prop.requests:
@@ -114,9 +123,13 @@ def _verify(cfg: QuorumConfig, cert: BlockCertificate, timestamped: bool) -> Ver
     if prop.mode_tag == TIMED_FAIR:
         if prop.pivot is None or prop.pivot.request not in member_set:
             return _bad("invalid-pivot")
+        # The declared timestamps are n-t or more of the seed's cited ones and
+        # hold the median; the median is one some n-t of them can have.
         seed_ts = [v.ts for v in store.votes_for(prop.pivot.request)]
+        declared, m_r = prop.pivot.timestamps, prop.pivot.m_r
         low, high = median_bounds(seed_ts, cfg.strong_size)
-        if prop.pivot.m_r not in seed_ts or not low <= prop.pivot.m_r <= high:
+        if (len(declared) < cfg.strong_size or m_r not in declared
+                or not _is_sub_multiset(declared, seed_ts) or not low <= m_r <= high):
             return _bad("invalid-pivot")
         if any(timed_precedes(store, cfg, rid, prop.pivot) for rid in omitted):
             return _bad("omitted-blocked-request")

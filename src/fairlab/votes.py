@@ -113,6 +113,10 @@ class PartyVoteLog:
         return Report.YES if seq_r < seq_r2 else Report.NO
 
 
+# The two rejections ingest decides before hashing; the commonest outcomes.
+_WRONG_BLOCK = IngestOutcome(REJECTED, "wrong-block")
+_DUPLICATE = IngestOutcome(REJECTED, "duplicate")
+
 # A vote with its global acceptance counter, used for arrival-order tie-breaks.
 AcceptedVote = tuple[Vote, int]
 
@@ -144,24 +148,27 @@ class VoteStore:
     def ingest(self, v: Vote, req: Optional[Request] = None) -> IngestOutcome:
         if req is not None:
             self.register_request(req)
+        # Copies that cannot change the store are turned away before the
+        # attestation is hashed: a vote for another incarnation, and an exact
+        # copy of a vote this party has accepted or buffered (verified then).
+        if v.instance != self.instance or v.block != self.block:
+            return _WRONG_BLOCK
+        log = self.logs.get(v.party)
+        prior = None  # this party's accepted or buffered vote at v.seq
+        if log is not None and not log.invalid:
+            prior = log.accepted[v.seq] if v.seq < len(log.accepted) else log.pending.get(v.seq)
+            if prior == v:
+                return _DUPLICATE
         if not vote_verifies(v):
             return IngestOutcome(REJECTED, "bad-attestation")
-        if v.instance != self.instance or v.block != self.block:
-            return IngestOutcome(REJECTED, "wrong-block")
-        if v.party not in self.logs:
+        if log is None:
             return IngestOutcome(REJECTED, "unknown-party")
         if self.mode == TIMESTAMPED and v.ts is None:
             return IngestOutcome(REJECTED, "missing-timestamp")
-        log = self.logs[v.party]
         if log.invalid:
             return IngestOutcome(REJECTED, "party-invalid")
-
-        # Conflicts with what this party already committed to, accepted or
-        # buffered.
-        prior = log.accepted[v.seq] if v.seq < len(log.accepted) else log.pending.get(v.seq)
         if prior is not None:
-            if prior == v:
-                return IngestOutcome(REJECTED, "duplicate")
+            # A different vote for a sequence number the party already used.
             self.mark_invalid(v.party)
             return IngestOutcome(REJECTED, "equivocation")
 

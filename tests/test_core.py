@@ -1,8 +1,14 @@
+import json
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairlab.core import (
+    _canonical_encoder,
+    canonical_json,
     make_request,
     request_id,
     sign,
@@ -85,3 +91,38 @@ def test_attestation_verifies_only_genuine_content():
     # an attestation claiming a different signer over the same bytes fails
     forged = type(att)(signer=1, digest=att.digest)
     assert not verify(forged, b"payload")
+
+
+# -- canonical JSON ------------------------------------------------------------
+
+ODD_TEXT = ['}, {', '": "', '"', "\\", "\x00\x1f\x7f", "caf\u00e9", "\u2028", "\U0001f600", ""]
+_text = st.text() | st.sampled_from(ODD_TEXT)
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=2**64, max_value=2**80) | st.integers(max_value=-1)
+            | st.floats(allow_nan=True, allow_infinity=True) | _text)
+JSON_VALUES = st.recursive(
+    _scalars, lambda inner: st.lists(inner) | st.dictionaries(_text, inner), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_matches_json_dumps(value):
+    expected = json.dumps(value, sort_keys=True)
+    assert canonical_json(value) == expected
+    # Where the interpreter has no C encoder, json itself runs in pure Python.
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        assert _canonical_encoder(json.encoder.c_make_encoder)(value) == expected
+
+
+def test_canonical_json_recovers_from_a_failed_encode():
+    bad = [object()]
+    # Left-over circular-reference markers would turn the second TypeError
+    # into "Circular reference detected".
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            canonical_json(bad)
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular"):
+        canonical_json(loop)
+    assert canonical_json({"b": [loop[:0]], "a": 1}) == '{"a": 1, "b": [[]]}'

@@ -1,5 +1,7 @@
 """Byte-identity pins: SHA-256 of the trace text and of the exported chain
-for the determinism golden suite plus two deeper scenarios.
+for the determinism golden suite, two deeper scenarios, a clocked benign run
+at n=10 (the first benign-wide benchmark scenario) and a small run whose
+request names hold non-ASCII and JSON-special characters.
 
 A refactor that keeps behaviour keeps every digest. A digest that changes
 means a trace or a certificate changed, which has to be a deliberate
@@ -11,16 +13,40 @@ import hashlib
 
 import pytest
 
-from fairlab.simnet import fuzz_scenario, segment_schedule
+from fairlab.core import validate_config
+from fairlab.simnet import benign_schedule, fuzz_scenario, segment_schedule
 from fairlab.simnet.runner import Simulation
 
 from test_acceptance import CFG4, _golden_suite
+
+# Escaped by the line encoding: non-ASCII (one astral, as a surrogate pair),
+# quotes, backslashes, control characters and text that looks like JSON.
+ODD_NAMES = [
+    "caf\u00e9-\u00fc",
+    'say "hi" \\ bye',
+    '}, {"kind": "x"',
+    "tab\tnl\n\x01 \u2603\U0001f600",
+]
+
+
+def _odd_names_scenario():
+    base = dataclasses.replace(benign_schedule(CFG4, requests=4, seed=4), mode="clocked",
+                               label="odd-names")
+    rename = dict(zip(sorted(base.requests), ODD_NAMES))
+    events = [{**e, "request": rename[e["request"]]} if "request" in e else e
+              for e in base.events]
+    return dataclasses.replace(
+        base, requests={rename[name]: market for name, market in base.requests.items()},
+        events=events)
 
 
 def _scenarios():
     return _golden_suite() + [
         dataclasses.replace(segment_schedule(CFG4, depth=6, seed=1), mode="neverending"),
         fuzz_scenario(3, n=4, t=1, mode="hybrid", r_max=3),
+        dataclasses.replace(benign_schedule(validate_config(10, 3), requests=12, seed=0),
+                            mode="clocked"),
+        _odd_names_scenario(),
     ]
 
 
@@ -57,6 +83,14 @@ PINNED = {
     "fuzz-3": (
         "72a70930a1e1eda9716e18accdfa719cc22792454d2b4470ca25d7b57c40ba9a",
         "18e5054bea4c8e3b32d916cd01ee5cd3f759b5fb513bdaa40fa895c06ab8a98b",
+    ),
+    "benign-r12": (
+        "db59f2edb092a26827db85555e00bdd5e3a42a4779d5b871247b26d2bffaee39",
+        "aba4a36e8d1ac761fac7f53bc84408ebea039b7a71bc93480da780b9bda8837f",
+    ),
+    "odd-names": (
+        "c7b7f38cadec5755c6c389f4ec9aac53f49c1b17cd09fc7f9159c3aa326882e7",
+        "84a3f0cfd82e0c10e43ee4861b5d65bcc4b21f38d351966c7e25023a753bf812",
     ),
 }
 

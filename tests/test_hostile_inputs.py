@@ -10,6 +10,7 @@ were accepted before the load boundaries checked them.
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -183,6 +184,9 @@ TRACE_CASES = {
     "record-not-an-object": lambda lines: lines.insert(1, [1, 2]),
     "sight-ts-string": lambda lines: _first_of_kind(lines, "sight").update(ts="x"),
     "block-requests-int": lambda lines: _first_of_kind(lines, "block").update(requests=5),
+    "sight-party-out-of-range": lambda lines: _first_of_kind(lines, "sight").update(party=9),
+    "sight-request-undeclared": lambda lines: _first_of_kind(lines, "sight").update(
+        request="0" * 64),
 }
 
 
@@ -197,6 +201,18 @@ def test_malformed_trace_exits_two(files, tmp_path, capsys, case):
     path = tmp_path / "t.jsonl"
     _write_lines(path, lines)
     assert _exit_code(capsys, ["audit", str(path)], case) == 2
+
+
+@pytest.mark.parametrize("case", ["sight-party-out-of-range", "sight-request-undeclared"])
+def test_bad_sight_record_is_named_in_the_error(files, tmp_path, capsys, case):
+    # The auditor used to fail on these with the bare KeyError text, `error: 9`.
+    lines = _json_lines(files["trace"])
+    TRACE_CASES[case](lines)
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    capsys.readouterr()
+    assert run_command(["audit", str(path)]) == 2
+    assert "'sight' trace record" in capsys.readouterr().err
 
 
 CHAIN_CASES = {
@@ -216,3 +232,42 @@ def test_malformed_chain_exits_two(files, tmp_path, capsys, case):
     path = tmp_path / "c.jsonl"
     _write_lines(path, lines)
     assert _exit_code(capsys, ["verify", str(path)], case) == 2
+
+
+# -- well-formed but invalid: exit 1 ---------------------------------------------
+
+def _pivot_mutation(case, pivot, cited):
+    """The first certificate's declared pivot timestamps with one of the three
+    conditions broken: n-t or more of them, all cited, holding the median."""
+    declared, median = list(pivot["timestamps"]), pivot["median"]
+    other = next(i for i, ts in enumerate(declared) if ts != median)
+    if case == "empty":
+        return []
+    if case == "uncited":
+        return declared[:other] + [max(cited) + 1] + declared[other + 1:]
+    if case == "short":
+        return declared[:other] + declared[other + 1:]
+    if case == "overcounted":  # a cited value declared once more than it is cited
+        value = next(ts for ts in declared
+                     if ts != declared[other] and cited.count(ts) == declared.count(ts))
+        return declared[:other] + [value] + declared[other + 1:]
+    # median-removed: swap the median for a cited timestamp left undeclared.
+    spare = Counter(cited) - Counter(declared)
+    assert declared.count(median) == 1 and set(spare) - {median}
+    return [min(set(spare) - {median}) if ts == median else ts for ts in declared]
+
+
+@pytest.mark.parametrize("case", ["empty", "uncited", "overcounted", "short", "median-removed"])
+def test_forged_pivot_timestamps_exit_one(files, tmp_path, capsys, case):
+    header, entry, *rest = _json_lines(files["chain"])
+    cert = entry["certificate"]
+    pivot = cert["pivot"]
+    assert len(pivot["timestamps"]) == header["n"] - header["t"]
+    cited = [row[1] for rows in cert["votes"].values() for row in rows
+             if row[2] == pivot["request"]]
+    pivot["timestamps"] = _pivot_mutation(case, pivot, cited)
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [header, entry] + rest)
+    capsys.readouterr()
+    assert run_command(["verify", str(path)]) == 1
+    assert "block 0: invalid (invalid-pivot)" in capsys.readouterr().out

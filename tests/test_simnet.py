@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -263,3 +264,25 @@ def test_randomized_coin_cutoff_end_to_end(cfg4):
     assert summary["delivered"] == 12
     from fairlab.audit import audit_trace
     assert audit_trace(a).violations_confined_post_cutoff
+
+
+def test_trace_and_chain_lines_build_no_encoder(monkeypatch):
+    sim = Simulation(dataclasses.replace(benign_schedule(validate_config(4, 1), requests=4,
+                                                         seed=4), mode="clocked"))
+    trace = sim.run()
+    calls = []
+    real_dumps, real_init = json.dumps, json.JSONEncoder.__init__
+
+    def dumps(*args, **kwargs):
+        calls.append("dumps")
+        return real_dumps(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        calls.append("JSONEncoder")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    monkeypatch.setattr(json.JSONEncoder, "__init__", init)
+    text, lines = trace.to_text(), sim.chain_lines()
+    assert calls == []
+    assert text.count("\n") == len(trace.records) + 1 and len(lines) == len(sim.chain.blocks) > 0

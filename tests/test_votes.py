@@ -1,8 +1,11 @@
+import dataclasses
 from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairlab.votes
+from fairlab.core import Attestation
 from fairlab.votes import ACCEPTED, BUFFERED, REJECTED, TIMESTAMPED, Report, make_vote
 
 from conftest import cast, fill_logs, new_store, req
@@ -205,3 +208,55 @@ def test_tampered_attestation_rejected(cfg4):
     )
     out = store.ingest(relabeled, R["r1"])
     assert out.status == REJECTED and out.reason == "bad-attestation"
+
+
+def _count_verify(monkeypatch):
+    """Count attestation checks made through the name ingest calls."""
+    calls = []
+    real = fairlab.votes.verify
+    monkeypatch.setattr(fairlab.votes, "verify",
+                        lambda att, content: calls.append(att) or real(att, content))
+    return calls
+
+
+def test_stale_and_duplicate_copies_are_not_hashed(cfg4, monkeypatch):
+    store = new_store(cfg4, block=1)
+    accepted = make_vote(0, store.instance, 1, 0, None, R["r1"].id)
+    buffered = make_vote(0, store.instance, 1, 2, None, R["r2"].id)
+    assert store.ingest(accepted, R["r1"]).status == ACCEPTED
+    assert store.ingest(buffered, R["r2"]).status == BUFFERED
+    copies = [
+        (make_vote(1, store.instance, 0, 0, None, R["r1"].id), "wrong-block"),
+        (make_vote(1, "other-instance", 1, 0, None, R["r1"].id), "wrong-block"),
+        (accepted, "duplicate"),
+        (buffered, "duplicate"),
+    ]
+    calls = _count_verify(monkeypatch)
+    for vote, reason in copies:
+        out = store.ingest(vote, R["r1"])
+        assert (out.status, out.reason) == (REJECTED, reason)
+    assert calls == []
+    assert [v.seq for v in store.logs[0].accepted] == [0] and list(store.logs[0].pending) == [2]
+
+
+def test_forged_votes_for_the_current_block_are_still_verified(cfg4, monkeypatch):
+    store = new_store(cfg4)
+    vote = make_vote(0, store.instance, store.block, 0, None, R["r1"].id)
+    assert store.ingest(vote, R["r1"]).status == ACCEPTED
+    forged = Attestation(0, "0" * 64)
+    # A forged copy of the accepted vote is no duplicate, and a forged next
+    # vote is no acceptance: both are hashed and turned away.
+    copy = dataclasses.replace(vote, att=forged)
+    following = dataclasses.replace(
+        make_vote(0, store.instance, store.block, 1, None, R["r2"].id), att=forged)
+    stale = dataclasses.replace(
+        make_vote(1, store.instance, store.block + 1, 0, None, R["r1"].id),
+        att=Attestation(1, "0" * 64))
+    calls = _count_verify(monkeypatch)
+    for bad in (copy, following):
+        out = store.ingest(bad, R["r2"])
+        assert (out.status, out.reason) == (REJECTED, "bad-attestation")
+    assert len(calls) == 2
+    assert not store.logs[0].invalid and len(store.logs[0].accepted) == 1
+    # Forged and stale at once: the stale check comes first.
+    assert store.ingest(stale, R["r1"]).reason == "wrong-block" and len(calls) == 2
