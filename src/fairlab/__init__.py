@@ -34,7 +34,7 @@ from .leaders import (
     new_leader,
     replay_undelivered,
 )
-from .validity import BlockCertificate, verify_block, verify_block_timestamped
+from .validity import BlockCertificate, verify_certificate
 from .chain import Chain, on_deliver
 from .audit import FairnessReport, audit_trace, oracle_constraints
 

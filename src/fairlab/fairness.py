@@ -19,8 +19,11 @@ from .votes import VoteStore
 
 @dataclass(frozen=True)
 class MedianSummary:
-    """A pivot for timed decisions: the largest median over any strong-quorum
-    sized subset of the vote timestamps collected for one request."""
+    """A pivot for timed decisions: one request, vote timestamps for it, and
+    m_r, the median of a strong-quorum sized subset of them. The clocked
+    engine's pivot is the median of the first strong quorum it accepted; the
+    hybrid fallback's is the largest median over any strong-quorum sized
+    subset of all the request's timestamps (`max_median`)."""
 
     request: RequestId
     timestamps: tuple[Timestamp, ...]

@@ -81,7 +81,6 @@ def coin_stop(shared_seed: str, block_number: int, admissions_past_cutoff: int,
 class LeaderState:
     cfg: QuorumConfig
     mode: str
-    party: PartyId
     instance: str
     block_number: int
     store: VoteStore
@@ -96,13 +95,13 @@ class LeaderState:
     cutoff_events: int = 0
 
 
-def new_leader(cfg: QuorumConfig, mode: str, party: PartyId, instance: str,
+def new_leader(cfg: QuorumConfig, mode: str, instance: str,
                block_number: int = 0, r_max: int = 0,
                coin: Optional[CoinConfig] = None) -> LeaderState:
     store_mode = TIMESTAMPED if mode in (CLOCKED, HYBRID) else "plain"
     store = VoteStore(cfg, store_mode, instance, block_number)
     return LeaderState(
-        cfg=cfg, mode=mode, party=party, instance=instance,
+        cfg=cfg, mode=mode, instance=instance,
         block_number=block_number, store=store, r_max=r_max,
         coin=coin or CoinConfig(),
     )
@@ -232,7 +231,7 @@ def clocked_step(state: LeaderState) -> Optional[Proposal]:
     # completed its quorum.
     covering = 0
     for party in store.active_parties():
-        if all(store.logs[party].seq_of(rid) is not None for rid in low_set):
+        if all(party in store.by_request[rid] for rid in low_set):
             covering += 1
     if covering < cfg.strong_size:
         return None

@@ -163,7 +163,7 @@ class Simulation:
         ]
         coin = CoinConfig(shared_seed=scenario.coin_seed, stop_probability=scenario.coin_stop_p)
         self.engines: dict[PartyId, LeaderState] = {
-            pid: new_leader(self.cfg, scenario.mode, pid, self.instance,
+            pid: new_leader(self.cfg, scenario.mode, self.instance,
                             r_max=scenario.r_max, coin=coin)
             for pid in self.leader_ids
         }

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from ..core import validate_config
@@ -190,27 +190,18 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Unknown keys are ignored; a missing key takes the field default."""
         if not isinstance(data, dict):
             raise ValueError("scenario file is not a JSON object")
-        return cls(
-            n=data["n"],
-            t=data["t"],
-            mode=data.get("mode", "neverending"),
-            r_max=data.get("r_max", 0),
-            corrupt=data.get("corrupt", ()),
-            behaviors=_specs(BehaviorSpec, data.get("behaviors", {}), "behaviors"),
-            clocks=_specs(ClockSpec, data.get("clocks", {}), "clocks"),
-            leaders=data.get("leaders"),
-            proposer_policy=data.get("proposer_policy", "race"),
-            failure_p=data.get("failure_p"),
-            wrapper_seed=data.get("wrapper_seed", 0),
-            coin_stop_p=data.get("coin_stop_p", 1.0),
-            coin_seed=data.get("coin_seed", "coin"),
-            requests=data.get("requests", {}),
-            events=data.get("events", []),
-            generator=data.get("generator"),
-            label=data.get("label", ""),
-        )
+        for name in ("n", "t"):
+            if name not in data:
+                raise ValueError(f"scenario file has no {name!r} field")
+        known = {f.name for f in fields(cls)}
+        kwargs = {key: value for key, value in data.items() if key in known}
+        for name, kind in (("behaviors", BehaviorSpec), ("clocks", ClockSpec)):
+            if name in kwargs:
+                kwargs[name] = _specs(kind, kwargs[name], name)
+        return cls(**kwargs)
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

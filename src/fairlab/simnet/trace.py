@@ -42,8 +42,9 @@ class Trace:
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":
         """Parse a trace file; ValueError when a line is not a JSON object
-        with a string `kind`, a field the auditor reads is malformed, or a
-        `sight` names a party out of range or an undeclared request."""
+        with a string `kind`, a field the auditor reads is malformed, a
+        `sight` names a party out of range or an undeclared request, or a
+        `block` names a request that no `request` record declares."""
         records = [json.loads(line) for line in lines if line.strip()]
         if not all(isinstance(r, dict) and isinstance(r.get("kind"), str) for r in records):
             raise ValueError("trace line is not a JSON object with a string 'kind'")
@@ -58,6 +59,8 @@ class Trace:
             raise ValueError(f"trace header 'corrupt' must list party ids in [0, {n}), "
                              f"not {corrupt!r}")
         declared = set()  # ids of the request records read so far
+        names = set()  # and their names
+        blocks = []
         for rec in records[1:]:
             kind = rec["kind"]
             ok = all(type(rec.get(key)) is typ for key, typ in AUDITED_FIELDS.get(kind, {}).items())
@@ -67,9 +70,18 @@ class Trace:
                 raise ValueError(f"malformed {kind!r} trace record: {rec!r}")
             if kind == "request":
                 declared.add(rec["id"])
+                names.add(rec["name"])
             elif kind == "sight" and not (0 <= rec["party"] < n and rec["request"] in declared):
                 raise ValueError(f"'sight' trace record names a party outside [0, {n}) or a "
                                  f"request no earlier 'request' record declares: {rec!r}")
+            elif kind == "block":
+                blocks.append(rec)
+        # A block may name a request declared further down: a trace with its
+        # blocks reordered is well formed, and its audit fails instead.
+        for rec in blocks:
+            if not names.issuperset(rec["requests"]):
+                raise ValueError(f"'block' trace record names a request no 'request' record "
+                                 f"declares: {rec!r}")
         return cls(header=header, records=records[1:])
 
     def save(self, path: str) -> None:

@@ -102,8 +102,17 @@ def _is_sub_multiset(part, whole) -> bool:
     return True
 
 
-def _verify(cfg: QuorumConfig, cert: BlockCertificate, timestamped: bool) -> VerifyOutcome:
+def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
+    """Block validity: non-empty, a strong quorum of fully-historied votes per
+    member, and no cited request left out while it still blocks (block-fair)
+    or precedes the pivot (timed). A certificate with timestamped votes or a
+    timed tag gets the timestamped vote rules: voters whose timestamps run
+    against their sequence numbers lose their votes from the mismatch onward,
+    which can drop a member below quorum."""
     prop = cert.proposal
+    timestamped = prop.mode_tag == TIMED_FAIR or any(
+        v.ts is not None for votes in prop.votes_by_party.values() for v in votes
+    )
     if not prop.requests:
         return _bad("empty-block")
     if len(set(prop.requests)) != len(prop.requests):
@@ -138,29 +147,6 @@ def _verify(cfg: QuorumConfig, cert: BlockCertificate, timestamped: bool) -> Ver
     elif any(blocks(store, cfg, rid, member) for rid in omitted for member in prop.requests):
         return _bad("omitted-blocked-request")
     return VerifyOutcome(VALID)
-
-
-def verify_block(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
-    """Plain block validity: non-empty, a strong quorum of fully-historied
-    votes per member, and no cited request left out while it still blocks."""
-    return _verify(cfg, cert, timestamped=False)
-
-
-def verify_block_timestamped(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
-    """Block validity under timestamped vote rules: voters whose timestamps run
-    against their sequence numbers lose their votes from the mismatch onward,
-    which can drop a member below quorum."""
-    return _verify(cfg, cert, timestamped=True)
-
-
-def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
-    """Dispatch on vote shape: timestamped votes get the stricter rules."""
-    has_ts = any(
-        v.ts is not None for votes in cert.proposal.votes_by_party.values() for v in votes
-    )
-    if has_ts or cert.proposal.mode_tag == TIMED_FAIR:
-        return verify_block_timestamped(cfg, cert)
-    return verify_block(cfg, cert)
 
 
 # -- canonical serialization -------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from .core import (
@@ -67,12 +66,6 @@ def vote_verifies(v: Vote) -> bool:
     return verify(v.att, vote_payload(v.instance, v.block, v.seq, v.ts, v.request))
 
 
-class Report(Enum):
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
-
-
 ACCEPTED = "accepted"
 BUFFERED = "buffered"
 REJECTED = "rejected"
@@ -89,28 +82,9 @@ class IngestOutcome:
 
 @dataclass(slots=True)
 class PartyVoteLog:
-    party: PartyId
     accepted: list[Vote] = field(default_factory=list)
     pending: dict[int, Vote] = field(default_factory=dict)
     invalid: bool = False  # permanently-invalid: accepted never grows again
-    # request -> seq of this party's first accepted vote for it
-    seqs: dict[RequestId, int] = field(default_factory=dict)
-
-    def seq_of(self, request: RequestId) -> Optional[int]:
-        return self.seqs.get(request)
-
-    def reported_before(self, r: RequestId, r2: RequestId) -> Report:
-        if self.invalid:
-            return Report.UNKNOWN
-        seq_r = self.seqs.get(r)
-        if seq_r is None:
-            return Report.UNKNOWN
-        seq_r2 = self.seqs.get(r2)
-        if seq_r2 is None:
-            # The accepted log is gap-free, so holding r without r2 means the
-            # party reported r and everything below it, but not r2.
-            return Report.YES
-        return Report.YES if seq_r < seq_r2 else Report.NO
 
 
 # The two rejections ingest decides before hashing; the commonest outcomes.
@@ -131,7 +105,7 @@ class VoteStore:
         self.mode = mode
         self.instance = instance
         self.block = block
-        self.logs: dict[PartyId, PartyVoteLog] = {p: PartyVoteLog(p) for p in range(cfg.n)}
+        self.logs: dict[PartyId, PartyVoteLog] = {p: PartyVoteLog() for p in range(cfg.n)}
         # request -> party -> AcceptedVote, in acceptance order at both levels
         self.by_request: dict[RequestId, dict[PartyId, AcceptedVote]] = {}
         self.requests: dict[RequestId, Request] = {}
@@ -199,9 +173,7 @@ class VoteStore:
         A party that votes one request twice is one voter for it: its first
         vote is the one counted, ordered and cited as its report."""
         party, request = v.party, v.request
-        log = self.logs[party]
-        log.accepted.append(v)
-        log.seqs.setdefault(request, v.seq)
+        self.logs[party].accepted.append(v)
         slot = self.by_request.setdefault(request, {})
         slot.setdefault(party, (v, self._counter))
         count = len(slot)
@@ -222,15 +194,16 @@ class VoteStore:
 
     # -- queries -----------------------------------------------------------
 
-    def reported_before(self, party: PartyId, r: RequestId, r2: RequestId) -> Report:
-        return self.logs[party].reported_before(r, r2)
-
     def count_before(self, r: RequestId, r2: RequestId) -> int:
-        # Only a party holding a vote for r can have reported it first.
+        """Valid parties whose first vote for r comes before any vote for r2.
+        The accepted logs are gap-free, so a party holding r without r2
+        reported r first."""
+        others = self.by_request.get(r2, {})
         return sum(
             1
-            for party in self.by_request.get(r, {})
-            if self.logs[party].reported_before(r, r2) is Report.YES
+            for party, (vote, _) in self.by_request.get(r, {}).items()
+            if not self.logs[party].invalid
+            and (party not in others or vote.seq < others[party][0].seq)
         )
 
     def votes_for(self, r: RequestId) -> list[Vote]:

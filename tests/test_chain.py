@@ -15,8 +15,8 @@ def _ingest(state, party, seq, request, ts=None):
     return state.store.ingest(vote, request)
 
 
-def _single_request_state(cfg, request, proposer=0):
-    state = new_leader(cfg, NEVERENDING, party=proposer, instance=INSTANCE)
+def _single_request_state(cfg, request):
+    state = new_leader(cfg, NEVERENDING, instance=INSTANCE)
     for party in range(cfg.n):
         _ingest(state, party, 0, request)
     return state
@@ -36,8 +36,8 @@ def test_first_valid_certificate_wins(cfg4):
     # two leaders derive different valid blocks for height 0 from different
     # vote arrival orders; the arbitration order decides, the loser retries
     # against a decided height
-    a = _single_request_state(cfg4, RA, proposer=0)
-    b = _single_request_state(cfg4, RB, proposer=1)
+    a = _single_request_state(cfg4, RA)
+    b = _single_request_state(cfg4, RB)
     cert_a = BlockCertificate(neverending_step(a), proposer=0)
     cert_b = BlockCertificate(neverending_step(b), proposer=1)
     chain = Chain(cfg4)
@@ -47,8 +47,8 @@ def test_first_valid_certificate_wins(cfg4):
 
 
 def test_proposer_equivocation_detected(cfg4):
-    a = _single_request_state(cfg4, RA, proposer=0)
-    b = _single_request_state(cfg4, RB, proposer=0)
+    a = _single_request_state(cfg4, RA)
+    b = _single_request_state(cfg4, RB)
     cert_a = BlockCertificate(neverending_step(a), proposer=0)
     cert_b = BlockCertificate(neverending_step(b), proposer=0)
     chain = Chain(cfg4)
@@ -95,7 +95,7 @@ def _rebless(proposal, block):
 
 
 def test_on_deliver_replays_undelivered(cfg4):
-    state = new_leader(cfg4, NEVERENDING, party=0, instance=INSTANCE)
+    state = new_leader(cfg4, NEVERENDING, instance=INSTANCE)
     for party in range(4):
         _ingest(state, party, 0, RA)
         _ingest(state, party, 1, RB)
@@ -113,7 +113,7 @@ def test_on_deliver_replays_undelivered(cfg4):
 
 
 def test_consecutive_deliveries_equal_union_replay(cfg4):
-    state = new_leader(cfg4, NEVERENDING, party=0, instance=INSTANCE)
+    state = new_leader(cfg4, NEVERENDING, instance=INSTANCE)
     requests = [req(f"x{i}") for i in range(4)]
     for party in range(4):
         for seq, r in enumerate(requests):
@@ -135,9 +135,9 @@ def test_consecutive_deliveries_equal_union_replay(cfg4):
 
 def test_chain_invariants(cfg4):
     chain = Chain(cfg4)
-    a = _single_request_state(cfg4, RA, proposer=0)
+    a = _single_request_state(cfg4, RA)
     assert chain.submit(0, BlockCertificate(neverending_step(a), 0)).ok
-    b = new_leader(cfg4, NEVERENDING, party=1, instance=INSTANCE, block_number=1)
+    b = new_leader(cfg4, NEVERENDING, instance=INSTANCE, block_number=1)
     b.store.block = 1
     for party in range(4):
         _ingest(b, party, 0, RB)
@@ -156,7 +156,7 @@ def test_external_validity_under_adversarial_submissions(cfg4):
     import certutil
     from fairlab.validity import verify_certificate
 
-    state = new_leader(cfg4, NEVERENDING, party=0, instance=INSTANCE)
+    state = new_leader(cfg4, NEVERENDING, instance=INSTANCE)
     names = ("ra", "rb")
     for party in range(4):
         for seq, name in enumerate(names):

@@ -148,6 +148,8 @@ SCENARIO_CASES = {
     "leaders-string": lambda d: d.update(leaders="01"),
     "leaders-out-of-range": lambda d: d.update(leaders=[7]),
     "proposer_policy-unknown": lambda d: d.update(proposer_policy="bogus"),
+    "n-missing": lambda d: d.pop("n"),
+    "t-missing": lambda d: d.pop("t"),
 }
 
 
@@ -158,6 +160,19 @@ def test_malformed_scenario_exits_two(files, tmp_path, capsys, case):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(data))
     assert _exit_code(capsys, ["run", str(path)], case) == 2
+
+
+def test_scenario_defaults_and_unknown_keys(files):
+    # Keys left out take the dataclass defaults, unknown keys are ignored, and
+    # neither changes the digest.
+    data = json.loads(files["scenario"])
+    full = Scenario.from_dict(data)
+    defaults = {f.name: f.default for f in dataclasses.fields(Scenario)
+                if f.default is not dataclasses.MISSING}
+    sparse = {key: value for key, value in data.items()
+              if key not in defaults or value != defaults[key]}
+    assert len(sparse) < len(data)
+    assert Scenario.from_dict({**sparse, "comment": "x"}).digest() == full.digest()
 
 
 def test_unknown_mode_is_named_in_the_error(files, tmp_path, capsys):
@@ -187,6 +202,8 @@ TRACE_CASES = {
     "sight-party-out-of-range": lambda lines: _first_of_kind(lines, "sight").update(party=9),
     "sight-request-undeclared": lambda lines: _first_of_kind(lines, "sight").update(
         request="0" * 64),
+    "block-request-undeclared": lambda lines: _first_of_kind(lines, "block").update(
+        requests=["zzz"]),
 }
 
 
@@ -213,6 +230,19 @@ def test_bad_sight_record_is_named_in_the_error(files, tmp_path, capsys, case):
     capsys.readouterr()
     assert run_command(["audit", str(path)]) == 2
     assert "'sight' trace record" in capsys.readouterr().err
+
+
+def test_block_of_undeclared_requests_is_quoted_in_the_error(files, tmp_path, capsys):
+    # The auditor used to take the unknown name as never sighted and give a
+    # verdict on it, exit 0 or 1.
+    lines = _json_lines(files["trace"])
+    TRACE_CASES["block-request-undeclared"](lines)
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    capsys.readouterr()
+    assert run_command(["audit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'block' trace record" in err and "'zzz'" in err
 
 
 CHAIN_CASES = {

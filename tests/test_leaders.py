@@ -23,7 +23,7 @@ A1, A2, B1 = req("a1", market="A"), req("a2", market="A"), req("b1", market="B")
 
 
 def engine(cfg, mode, **kw):
-    return new_leader(cfg, mode, party=0, instance=INSTANCE, **kw)
+    return new_leader(cfg, mode, instance=INSTANCE, **kw)
 
 
 def ingest(state, party, seq, request, ts=None):

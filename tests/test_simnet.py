@@ -224,10 +224,10 @@ def test_byzantine_behaviors_stay_contained(cfg4):
     sim.drain()
     sim.finish()
     for engine in sim.engines.values():
-        for log in engine.store.logs.values():
+        for party, log in engine.store.logs.items():
             for vote in log.accepted:
                 assert vote_verifies(vote)
-                assert vote.party == log.party
+                assert vote.party == party
 
 
 def test_round_robin_stalls_on_byzantine_scheduled_leader(cfg4):

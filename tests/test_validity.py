@@ -3,8 +3,6 @@ from fairlab.validity import (
     BlockCertificate,
     certificate_from_dict,
     certificate_to_dict,
-    verify_block,
-    verify_block_timestamped,
     verify_certificate,
 )
 from fairlab.votes import make_vote
@@ -22,7 +20,7 @@ def _ingest(state, party, seq, request, ts=None):
 
 
 def cycle_cert(cfg):
-    state = new_leader(cfg, NEVERENDING, party=0, instance=INSTANCE)
+    state = new_leader(cfg, NEVERENDING, instance=INSTANCE)
     names = ["m1", "m2", "m3", "m4"]
     for party in range(4):
         for seq in range(4):
@@ -33,7 +31,7 @@ def cycle_cert(cfg):
 
 
 def clocked_cert(cfg):
-    state = new_leader(cfg, CLOCKED, party=0, instance=INSTANCE)
+    state = new_leader(cfg, CLOCKED, instance=INSTANCE)
     _ingest(state, 0, 0, RB, ts=5)
     _ingest(state, 0, 1, RA, ts=10)
     _ingest(state, 1, 0, RB, ts=12)
@@ -46,32 +44,32 @@ def clocked_cert(cfg):
 
 
 def test_honest_block_fair_certificate_verifies(cfg4):
-    assert verify_block(cfg4, cycle_cert(cfg4)).ok
+    assert verify_certificate(cfg4, cycle_cert(cfg4)).ok
 
 
 def test_insufficient_votes_detected(cfg4):
     cert = cycle_cert(cfg4)
     member = cert.proposal.requests[0]
     mutated = certutil.reduce_member_votes(cert, member, cfg4.n - cfg4.t - 1)
-    out = verify_block(cfg4, mutated)
+    out = verify_certificate(cfg4, mutated)
     assert not out.ok and out.reason == "insufficient-votes"
 
 
 def test_omitted_blocking_request_detected(cfg4):
     cert = cycle_cert(cfg4)
     mutated = certutil.omit_member(cert, cert.proposal.requests[1])
-    out = verify_block(cfg4, mutated)
+    out = verify_certificate(cfg4, mutated)
     assert not out.ok and out.reason == "omitted-blocked-request"
 
 
 def test_empty_block_detected(cfg4):
-    out = verify_block(cfg4, certutil.empty_requests(cycle_cert(cfg4)))
+    out = verify_certificate(cfg4, certutil.empty_requests(cycle_cert(cfg4)))
     assert not out.ok and out.reason == "empty-block"
 
 
 def test_missing_history_detected(cfg4):
     cert = certutil.drop_history_entry(cycle_cert(cfg4))
-    out = verify_block(cfg4, cert)
+    out = verify_certificate(cfg4, cert)
     assert not out.ok and out.reason == "missing-history"
 
 
@@ -88,7 +86,7 @@ def test_tampered_vote_detected(cfg4):
     )
     votes_by_party[party] = tuple(votes)
     mutated = certutil._rebuild(cert, votes_by_party=votes_by_party)
-    out = verify_block(cfg4, mutated)
+    out = verify_certificate(cfg4, mutated)
     assert not out.ok and out.reason == "bad-attestation"
 
 
@@ -99,13 +97,13 @@ def test_tampered_request_table_detected(cfg4):
     rid = cert.proposal.requests[0]
     table[rid] = dataclasses.replace(table[rid], market="other")
     prop = dataclasses.replace(cert.proposal, request_table=table)
-    out = verify_block(cfg4, BlockCertificate(prop, cert.proposer))
+    out = verify_certificate(cfg4, BlockCertificate(prop, cert.proposer))
     assert not out.ok and out.reason == "bad-attestation"
 
 
 def test_honest_clocked_certificate_verifies(cfg4):
     cert = clocked_cert(cfg4)
-    assert verify_block_timestamped(cfg4, cert).ok
+    assert verify_certificate(cfg4, cert).ok
     assert verify_certificate(cfg4, cert).ok
 
 
@@ -113,7 +111,7 @@ def test_timestamp_inversion_detected(cfg4):
     cert = clocked_cert(cfg4)
     mutated, party, idx = certutil.invert_timestamps(cert)
     expected = certutil.expected_inversion_reason(mutated, cfg4, party, idx)
-    out = verify_block_timestamped(cfg4, mutated)
+    out = verify_certificate(cfg4, mutated)
     assert not out.ok and out.reason == expected
 
 
@@ -121,7 +119,7 @@ def test_timed_omission_detected(cfg4):
     cert = clocked_cert(cfg4)
     admitted = [r for r in cert.proposal.requests if r != cert.proposal.pivot.request]
     assert admitted
-    out = verify_block_timestamped(cfg4, certutil.omit_member(cert, admitted[0]))
+    out = verify_certificate(cfg4, certutil.omit_member(cert, admitted[0]))
     assert not out.ok and out.reason == "omitted-blocked-request"
 
 
@@ -131,7 +129,7 @@ def test_timed_in_block_order_enforced(cfg4):
     assert len(cert.proposal.requests) >= 2
     shuffled = tuple(reversed(cert.proposal.requests))
     prop = dataclasses.replace(cert.proposal, requests=shuffled)
-    out = verify_block_timestamped(cfg4, BlockCertificate(prop, cert.proposer))
+    out = verify_certificate(cfg4, BlockCertificate(prop, cert.proposer))
     assert not out.ok and out.reason == "timestamp-order"
 
 
@@ -178,7 +176,7 @@ def _double_voter_cert(timestamped):
 
 
 def test_quorum_counts_voters_not_votes(cfg4):
-    plain = verify_block(cfg4, _double_voter_cert(timestamped=False))
+    plain = verify_certificate(cfg4, _double_voter_cert(timestamped=False))
     assert not plain.ok and plain.reason == "insufficient-votes"
-    timed = verify_block_timestamped(cfg4, _double_voter_cert(timestamped=True))
+    timed = verify_certificate(cfg4, _double_voter_cert(timestamped=True))
     assert not timed.ok and timed.reason == "insufficient-votes"

@@ -1,12 +1,13 @@
 import dataclasses
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairlab.votes
-from fairlab.core import Attestation
-from fairlab.votes import ACCEPTED, BUFFERED, REJECTED, TIMESTAMPED, Report, make_vote
+from fairlab.core import Attestation, validate_config
+from fairlab.votes import ACCEPTED, BUFFERED, REJECTED, TIMESTAMPED, make_vote
 
 from conftest import cast, fill_logs, new_store, req
 
@@ -64,18 +65,6 @@ def test_wrong_incarnation_rejected(cfg4):
     assert out.status == REJECTED and out.reason == "wrong-block"
 
 
-def test_reported_before_tristate(cfg4):
-    store = new_store(cfg4)
-    fill_logs(store, {0: [R["r1"], R["r2"]], 1: [R["r1"]]})
-    assert store.reported_before(0, R["r1"].id, R["r2"].id) is Report.YES
-    assert store.reported_before(0, R["r2"].id, R["r1"].id) is Report.NO
-    # r1 held gap-free without r2 counts as a report of r1 first
-    assert store.reported_before(1, R["r1"].id, R["r2"].id) is Report.YES
-    assert store.reported_before(2, R["r1"].id, R["r2"].id) is Report.UNKNOWN
-    # the first request absent leaves the comparison undecided
-    assert store.reported_before(1, R["r2"].id, R["r1"].id) is Report.UNKNOWN
-
-
 def _count_before_oracle(logs, r, r2):
     """Independent recount from raw per-party logs."""
     count = 0
@@ -102,6 +91,35 @@ def test_count_before_matches_oracle(cfg4):
     assert store.count_before(R["r1"].id, R["r2"].id) == 3
     assert store.count_before(R["r2"].id, R["r1"].id) == 1
     assert new_store(cfg4).count_before(R["r1"].id, R["r2"].id) == 0
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_count_before_matches_oracle_random(n, t, rng):
+    # Random timestamped stores, ingested in random order. Parties may vote a
+    # request twice, and may be excluded for equivocation or for a timestamp
+    # that runs backwards; r5 is held by no party.
+    names = ("r1", "r2", "r3", "r4")
+    votes = []
+    for party in range(n):
+        script = [rng.choice(names) for _ in range(rng.randint(0, 5))]
+        stamps = [10 * (seq + 1) for seq in range(len(script))]
+        if script and rng.random() < 0.25:
+            stamps[rng.randrange(len(script))] = 0
+        votes += [(party, seq, name, ts) for seq, (name, ts) in enumerate(zip(script, stamps))]
+        if script and rng.random() < 0.25:
+            seq = rng.randrange(len(script))
+            other = rng.choice([name for name in names if name != script[seq]])
+            votes.append((party, seq, other, stamps[seq]))
+    rng.shuffle(votes)
+    store = new_store(validate_config(n, t), mode=TIMESTAMPED)
+    for party, seq, name, ts in votes:
+        cast(store, party, seq, R[name], ts=ts)
+    valid = {p: [v.request for v in log.accepted]
+             for p, log in store.logs.items() if not log.invalid}
+    for r, r2 in permutations(R.values(), 2):
+        assert store.count_before(r.id, r2.id) == _count_before_oracle(valid, r.id, r2.id)
 
 
 def test_invalid_party_excluded_from_counts_but_votes_remain(cfg4):
