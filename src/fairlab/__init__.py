@@ -15,10 +15,8 @@ from .core import (
     Timestamp,
     make_request,
     sign,
-    strong_quorum,
     validate_config,
     verify,
-    weak_quorum,
 )
 from .votes import Vote, VoteStore, make_vote
 from .fairness import MedianSummary, blocks, max_median, median_timestamp, timed_precedes

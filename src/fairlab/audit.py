@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import inf
 from typing import Optional
 
 from .simnet.trace import Trace
@@ -70,16 +71,10 @@ class TraceView:
     def relative_constraints(self) -> set[tuple[str, str]]:
         return _relative_constraints(self, self.honest)
 
-    def saw_before(self, party: int, r1: str, r2: str) -> Optional[bool]:
-        """Did this party receive r1 before r2? None when it saw neither side
-        of the comparison in a decidable way."""
-        p1 = self.pos[party].get(r1)
-        p2 = self.pos[party].get(r2)
-        if p1 is None:
-            return False if p2 is not None else None
-        if p2 is None:
-            return True
-        return p1 < p2
+    def saw_before(self, party: int, r1: str, r2: str) -> bool:
+        """Did this party receive r1, and r2 only later or not at all?"""
+        pos = self.pos[party]
+        return pos.get(r1, inf) < pos.get(r2, inf)
 
 
 @dataclass
@@ -105,7 +100,7 @@ def _relative_constraints(view: TraceView, honest: list[int]) -> set[tuple[str, 
         for r2 in requests:
             if r1 == r2 or view.market[r1] != view.market[r2]:
                 continue
-            if all(view.saw_before(p, r1, r2) is True for p in honest):
+            if all(view.saw_before(p, r1, r2) for p in honest):
                 constraints.add((r1, r2))
     return constraints
 

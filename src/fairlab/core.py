@@ -38,26 +38,18 @@ class QuorumConfig:
     # Cached: read for every accepted vote and every blocking-relation test.
     @cached_property
     def weak_size(self) -> int:
+        """Fewest parties guaranteed to contain an honest one."""
         return self.t + 1
 
     @cached_property
     def strong_size(self) -> int:
+        """Most parties one can wait for without trusting corrupt ones."""
         return self.n - self.t
 
 
 def validate_config(n: int, t: int) -> QuorumConfig:
     """Sole constructor for quorum configurations; rejects n < 3t+1."""
     return QuorumConfig(n, t)
-
-
-def weak_quorum(cfg: QuorumConfig, k: int) -> bool:
-    """True iff any k parties are guaranteed to contain an honest one."""
-    return k >= cfg.t + 1
-
-
-def strong_quorum(cfg: QuorumConfig, k: int) -> bool:
-    """True iff k reaches the largest set one can wait for without trusting corrupt parties."""
-    return k >= cfg.n - cfg.t
 
 
 def request_id(market: MarketId, payload: bytes) -> RequestId:

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
+# `verify` is not called here: perfbench/tracing.py patches it by this name.
 from .core import (Attestation, PartyId, QuorumConfig, Request, canonical_json, request_id,
                    verify)
 from .fairness import MedianSummary, blocks, median_bounds, timed_precedes, timed_request_order
 from .leaders import BLOCK_FAIR, TIMED_FAIR, Proposal
-from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore, vote_payload
+from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore
 
 VALID = "valid"
 INVALID = "invalid"
@@ -51,44 +51,17 @@ class BlockCertificate:
         return hashlib.sha256(canonical_json(certificate_to_dict(self)).encode()).hexdigest()
 
 
-def _collect_evidence(cfg: QuorumConfig, cert: BlockCertificate,
-                      timestamped: bool) -> tuple[Optional[VoteStore], Optional[VerifyOutcome]]:
-    """Check every cited vote and index the cited evidence in a fresh store,
-    the same index the engines decide on. A voter whose timestamps run
-    against its sequence numbers keeps the votes before the mismatch and is
-    marked invalid."""
-    prop = cert.proposal
-    instance, block, table = prop.instance, prop.block_number, prop.request_table
-    store = VoteStore(cfg, TIMESTAMPED if timestamped else PLAIN, instance, block)
-    for party, votes in prop.votes_by_party.items():
-        if not (0 <= party < cfg.n):
-            return None, _bad("bad-attestation")
-        log = store.logs[party]
-        for expected_seq, v in enumerate(sorted(votes, key=attrgetter("seq"))):
-            if v.party != party:
-                return None, _bad("bad-attestation")
-            if not verify(v.att, vote_payload(v.instance, v.block, v.seq, v.ts, v.request)):
-                return None, _bad("bad-attestation")
-            if v.instance != instance or v.block != block:
-                return None, _bad("bad-attestation")
-            if v.seq != expected_seq:
-                return None, _bad("missing-history")
-            if v.request not in table:
-                return None, _bad("missing-history")
-            if timestamped:
-                if v.ts is None:
-                    return None, _bad("missing-history")
-                if log.accepted and not log.invalid and v.ts <= log.accepted[-1].ts:
-                    # Sequence and timestamp orders disagree: this vote and all
-                    # that follow from this voter are discounted.
-                    store.mark_invalid(party)
-            if not log.invalid:
-                store.accept(v)
-    for rid, req in table.items():
-        if request_id(req.market, req.payload) != rid:
-            return None, _bad("bad-attestation")
-        store.register_request(req)
-    return store, None
+# The certificate reason for each ingest refusal that condemns a certificate.
+# `timestamp-order` is not one: it excludes the voter, whose earlier votes
+# stay usable and whose later ones are refused as `party-invalid`.
+_INGEST_FAULTS = {
+    "wrong-block": "bad-attestation",
+    "bad-attestation": "bad-attestation",
+    "unknown-party": "bad-attestation",
+    "duplicate": "missing-history",
+    "equivocation": "missing-history",
+    "missing-timestamp": "missing-history",
+}
 
 
 def _is_sub_multiset(part, whole) -> bool:
@@ -105,10 +78,13 @@ def _is_sub_multiset(part, whole) -> bool:
 def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
     """Block validity: non-empty, a strong quorum of fully-historied votes per
     member, and no cited request left out while it still blocks (block-fair)
-    or precedes the pivot (timed). A certificate with timestamped votes or a
-    timed tag gets the timestamped vote rules: voters whose timestamps run
-    against their sequence numbers lose their votes from the mismatch onward,
-    which can drop a member below quorum."""
+    or precedes the pivot (timed). The cited votes are admitted, in cited
+    order, by `VoteStore.ingest`, the rule the engines' stores apply; the
+    first refusal that condemns the certificate names its fault. A
+    certificate with timestamped votes or a timed tag gets the timestamped
+    vote rules: voters whose timestamps run against their sequence numbers
+    lose their votes from the mismatch onward, which can drop a member below
+    quorum."""
     prop = cert.proposal
     timestamped = prop.mode_tag == TIMED_FAIR or any(
         v.ts is not None for votes in prop.votes_by_party.values() for v in votes
@@ -117,9 +93,27 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         return _bad("empty-block")
     if len(set(prop.requests)) != len(prop.requests):
         return _bad("duplicate-request")
-    store, err = _collect_evidence(cfg, cert, timestamped)
-    if err is not None:
-        return err
+    table = prop.request_table
+    store = VoteStore(cfg, TIMESTAMPED if timestamped else PLAIN, prop.instance,
+                      prop.block_number)
+    for party, votes in prop.votes_by_party.items():
+        for v in votes:
+            if v.att.signer != party:
+                return _bad("bad-attestation")
+            fault = _INGEST_FAULTS.get(store.ingest(v).reason)
+            if fault is not None:
+                return _bad(fault)
+            if v.request not in table:
+                return _bad("missing-history")
+        log = store.logs.get(party)
+        if log is None:  # a party key outside [0, n) with no cited votes
+            return _bad("bad-attestation")
+        if log.pending:  # the cited history skips a sequence number
+            return _bad("missing-history")
+    for rid, req in table.items():
+        if request_id(req.market, req.payload) != rid:
+            return _bad("bad-attestation")
+        store.register_request(req)
     for rid in prop.requests:
         if store.accepted_count(rid) < cfg.strong_size:
             return _bad("insufficient-votes")

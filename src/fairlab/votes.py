@@ -1,4 +1,4 @@
-"""Per-party vote streams and the leader-side validated vote store.
+"""Per-party vote streams and the validated vote store.
 
 A vote is a party's signed claim "I saw request r as my i-th request (at local
 time ts)". The store admits votes per party strictly gap-free in sequence
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Attestation,
@@ -71,8 +71,7 @@ BUFFERED = "buffered"
 REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class IngestOutcome:
+class IngestOutcome(NamedTuple):
     status: str
     reason: Optional[str] = None
     # Votes that became accepted through this ingest, in acceptance order
@@ -127,11 +126,11 @@ class VoteStore:
         # copy of a vote this party has accepted or buffered (verified then).
         if v.instance != self.instance or v.block != self.block:
             return _WRONG_BLOCK
-        log = self.logs.get(v.party)
+        log = self.logs.get(v.att.signer)  # not the `party` property: once per vote
         prior = None  # this party's accepted or buffered vote at v.seq
         if log is not None and not log.invalid:
             prior = log.accepted[v.seq] if v.seq < len(log.accepted) else log.pending.get(v.seq)
-            if prior == v:
+            if prior is not None and prior == v:
                 return _DUPLICATE
         if not vote_verifies(v):
             return IngestOutcome(REJECTED, "bad-attestation")
@@ -151,20 +150,19 @@ class VoteStore:
             return IngestOutcome(BUFFERED)
 
         # v is the next expected vote; accept it and cascade buffered successors.
-        newly: list[Vote] = []
-        cursor: Optional[Vote] = v
+        # What this call accepts is then accepted[v.seq:].
+        accepted = log.accepted
+        cursor = v
         while cursor is not None:
-            if self.mode == TIMESTAMPED and log.accepted:
-                if cursor.ts <= log.accepted[-1].ts:
-                    self.mark_invalid(v.party)
-                    if not newly:
-                        return IngestOutcome(REJECTED, "timestamp-order")
-                    # v itself was accepted; the cascade hit the mismatch.
-                    return IngestOutcome(ACCEPTED, "timestamp-order", tuple(newly))
+            if self.mode == TIMESTAMPED and accepted and cursor.ts <= accepted[-1].ts:
+                self.mark_invalid(v.party)
+                if cursor is v:
+                    return IngestOutcome(REJECTED, "timestamp-order")
+                # v itself was accepted; the cascade hit the mismatch.
+                return IngestOutcome(ACCEPTED, "timestamp-order", tuple(accepted[v.seq:]))
             self.accept(cursor)
-            newly.append(cursor)
-            cursor = log.pending.pop(len(log.accepted), None)
-        return IngestOutcome(ACCEPTED, None, tuple(newly))
+            cursor = log.pending.pop(len(accepted), None) if log.pending else None
+        return IngestOutcome(ACCEPTED, None, tuple(accepted[v.seq:]))
 
     def accept(self, v: Vote) -> None:
         """Append v to its party's log. The caller has checked that v is the
@@ -172,7 +170,7 @@ class VoteStore:
 
         A party that votes one request twice is one voter for it: its first
         vote is the one counted, ordered and cited as its report."""
-        party, request = v.party, v.request
+        party, request = v.att.signer, v.request
         self.logs[party].accepted.append(v)
         slot = self.by_request.setdefault(request, {})
         slot.setdefault(party, (v, self._counter))

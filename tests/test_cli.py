@@ -3,6 +3,8 @@ import json
 import pytest
 
 from fairlab.cli import run_command
+from fairlab.simnet.generators import fuzz_scenario
+from fairlab.simnet.scenario import load_scenario
 
 
 def test_gen_run_audit_verify_round_trip(tmp_path, capsys):
@@ -154,3 +156,66 @@ def test_verify_string_party_count_in_header_exits_two(tmp_path, capsys):
     assert run_command(["verify", str(chain)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_fuzz_and_probabilistic(tmp_path):
+    fuzz = tmp_path / "fuzz.json"
+    assert run_command(["gen", "fuzz", "--seed", "3", "--out", str(fuzz)]) == 0
+    assert load_scenario(str(fuzz)) == fuzz_scenario(3, n=4, t=1)
+    base = tmp_path / "base.json"
+    wrapped, direct = tmp_path / "wrapped.json", tmp_path / "direct.json"
+    run_command(["gen", "segments", "--depth", "2", "--seed", "5", "--out", str(base)])
+    # Without --base the wrapper builds the same segments schedule itself.
+    assert run_command(["gen", "probabilistic", "--base", str(base), "--p", "0.2",
+                        "--seed", "5", "--out", str(wrapped)]) == 0
+    assert run_command(["gen", "probabilistic", "--depth", "2", "--p", "0.2",
+                        "--seed", "5", "--out", str(direct)]) == 0
+    assert wrapped.read_bytes() == direct.read_bytes()
+    assert load_scenario(str(direct)).to_dict() != load_scenario(str(base)).to_dict()
+
+
+def test_gen_writes_stdout_without_out(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    run_command(["gen", "cycle", "--out", str(path)])
+    capsys.readouterr()
+    assert run_command(["gen", "cycle"]) == 0
+    assert capsys.readouterr().out == path.read_text()
+
+
+def test_audit_and_verify_structured(tmp_path, capsys):
+    scenario, trace, chain = tmp_path / "s.json", tmp_path / "t.jsonl", tmp_path / "c.jsonl"
+    run_command(["gen", "benign", "--requests", "2", "--seed", "1", "--out", str(scenario)])
+    run_command(["run", str(scenario), "--out", str(trace), "--chain", str(chain)])
+    capsys.readouterr()
+    assert run_command(["audit", str(trace), "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["gate_ok"] is True
+    assert run_command(["verify", str(chain), "--format", "structured"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True and payload["blocks"]
+    assert all(row == {"number": i, "status": "valid", "reason": None}
+               for i, row in enumerate(payload["blocks"]))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines.pop(0),
+    lambda lines: lines.append("5"),
+], ids=["no-header", "non-object-entry"])
+def test_verify_malformed_chain_exits_two(tmp_path, capsys, edit):
+    chain = _chain_with(tmp_path, edit)
+    capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_entry_number_must_match_certificate_block(tmp_path, capsys):
+    def renumber(lines):
+        entry = json.loads(lines[1])
+        entry["number"] = 7
+        lines[1] = json.dumps(entry, sort_keys=True)
+
+    chain = _chain_with(tmp_path, renumber)
+    capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 1
+    out = capsys.readouterr().out
+    assert "block 7: invalid (wrong-block-number)" in out and "chain: INVALID" in out

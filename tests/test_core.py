@@ -12,10 +12,8 @@ from fairlab.core import (
     make_request,
     request_id,
     sign,
-    strong_quorum,
     validate_config,
     verify,
-    weak_quorum,
 )
 
 
@@ -35,23 +33,15 @@ def test_validate_config_rejects_unsound():
 
 
 def test_weak_quorum_thresholds():
-    cfg = validate_config(4, 1)
-    assert weak_quorum(cfg, 2)
-    assert not weak_quorum(cfg, 0)
-    assert not weak_quorum(cfg, 1)
-    cfg = validate_config(7, 2)
-    assert weak_quorum(cfg, 3)  # t+1 = 3
-    assert not weak_quorum(cfg, 2)
+    # A weak quorum is any k >= weak_size parties.
+    assert validate_config(4, 1).weak_size == 2
+    assert validate_config(7, 2).weak_size == 3  # t+1
 
 
 def test_strong_quorum_thresholds():
-    cfg = validate_config(4, 1)
-    assert strong_quorum(cfg, 3)
-    assert strong_quorum(cfg, 4)
-    assert not strong_quorum(cfg, 2)
-    cfg = validate_config(7, 2)
-    assert not strong_quorum(cfg, 4)  # n-t = 5
-    assert strong_quorum(cfg, 5)
+    # A strong quorum is any k >= strong_size parties.
+    assert validate_config(4, 1).strong_size == 3
+    assert validate_config(7, 2).strong_size == 5  # n-t
 
 
 @pytest.mark.parametrize("n,t", [(4, 1), (5, 1), (7, 2)])

@@ -13,6 +13,7 @@ from fairlab.leaders import (
     replay_undelivered,
     _hybrid_candidates,
 )
+from fairlab.validity import BlockCertificate, verify_certificate
 from fairlab.votes import make_vote
 
 from conftest import INSTANCE, req
@@ -342,3 +343,20 @@ def test_clocked_safety_exhaustive_two_request_enumeration(cfg4):
                 constrained += verdict.constraint_count
                 assert trace.summary["blocks"] >= 1
     assert constrained > 0  # the enumeration includes separated pairs
+
+
+def test_clocked_waits_for_member_strong_quorum(cfg4):
+    state = engine(cfg4, CLOCKED)
+    for party, ts in ((0, 10), (1, 20), (2, 30)):
+        ingest(state, party, 0, RA, ts=ts)
+    ingest(state, 3, 0, RB, ts=1)
+    ingest(state, 0, 1, RB, ts=15)
+    # Pivot 20: rb is admitted (1 and 15 are below it) but holds 2 of the 3
+    # votes a member needs, so the step waits.
+    assert clocked_step(state) is None
+    ingest(state, 1, 1, RB, ts=25)
+    proposal = clocked_step(state)
+    assert proposal is not None
+    assert proposal.requests == (RB.id, RA.id)
+    assert proposal.pivot.m_r == 20
+    assert verify_certificate(cfg4, BlockCertificate(proposal, proposer=0)).ok

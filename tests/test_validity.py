@@ -1,3 +1,8 @@
+import dataclasses
+
+import pytest
+
+from fairlab.core import Attestation
 from fairlab.leaders import CLOCKED, NEVERENDING, clocked_step, neverending_step, new_leader
 from fairlab.validity import (
     BlockCertificate,
@@ -5,7 +10,7 @@ from fairlab.validity import (
     certificate_to_dict,
     verify_certificate,
 )
-from fairlab.votes import make_vote
+from fairlab.votes import VoteStore, make_vote
 
 import certutil
 from conftest import INSTANCE, req
@@ -180,3 +185,92 @@ def test_quorum_counts_voters_not_votes(cfg4):
     assert not plain.ok and plain.reason == "insufficient-votes"
     timed = verify_certificate(cfg4, _double_voter_cert(timestamped=True))
     assert not timed.ok and timed.reason == "insufficient-votes"
+
+
+# -- one row per certificate fault -------------------------------------------
+
+def _resigned(vote, **fields):
+    """`vote` with some signed fields changed, signed again by its voter."""
+    v = dataclasses.replace(vote, **fields)
+    return make_vote(v.party, v.instance, v.block, v.seq, v.ts, v.request)
+
+
+def _with_votes(party, edit):
+    """A mutation that replaces `party`'s cited history with `edit(history)`."""
+    def mutate(prop):
+        votes = dict(prop.votes_by_party)
+        votes[party] = tuple(edit(list(votes.get(party, ()))))
+        return dataclasses.replace(prop, votes_by_party=votes)
+    return mutate
+
+
+def _with_table(edit):
+    def mutate(prop):
+        table = dict(prop.request_table)
+        edit(table, prop)
+        return dataclasses.replace(prop, request_table=table)
+    return mutate
+
+
+def _zero_attestation(vote):
+    return dataclasses.replace(vote, att=Attestation(vote.party, "0" * 64))
+
+
+FAULTS = [
+    ("signer-not-key", cycle_cert, _with_votes(1, lambda vs: [
+        make_vote(0, v.instance, v.block, v.seq, v.ts, v.request) for v in vs]),
+     "bad-attestation"),
+    ("outsider-with-votes", cycle_cert,
+     _with_votes(9, lambda vs: [make_vote(9, INSTANCE, 0, 0, None, M["m1"].id)]),
+     "bad-attestation"),
+    ("outsider-empty-history", cycle_cert, _with_votes(9, lambda vs: []), "bad-attestation"),
+    ("other-block", cycle_cert,
+     _with_votes(2, lambda vs: [_resigned(vs[0], block=vs[0].block + 1)] + vs[1:]),
+     "bad-attestation"),
+    ("other-instance", cycle_cert,
+     _with_votes(2, lambda vs: vs[:1] + [_resigned(vs[1], instance="other")] + vs[2:]),
+     "bad-attestation"),
+    ("zeroed-attestation", cycle_cert,
+     _with_votes(3, lambda vs: vs[:2] + [_zero_attestation(vs[2])] + vs[3:]), "bad-attestation"),
+    ("no-timestamp", clocked_cert, _with_votes(0, lambda vs: vs[:1] + [_resigned(vs[1], ts=None)]),
+     "missing-history"),
+    ("vote-cited-twice", cycle_cert, _with_votes(0, lambda vs: vs + vs[:1]), "missing-history"),
+    ("two-votes-one-seq", cycle_cert,
+     _with_votes(0, lambda vs: vs + [_resigned(vs[0], request=vs[1].request)]),
+     "missing-history"),
+    ("skipped-seq", cycle_cert, _with_votes(1, lambda vs: vs[:1] + vs[2:]), "missing-history"),
+    ("no-seq-zero", cycle_cert, _with_votes(1, lambda vs: vs[1:]), "missing-history"),
+    ("request-not-in-table", cycle_cert,
+     _with_table(lambda table, prop: table.pop(prop.requests[-1])), "missing-history"),
+    ("table-id-not-digest", cycle_cert,
+     _with_table(lambda table, prop: table.update({"0" * 64: M["m1"]})), "bad-attestation"),
+    ("duplicate-request", cycle_cert,
+     lambda prop: dataclasses.replace(prop, requests=prop.requests + prop.requests[:1]),
+     "duplicate-request"),
+]
+
+
+@pytest.mark.parametrize("base,mutate,reason", [row[1:] for row in FAULTS],
+                         ids=[row[0] for row in FAULTS])
+def test_certificate_fault_reasons(cfg4, base, mutate, reason):
+    cert = base(cfg4)
+    assert verify_certificate(cfg4, cert).ok
+    out = verify_certificate(cfg4, BlockCertificate(mutate(cert.proposal), cert.proposer))
+    assert (out.ok, out.reason) == (False, reason)
+
+
+def test_verification_ingests_each_cited_vote_once(cfg4, monkeypatch):
+    certs = [cycle_cert(cfg4), clocked_cert(cfg4)]
+    ingested = []
+    original = VoteStore.ingest
+
+    def counting(self, vote, req=None):
+        ingested.append(vote)
+        return original(self, vote, req)
+
+    monkeypatch.setattr(VoteStore, "ingest", counting)
+    for cert in certs:
+        ingested.clear()
+        assert verify_certificate(cfg4, cert).ok
+        cited = [v for votes in cert.proposal.votes_by_party.values() for v in votes]
+        assert ingested == cited
