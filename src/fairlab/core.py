@@ -52,6 +52,19 @@ def validate_config(n: int, t: int) -> QuorumConfig:
     return QuorumConfig(n, t)
 
 
+def party_key(key: str, field: str) -> int:
+    """The party id a JSON object key names. Only the canonical decimal form
+    str(p) names p, so no two keys name one party: "01", "+1", "-0" and "١"
+    raise ValueError naming `field`, as does a key that is no integer."""
+    try:
+        party = int(key)
+    except (TypeError, ValueError):
+        party = None
+    if party is None or str(party) != key:
+        raise ValueError(f"{field} key {key!r} is not a party id in canonical decimal form")
+    return party
+
+
 def request_id(market: MarketId, payload: bytes) -> RequestId:
     h = hashlib.sha256()
     h.update(b"req|")

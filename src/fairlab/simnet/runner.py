@@ -30,7 +30,7 @@ from .scenario import EQUIVOCATE, REORDER, SILENT, SKEW, BehaviorSpec, ClockSpec
 from .trace import Trace
 
 
-@dataclass
+@dataclass(slots=True)
 class Msg:
     sender: PartyId
     recipient: PartyId
@@ -197,9 +197,7 @@ class Simulation:
     # -- trace helpers -------------------------------------------------------
 
     def _rec(self, kind: str, **fields) -> None:
-        record = {"kind": kind, "step": self.step_no}
-        record.update(fields)
-        self.trace.append(record)
+        self.trace.records.append({"kind": kind, "step": self.step_no, **fields})
         self.step_no += 1
 
     def _register(self, req: Request) -> None:
@@ -211,7 +209,8 @@ class Simulation:
 
     def _activate(self, party: _Party) -> None:
         party.clock += party.rate
-        self._emit_votes(party)
+        if party.outbox or party.streams:  # a silent party's outbox stays empty
+            self._emit_votes(party)
 
     def _emit_votes(self, party: _Party) -> None:
         if party.kind == SILENT:
@@ -257,15 +256,21 @@ class Simulation:
     def _rec_ingest(self, leader: PartyId, vote: Vote, outcome) -> None:
         if outcome.reason == "duplicate":
             return  # incarnation re-sends produce these in bulk
-        self._rec("ingest", leader=leader, party=vote.party, seq=vote.seq,
-                  request=vote.request, status=outcome.status, reason=outcome.reason)
+        # The commonest records are built as literals, without `_rec`'s kwargs.
+        self.trace.records.append({
+            "kind": "ingest", "step": self.step_no, "leader": leader,
+            "party": vote.att.signer, "seq": vote.seq, "request": vote.request,
+            "status": outcome.status, "reason": outcome.reason})
+        self.step_no += 1
 
     def _deliver(self, mid: int, via: str) -> None:
         msg = self.pool.pop(mid)
         recipient = self.parties[msg.recipient]
         self._activate(recipient)
-        self._rec("deliver", msg=mid, to=msg.recipient, sender=msg.sender,
-                  request=msg.vote.request, via=via)
+        self.trace.records.append({
+            "kind": "deliver", "step": self.step_no, "msg": mid, "to": msg.recipient,
+            "sender": msg.sender, "request": msg.vote.request, "via": via})
+        self.step_no += 1
         if msg.request.id not in recipient.seen:
             self._register(msg.request)
             ts = recipient.sight(msg.request, "relay",

@@ -25,7 +25,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
-from ..core import validate_config
+from ..core import party_key, validate_config
 from ..leaders import MODES
 
 SILENT = "silent"
@@ -84,7 +84,8 @@ def _specs(kind: type, table, field: str) -> dict:
     if not isinstance(table, dict) or not all(isinstance(s, dict) for s in table.values()):
         raise ValueError(f"scenario field {field!r} must map party ids to objects")
     try:
-        return {int(p): kind(**spec) for p, spec in table.items()}
+        return {party_key(p, f"scenario field {field!r}"): kind(**spec)
+                for p, spec in table.items()}
     except TypeError as exc:  # a missing or unknown key
         raise ValueError(f"scenario field {field!r}: {exc}") from None
 
@@ -146,6 +147,11 @@ class Scenario:
             self.leaders = _parties(self.leaders, self.n, "leaders")
             if not self.leaders:
                 raise ValueError("scenario field 'leaders' names no party")
+        for name in ("behaviors", "clocks"):
+            outside = [p for p in getattr(self, name) if not (type(p) is int and 0 <= p < self.n)]
+            if outside:
+                raise ValueError(f"scenario field {name!r} must be keyed by party ids in "
+                                 f"[0, {self.n}), not {outside[0]!r}")
         if self.proposer_policy not in PROPOSER_POLICIES:
             raise ValueError(f"unknown proposer policy {self.proposer_policy!r}, "
                              f"expected one of {PROPOSER_POLICIES}")

@@ -28,16 +28,15 @@ class Trace:
     header: dict
     records: list[dict] = field(default_factory=list)
 
-    def append(self, record: dict) -> None:
-        self.records.append(record)
-
     def lines(self) -> list[str]:
         out = [canonical_json({"kind": "header", **self.header})]
         out.extend(map(canonical_json, self.records))
         return out
 
     def to_text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
+        lines = self.lines()
+        lines.append("")  # the final newline, without copying the joined text
+        return "\n".join(lines)
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":

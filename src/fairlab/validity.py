@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 # `verify` is not called here: perfbench/tracing.py patches it by this name.
-from .core import (Attestation, PartyId, QuorumConfig, Request, canonical_json, request_id,
-                   verify)
+from .core import (Attestation, PartyId, QuorumConfig, Request, canonical_json, party_key,
+                   request_id, verify)
 from .fairness import MedianSummary, blocks, median_bounds, timed_precedes, timed_request_order
 from .leaders import BLOCK_FAIR, TIMED_FAIR, Proposal
 from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore
@@ -220,7 +220,7 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
         )
     votes_by_party = {}
     for party_s, rows in _typed(data["votes"], dict, "votes").items():
-        party = int(party_s)
+        party = party_key(party_s, "certificate field 'votes'")
         # Positional construction: certificates cite every vote in the store,
         # and keyword calls cost a third more per vote.
         votes_by_party[party] = tuple(
@@ -230,10 +230,15 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
     table = {}
     for rid, entry in _typed(data["requests_table"], dict, "requests_table").items():
         _typed(entry, dict, "requests_table entry")
+        hex_payload = _typed(entry["payload"], str, "requests_table payload")
+        payload = bytes.fromhex(hex_payload)
+        if payload.hex() != hex_payload:  # fromhex also takes capitals and spaces
+            raise ValueError(f"certificate field 'requests_table payload' must be lower-case "
+                             f"hex without spaces, not {hex_payload!r}")
         table[rid] = Request(
             id=rid,
             market=_typed(entry["market"], str, "requests_table market"),
-            payload=bytes.fromhex(_typed(entry["payload"], str, "requests_table payload")),
+            payload=payload,
         )
     if data["mode"] not in (BLOCK_FAIR, TIMED_FAIR):
         raise ValueError(f"certificate field 'mode' must be {BLOCK_FAIR!r} or {TIMED_FAIR!r}, "

@@ -37,6 +37,13 @@ class Vote:
     ts: Optional[Timestamp]
     request: RequestId
     att: Attestation
+    # The bytes `att` covers, derived once from the fields above: no caller
+    # can supply them, so they never disagree with the vote they belong to.
+    payload: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "payload",
+                           vote_payload(self.instance, self.block, self.seq, self.ts, self.request))
 
     @property
     def party(self) -> PartyId:
@@ -58,12 +65,14 @@ def vote_payload(instance: str, block: int, seq: int, ts: Optional[Timestamp], r
 
 def make_vote(signer: PartyId, instance: str, block: int, seq: int,
               ts: Optional[Timestamp], request: RequestId) -> Vote:
-    att = sign(signer, vote_payload(instance, block, seq, ts, request))
-    return Vote(instance=instance, block=block, seq=seq, ts=ts, request=request, att=att)
+    v = Vote(instance, block, seq, ts, request, None)
+    # Sign the bytes the vote derived; the one write to a frozen field.
+    object.__setattr__(v, "att", sign(signer, v.payload))
+    return v
 
 
 def vote_verifies(v: Vote) -> bool:
-    return verify(v.att, vote_payload(v.instance, v.block, v.seq, v.ts, v.request))
+    return verify(v.att, v.payload)
 
 
 ACCEPTED = "accepted"
@@ -119,8 +128,8 @@ class VoteStore:
         self.requests.setdefault(req.id, req)
 
     def ingest(self, v: Vote, req: Optional[Request] = None) -> IngestOutcome:
-        if req is not None:
-            self.register_request(req)
+        if req is not None and req.id not in self.requests:
+            self.requests[req.id] = req
         # Copies that cannot change the store are turned away before the
         # attestation is hashed: a vote for another incarnation, and an exact
         # copy of a vote this party has accepted or buffered (verified then).

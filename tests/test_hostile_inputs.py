@@ -146,6 +146,13 @@ SCENARIO_CASES = {
     "see-party-out-of-range": lambda d: d.update(
         events=[{"a": "see", "party": 9, "request": _first_request(d)}] + d["events"]),
     "leaders-string": lambda d: d.update(leaders="01"),
+    # Party-keyed tables take canonical keys in [0, n): the later of "1" and
+    # "01" used to win silently, and a key outside [0, n) was kept unused.
+    "clocks-key-not-canonical": lambda d: d.update(
+        clocks={"1": {"rate": 1, "offset": 0}, "01": {"rate": 2, "offset": 0}}),
+    "clocks-key-out-of-range": lambda d: d.update(clocks={"9": {"rate": 1, "offset": 0}}),
+    "behaviors-key-out-of-range": lambda d: d.update(
+        behaviors={**d.get("behaviors", {}), "9": {"kind": "silent"}}),
     "leaders-out-of-range": lambda d: d.update(leaders=[7]),
     "proposer_policy-unknown": lambda d: d.update(proposer_policy="bogus"),
     "n-missing": lambda d: d.pop("n"),
@@ -264,7 +271,58 @@ def test_malformed_chain_exits_two(files, tmp_path, capsys, case):
     assert _exit_code(capsys, ["verify", str(path)], case) == 2
 
 
+def _rekey(old, new):
+    """Cite party `old`'s votes under key `new`, after garbage rows under
+    `old`: while both keys named one party, the later key won unchecked."""
+    def mutate(cert):
+        votes = cert["votes"]
+        real = votes.pop(old)
+        votes[old] = [[0, None, "zz", "00"]]
+        votes[new] = real
+    return mutate
+
+
+def _payload(rewrite):
+    def mutate(cert):
+        entry = cert["requests_table"][sorted(cert["requests_table"])[0]]
+        entry["payload"] = rewrite(entry["payload"])
+    return mutate
+
+
+# Each of these used to print `chain: ok` and exit 0.
+NON_CANONICAL_CERTIFICATE_CASES = {
+    "votes-key-leading-zero": _rekey("1", "01"),
+    "votes-key-plus-sign": _rekey("1", "+1"),
+    "votes-key-minus-zero": _rekey("0", "-0"),
+    "votes-key-arabic-indic-digit": _rekey("1", "\u0661"),
+    "payload-hex-spaced": _payload(lambda h: h[:2] + " " + h[2:]),
+    "payload-hex-capitals": _payload(str.upper),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_CANONICAL_CERTIFICATE_CASES))
+def test_non_canonical_certificate_exits_two(files, tmp_path, capsys, case):
+    header, entry, *rest = _json_lines(files["chain"])
+    NON_CANONICAL_CERTIFICATE_CASES[case](entry["certificate"])
+    path = tmp_path / "c.jsonl"
+    # Not sorted: the garbage rows must come before the real ones.
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, entry] + rest))
+    assert _exit_code(capsys, ["verify", str(path)], case) == 2
+
+
 # -- well-formed but invalid: exit 1 ---------------------------------------------
+
+@pytest.mark.parametrize("key", ["9", "-1"])
+def test_canonical_votes_key_outside_range_is_a_bad_attestation(files, tmp_path, capsys, key):
+    header, entry, *rest = _json_lines(files["chain"])
+    votes = entry["certificate"]["votes"]
+    votes[key] = votes.pop("1")
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [header, entry] + rest)
+    capsys.readouterr()
+    assert run_command(["verify", str(path)]) == 1
+    assert "block 0: invalid (bad-attestation)" in capsys.readouterr().out
+
 
 def _pivot_mutation(case, pivot, cited):
     """The first certificate's declared pivot timestamps with one of the three

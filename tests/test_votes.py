@@ -44,6 +44,21 @@ def test_equal_timestamp_counts_as_regression(cfg4):
     assert out.status == REJECTED and out.reason == "timestamp-order"
 
 
+def test_fill_that_releases_a_backward_timestamp_stays_accepted(cfg4):
+    store = new_store(cfg4, mode=TIMESTAMPED)
+    assert cast(store, 2, 1, R["r2"], ts=9).status == BUFFERED
+    assert cast(store, 2, 2, R["r3"], ts=8).status == BUFFERED  # runs backwards
+    assert cast(store, 2, 3, R["r4"], ts=20).status == BUFFERED
+    out = cast(store, 2, 0, R["r1"], ts=7)
+    # The fill and the successor before the regression are accepted; the
+    # party is excluded and what it still had buffered is dropped.
+    assert (out.status, out.reason) == (ACCEPTED, "timestamp-order")
+    assert [v.request for v in out.accepted] == [R["r1"].id, R["r2"].id]
+    assert store.logs[2].accepted == list(out.accepted)
+    assert store.logs[2].invalid and store.logs[2].pending == {}
+    assert store.accepted_count(R["r1"].id) == 1 and store.accepted_count(R["r3"].id) == 0
+
+
 def test_equivocation_on_same_seq(cfg4):
     store = new_store(cfg4)
     assert cast(store, 1, 0, R["r1"]).status == ACCEPTED

@@ -1,0 +1,93 @@
+"""Work done per vote: a vote's attested bytes are encoded once, when the
+vote is built, and every signature and check reuses them."""
+
+import dataclasses
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fairlab.votes
+from fairlab.core import Attestation, validate_config
+from fairlab.leaders import BLOCK_FAIR
+from fairlab.simnet import benign_schedule
+from fairlab.simnet.runner import Simulation
+from fairlab.validity import certificate_from_dict
+from fairlab.votes import Vote, make_vote, vote_payload, vote_verifies
+
+
+def test_one_encoding_per_signed_vote(monkeypatch):
+    calls = Counter()
+    for name in ("vote_payload", "sign", "verify"):
+        real = getattr(fairlab.votes, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(fairlab.votes, name, counted)
+    scenario = dataclasses.replace(benign_schedule(validate_config(10, 3), requests=12, seed=0),
+                                   mode="clocked")
+    Simulation(scenario).run()
+    # Leaders and chain verification check many copies of each signed vote.
+    assert calls["verify"] > calls["sign"] > 0
+    assert calls["vote_payload"] == calls["sign"]
+
+
+UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
+FIELDS = {
+    "instance": st.text(st.characters(blacklist_categories=("Cs",)), max_size=16),
+    "block": UINT64,
+    "seq": UINT64,
+    "ts": st.none() | UINT64,
+    "request": st.text("0123456789abcdef", max_size=64),
+}
+
+
+def _payload_of(v):
+    return vote_payload(v.instance, v.block, v.seq, v.ts, v.request)
+
+
+def _cited(signer, fields):
+    """The vote as `certificate_from_dict` rebuilds it from a chain line."""
+    v = make_vote(signer, **fields)
+    cert = certificate_from_dict({
+        "instance": v.instance, "block": v.block, "mode": BLOCK_FAIR, "proposer": 0,
+        "requests": [], "pivot": None, "requests_table": {},
+        "votes": {str(signer): [[v.seq, v.ts, v.request, v.att.digest]]},
+    })
+    return cert.proposal.votes_by_party[signer][0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(signer=st.integers(0, 15), fields=st.fixed_dictionaries(FIELDS),
+       changed=st.sampled_from(sorted(FIELDS)), data=st.data())
+def test_attested_bytes_follow_the_fields(signer, fields, changed, data):
+    v = make_vote(signer, **fields)
+    cited = _cited(signer, fields)
+    assert v.payload == cited.payload == _payload_of(v)
+    assert v == cited and hash(v) == hash(cited)
+    assert vote_verifies(v) and vote_verifies(cited)
+
+    # A replaced field re-derives the bytes, which the old attestation no
+    # longer covers.
+    other = data.draw(FIELDS[changed].filter(lambda value: value != fields[changed]))
+    moved = dataclasses.replace(v, **{changed: other})
+    assert moved.payload == _payload_of(moved) != v.payload
+    assert not vote_verifies(moved)
+
+    digest = data.draw(st.text("0123456789abcdef", min_size=64, max_size=64))
+    forged_signer = data.draw(st.integers(0, 15))
+    if (forged_signer, digest) != (signer, v.att.digest):
+        assert not vote_verifies(dataclasses.replace(v, att=Attestation(forged_signer, digest)))
+
+
+def test_attested_bytes_are_no_argument_and_not_compared():
+    v = make_vote(1, "inst", 0, 3, 7, "ab")
+    with pytest.raises(TypeError):
+        Vote("inst", 0, 3, 7, "ab", v.att, b"other bytes")
+    odd = dataclasses.replace(v)
+    object.__setattr__(odd, "payload", b"other bytes")
+    assert odd == v and hash(odd) == hash(v)
+    assert "other bytes" not in repr(odd)
