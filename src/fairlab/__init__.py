@@ -21,7 +21,6 @@ from .core import (
 from .votes import Vote, VoteStore, make_vote
 from .fairness import MedianSummary, blocks, max_median, median_timestamp, timed_precedes
 from .leaders import (
-    CandidateBlock,
     CoinConfig,
     LeaderState,
     Proposal,

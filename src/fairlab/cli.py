@@ -20,7 +20,7 @@ from typing import Optional
 
 from .audit import audit_trace
 from .chain import Chain
-from .core import canonical_json, validate_config
+from .core import canonical_json, parse_json, validate_config
 from .simnet.generators import (
     benign_schedule,
     cycle_schedule,
@@ -143,7 +143,7 @@ def _audit(args: argparse.Namespace) -> int:
 
 def _verify(args: argparse.Namespace) -> int:
     with open(args.chain) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+        lines = [parse_json(line) for line in fh if line.strip()]
     if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "chain-header":
         raise ValueError("chain file does not start with a chain-header line")
     cfg = validate_config(lines[0]["n"], lines[0]["t"])

@@ -123,6 +123,21 @@ def _canonical_encoder(make_encoder=json.encoder.c_make_encoder):
 canonical_json = _canonical_encoder()
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def parse_json(text: str):
+    """`json.loads` for files read from outside: a repeated object key raises
+    ValueError instead of the last copy silently winning."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 # Attestations are simulation-level stand-ins for signatures. Each party owns a
 # derived key; honest and byzantine code paths only ever sign with their own
 # identity, so forgery is impossible by construction rather than by hardness.

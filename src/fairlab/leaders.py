@@ -35,15 +35,6 @@ TIMED_FAIR = "timed-fair"
 
 
 @dataclass(frozen=True)
-class CandidateBlock:
-    """A set of requests that must ship together, grown around one seed."""
-
-    seed: RequestId
-    members: tuple[RequestId, ...]
-    closed: bool  # no outside request blocks a member
-
-
-@dataclass(frozen=True)
 class Proposal:
     instance: str
     block_number: int
@@ -81,12 +72,9 @@ def coin_stop(shared_seed: str, block_number: int, admissions_past_cutoff: int,
 class LeaderState:
     cfg: QuorumConfig
     mode: str
-    instance: str
-    block_number: int
     store: VoteStore
     r_max: int = 0
     coin: CoinConfig = field(default_factory=CoinConfig)
-    delivered: set[RequestId] = field(default_factory=set)
     fallback_active: bool = False
     fallback_snapshot: tuple[RequestId, ...] = ()
     admissions_past_cutoff: int = 0
@@ -94,17 +82,22 @@ class LeaderState:
     max_candidate_order: int = 0
     cutoff_events: int = 0
 
+    # The store's incarnation, read through rather than copied.
+    @property
+    def instance(self) -> str:
+        return self.store.instance
+
+    @property
+    def block_number(self) -> int:
+        return self.store.block
+
 
 def new_leader(cfg: QuorumConfig, mode: str, instance: str,
                block_number: int = 0, r_max: int = 0,
                coin: Optional[CoinConfig] = None) -> LeaderState:
     store_mode = TIMESTAMPED if mode in (CLOCKED, HYBRID) else "plain"
     store = VoteStore(cfg, store_mode, instance, block_number)
-    return LeaderState(
-        cfg=cfg, mode=mode, instance=instance,
-        block_number=block_number, store=store, r_max=r_max,
-        coin=coin or CoinConfig(),
-    )
+    return LeaderState(cfg=cfg, mode=mode, store=store, r_max=r_max, coin=coin or CoinConfig())
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -216,6 +209,21 @@ def _first_quorum_pivot(state: LeaderState, seed: RequestId) -> MedianSummary:
     return MedianSummary(request=seed, timestamps=ts, m_r=median_timestamp(ts))
 
 
+def _timed_block(state: LeaderState, seed: RequestId, pivot: MedianSummary,
+                 pool: list[RequestId]) -> Optional[Proposal]:
+    """The timed-fair block of seed and every request in pool that precedes
+    the pivot, in cited-median order; None while a member lacks a strong
+    quorum."""
+    store, cfg = state.store, state.cfg
+    members = [seed]
+    for rid in pool:
+        if rid != seed and timed_precedes(store, cfg, rid, pivot):
+            members.append(rid)
+    if any(store.accepted_count(m) < cfg.strong_size for m in members):
+        return None
+    return _build_proposal(state, timed_request_order(store, members), TIMED_FAIR, pivot)
+
+
 def clocked_step(state: LeaderState) -> Optional[Proposal]:
     if state.mode != CLOCKED:
         raise ValueError("engine is not in clocked mode")
@@ -238,46 +246,31 @@ def clocked_step(state: LeaderState) -> Optional[Proposal]:
     # Admission sweeps everything currently known, not just the frozen set:
     # votes that arrived during the coverage wait are part of the cited
     # evidence and the block verifier holds the block to them.
-    members = [seed]
-    for rid in store.known_requests():
-        if rid == seed:
-            continue
-        if timed_precedes(store, cfg, rid, pivot):
-            members.append(rid)
-    if any(store.accepted_count(m) < cfg.strong_size for m in members):
-        return None
-    ordered = timed_request_order(store, members)
-    return _build_proposal(state, ordered, TIMED_FAIR, pivot=pivot)
+    return _timed_block(state, seed, pivot, store.known_requests())
 
 
 # -- hybrid engine -----------------------------------------------------------
 
-def _hybrid_candidates(state: LeaderState) -> tuple[list[CandidateBlock], bool]:
-    """Rebuild every per-request candidate from the store. Returns the list in
-    seed quorum order plus whether any candidate crossed the cutoff."""
+def _hybrid_block_fair(state: LeaderState) -> Optional[Proposal]:
+    """Ship the first closed candidate, in seed quorum order, whose members
+    all hold a strong quorum; with none, enter the fallback if a candidate
+    crossed the cutoff. Every seed up to the crossing one is grown, shipped
+    or not: growth draws the coin and sets max_candidate_order."""
     store, cfg = state.store, state.cfg
-    candidates = []
+    shipped = None
     crossed = False
     for seed in store.weak_at:
         members, halted, closed = _closure(state, seed, cfg.weak_size, respect_cutoff=True)
-        candidates.append(CandidateBlock(seed=seed, members=tuple(members), closed=closed))
+        # Every shipped member needs a strong quorum behind it or the block
+        # certificate cannot carry n-t votes per request.
+        if shipped is None and closed and all(
+                store.accepted_count(m) >= cfg.strong_size for m in members):
+            shipped = members
         crossed = halted or len(members) > state.r_max
         if crossed:
             break
-    return candidates, crossed
-
-
-def _hybrid_block_fair(state: LeaderState) -> Optional[Proposal]:
-    store, cfg = state.store, state.cfg
-    candidates, crossed = _hybrid_candidates(state)
-    for cand in candidates:
-        if not cand.closed:
-            continue
-        # Every shipped member needs a strong quorum behind it or the block
-        # certificate cannot carry n-t votes per request.
-        if any(store.accepted_count(m) < cfg.strong_size for m in cand.members):
-            continue
-        return _build_proposal(state, list(cand.members), BLOCK_FAIR, pivot=None)
+    if shipped is not None:
+        return _build_proposal(state, shipped, BLOCK_FAIR, pivot=None)
     if crossed:
         state.fallback_active = True
         state.fallback_snapshot = tuple(store.known_requests())
@@ -286,54 +279,41 @@ def _hybrid_block_fair(state: LeaderState) -> Optional[Proposal]:
 
 
 def _hybrid_fallback(state: LeaderState) -> Optional[Proposal]:
+    """A timed-fair block for the first snapshot seed, in quorum order, whose
+    every request timestamped below it holds a strong quorum. The phase ends
+    in replay_undelivered, once the snapshot is delivered."""
     store, cfg = state.store, state.cfg
-    remaining = [rid for rid in state.fallback_snapshot if rid not in state.delivered]
-    if not remaining:
-        state.fallback_active = False
-        return None
     for seed in store.strong_at:
-        if seed not in remaining:
+        if seed not in state.fallback_snapshot:
             continue
-        pivot = max_median(store, cfg, seed)
-        ready = True
-        members = [seed]
-        for rid in _low_set(store, seed, math.inf):
-            if timed_precedes(store, cfg, rid, pivot):
-                members.append(rid)
-            elif store.accepted_count(rid) < cfg.strong_size:
-                ready = False
-                break
-        if not ready or any(store.accepted_count(m) < cfg.strong_size for m in members):
+        low = _low_set(store, seed, math.inf)
+        if any(store.accepted_count(rid) < cfg.strong_size for rid in low):
             continue
-        ordered = timed_request_order(store, members)
+        # Seed and low set hold strong quorums, so the block ships.
         state.fallback_blocks_emitted += 1
-        return _build_proposal(state, ordered, TIMED_FAIR, pivot=pivot)
+        return _timed_block(state, seed, max_median(store, cfg, seed), low)
     return None
 
 
-def hybrid_step(state: LeaderState) -> list[Proposal]:
+def hybrid_step(state: LeaderState) -> Optional[Proposal]:
     if state.mode != HYBRID:
         raise ValueError("engine is not in hybrid mode")
-    if state.fallback_active:
-        p = _hybrid_fallback(state)
-        if p is None and not state.fallback_active:
-            # Snapshot drained; resume block-fair in the same step.
-            p = _hybrid_block_fair(state)
-        return [p] if p else []
-    p = _hybrid_block_fair(state)
-    if p is None and state.fallback_active:
-        p = _hybrid_fallback(state)
-    return [p] if p else []
+    if not state.fallback_active:
+        proposal = _hybrid_block_fair(state)
+        if proposal is not None or not state.fallback_active:
+            return proposal
+    return _hybrid_fallback(state)
 
 
 def step(state: LeaderState) -> list[Proposal]:
+    """The engine's proposal for this step, as a list of at most one."""
     if state.mode == NEVERENDING:
-        p = neverending_step(state)
+        proposal = neverending_step(state)
     elif state.mode == CLOCKED:
-        p = clocked_step(state)
+        proposal = clocked_step(state)
     else:
-        return hybrid_step(state)
-    return [p] if p else []
+        proposal = hybrid_step(state)
+    return [proposal] if proposal else []
 
 
 # -- replay ------------------------------------------------------------------
@@ -343,7 +323,8 @@ def replay_undelivered(state: LeaderState, next_block: int,
     """Fresh incarnation for the next block: re-ingest, per party in original
     order, every accepted vote for a request that was not delivered, with
     sequence numbers re-assigned densely from zero. Permanent exclusions and
-    the fallback phase carry over; the vote store itself starts clean."""
+    the fallback phase carry over, the phase until its snapshot is delivered;
+    the vote store itself starts clean."""
     fresh = VoteStore(state.cfg, state.store.mode, state.instance, next_block)
     for req in state.store.requests.values():
         if req.id not in delivered:
@@ -362,9 +343,7 @@ def replay_undelivered(state: LeaderState, next_block: int,
     snapshot = tuple(r for r in state.fallback_snapshot if r not in delivered)
     return replace(
         state,
-        block_number=next_block,
         store=fresh,
-        delivered=set(delivered),
         fallback_snapshot=snapshot,
         fallback_active=state.fallback_active and bool(snapshot),
     )

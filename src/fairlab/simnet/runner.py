@@ -26,7 +26,7 @@ from ..leaders import CLOCKED, HYBRID, CoinConfig, LeaderState, new_leader
 from ..leaders import step as leader_step
 from ..validity import BlockCertificate
 from ..votes import Vote, make_vote
-from .scenario import EQUIVOCATE, REORDER, SILENT, SKEW, BehaviorSpec, ClockSpec, Scenario
+from .scenario import EQUIVOCATE, REORDER, SKEW, BehaviorSpec, ClockSpec, Scenario
 from .trace import Trace
 
 
@@ -113,8 +113,6 @@ class _Party:
         return ts
 
     def has_unsent(self) -> bool:
-        if self.kind == SILENT:
-            return False
         if self.streams:
             return any(s.buffer for s in self.streams.values())
         return bool(self.outbox)
@@ -213,9 +211,6 @@ class Simulation:
             self._emit_votes(party)
 
     def _emit_votes(self, party: _Party) -> None:
-        if party.kind == SILENT:
-            party.outbox = []
-            return
         if party.streams:
             for key in party.streams:
                 stream = party.streams[key]
@@ -364,8 +359,6 @@ class Simulation:
                 if state.fallback_active and not before_fallback:
                     self._rec("engine", leader=pid, event="fallback-enter",
                               snapshot=[self.by_id[r].name for r in state.fallback_snapshot])
-                if before_fallback and not state.fallback_active:
-                    self._rec("engine", leader=pid, event="fallback-exit")
                 for prop in proposals:
                     cert = BlockCertificate(prop, pid)
                     outcome = self.chain.submit(pid, cert)

@@ -25,7 +25,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
-from ..core import party_key, validate_config
+from ..core import parse_json, party_key, validate_config
 from ..leaders import MODES
 
 SILENT = "silent"
@@ -226,4 +226,4 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 
 def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
-        return Scenario.from_dict(json.load(fh))
+        return Scenario.from_dict(parse_json(fh.read()))

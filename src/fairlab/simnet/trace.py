@@ -8,10 +8,9 @@ the auditor to reconstruct every honest party's local view.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from ..core import canonical_json, validate_config
+from ..core import canonical_json, parse_json, validate_config
 from ..leaders import MODES
 
 # Record fields the auditor reads, with their JSON types (true is no int).
@@ -44,7 +43,7 @@ class Trace:
         with a string `kind`, a field the auditor reads is malformed, a
         `sight` names a party out of range or an undeclared request, or a
         `block` names a request that no `request` record declares."""
-        records = [json.loads(line) for line in lines if line.strip()]
+        records = [parse_json(line) for line in lines if line.strip()]
         if not all(isinstance(r, dict) and isinstance(r.get("kind"), str) for r in records):
             raise ValueError("trace line is not a JSON object with a string 'kind'")
         if not records or records[0].get("kind") != "header":

@@ -221,12 +221,19 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
     votes_by_party = {}
     for party_s, rows in _typed(data["votes"], dict, "votes").items():
         party = party_key(party_s, "certificate field 'votes'")
-        # Positional construction: certificates cite every vote in the store,
-        # and keyword calls cost a third more per vote.
-        votes_by_party[party] = tuple(
-            Vote(instance, block, seq, ts, rid, Attestation(party, att))
-            for seq, ts, rid, att in map(_vote_row, _typed(rows, list, "votes"))
-        )
+        try:
+            # Positional construction: certificates cite every vote in the
+            # store, and keyword calls cost a third more per vote.
+            votes_by_party[party] = tuple(
+                Vote(instance, block, seq, ts, rid, Attestation(party, att))
+                for seq, ts, rid, att in map(_vote_row, _typed(rows, list, "votes"))
+            )
+        except UnicodeEncodeError as exc:
+            # A vote encodes its instance as UTF-8 and its request id as
+            # ASCII (vote_payload); the failing codec names the field.
+            field = "instance" if exc.encoding == "utf-8" else "vote row request"
+            raise ValueError(f"certificate field {field!r} must encode as {exc.encoding}, "
+                             f"not {exc.object!r}") from None
     table = {}
     for rid, entry in _typed(data["requests_table"], dict, "requests_table").items():
         _typed(entry, dict, "requests_table entry")

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from fairlab.core import make_request, validate_config
+from fairlab.simnet.generators import probabilistic_adversary, segment_schedule
 from fairlab.votes import PLAIN, VoteStore, make_vote
 
 INSTANCE = "test-instance"
@@ -36,3 +39,10 @@ def fill_logs(store, logs, timestamped=False):
     for party, requests in logs.items():
         for seq, request in enumerate(requests):
             cast(store, party, seq, request, ts=seq + 1 if timestamped else None)
+
+
+def wrapped_hybrid_scenario():
+    """Depth-10 segments under p=0.05 failures, wrapper seed 15, hybrid with
+    r_max 6: three leaders enter the fallback and one ships four blocks."""
+    base = segment_schedule(validate_config(4, 1), depth=10, seed=0)
+    return dataclasses.replace(probabilistic_adversary(base, 0.05, 15), mode="hybrid", r_max=6)

@@ -310,6 +310,73 @@ def test_non_canonical_certificate_exits_two(files, tmp_path, capsys, case):
     assert _exit_code(capsys, ["verify", str(path)], case) == 2
 
 
+def _repeated_key(obj, key, first):
+    """`obj` as JSON text with `key` written twice, `first` and then its real
+    value: a parser that keeps the last copy never sees `first`."""
+    return "{" + json.dumps(key) + ": " + json.dumps(first) + ", " + json.dumps(obj)[1:]
+
+
+def _scenario_repeating_mode(files):
+    return _repeated_key(json.loads(files["scenario"]), "mode", "hybrid") + "\n"
+
+
+def _trace_repeating_sight_party(files):
+    lines = _json_lines(files["trace"])
+    at = lines.index(_first_of_kind(lines, "sight"))
+    text = [json.dumps(rec) for rec in lines]
+    text[at] = _repeated_key(lines[at], "party", 9)
+    return "\n".join(text) + "\n"
+
+
+def _chain_repeating_votes_key(files):
+    # Garbage rows under "1" before the real ones once printed `chain: ok`.
+    header, entry, *rest = _json_lines(files["chain"])
+    cert = entry["certificate"]
+    votes = _repeated_key(cert["votes"], "1", [[0, None, "zz", "00"]])
+    cert_text = json.dumps({**cert, "votes": None}).replace('"votes": null', '"votes": ' + votes)
+    line = json.dumps({**entry, "certificate": None}).replace(
+        '"certificate": null', '"certificate": ' + cert_text)
+    return "\n".join([json.dumps(header), line] + [json.dumps(r) for r in rest]) + "\n"
+
+
+REPEATED_KEY_CASES = {
+    "scenario": ("run", _scenario_repeating_mode, "mode"),
+    "trace": ("audit", _trace_repeating_sight_party, "party"),
+    "chain": ("verify", _chain_repeating_votes_key, "1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_KEY_CASES))
+def test_repeated_json_key_is_named_in_the_error(files, tmp_path, capsys, kind):
+    command, write, key = REPEATED_KEY_CASES[kind]
+    path = tmp_path / "file.json"
+    path.write_text(write(files))
+    capsys.readouterr()
+    assert run_command([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"repeats the key {key!r}" in err
+
+
+@pytest.mark.parametrize("field, value", [("instance", "\ud800"), ("vote row request", "\u00e9")])
+def test_unencodable_certificate_string_is_named_in_the_error(files, tmp_path, capsys,
+                                                             field, value):
+    # Both used to exit 2 with the bare codec text, naming no field.
+    header, entry, *rest = _json_lines(files["chain"])
+    cert = entry["certificate"]
+    if field == "instance":
+        cert["instance"] = value
+    else:
+        cert["votes"]["1"][0][2] = value
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [header, entry] + rest)
+    capsys.readouterr()
+    assert run_command(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"certificate field {field!r}" in err
+
+
 # -- well-formed but invalid: exit 1 ---------------------------------------------
 
 @pytest.mark.parametrize("key", ["9", "-1"])

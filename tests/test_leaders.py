@@ -11,7 +11,6 @@ from fairlab.leaders import (
     neverending_step,
     new_leader,
     replay_undelivered,
-    _hybrid_candidates,
 )
 from fairlab.validity import BlockCertificate, verify_certificate
 from fairlab.votes import make_vote
@@ -121,10 +120,10 @@ def test_hybrid_benign_matches_neverending(cfg4):
     state = engine(cfg4, HYBRID, r_max=100)
     for party, ts in ((0, 1), (1, 2), (2, 3), (3, 4)):
         ingest(state, party, 0, RA, ts=ts)
-    proposals = hybrid_step(state)
-    assert len(proposals) == 1
-    assert proposals[0].requests == (RA.id,)
-    assert proposals[0].mode_tag == "block-fair"
+    proposal = hybrid_step(state)
+    assert proposal is not None
+    assert proposal.requests == (RA.id,)
+    assert proposal.mode_tag == "block-fair"
 
 
 def test_hybrid_two_markets_ship_separately(cfg4):
@@ -139,19 +138,37 @@ def test_hybrid_two_markets_ship_separately(cfg4):
     assert not blocks(state.store, cfg4, A1.id, B1.id)
     assert not blocks(state.store, cfg4, B1.id, A1.id)
     first = hybrid_step(state)
-    assert len(first) == 1
-    delivered = set(first[0].requests)
+    assert first is not None
+    delivered = set(first.requests)
     markets = {state.store.requests[r].market for r in delivered}
     assert len(markets) == 1
     state = replay_undelivered(state, 1, delivered)
     second = hybrid_step(state)
-    assert len(second) == 1
-    assert not (set(second[0].requests) & delivered)
-    other_markets = {state.store.requests[r].market for r in second[0].requests}
+    assert second is not None
+    assert not (set(second.requests) & delivered)
+    other_markets = {state.store.requests[r].market for r in second.requests}
     assert markets != other_markets
 
 
-def test_hybrid_candidate_members_block_each_other(cfg4):
+def _grown_candidates(monkeypatch, state):
+    """(seed, members, closed) of every candidate one hybrid step grows."""
+    import fairlab.leaders as leaders
+
+    grown = []
+    closure = leaders._closure
+
+    def recording_closure(state, seed, *args, **kwargs):
+        members, halted, closed = closure(state, seed, *args, **kwargs)
+        grown.append((seed, tuple(members), closed))
+        return members, halted, closed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(leaders, "_closure", recording_closure)
+        hybrid_step(state)
+    return grown
+
+
+def test_hybrid_candidate_members_block_each_other(cfg4, monkeypatch):
     state = engine(cfg4, HYBRID, r_max=100)
     rng = random.Random(5)
     names = [RA, RB, A1, A2]
@@ -161,14 +178,15 @@ def test_hybrid_candidate_members_block_each_other(cfg4):
         for seq, r in enumerate(order):
             ingest(state, party, seq, r, ts=(seq + 1) * 10 + party)
     from fairlab.fairness import blocks
-    candidates, _ = _hybrid_candidates(state)
-    for cand in candidates:
-        for member in cand.members:
-            if member == cand.seed:
+    candidates = _grown_candidates(monkeypatch, state)
+    assert candidates
+    for seed, members, _ in candidates:
+        for member in members:
+            if member == seed:
                 continue
             assert any(
                 blocks(state.store, cfg4, member, other)
-                for other in cand.members if other != member
+                for other in members if other != member
             )
 
 
@@ -204,14 +222,13 @@ def test_closure_closed_flag_matches_brute_force_without_repeat_tests(cfg4, monk
                 for seq, r in enumerate(order):
                     ingest(state, party, seq, r, ts=(seq + 1) * 10 + party)
             store = state.store
-            candidates, _ = _hybrid_candidates(state)
-            for cand in candidates:
-                outside = [r for r in store.known_requests() if r not in cand.members]
+            for seed, members, closed in _grown_candidates(monkeypatch, state):
+                outside = [r for r in store.known_requests() if r not in members]
                 brute = not any(
-                    blocks(store, cfg4, r, m) for r in outside for m in cand.members
+                    blocks(store, cfg4, r, m) for r in outside for m in members
                 )
-                assert cand.closed == brute, (trial, r_max, cand)
-                seen.add((cand.closed, len(cand.members) > r_max))
+                assert closed == brute, (trial, r_max, seed, members)
+                seen.add((closed, len(members) > r_max))
     # closed and open candidates, within and past the cutoff, all occurred
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -246,9 +263,7 @@ def test_replay_equivalent_to_fresh_store(cfg4):
                 ingest(state, party, seq, r)
         delivered = {r.id for r in rng.sample(requests, rng.randint(0, 2))}
         replayed = replay_undelivered(state, 1, delivered)
-        fresh = engine(cfg4, NEVERENDING)
-        fresh.block_number = 1
-        fresh.store.block = 1
+        fresh = engine(cfg4, NEVERENDING, block_number=1)
         for party, order in per_party.items():
             seq = 0
             for r in order:
@@ -285,6 +300,7 @@ def test_engine_determinism(cfg4):
     def drive():
         state = engine(cfg4, HYBRID, r_max=2, coin=CoinConfig("c", 1.0))
         emitted = []
+        delivered = set()
         script = []
         rng = random.Random(8)
         for party in range(4):
@@ -294,12 +310,11 @@ def test_engine_determinism(cfg4):
                 script.append((party, seq, r, (seq + 1) * 10 + party))
         for party, seq, r, ts in script:
             ingest(state, party, seq, r, ts=ts)
-            for proposal in hybrid_step(state):
+            proposal = hybrid_step(state)
+            if proposal is not None:
                 emitted.append((proposal.block_number, proposal.mode_tag, proposal.requests))
-                state = replay_undelivered(
-                    state, state.block_number + 1,
-                    state.delivered | set(proposal.requests),
-                )
+                delivered |= set(proposal.requests)
+                state = replay_undelivered(state, state.block_number + 1, delivered)
         return emitted
     assert drive() == drive()
 

@@ -1,5 +1,7 @@
-"""Work done per vote: a vote's attested bytes are encoded once, when the
-vote is built, and every signature and check reuses them."""
+"""Work counts. A vote's attested bytes are encoded once, when the vote is
+built, and every signature and check reuses them. The hybrid fallback tests
+timed precedence only for a block it ships, and ends only at an incarnation
+change."""
 
 import dataclasses
 from collections import Counter
@@ -8,13 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairlab.leaders
 import fairlab.votes
 from fairlab.core import Attestation, validate_config
 from fairlab.leaders import BLOCK_FAIR
 from fairlab.simnet import benign_schedule
+from fairlab.simnet.generators import fuzz_scenario
 from fairlab.simnet.runner import Simulation
 from fairlab.validity import certificate_from_dict
 from fairlab.votes import Vote, make_vote, vote_payload, vote_verifies
+
+from conftest import wrapped_hybrid_scenario
 
 
 def test_one_encoding_per_signed_vote(monkeypatch):
@@ -91,3 +97,43 @@ def test_attested_bytes_are_no_argument_and_not_compared():
     object.__setattr__(odd, "payload", b"other bytes")
     assert odd == v and hash(odd) == hash(v)
     assert "other bytes" not in repr(odd)
+
+
+def test_fallback_tests_timed_precedence_once_per_block(monkeypatch):
+    calls = Counter()
+    real = fairlab.leaders.timed_precedes
+
+    def counted(*args):
+        calls["timed_precedes"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(fairlab.leaders, "timed_precedes", counted)
+    summary = Simulation(wrapped_hybrid_scenario()).run().summary
+    assert sum(summary["fallback_blocks"].values()) == 4
+    # Each fallback block tests its one low-set request; a seed whose low set
+    # still lacks a strong quorum is passed over untested.
+    assert calls["timed_precedes"] == 4
+
+
+def test_fallback_ends_only_at_an_incarnation_change(monkeypatch):
+    real = Simulation._step_leaders
+
+    def checked(sim):
+        real(sim)
+        delivered = sim.chain.delivered.keys()
+        for state in sim.engines.values():
+            assert not delivered & set(state.fallback_snapshot)
+            assert not delivered & set(state.store.known_requests())
+
+    monkeypatch.setattr(Simulation, "_step_leaders", checked)
+    exits = 0
+    for n, t in ((4, 1), (7, 2)):
+        for seed in range(25):
+            for r_max in (0, 2):
+                records = Simulation(fuzz_scenario(seed, n=n, t=t, mode="hybrid",
+                                                   r_max=r_max)).run().records
+                for before, rec in zip(records, records[1:]):
+                    if rec.get("event") == "fallback-exit":
+                        exits += 1
+                        assert before["kind"] == "block" or before.get("event") == "fallback-exit"
+    assert exits > 0
