@@ -34,15 +34,13 @@ class TraceView:
         for rec in trace.of_kind("request"):
             self.names[rec["id"]] = rec["name"]
             self.market[rec["name"]] = rec["market"]
-        self.order: dict[int, list[str]] = {p: [] for p in range(self.n)}
         self.pos: dict[int, dict[str, int]] = {p: {} for p in range(self.n)}
         self.ts: dict[int, dict[str, int]] = {p: {} for p in range(self.n)}
         self.sight_step: dict[int, dict[str, int]] = {p: {} for p in range(self.n)}
         for rec in trace.of_kind("sight"):
             party = rec["party"]
             name = self.names[rec["request"]]
-            self.pos[party][name] = len(self.order[party])
-            self.order[party].append(name)
+            self.pos[party][name] = len(self.pos[party])
             self.ts[party][name] = rec["ts"]
             self.sight_step[party][name] = rec["step"]
         self.blocks: list[dict] = trace.blocks()
@@ -61,7 +59,7 @@ class TraceView:
         }
         self.honest_seen: set[str] = set()
         for p in self.honest:
-            self.honest_seen.update(self.order[p])
+            self.honest_seen.update(self.pos[p])
 
     def requests(self) -> list[str]:
         return sorted(self.market)
@@ -79,9 +77,12 @@ class TraceView:
 
 @dataclass
 class Verdict:
-    holds: bool
     violations: list[dict] = field(default_factory=list)
     constraint_count: int = 0
+
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {
@@ -134,8 +135,7 @@ def check_relative_block_fairness(trace: Trace, view: Optional[TraceView] = None
         if b1 is None or b1 > b2:
             violations.append({"r1": r1, "r2": r2, "block_r1": b1, "block_r2": b2,
                                "evidence": "all honest parties saw r1 first"})
-    return Verdict(holds=not violations, violations=violations,
-                   constraint_count=len(constraints))
+    return Verdict(violations=violations, constraint_count=len(constraints))
 
 
 def check_timed_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verdict:
@@ -153,8 +153,7 @@ def check_timed_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verd
                 "pos_r1": view.final_pos.get(r1), "pos_r2": view.final_pos[r2],
                 "evidence": "honest sighting intervals are disjoint",
             })
-    return Verdict(holds=not violations, violations=violations,
-                   constraint_count=len(constraints))
+    return Verdict(violations=violations, constraint_count=len(constraints))
 
 
 def check_strict_relative_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verdict:
@@ -168,8 +167,7 @@ def check_strict_relative_fairness(trace: Trace, view: Optional[TraceView] = Non
             continue
         if r1 not in view.final_pos or view.final_pos[r1] >= view.final_pos[r2]:
             violations.append({"r1": r1, "r2": r2})
-    return Verdict(holds=not violations, violations=violations,
-                   constraint_count=len(constraints))
+    return Verdict(violations=violations, constraint_count=len(constraints))
 
 
 def check_block_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verdict:
@@ -209,7 +207,7 @@ def check_block_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verd
                     "request": name, "block": number,
                     "reason": "included without any honest sighting",
                 })
-    return Verdict(holds=not violations, violations=violations, constraint_count=checked)
+    return Verdict(violations=violations, constraint_count=checked)
 
 
 def check_absolute_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verdict:
@@ -218,7 +216,6 @@ def check_absolute_fairness(trace: Trace, view: Optional[TraceView] = None) -> V
     view = view or TraceView(trace)
     missing = sorted(view.honest_seen - set(view.delivered))
     return Verdict(
-        holds=not missing,
         violations=[{"request": name, "reason": "honest-seen but never delivered"}
                     for name in missing],
         constraint_count=len(view.honest_seen),

@@ -49,9 +49,6 @@ class Chain:
     def next_number(self) -> int:
         return len(self.blocks)
 
-    def delivered_set(self) -> set[RequestId]:
-        return set(self.delivered)
-
     def submit(self, proposer: PartyId, cert: BlockCertificate) -> SubmitOutcome:
         verdict = verify_certificate(self.cfg, cert)
         number = cert.proposal.block_number
@@ -87,7 +84,6 @@ class Chain:
 def on_deliver(chain: Chain, leaders: list[LeaderState]) -> list[LeaderState]:
     """Advance every leader into the incarnation for the next block, replaying
     votes whose requests were not delivered."""
-    delivered = chain.delivered_set()
     return [
-        replay_undelivered(state, chain.next_number, delivered) for state in leaders
+        replay_undelivered(state, chain.next_number, chain.delivered) for state in leaders
     ]

@@ -31,10 +31,13 @@ from .simnet.generators import (
 from .simnet.runner import Simulation
 from .simnet.scenario import Scenario, load_scenario, save_scenario
 from .simnet.trace import Trace
-from .validity import INVALID, VALID, certificate_from_dict, uint64, verify_certificate
+from .validity import certificate_from_dict, uint64, verify_certificate
 
 USAGE_ERROR = 2
 GATE_ERROR = 1
+# The status `fairlab verify` prints for each block.
+VALID = "valid"
+INVALID = "invalid"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Container
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -70,19 +71,22 @@ def coin_stop(shared_seed: str, block_number: int, admissions_past_cutoff: int,
 
 @dataclass
 class LeaderState:
-    cfg: QuorumConfig
     mode: str
     store: VoteStore
     r_max: int = 0
     coin: CoinConfig = field(default_factory=CoinConfig)
-    fallback_active: bool = False
+    # Non-empty exactly while the fallback phase runs.
     fallback_snapshot: tuple[RequestId, ...] = ()
     admissions_past_cutoff: int = 0
     fallback_blocks_emitted: int = 0
     max_candidate_order: int = 0
     cutoff_events: int = 0
 
-    # The store's incarnation, read through rather than copied.
+    # The store's configuration and incarnation, read through rather than copied.
+    @property
+    def cfg(self) -> QuorumConfig:
+        return self.store.cfg
+
     @property
     def instance(self) -> str:
         return self.store.instance
@@ -97,21 +101,23 @@ def new_leader(cfg: QuorumConfig, mode: str, instance: str,
                coin: Optional[CoinConfig] = None) -> LeaderState:
     store_mode = TIMESTAMPED if mode in (CLOCKED, HYBRID) else "plain"
     store = VoteStore(cfg, store_mode, instance, block_number)
-    return LeaderState(cfg=cfg, mode=mode, store=store, r_max=r_max, coin=coin or CoinConfig())
+    return LeaderState(mode=mode, store=store, r_max=r_max, coin=coin or CoinConfig())
 
 
 # -- shared helpers ----------------------------------------------------------
 #
 # The store's weak_at and strong_at maps are filled in completion order, so
-# iterating them visits seeds first-completed first.
+# iterating them visits seeds first-completed first. A request is a key
+# exactly when its distinct voters reach t+1 (n-t): counts only grow, and
+# accept records each threshold as it is crossed.
 
-def _closure(state: LeaderState, seed: RequestId, threshold: int,
+def _closure(state: LeaderState, seed: RequestId, quorum: dict[RequestId, int],
              respect_cutoff: bool) -> tuple[list[RequestId], bool, bool]:
     """Grow a candidate from seed: admit, round by round, any outside request
-    that still blocks a member and has at least `threshold` votes, and record
-    its order in state.max_candidate_order. Returns (members, halted,
-    closed): halted means the hybrid cutoff fired during growth, closed that
-    no outside request blocks any member.
+    that still blocks a member and is a key of `quorum` (the store's weak_at
+    or strong_at), and record its order in state.max_candidate_order.
+    Returns (members, halted, closed): halted means the hybrid cutoff fired
+    during growth, closed that no outside request blocks any member.
 
     No member needs pruning later: each one blocks a member admitted before
     it. The store does not change within a step, so each outside request is
@@ -126,7 +132,7 @@ def _closure(state: LeaderState, seed: RequestId, threshold: int,
     while changed and not halted:
         changed = False
         for rid in store.known_requests():
-            if rid in member_set or store.accepted_count(rid) < threshold:
+            if rid in member_set or rid not in quorum:
                 continue
             if any(blocks(store, cfg, rid, m) for m in members[tested.get(rid, 0):]):
                 members.append(rid)
@@ -190,11 +196,11 @@ def _low_set(store: VoteStore, seed: RequestId, cutoff: float) -> list[RequestId
 def neverending_step(state: LeaderState) -> Optional[Proposal]:
     if state.mode != NEVERENDING:
         raise ValueError("engine is not in neverending mode")
-    store, cfg = state.store, state.cfg
+    store = state.store
     seed = next(iter(store.strong_at), None)
     if seed is None:
         return None
-    members, _, closed = _closure(state, seed, cfg.strong_size, respect_cutoff=False)
+    members, _, closed = _closure(state, seed, store.strong_at, respect_cutoff=False)
     if not closed:
         return None
     return _build_proposal(state, members, BLOCK_FAIR, pivot=None)
@@ -219,7 +225,7 @@ def _timed_block(state: LeaderState, seed: RequestId, pivot: MedianSummary,
     for rid in pool:
         if rid != seed and timed_precedes(store, cfg, rid, pivot):
             members.append(rid)
-    if any(store.accepted_count(m) < cfg.strong_size for m in members):
+    if any(m not in store.strong_at for m in members):
         return None
     return _build_proposal(state, timed_request_order(store, members), TIMED_FAIR, pivot)
 
@@ -256,15 +262,14 @@ def _hybrid_block_fair(state: LeaderState) -> Optional[Proposal]:
     all hold a strong quorum; with none, enter the fallback if a candidate
     crossed the cutoff. Every seed up to the crossing one is grown, shipped
     or not: growth draws the coin and sets max_candidate_order."""
-    store, cfg = state.store, state.cfg
+    store = state.store
     shipped = None
     crossed = False
     for seed in store.weak_at:
-        members, halted, closed = _closure(state, seed, cfg.weak_size, respect_cutoff=True)
+        members, halted, closed = _closure(state, seed, store.weak_at, respect_cutoff=True)
         # Every shipped member needs a strong quorum behind it or the block
         # certificate cannot carry n-t votes per request.
-        if shipped is None and closed and all(
-                store.accepted_count(m) >= cfg.strong_size for m in members):
+        if shipped is None and closed and all(m in store.strong_at for m in members):
             shipped = members
         crossed = halted or len(members) > state.r_max
         if crossed:
@@ -272,7 +277,6 @@ def _hybrid_block_fair(state: LeaderState) -> Optional[Proposal]:
     if shipped is not None:
         return _build_proposal(state, shipped, BLOCK_FAIR, pivot=None)
     if crossed:
-        state.fallback_active = True
         state.fallback_snapshot = tuple(store.known_requests())
         state.cutoff_events += 1
     return None
@@ -287,7 +291,7 @@ def _hybrid_fallback(state: LeaderState) -> Optional[Proposal]:
         if seed not in state.fallback_snapshot:
             continue
         low = _low_set(store, seed, math.inf)
-        if any(store.accepted_count(rid) < cfg.strong_size for rid in low):
+        if any(rid not in store.strong_at for rid in low):
             continue
         # Seed and low set hold strong quorums, so the block ships.
         state.fallback_blocks_emitted += 1
@@ -298,9 +302,9 @@ def _hybrid_fallback(state: LeaderState) -> Optional[Proposal]:
 def hybrid_step(state: LeaderState) -> Optional[Proposal]:
     if state.mode != HYBRID:
         raise ValueError("engine is not in hybrid mode")
-    if not state.fallback_active:
+    if not state.fallback_snapshot:
         proposal = _hybrid_block_fair(state)
-        if proposal is not None or not state.fallback_active:
+        if proposal is not None or not state.fallback_snapshot:
             return proposal
     return _hybrid_fallback(state)
 
@@ -319,16 +323,14 @@ def step(state: LeaderState) -> list[Proposal]:
 # -- replay ------------------------------------------------------------------
 
 def replay_undelivered(state: LeaderState, next_block: int,
-                       delivered: set[RequestId]) -> LeaderState:
+                       delivered: Container[RequestId]) -> LeaderState:
     """Fresh incarnation for the next block: re-ingest, per party in original
     order, every accepted vote for a request that was not delivered, with
     sequence numbers re-assigned densely from zero. Permanent exclusions and
     the fallback phase carry over, the phase until its snapshot is delivered;
     the vote store itself starts clean."""
     fresh = VoteStore(state.cfg, state.store.mode, state.instance, next_block)
-    for req in state.store.requests.values():
-        if req.id not in delivered:
-            fresh.register_request(req)
+    # Ingest registers each carried request with its first replayed vote.
     for party, log in state.store.logs.items():
         seq = 0
         for v in log.accepted:
@@ -341,9 +343,4 @@ def replay_undelivered(state: LeaderState, next_block: int,
     for party in state.store.invalid_parties():
         fresh.mark_invalid(party)
     snapshot = tuple(r for r in state.fallback_snapshot if r not in delivered)
-    return replace(
-        state,
-        store=fresh,
-        fallback_snapshot=snapshot,
-        fallback_active=state.fallback_active and bool(snapshot),
-    )
+    return replace(state, store=fresh, fallback_snapshot=snapshot)

@@ -8,8 +8,8 @@ sightings and vote traffic freely. Receiving a vote for an unseen request
 counts as sighting it (votes carry the request), which is what makes every
 honest-seen request eventually known everywhere.
 
-After the last scheduled event the runner drains: outboxes are flushed and
-every pending message is delivered, in rounds, until the whole system is
+After the last scheduled event the runner drains: unsent votes are emitted
+and every pending message is delivered, in rounds, until the whole system is
 quiescent. Nothing is ever dropped. Equal scenarios produce byte-identical
 traces.
 """
@@ -17,6 +17,7 @@ traces.
 from __future__ import annotations
 
 import random
+from collections.abc import Container
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,10 +33,8 @@ from .trace import Trace
 
 @dataclass(slots=True)
 class Msg:
-    sender: PartyId
     recipient: PartyId
-    vote: Vote
-    request: Request
+    vote: Vote  # carries its sender (att.signer) and request id
     tag: str
 
 
@@ -80,12 +79,12 @@ class _Party:
         self.rate = clock.rate
         self.behavior = behavior
         self.timestamped = timestamped
-        self.block = 0
         self.seen: dict[RequestId, int] = {}
         self.sight_tag: dict[RequestId, str] = {}
-        self.pending: list[RequestId] = []  # sighted, not yet on-chain
-        self.outbox: list[RequestId] = []   # sighted, vote not yet emitted
-        self.emitted = 0                    # votes emitted this incarnation
+        # An honest or skewed party's sighted requests not yet on-chain, in
+        # vote order; pending[emitted:] are those it has not voted on yet.
+        self.pending: list[RequestId] = []
+        self.emitted = 0
         self.streams: dict[object, _ByzStream] = {}
         if behavior is not None and behavior.kind == REORDER:
             self.streams["all"] = _ByzStream(behavior.seed)
@@ -104,9 +103,8 @@ class _Party:
         self.sight_tag[req.id] = tag
         if scheduled_on_chain:
             return ts  # only known-and-unscheduled requests are voted on
-        self.pending.append(req.id)
         if self.kind in ("honest", SKEW):
-            self.outbox.append(req.id)
+            self.pending.append(req.id)
         else:
             for stream in self.streams.values():
                 stream.claim(req.id)
@@ -115,7 +113,7 @@ class _Party:
     def has_unsent(self) -> bool:
         if self.streams:
             return any(s.buffer for s in self.streams.values())
-        return bool(self.outbox)
+        return self.emitted < len(self.pending)
 
     def vote_ts(self, rid: RequestId) -> Optional[int]:
         if not self.timestamped:
@@ -123,12 +121,9 @@ class _Party:
         skew = self.behavior.offset if self.kind == SKEW else 0
         return self.seen[rid] + skew
 
-    def next_incarnation(self, block: int, delivered: set[RequestId]) -> None:
-        self.block = block
+    def next_incarnation(self, delivered: Container[RequestId]) -> None:
         self.pending = [r for r in self.pending if r not in delivered]
         self.emitted = 0
-        if self.kind in ("honest", SKEW):
-            self.outbox = list(self.pending)
         for stream in self.streams.values():
             stream.next_incarnation(delivered)
 
@@ -207,7 +202,7 @@ class Simulation:
 
     def _activate(self, party: _Party) -> None:
         party.clock += party.rate
-        if party.outbox or party.streams:  # a silent party's outbox stays empty
+        if party.has_unsent():
             self._emit_votes(party)
 
     def _emit_votes(self, party: _Party) -> None:
@@ -217,18 +212,17 @@ class Simulation:
                 for seq, ts, rid in stream.emit_all(self.timestamped):
                     self._send(party, seq, ts, rid, audience=key)
             return
-        for rid in party.outbox:
-            seq = party.emitted
-            party.emitted += 1
+        for seq in range(party.emitted, len(party.pending)):
+            rid = party.pending[seq]
             self._send(party, seq, party.vote_ts(rid), rid, audience=None)
-        party.outbox = []
+        party.emitted = len(party.pending)
 
     def _send(self, party: _Party, seq: int, ts: Optional[int], rid: RequestId,
               audience) -> None:
-        vote = make_vote(party.pid, self.instance, party.block, seq, ts, rid)
-        req = self.by_id[rid]
+        block = self.chain.next_number
+        vote = make_vote(party.pid, self.instance, block, seq, ts, rid)
         tag = party.sight_tag.get(rid, "relay")
-        self._rec("vote", party=party.pid, block=party.block, seq=seq,
+        self._rec("vote", party=party.pid, block=block, seq=seq,
                   request=rid, ts=ts, audience=str(audience) if audience else None)
         if audience == "rest":
             recipients = [p for p in range(self.cfg.n)
@@ -240,12 +234,12 @@ class Simulation:
         for recipient in recipients:
             mid = self._next_mid
             self._next_mid += 1
-            self.pool[mid] = Msg(party.pid, recipient, vote, req, tag)
+            self.pool[mid] = Msg(recipient, vote, tag)
             if self.rng is not None:
                 self.pool_order.insert(self.rng.randrange(len(self.pool_order) + 1), mid)
         # A leader ingests its own vote directly.
         if party.pid in self.engines and audience in (None, "all"):
-            outcome = self.engines[party.pid].store.ingest(vote, req)
+            outcome = self.engines[party.pid].store.ingest(vote, self.by_id[rid])
             self._rec_ingest(party.pid, vote, outcome)
 
     def _rec_ingest(self, leader: PartyId, vote: Vote, outcome) -> None:
@@ -261,20 +255,20 @@ class Simulation:
     def _deliver(self, mid: int, via: str) -> None:
         msg = self.pool.pop(mid)
         recipient = self.parties[msg.recipient]
+        vote = msg.vote
+        req = self.by_id[vote.request]
         self._activate(recipient)
         self.trace.records.append({
             "kind": "deliver", "step": self.step_no, "msg": mid, "to": msg.recipient,
-            "sender": msg.sender, "request": msg.vote.request, "via": via})
+            "sender": vote.att.signer, "request": vote.request, "via": via})
         self.step_no += 1
-        if msg.request.id not in recipient.seen:
-            self._register(msg.request)
-            ts = recipient.sight(msg.request, "relay",
-                                 scheduled_on_chain=msg.request.id in self.chain.delivered)
-            self._rec("sight", party=recipient.pid, request=msg.request.id,
-                      ts=ts, via="relay")
+        if req.id not in recipient.seen:
+            self._register(req)
+            ts = recipient.sight(req, "relay", scheduled_on_chain=req.id in self.chain.delivered)
+            self._rec("sight", party=recipient.pid, request=req.id, ts=ts, via="relay")
         if msg.recipient in self.engines:
-            outcome = self.engines[msg.recipient].store.ingest(msg.vote, msg.request)
-            self._rec_ingest(msg.recipient, msg.vote, outcome)
+            outcome = self.engines[msg.recipient].store.ingest(vote, req)
+            self._rec_ingest(msg.recipient, vote, outcome)
 
     # -- schedule execution ---------------------------------------------------
 
@@ -306,7 +300,7 @@ class Simulation:
                 msg = self.pool[mid]
                 if tags is not None and msg.tag not in tags:
                     continue
-                if seen_only and msg.request.id not in self.parties[msg.recipient].seen:
+                if seen_only and msg.vote.request not in self.parties[msg.recipient].seen:
                     continue
                 self._deliver(mid, "flush")
         elif action == "checkpoint":
@@ -326,7 +320,7 @@ class Simulation:
         self.pool_order = [mid for mid in self.pool_order if mid in self.pool]
         for mid in list(self.pool_order):
             msg = self.pool[mid]
-            if msg.sender in self.corrupt or msg.recipient in self.corrupt:
+            if msg.vote.att.signer in self.corrupt or msg.recipient in self.corrupt:
                 continue  # only honest-to-honest traffic escapes the adversary
             if self.rng.random() < p:
                 self._deliver(mid, "sweep")
@@ -354,9 +348,9 @@ class Simulation:
                 if self._stepped_version.get(pid) == marker:
                     continue
                 self._stepped_version[pid] = marker
-                before_fallback = state.fallback_active
+                before_fallback = state.fallback_snapshot
                 proposals = leader_step(state)
-                if state.fallback_active and not before_fallback:
+                if state.fallback_snapshot and not before_fallback:
                     self._rec("engine", leader=pid, event="fallback-enter",
                               snapshot=[self.by_id[r].name for r in state.fallback_snapshot])
                 for prop in proposals:
@@ -386,15 +380,14 @@ class Simulation:
                   requests=[self.by_id[r].name for r in prop.requests],
                   request_ids=list(prop.requests),
                   post_cutoff=post_cutoff)
-        was_fallback = {p for p in self.leader_ids if self.engines[p].fallback_active}
+        was_fallback = {p for p in self.leader_ids if self.engines[p].fallback_snapshot}
         states = on_deliver(self.chain, [self.engines[p] for p in self.leader_ids])
         self.engines = dict(zip(self.leader_ids, states))
         for pid in self.leader_ids:
-            if pid in was_fallback and not self.engines[pid].fallback_active:
+            if pid in was_fallback and not self.engines[pid].fallback_snapshot:
                 self._rec("engine", leader=pid, event="fallback-exit")
-        delivered = self.chain.delivered_set()
         for party in self.parties:
-            party.next_incarnation(self.chain.next_number, delivered)
+            party.next_incarnation(self.chain.delivered)
         self._stepped_version = {}
         self._rec("incarnation", block=self.chain.next_number)
 
@@ -430,7 +423,7 @@ class Simulation:
         honest_seen: set[RequestId] = set()
         for pid in honest:
             honest_seen.update(self.parties[pid].seen)
-        delivered = self.chain.delivered_set()
+        delivered = self.chain.delivered
         first_seen: dict[str, int] = {}
         last_seen: dict[str, int] = {}
         for rec in self.trace.of_kind("sight"):
@@ -443,7 +436,7 @@ class Simulation:
             "summary",
             blocks=len(self.chain.blocks),
             delivered=len(delivered),
-            pending=len(honest_seen - delivered),
+            pending=len(honest_seen.difference(delivered)),
             max_candidate_order=max(
                 (e.max_candidate_order for e in self.engines.values()), default=0
             ),

@@ -41,8 +41,10 @@ class Trace:
     def from_lines(cls, lines: list[str]) -> "Trace":
         """Parse a trace file; ValueError when a line is not a JSON object
         with a string `kind`, a field the auditor reads is malformed, a
-        `sight` names a party out of range or an undeclared request, or a
-        `block` names a request that no `request` record declares."""
+        `sight` names a party out of range or an undeclared request or
+        repeats a (party, request) sighting, or a `block` is not numbered
+        0, 1, 2, ... in file order or names a request that no `request`
+        record declares."""
         records = [parse_json(line) for line in lines if line.strip()]
         if not all(isinstance(r, dict) and isinstance(r.get("kind"), str) for r in records):
             raise ValueError("trace line is not a JSON object with a string 'kind'")
@@ -58,6 +60,7 @@ class Trace:
                              f"not {corrupt!r}")
         declared = set()  # ids of the request records read so far
         names = set()  # and their names
+        sighted = set()  # (party, request) of the sight records read so far
         blocks = []
         for rec in records[1:]:
             kind = rec["kind"]
@@ -69,13 +72,22 @@ class Trace:
             if kind == "request":
                 declared.add(rec["id"])
                 names.add(rec["name"])
-            elif kind == "sight" and not (0 <= rec["party"] < n and rec["request"] in declared):
-                raise ValueError(f"'sight' trace record names a party outside [0, {n}) or a "
-                                 f"request no earlier 'request' record declares: {rec!r}")
+            elif kind == "sight":
+                if not (0 <= rec["party"] < n and rec["request"] in declared):
+                    raise ValueError(f"'sight' trace record names a party outside [0, {n}) or "
+                                     f"a request no earlier 'request' record declares: {rec!r}")
+                # The auditor keeps one sighting per party and request.
+                if (rec["party"], rec["request"]) in sighted:
+                    raise ValueError(f"'sight' trace record repeats an earlier sighting of "
+                                     f"its request by its party: {rec!r}")
+                sighted.add((rec["party"], rec["request"]))
             elif kind == "block":
+                if rec["number"] != len(blocks):
+                    raise ValueError(f"'block' trace record is not numbered {len(blocks)}, "
+                                     f"its place in the file: {rec!r}")
                 blocks.append(rec)
-        # A block may name a request declared further down: a trace with its
-        # blocks reordered is well formed, and its audit fails instead.
+        # A block may name a request declared further down: a trace whose
+        # blocks swapped their requests is well formed, and its audit fails.
         for rec in blocks:
             if not names.issuperset(rec["requests"]):
                 raise ValueError(f"'block' trace record names a request no 'request' record "

@@ -24,22 +24,14 @@ from .fairness import MedianSummary, blocks, median_bounds, timed_precedes, time
 from .leaders import BLOCK_FAIR, TIMED_FAIR, Proposal
 from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore
 
-VALID = "valid"
-INVALID = "invalid"
-
 
 @dataclass(frozen=True)
 class VerifyOutcome:
-    status: str
-    reason: Optional[str] = None
+    reason: Optional[str] = None  # None for a valid certificate
 
     @property
     def ok(self) -> bool:
-        return self.status == VALID
-
-
-def _bad(reason: str) -> VerifyOutcome:
-    return VerifyOutcome(INVALID, reason)
+        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -90,42 +82,42 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         v.ts is not None for votes in prop.votes_by_party.values() for v in votes
     )
     if not prop.requests:
-        return _bad("empty-block")
+        return VerifyOutcome("empty-block")
     if len(set(prop.requests)) != len(prop.requests):
-        return _bad("duplicate-request")
+        return VerifyOutcome("duplicate-request")
     table = prop.request_table
     store = VoteStore(cfg, TIMESTAMPED if timestamped else PLAIN, prop.instance,
                       prop.block_number)
     for party, votes in prop.votes_by_party.items():
         for v in votes:
             if v.att.signer != party:
-                return _bad("bad-attestation")
+                return VerifyOutcome("bad-attestation")
             fault = _INGEST_FAULTS.get(store.ingest(v).reason)
             if fault is not None:
-                return _bad(fault)
+                return VerifyOutcome(fault)
             if v.request not in table:
-                return _bad("missing-history")
+                return VerifyOutcome("missing-history")
         log = store.logs.get(party)
         if log is None:  # a party key outside [0, n) with no cited votes
-            return _bad("bad-attestation")
+            return VerifyOutcome("bad-attestation")
         if log.pending:  # the cited history skips a sequence number
-            return _bad("missing-history")
+            return VerifyOutcome("missing-history")
     for rid, req in table.items():
         if request_id(req.market, req.payload) != rid:
-            return _bad("bad-attestation")
+            return VerifyOutcome("bad-attestation")
         store.register_request(req)
     for rid in prop.requests:
-        if store.accepted_count(rid) < cfg.strong_size:
-            return _bad("insufficient-votes")
+        if rid not in store.strong_at:
+            return VerifyOutcome("insufficient-votes")
     if store.invalid_parties():
         # Some voter's timestamps ran against its sequence numbers.
-        return _bad("timestamp-order")
+        return VerifyOutcome("timestamp-order")
 
     member_set = set(prop.requests)
     omitted = [rid for rid in store.known_requests() if rid not in member_set]
     if prop.mode_tag == TIMED_FAIR:
         if prop.pivot is None or prop.pivot.request not in member_set:
-            return _bad("invalid-pivot")
+            return VerifyOutcome("invalid-pivot")
         # The declared timestamps are n-t or more of the seed's cited ones and
         # hold the median; the median is one some n-t of them can have.
         seed_ts = [v.ts for v in store.votes_for(prop.pivot.request)]
@@ -133,14 +125,14 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         low, high = median_bounds(seed_ts, cfg.strong_size)
         if (len(declared) < cfg.strong_size or m_r not in declared
                 or not _is_sub_multiset(declared, seed_ts) or not low <= m_r <= high):
-            return _bad("invalid-pivot")
+            return VerifyOutcome("invalid-pivot")
         if any(timed_precedes(store, cfg, rid, prop.pivot) for rid in omitted):
-            return _bad("omitted-blocked-request")
+            return VerifyOutcome("omitted-blocked-request")
         if list(prop.requests) != timed_request_order(store, prop.requests):
-            return _bad("timestamp-order")
+            return VerifyOutcome("timestamp-order")
     elif any(blocks(store, cfg, rid, member) for rid in omitted for member in prop.requests):
-        return _bad("omitted-blocked-request")
-    return VerifyOutcome(VALID)
+        return VerifyOutcome("omitted-blocked-request")
+    return VerifyOutcome()
 
 
 # -- canonical serialization -------------------------------------------------

@@ -220,9 +220,6 @@ class VoteStore:
         slot = self.by_request.get(r, {})
         return [vote for vote, _ in slot.values()]
 
-    def accepted_count(self, r: RequestId) -> int:
-        return len(self.by_request.get(r, {}))
-
     def known_requests(self) -> list[RequestId]:
         """Requests with at least one accepted vote, in first-acceptance order."""
         return list(self.by_request.keys())

@@ -15,7 +15,8 @@ from collections import Counter
 import pytest
 
 from fairlab.cli import run_command
-from fairlab.core import MAX_PARTIES
+from fairlab.core import MAX_PARTIES, validate_config
+from fairlab.simnet import benign_schedule, run
 from fairlab.simnet.scenario import Scenario
 
 BAD_VALUES = ["x", 1.5, [], {}, None, True]
@@ -250,6 +251,41 @@ def test_block_of_undeclared_requests_is_quoted_in_the_error(files, tmp_path, ca
     assert run_command(["audit", str(path)]) == 2
     err = capsys.readouterr().err
     assert "'block' trace record" in err and "'zzz'" in err
+
+
+def _repeat_sightings(records):
+    """Append a second copy of every sight record, in reverse order."""
+    sights = [rec for rec in records if rec["kind"] == "sight"]
+    records += [dict(rec) for rec in reversed(sights)]
+    return records[-len(sights)]
+
+
+def _renumber_blocks(records):
+    """Number every block record 0."""
+    blocks = [rec for rec in records if rec["kind"] == "block"]
+    for rec in blocks:
+        rec["number"] = 0
+    return blocks[1]
+
+
+@pytest.mark.parametrize("tamper", [_repeat_sightings, _renumber_blocks])
+def test_tampered_trace_cannot_hide_violations(tmp_path, capsys, tamper):
+    # Swapping the first and last blocks' requests breaks relative block
+    # fairness (exit 1). A repeat of every sighting in reverse order, or
+    # every block numbered 0, used to make the same trace pass (exit 0).
+    trace = run(benign_schedule(validate_config(4, 1), requests=3, seed=4))
+    records = _json_lines("\n".join(trace.lines()))
+    blocks = [rec for rec in records if rec["kind"] == "block"]
+    blocks[0]["requests"], blocks[-1]["requests"] = blocks[-1]["requests"], blocks[0]["requests"]
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, records)
+    assert _exit_code(capsys, ["audit", str(path)], "swapped") == 1
+    offending = tamper(records)
+    _write_lines(path, records)
+    capsys.readouterr()
+    assert run_command(["audit", str(path)]) == 2
+    # The error quotes the record as the loader read it, keys in file order.
+    assert repr(dict(sorted(offending.items()))) in capsys.readouterr().err
 
 
 CHAIN_CASES = {

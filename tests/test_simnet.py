@@ -140,6 +140,22 @@ def test_no_message_is_dropped(cfg4):
     assert delivered_mids == set(range(sim._next_mid))
 
 
+@pytest.mark.parametrize("mode", ["neverending", "clocked", "hybrid"])
+def test_votes_are_cast_for_the_next_block(mode):
+    # Every vote names the block after the last accepted one.
+    later = 0
+    for n, t in ((4, 1), (7, 2)):
+        for seed in range(15):
+            blocks = 0
+            for rec in run(fuzz_scenario(seed, n=n, t=t, mode=mode, r_max=2)).records:
+                if rec["kind"] == "block":
+                    blocks += 1
+                elif rec["kind"] == "vote":
+                    assert rec["block"] == blocks, (n, seed, rec)
+                    later += blocks > 0
+    assert later > 0
+
+
 def test_local_clocks_monotone(cfg4):
     scenario = dataclasses.replace(
         fuzz_scenario(29, mode="clocked"),

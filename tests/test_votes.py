@@ -56,7 +56,7 @@ def test_fill_that_releases_a_backward_timestamp_stays_accepted(cfg4):
     assert [v.request for v in out.accepted] == [R["r1"].id, R["r2"].id]
     assert store.logs[2].accepted == list(out.accepted)
     assert store.logs[2].invalid and store.logs[2].pending == {}
-    assert store.accepted_count(R["r1"].id) == 1 and store.accepted_count(R["r3"].id) == 0
+    assert len(store.votes_for(R["r1"].id)) == 1 and len(store.votes_for(R["r3"].id)) == 0
 
 
 def test_equivocation_on_same_seq(cfg4):
@@ -135,6 +135,13 @@ def test_count_before_matches_oracle_random(n, t, rng):
              for p, log in store.logs.items() if not log.invalid}
     for r, r2 in permutations(R.values(), 2):
         assert store.count_before(r.id, r2.id) == _count_before_oracle(valid, r.id, r2.id)
+    # The quorum maps hold a request exactly when its distinct voters reach
+    # t+1 (n-t); an excluded party's votes from before its exclusion count.
+    cfg = store.cfg
+    for r in R.values():
+        voters = sum(any(v.request == r.id for v in log.accepted) for log in store.logs.values())
+        assert (r.id in store.weak_at, r.id in store.strong_at) == (
+            voters >= cfg.weak_size, voters >= cfg.strong_size)
 
 
 def test_invalid_party_excluded_from_counts_but_votes_remain(cfg4):
@@ -147,7 +154,7 @@ def test_invalid_party_excluded_from_counts_but_votes_remain(cfg4):
     assert store.count_before(R["r1"].id, R["r2"].id) == 0
     # but the accepted votes are still returned for justification purposes
     assert len(store.votes_for(R["r1"].id)) == 1
-    assert store.accepted_count(R["r2"].id) == 1
+    assert len(store.votes_for(R["r2"].id)) == 1
 
 
 def test_votes_for(cfg4):
