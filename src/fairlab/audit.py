@@ -13,53 +13,108 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import inf
-from typing import Optional
 
+from .core import validate_config
+from .leaders import MODES
 from .simnet.trace import Trace
 
 ORACLE_LIMIT = 12
 
+# Record fields the auditor reads, with their JSON types (true is no int).
+AUDITED_FIELDS = {
+    "request": {"id": str, "name": str, "market": str},
+    "sight": {"party": int, "request": str, "ts": int, "step": int},
+    "block": {"number": int, "requests": list, "step": int, "post_cutoff": bool},
+    "incarnation": {"block": int, "step": int},
+}
+
 
 class TraceView:
-    """Everything the checkers need, extracted once and keyed by request name."""
+    """The one reader of a trace's records. One walk checks the fields the
+    checkers read and the trace rules in docs/FORMATS.md, with a ValueError
+    that quotes the record, and indexes the run by request name."""
 
     def __init__(self, trace: Trace):
-        self.n = trace.header["n"]
-        self.t = trace.header["t"]
-        self.mode = trace.header["mode"]
-        self.corrupt = set(trace.header["corrupt"])
-        self.honest = [p for p in range(self.n) if p not in self.corrupt]
-        self.names: dict[str, str] = {}
+        header = trace.header
+        cfg = validate_config(header.get("n"), header.get("t"))
+        n = self.n = cfg.n
+        self.t = cfg.t
+        self.mode = header.get("mode")
+        if self.mode not in MODES:
+            raise ValueError(f"trace header has unknown mode {self.mode!r}")
+        corrupt = header.get("corrupt")
+        if not isinstance(corrupt, list) or not all(type(p) is int and 0 <= p < n for p in corrupt):
+            raise ValueError(f"trace header 'corrupt' must list party ids in [0, {n}), "
+                             f"not {corrupt!r}")
+        self.corrupt = set(corrupt)
+        self.honest = [p for p in range(n) if p not in self.corrupt]
+        names: dict[str, str] = {}  # request id -> name
         self.market: dict[str, str] = {}
-        for rec in trace.of_kind("request"):
-            self.names[rec["id"]] = rec["name"]
-            self.market[rec["name"]] = rec["market"]
-        self.pos: dict[int, dict[str, int]] = {p: {} for p in range(self.n)}
-        self.ts: dict[int, dict[str, int]] = {p: {} for p in range(self.n)}
-        self.sight_step: dict[int, dict[str, int]] = {p: {} for p in range(self.n)}
-        for rec in trace.of_kind("sight"):
-            party = rec["party"]
-            name = self.names[rec["request"]]
-            self.pos[party][name] = len(self.pos[party])
-            self.ts[party][name] = rec["ts"]
-            self.sight_step[party][name] = rec["step"]
-        self.blocks: list[dict] = trace.blocks()
-        self.delivered: dict[str, int] = {}
+        self.pos: dict[int, dict[str, int]] = {p: {} for p in range(n)}
+        self.ts: dict[int, dict[str, int]] = {p: {} for p in range(n)}
+        self.sight_step: dict[int, dict[str, int]] = {p: {} for p in range(n)}
+        self.blocks: list[dict] = []
         self.final_pos: dict[str, tuple[int, int]] = {}
-        for block in self.blocks:
-            for idx, name in enumerate(block["requests"]):
-                self.delivered[name] = block["number"]
-                self.final_pos[name] = (block["number"], idx)
         self.incarnation_start: dict[int, int] = {0: 0}
-        for rec in trace.of_kind("incarnation"):
-            self.incarnation_start[rec["block"]] = rec["step"]
-        self.block_step: dict[int, int] = {b["number"]: b["step"] for b in self.blocks}
-        self.post_cutoff: dict[int, bool] = {
-            b["number"]: b.get("post_cutoff", False) for b in self.blocks
-        }
-        self.honest_seen: set[str] = set()
-        for p in self.honest:
-            self.honest_seen.update(self.pos[p])
+        # By block number: did an engine enter fallback before the block?
+        self.post_cutoff: list[bool] = []
+        fallback = False
+        for rec in trace.records:
+            kind = rec["kind"]
+            fields = AUDITED_FIELDS.get(kind)
+            if fields is None:
+                if kind == "engine" and rec.get("event") == "fallback-enter":
+                    fallback = True
+                continue
+            ok = all(type(rec.get(key)) is typ for key, typ in fields.items())
+            if ok and kind == "block":
+                ok = all(isinstance(name, str) for name in rec["requests"])
+            if not ok:
+                raise ValueError(f"malformed {kind!r} trace record: {rec!r}")
+            if kind == "request":
+                # The runner declares each request once; a second declaration
+                # would give its name a second market and id.
+                if rec["id"] in names or rec["name"] in self.market:
+                    raise ValueError(f"'request' trace record re-declares the id or name of "
+                                     f"an earlier one: {rec!r}")
+                names[rec["id"]] = rec["name"]
+                self.market[rec["name"]] = rec["market"]
+            elif kind == "sight":
+                party = rec["party"]
+                if not (0 <= party < n and rec["request"] in names):
+                    raise ValueError(f"'sight' trace record names a party outside [0, {n}) or "
+                                     f"a request no earlier 'request' record declares: {rec!r}")
+                name = names[rec["request"]]
+                pos = self.pos[party]
+                # The auditor keeps one sighting per party and request.
+                if name in pos:
+                    raise ValueError(f"'sight' trace record repeats an earlier sighting of "
+                                     f"its request by its party: {rec!r}")
+                pos[name] = len(pos)
+                self.ts[party][name] = rec["ts"]
+                self.sight_step[party][name] = rec["step"]
+            elif kind == "block":
+                number = len(self.blocks)
+                if rec["number"] != number:
+                    raise ValueError(f"'block' trace record is not numbered {number}, "
+                                     f"its place in the file: {rec!r}")
+                # The runner flags a block once any engine crossed the cutoff.
+                if rec["post_cutoff"] is not fallback:
+                    raise ValueError(f"'block' trace record's post_cutoff must be {fallback}, as "
+                                     f"{'an' if fallback else 'no'} 'engine' fallback-enter "
+                                     f"record comes before it: {rec!r}")
+                self.blocks.append(rec)
+                self.post_cutoff.append(fallback)
+                for idx, name in enumerate(rec["requests"]):
+                    self.final_pos[name] = (number, idx)
+            else:  # incarnation
+                self.incarnation_start[rec["block"]] = rec["step"]
+        # A block may name a request declared further down: a trace whose
+        # blocks swapped their requests is well formed, and its audit fails.
+        for rec in self.blocks:
+            if not all(name in self.market for name in rec["requests"]):
+                raise ValueError(f"'block' trace record names a request no 'request' record "
+                                 f"declares: {rec!r}")
 
     def requests(self) -> list[str]:
         return sorted(self.market)
@@ -121,27 +176,25 @@ def _timed_constraints(view: TraceView, honest: list[int]) -> set[tuple[str, str
     return constraints
 
 
-def check_relative_block_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verdict:
+def check_relative_block_fairness(view: TraceView) -> Verdict:
     """If every honest party received r1 before r2, r1 must land in the same
     block as r2 or earlier."""
-    view = view or TraceView(trace)
     constraints = view.relative_constraints
     violations = []
     for r1, r2 in sorted(constraints):
-        b2 = view.delivered.get(r2)
-        if b2 is None:
+        if r2 not in view.final_pos:
             continue
-        b1 = view.delivered.get(r1)
+        b1 = view.final_pos.get(r1, (None,))[0]
+        b2 = view.final_pos[r2][0]
         if b1 is None or b1 > b2:
             violations.append({"r1": r1, "r2": r2, "block_r1": b1, "block_r2": b2,
                                "evidence": "all honest parties saw r1 first"})
     return Verdict(violations=violations, constraint_count=len(constraints))
 
 
-def check_timed_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verdict:
+def check_timed_fairness(view: TraceView) -> Verdict:
     """If a time tau separates every honest sighting of r1 (before) from every
     honest sighting of r2 (after), r1 must be scheduled before r2."""
-    view = view or TraceView(trace)
     constraints = _timed_constraints(view, view.honest)
     violations = []
     for r1, r2 in sorted(constraints):
@@ -156,10 +209,9 @@ def check_timed_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verd
     return Verdict(violations=violations, constraint_count=len(constraints))
 
 
-def check_strict_relative_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verdict:
+def check_strict_relative_fairness(view: TraceView) -> Verdict:
     """The contradictory first-attempt definition (strictly earlier delivery,
     not same-block). Report-mode only; never gates acceptance."""
-    view = view or TraceView(trace)
     constraints = view.relative_constraints
     violations = []
     for r1, r2 in sorted(constraints):
@@ -170,55 +222,45 @@ def check_strict_relative_fairness(trace: Trace, view: Optional[TraceView] = Non
     return Verdict(violations=violations, constraint_count=len(constraints))
 
 
-def check_block_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verdict:
+def check_block_fairness(view: TraceView) -> Verdict:
     """Per block boundary: a request seen by n-t honest parties before the
     incarnation began belongs in that block (or an earlier one); a request no
     honest party had seen at proposal time must not appear."""
-    view = view or TraceView(trace)
     quorum = view.n - view.t
+    # Each request's honest sighting steps, ascending and padded with inf:
+    # [0] is its first honest sighting and [n-t-1] its (n-t)-th.
+    steps = {name: sorted([view.sight_step[p].get(name, inf) for p in view.honest] + [inf] * quorum)
+             for name in view.market}
+    requests = view.requests()
     violations = []
-    checked = 0
     for block in view.blocks:
         number = block["number"]
         start = view.incarnation_start.get(number, 0)
-        proposal_step = view.block_step[number]
-        members = set(block["requests"])
-        for name in view.requests():
-            seen_before_start = sum(
-                1 for p in view.honest
-                if view.sight_step[p].get(name, 10**18) < start
-            )
-            checked += 1
-            if seen_before_start >= quorum:
-                delivered_at = view.delivered.get(name)
-                if delivered_at is None or delivered_at > number:
-                    violations.append({
-                        "request": name, "block": number,
-                        "reason": "seen by a strong quorum of honest parties "
-                                  "before the incarnation began but not included",
-                    })
-        for name in members:
-            honest_saw = any(
-                view.sight_step[p].get(name, 10**18) < proposal_step
-                for p in view.honest
-            )
-            if not honest_saw:
+        for name in requests:
+            if steps[name][quorum - 1] < start and view.final_pos.get(name, (inf,))[0] > number:
+                violations.append({
+                    "request": name, "block": number,
+                    "reason": "seen by a strong quorum of honest parties "
+                              "before the incarnation began but not included",
+                })
+        for name in set(block["requests"]):
+            if steps[name][0] >= block["step"]:
                 violations.append({
                     "request": name, "block": number,
                     "reason": "included without any honest sighting",
                 })
-    return Verdict(violations=violations, constraint_count=checked)
+    return Verdict(violations=violations, constraint_count=len(view.blocks) * len(requests))
 
 
-def check_absolute_fairness(trace: Trace, view: Optional[TraceView] = None) -> Verdict:
+def check_absolute_fairness(view: TraceView) -> Verdict:
     """Once injection stops, every request any honest party ever saw must end
     up on-chain."""
-    view = view or TraceView(trace)
-    missing = sorted(view.honest_seen - set(view.delivered))
+    honest_seen = set().union(*(view.pos[p] for p in view.honest))
+    missing = sorted(honest_seen.difference(view.final_pos))
     return Verdict(
         violations=[{"request": name, "reason": "honest-seen but never delivered"}
                     for name in missing],
-        constraint_count=len(view.honest_seen),
+        constraint_count=len(honest_seen),
     )
 
 
@@ -234,11 +276,10 @@ class OracleConstraints:
         return out
 
 
-def oracle_constraints(trace: Trace, view: Optional[TraceView] = None) -> OracleConstraints:
+def oracle_constraints(view: TraceView) -> OracleConstraints:
     """Exhaustive re-derivation from raw sighting events only: for every
     corruption hypothesis of size at most t, the constraint sets the chain
     would have to satisfy if exactly those parties were corrupt."""
-    view = view or TraceView(trace)
     if len(view.requests()) > ORACLE_LIMIT:
         raise ValueError(
             f"oracle is desk-scale only ({len(view.requests())} requests > {ORACLE_LIMIT})"
@@ -308,17 +349,14 @@ class FairnessReport:
 
 def audit_trace(trace: Trace) -> FairnessReport:
     view = TraceView(trace)
-    relative = check_relative_block_fairness(trace, view)
-    confined = all(
-        v["block_r2"] is not None and view.post_cutoff.get(v["block_r2"], False)
-        for v in relative.violations
-    )
+    relative = check_relative_block_fairness(view)
     return FairnessReport(
         mode=view.mode,
-        block_fairness=check_block_fairness(trace, view),
+        block_fairness=check_block_fairness(view),
         relative_block_fairness=relative,
-        timed_relative_fairness=check_timed_fairness(trace, view),
-        absolute_fairness=check_absolute_fairness(trace, view),
-        strict_relative_fairness=check_strict_relative_fairness(trace, view),
-        violations_confined_post_cutoff=confined,
+        timed_relative_fairness=check_timed_fairness(view),
+        absolute_fairness=check_absolute_fairness(view),
+        strict_relative_fairness=check_strict_relative_fairness(view),
+        violations_confined_post_cutoff=all(
+            view.post_cutoff[v["block_r2"]] for v in relative.violations),
     )

@@ -10,7 +10,6 @@ in different markets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .core import QuorumConfig, RequestId, Timestamp
@@ -68,12 +67,6 @@ def median_bounds(timestamps: Iterable[Timestamp], q: int) -> tuple[Timestamp, T
 def max_median_of(timestamps: Iterable[Timestamp], q: int) -> Timestamp:
     """Shortcut formula over a bare multiset (q = strong quorum size)."""
     return median_bounds(timestamps, q)[1]
-
-
-def enumerate_max_median(timestamps: Iterable[Timestamp], q: int) -> Timestamp:
-    """Brute-force reference for max_median_of; ValueError below q timestamps.
-    Test oracle only."""
-    return max(median_timestamp(sub) for sub in combinations(sorted(timestamps), q))
 
 
 def timed_request_order(store: VoteStore, requests: Iterable[RequestId]) -> list[RequestId]:

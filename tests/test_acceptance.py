@@ -22,7 +22,7 @@ from fairlab.audit import (
     oracle_constraints,
 )
 from fairlab.core import validate_config
-from fairlab.fairness import enumerate_max_median, max_median_of
+from fairlab.fairness import max_median_of
 from fairlab.simnet import (
     benign_schedule,
     cycle_schedule,
@@ -35,6 +35,7 @@ from fairlab.simnet.runner import Simulation
 from fairlab.validity import certificate_from_dict, verify_certificate
 
 import certutil
+from oracles import enumerate_max_median
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CFG4 = validate_config(4, 1)
@@ -82,7 +83,7 @@ CYCLE_UNION = {("m1", "m2"), ("m2", "m3"), ("m3", "m4"), ("m4", "m1")}
 
 def test_criterion_2_cycle_constraint_structure():
     trace = run(cycle_schedule(CFG4))
-    oracle = oracle_constraints(trace)
+    oracle = oracle_constraints(TraceView(trace))
     assert dict(oracle.relative) == CYCLE_GOLDEN
     assert oracle.relative_union() == CYCLE_UNION
     blocks = trace.blocks()
@@ -109,11 +110,11 @@ def test_criterion_3_block_fair_safety_fuzz():
             if mode == "hybrid":
                 activations = trace.summary["fallback_activations"].values()
                 assert all(a == 0 for a in activations), "cutoff fired pre-cutoff"
-            verdict = check_relative_block_fairness(trace, view)
+            verdict = check_relative_block_fairness(view)
             assert verdict.holds, (
                 f"{scenario.label} ({mode}): {verdict.violations[:2]}"
             )
-            oracle = oracle_constraints(trace, view)
+            oracle = oracle_constraints(view)
             actual = tuple(sorted(view.corrupt))
             assert _relative_constraints(view, view.honest) == set(oracle.relative[actual]), (
                 f"{scenario.label}: checker and oracle disagree"
@@ -131,9 +132,9 @@ def test_criterion_4_clocked_safety_and_liveness():
         for scenario in _fuzz_cells("clocked", 0, per_cell=250, base=base):
             trace = run(scenario)
             view = TraceView(trace)
-            verdict = check_timed_fairness(trace, view)
+            verdict = check_timed_fairness(view)
             assert verdict.holds, f"{scenario.label}: {verdict.violations[:2]}"
-            if view.honest_seen:
+            if any(view.pos[p] for p in view.honest):
                 assert trace.summary["blocks"] >= 1, f"{scenario.label}: no block emitted"
             checked += 1
     assert checked == 1000

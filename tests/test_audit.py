@@ -13,10 +13,13 @@ from fairlab.audit import (
 )
 from fairlab.simnet import Scenario, Trace, benign_schedule, cycle_schedule, fuzz_scenario, run
 
+from conftest import wrapped_hybrid_scenario
+from oracles import recount_block_fairness
+
 
 def test_benign_sequential_schedule_holds(cfg4):
     trace = run(benign_schedule(cfg4, requests=4, seed=1))
-    verdict = check_relative_block_fairness(trace)
+    verdict = check_relative_block_fairness(TraceView(trace))
     assert verdict.holds
     assert verdict.constraint_count > 0
 
@@ -24,7 +27,7 @@ def test_benign_sequential_schedule_holds(cfg4):
 def test_cycle_has_no_relative_constraints(cfg4):
     # no two requests are seen in the same order by all four parties
     trace = run(cycle_schedule(cfg4))
-    verdict = check_relative_block_fairness(trace)
+    verdict = check_relative_block_fairness(TraceView(trace))
     assert verdict.constraint_count == 0
     assert verdict.holds
 
@@ -40,7 +43,7 @@ CYCLE_GOLDEN = {
 
 def test_cycle_oracle_constraint_structure(cfg4):
     trace = run(cycle_schedule(cfg4))
-    oracle = oracle_constraints(trace)
+    oracle = oracle_constraints(TraceView(trace))
     assert {h: set(pairs) for h, pairs in oracle.relative.items()} == CYCLE_GOLDEN
     union = oracle.relative_union()
     # the union chains every request behind its predecessor, closing a cycle
@@ -50,18 +53,18 @@ def test_cycle_oracle_constraint_structure(cfg4):
 def test_oracle_rejects_oversized_traces(cfg4):
     trace = run(benign_schedule(cfg4, requests=13, seed=0))
     with pytest.raises(ValueError):
-        oracle_constraints(trace)
+        oracle_constraints(TraceView(trace))
 
 
 def test_timed_constraints_track_disjoint_intervals(cfg4):
     trace = run(dataclasses.replace(benign_schedule(cfg4, requests=3, seed=2),
                                     mode="clocked"))
-    verdict = check_timed_fairness(trace)
+    verdict = check_timed_fairness(TraceView(trace))
     assert verdict.holds
     assert verdict.constraint_count > 0
     # the cycle interleaves sighting intervals, so no pair is separated
     cyc = run(dataclasses.replace(cycle_schedule(cfg4), mode="clocked"))
-    assert check_timed_fairness(cyc).constraint_count == 0
+    assert check_timed_fairness(TraceView(cyc)).constraint_count == 0
 
 
 def _tamper_block_order(trace: Trace) -> Trace:
@@ -78,13 +81,13 @@ def _tamper_block_order(trace: Trace) -> Trace:
 def test_auditor_flags_hand_corrupted_trace(cfg4):
     trace = run(dataclasses.replace(benign_schedule(cfg4, requests=3, seed=2),
                                     mode="clocked"))
-    assert check_timed_fairness(trace).holds
+    assert check_timed_fairness(TraceView(trace)).holds
     corrupted = _tamper_block_order(trace)
     tampered_any = any(
         json.loads(a) != json.loads(b) for a, b in zip(trace.lines(), corrupted.lines())
     )
     if tampered_any:
-        verdict = check_timed_fairness(corrupted)
+        verdict = check_timed_fairness(TraceView(corrupted))
         # blocks here are single-request, so tamper the delivery order instead
         if all(len(b["requests"]) < 2 for b in trace.blocks()):
             pytest.skip("no multi-request block to tamper")
@@ -98,7 +101,7 @@ def test_auditor_flags_reordered_blocks(cfg4):
     assert len(blocks) >= 2
     blocks[0]["requests"], blocks[-1]["requests"] = blocks[-1]["requests"], blocks[0]["requests"]
     corrupted = Trace.from_lines([json.dumps(r, sort_keys=True) for r in lines])
-    verdict = check_relative_block_fairness(corrupted)
+    verdict = check_relative_block_fairness(TraceView(corrupted))
     assert not verdict.holds
     # every violation names a pair and the offending blocks
     for v in verdict.violations:
@@ -107,7 +110,7 @@ def test_auditor_flags_reordered_blocks(cfg4):
 
 def test_block_fairness_on_benign_run(cfg4):
     trace = run(benign_schedule(cfg4, requests=3, seed=5))
-    verdict = check_block_fairness(trace)
+    verdict = check_block_fairness(TraceView(trace))
     assert verdict.holds
 
 
@@ -125,7 +128,7 @@ def test_block_fairness_flags_unseen_member(cfg4):
     blocks[0]["requests"] = blocks[0]["requests"] + ["ghost"]
     lines.insert(1, ghost)
     corrupted = Trace.from_lines([json.dumps(r, sort_keys=True) for r in lines])
-    verdict = check_block_fairness(corrupted)
+    verdict = check_block_fairness(TraceView(corrupted))
     assert not verdict.holds
     assert any(v["request"] == "ghost" for v in verdict.violations)
 
@@ -135,7 +138,7 @@ def test_checker_and_oracle_agree_on_fuzz_traces(cfg4):
         scenario = fuzz_scenario(seed, n=4, t=1, mode="neverending")
         trace = run(scenario)
         view = TraceView(trace)
-        oracle = oracle_constraints(trace, view)
+        oracle = oracle_constraints(view)
         actual = tuple(sorted(view.corrupt))
         from fairlab.audit import _relative_constraints
         assert _relative_constraints(view, view.honest) == set(oracle.relative[actual])
@@ -179,14 +182,14 @@ def test_block_fairness_boundary_strong_quorum_sighting(cfg4):
         1 for p in view.honest if view.sight_step[p].get("r2", 10**18) < start
     )
     assert seen_before == 3  # the boundary the definition names
-    assert view.delivered["r2"] == 1
-    assert check_block_fairness(trace, view).holds
+    assert view.final_pos["r2"][0] == 1
+    assert check_block_fairness(view).holds
 
 
 def test_oracle_union_forces_segments_into_one_block(cfg4):
     from fairlab.simnet import segment_schedule
     trace = run(segment_schedule(cfg4, depth=2))
-    union = oracle_constraints(trace).relative_union()
+    union = oracle_constraints(TraceView(trace)).relative_union()
     requests = {f"m{i + 1}" for i in range(8)}
     # same-or-earlier constraints chain every request to every other in both
     # directions, which is exactly the all-in-one-block requirement
@@ -204,7 +207,7 @@ def test_oracle_union_forces_segments_into_one_block(cfg4):
 
 def test_oracle_on_empty_trace(cfg4):
     trace = run(Scenario(n=4, t=1))
-    oracle = oracle_constraints(trace)
+    oracle = oracle_constraints(TraceView(trace))
     assert oracle.relative_union() == set()
     assert all(not pairs for pairs in oracle.timed.values())
 
@@ -214,7 +217,7 @@ def test_absolute_fairness_across_modes(cfg4):
         for mode, rmax in (("neverending", 0), ("clocked", 0), ("hybrid", 4)):
             trace = run(fuzz_scenario(500 + seed, n=4, t=1, mode=mode, r_max=rmax))
             from fairlab.audit import check_absolute_fairness
-            verdict = check_absolute_fairness(trace)
+            verdict = check_absolute_fairness(TraceView(trace))
             assert verdict.holds, (mode, seed, verdict.violations)
 
 
@@ -229,3 +232,32 @@ def test_hybrid_cutoff_sacrifice_is_real_and_confined(cfg4):
     assert report.violations_confined_post_cutoff
     assert report.timed_relative_fairness.holds
     assert report.gate_ok()
+
+
+@pytest.fixture(scope="module")
+def fuzz_traces():
+    """Fuzz runs in every mode at n=4 and n=7, and the wrapped hybrid run."""
+    traces = [run(wrapped_hybrid_scenario())]
+    for mode, r_max in (("neverending", 0), ("clocked", 0), ("hybrid", 2)):
+        for n, t in ((4, 1), (7, 2)):
+            for seed in range(12):
+                traces.append(run(fuzz_scenario(700 + seed, n=n, t=t, mode=mode, r_max=r_max)))
+    return traces
+
+
+def test_block_fairness_matches_the_per_block_recount(fuzz_traces):
+    # The checker ranks each request's honest sightings once; the first
+    # formula counts them again for every (block, request) pair.
+    flagged = 0
+    for trace in fuzz_traces:
+        view = TraceView(trace)
+        verdict = check_block_fairness(view)
+        assert verdict == recount_block_fairness(view)
+        flagged += bool(verdict.violations)
+    assert flagged  # the two agree on violations, not only on empty lists
+
+
+def test_loaded_trace_audits_like_the_run(fuzz_traces):
+    for trace in fuzz_traces:
+        loaded = Trace.from_lines(trace.lines())
+        assert audit_trace(loaded).to_dict() == audit_trace(trace).to_dict()

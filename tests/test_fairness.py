@@ -5,7 +5,6 @@ import pytest
 from fairlab.fairness import (
     MedianSummary,
     blocks,
-    enumerate_max_median,
     max_median,
     max_median_of,
     median_timestamp,
@@ -14,6 +13,7 @@ from fairlab.fairness import (
 from fairlab.votes import TIMESTAMPED
 
 from conftest import cast, fill_logs, new_store, req
+from oracles import enumerate_max_median
 
 RA = req("ra")
 RB = req("rb")

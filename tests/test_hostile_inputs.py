@@ -207,6 +207,7 @@ TRACE_CASES = {
     "record-not-an-object": lambda lines: lines.insert(1, [1, 2]),
     "sight-ts-string": lambda lines: _first_of_kind(lines, "sight").update(ts="x"),
     "block-requests-int": lambda lines: _first_of_kind(lines, "block").update(requests=5),
+    "block-post-cutoff-int": lambda lines: _first_of_kind(lines, "block").update(post_cutoff=0),
     "sight-party-out-of-range": lambda lines: _first_of_kind(lines, "sight").update(party=9),
     "sight-request-undeclared": lambda lines: _first_of_kind(lines, "sight").update(
         request="0" * 64),
@@ -268,12 +269,37 @@ def _renumber_blocks(records):
     return blocks[1]
 
 
-@pytest.mark.parametrize("tamper", [_repeat_sightings, _renumber_blocks])
+def _flag_blocks_post_cutoff(records):
+    """Flag every block post-cutoff, in a run where no engine crossed the cutoff."""
+    blocks = [rec for rec in records if rec["kind"] == "block"]
+    for rec in blocks:
+        rec["post_cutoff"] = True
+    return blocks[0]
+
+
+def _redeclare_requests(records):
+    """Declare every request again before the summary, under a fresh id and
+    in a market of its own, which leaves no two requests in one market."""
+    again = [{**rec, "id": "re-" + rec["id"], "market": rec["name"]}
+             for rec in records if rec["kind"] == "request"]
+    records[-1:-1] = again
+    return again[0]
+
+
+# The hybrid gate passes when every violation sits in a post-cutoff block.
+TAMPER_MODE = {_flag_blocks_post_cutoff: {"mode": "hybrid", "r_max": 6}}
+
+
+@pytest.mark.parametrize("tamper", [_repeat_sightings, _renumber_blocks,
+                                    _flag_blocks_post_cutoff, _redeclare_requests])
 def test_tampered_trace_cannot_hide_violations(tmp_path, capsys, tamper):
     # Swapping the first and last blocks' requests breaks relative block
-    # fairness (exit 1). A repeat of every sighting in reverse order, or
-    # every block numbered 0, used to make the same trace pass (exit 0).
-    trace = run(benign_schedule(validate_config(4, 1), requests=3, seed=4))
+    # fairness (exit 1). Each tamper used to make the same trace pass (exit 0):
+    # a repeat of every sighting in reverse order, every block numbered 0,
+    # every block flagged post-cutoff in hybrid mode, or every request
+    # declared again in a market of its own.
+    scenario = benign_schedule(validate_config(4, 1), requests=3, seed=4)
+    trace = run(dataclasses.replace(scenario, **TAMPER_MODE.get(tamper, {})))
     records = _json_lines("\n".join(trace.lines()))
     blocks = [rec for rec in records if rec["kind"] == "block"]
     blocks[0]["requests"], blocks[-1]["requests"] = blocks[-1]["requests"], blocks[0]["requests"]

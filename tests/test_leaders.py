@@ -327,7 +327,7 @@ def test_clocked_safety_exhaustive_two_request_enumeration(cfg4):
     import itertools
     from fairlab.simnet import Scenario, run
     from fairlab.simnet.scenario import ClockSpec
-    from fairlab.audit import check_timed_fairness
+    from fairlab.audit import TraceView, check_timed_fairness
 
     clock_models = [
         {p: ClockSpec(1, 0) for p in range(4)},
@@ -353,7 +353,7 @@ def test_clocked_safety_exhaustive_two_request_enumeration(cfg4):
                     requests={"ra": "m", "rb": "m"}, events=list(events),
                 )
                 trace = run(scenario)
-                verdict = check_timed_fairness(trace)
+                verdict = check_timed_fairness(TraceView(trace))
                 assert verdict.holds, (orders, interleave, verdict.violations)
                 constrained += verdict.constraint_count
                 assert trace.summary["blocks"] >= 1

@@ -73,7 +73,9 @@ def test_no_subset_enumeration_at_run_time(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run-time code enumerated timestamp subsets")
 
-    monkeypatch.setattr(fairlab.fairness, "combinations", refuse)
+    # Set even though fairness imports no combinations: a run-time call to
+    # one would look this module global up first.
+    monkeypatch.setattr(fairlab.fairness, "combinations", refuse, raising=False)
     # n = 31 and n - t = 21: enumeration would visit 44,352,165 subsets per
     # certificate; the run's Chain.submit calls verify every block.
     cfg, certs = _clocked_benign(31, 12)
