@@ -46,6 +46,9 @@ class TraceView:
         if not isinstance(corrupt, list) or not all(type(p) is int and 0 <= p < n for p in corrupt):
             raise ValueError(f"trace header 'corrupt' must list party ids in [0, {n}), "
                              f"not {corrupt!r}")
+        if len(set(corrupt)) < len(corrupt) or len(corrupt) > self.t:
+            raise ValueError(f"trace header 'corrupt' must list at most t={self.t} distinct "
+                             f"party ids, not {corrupt!r}")
         self.corrupt = set(corrupt)
         self.honest = [p for p in range(n) if p not in self.corrupt]
         names: dict[str, str] = {}  # request id -> name

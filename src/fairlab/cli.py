@@ -21,6 +21,7 @@ from typing import Optional
 from .audit import audit_trace
 from .chain import Chain
 from .core import canonical_json, parse_json, validate_config
+from .leaders import MODES
 from .simnet.generators import (
     benign_schedule,
     cycle_schedule,
@@ -54,13 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=float, default=0.05)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--base", help="scenario file to wrap (probabilistic)")
-    gen.add_argument("--mode", choices=["neverending", "clocked", "hybrid"])
+    gen.add_argument("--mode", choices=MODES)
     gen.add_argument("--rmax", type=int)
     gen.add_argument("--out", help="output path (default stdout)")
 
     run = sub.add_parser("run", help="execute a scenario, audit it, write the trace")
     run.add_argument("scenario")
-    run.add_argument("--mode", choices=["neverending", "clocked", "hybrid"])
+    run.add_argument("--mode", choices=MODES)
     run.add_argument("--rmax", type=int)
     run.add_argument("--seed", type=int, help="override the wrapper/coin seed")
     run.add_argument("--parties", type=int)

@@ -24,12 +24,13 @@ from .fairness import (
     timed_precedes,
     timed_request_order,
 )
-from .votes import TIMESTAMPED, Vote, VoteStore, make_vote
+from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore, make_vote
 
 NEVERENDING = "neverending"
 CLOCKED = "clocked"
 HYBRID = "hybrid"
 MODES = (NEVERENDING, CLOCKED, HYBRID)
+TIMESTAMPED_MODES = (CLOCKED, HYBRID)  # their votes carry timestamps
 
 BLOCK_FAIR = "block-fair"
 TIMED_FAIR = "timed-fair"
@@ -99,7 +100,7 @@ class LeaderState:
 def new_leader(cfg: QuorumConfig, mode: str, instance: str,
                block_number: int = 0, r_max: int = 0,
                coin: Optional[CoinConfig] = None) -> LeaderState:
-    store_mode = TIMESTAMPED if mode in (CLOCKED, HYBRID) else "plain"
+    store_mode = TIMESTAMPED if mode in TIMESTAMPED_MODES else PLAIN
     store = VoteStore(cfg, store_mode, instance, block_number)
     return LeaderState(mode=mode, store=store, r_max=r_max, coin=coin or CoinConfig())
 

@@ -8,7 +8,7 @@ sightings and vote traffic freely. Receiving a vote for an unseen request
 counts as sighting it (votes carry the request), which is what makes every
 honest-seen request eventually known everywhere.
 
-After the last scheduled event the runner drains: unsent votes are emitted
+After the last scheduled event the runner drains: unsent votes are sent
 and every pending message is delivered, in rounds, until the whole system is
 quiescent. Nothing is ever dropped. Equal scenarios produce byte-identical
 traces.
@@ -23,11 +23,11 @@ from typing import Optional
 
 from ..core import PartyId, Request, RequestId, make_request, validate_config
 from ..chain import Chain, on_deliver
-from ..leaders import CLOCKED, HYBRID, CoinConfig, LeaderState, new_leader
+from ..leaders import TIMESTAMPED_MODES, CoinConfig, LeaderState, new_leader
 from ..leaders import step as leader_step
 from ..validity import BlockCertificate
 from ..votes import Vote, make_vote
-from .scenario import EQUIVOCATE, REORDER, SKEW, BehaviorSpec, ClockSpec, Scenario
+from .scenario import EQUIVOCATE, REORDER, SILENT, SKEW, BehaviorSpec, ClockSpec, Scenario
 from .trace import Trace
 
 
@@ -38,93 +38,72 @@ class Msg:
     tag: str
 
 
-class _ByzStream:
-    """One fabricated vote order a byzantine party maintains for some audience.
-    Claims stay monotone in their own timestamps so the stream is not
+class _Stream:
+    """One audience's vote order. `sent` is what went out this incarnation,
+    at seqs 0, 1, ...; `unsent` waits for the party's next activation. An
+    honest or skewed party keeps one stream for everyone else and appends.
+    A byzantine stream is seeded: it inserts each claim at a random place and
+    stamps its votes from its own counter, monotone so the stream is not
     self-invalidating; the lie is the order itself."""
 
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-        self.buffer: list[RequestId] = []
-        self.history: list[RequestId] = []
-        self.seq = 0
+    def __init__(self, audience: Optional[str], recipients: list[PartyId],
+                 seed: Optional[int] = None):
+        self.audience = audience
+        self.recipients = recipients
+        self.rng = random.Random(seed) if seed is not None else None
+        self.sent: list[RequestId] = []
+        self.unsent: list[RequestId] = []
         self.ts = 0
 
     def claim(self, rid: RequestId) -> None:
-        self.buffer.insert(self.rng.randrange(len(self.buffer) + 1), rid)
+        if self.rng is None:
+            self.unsent.append(rid)
+        else:
+            self.unsent.insert(self.rng.randrange(len(self.unsent) + 1), rid)
 
-    def emit_all(self, timestamped: bool) -> list[tuple[int, Optional[int], RequestId]]:
-        out = []
-        for rid in self.buffer:
-            self.ts += 1 + self.rng.randrange(3)
-            out.append((self.seq, self.ts if timestamped else None, rid))
-            self.seq += 1
-            self.history.append(rid)
-        self.buffer = []
-        return out
-
-    def next_incarnation(self, delivered: set[RequestId]) -> None:
-        survivors = [r for r in self.history if r not in delivered]
-        survivors += [r for r in self.buffer if r not in delivered]
-        self.buffer = survivors
-        self.history = []
-        self.seq = 0
+    def next_incarnation(self, delivered: Container[RequestId]) -> None:
+        self.unsent = [r for r in self.sent + self.unsent if r not in delivered]
+        self.sent = []
 
 
 class _Party:
     def __init__(self, pid: PartyId, clock: ClockSpec, behavior: Optional[BehaviorSpec],
-                 leader_ids: list[PartyId], timestamped: bool):
+                 n: int, leader_ids: list[PartyId]):
         self.pid = pid
         self.clock = clock.offset
         self.rate = clock.rate
-        self.behavior = behavior
-        self.timestamped = timestamped
+        kind = behavior.kind if behavior is not None else None
+        self.skew = behavior.offset if kind == SKEW else 0
         self.seen: dict[RequestId, int] = {}
         self.sight_tag: dict[RequestId, str] = {}
-        # An honest or skewed party's sighted requests not yet on-chain, in
-        # vote order; pending[emitted:] are those it has not voted on yet.
-        self.pending: list[RequestId] = []
-        self.emitted = 0
-        self.streams: dict[object, _ByzStream] = {}
-        if behavior is not None and behavior.kind == REORDER:
-            self.streams["all"] = _ByzStream(behavior.seed)
-        if behavior is not None and behavior.kind == EQUIVOCATE:
-            self.streams["rest"] = _ByzStream(behavior.seed)
-            for leader in leader_ids:
-                self.streams[("leader", leader)] = _ByzStream(behavior.seed + 1 + leader)
+        others = [p for p in range(n) if p != pid]
+        if kind == SILENT:
+            self.streams = []
+        elif kind == REORDER:
+            self.streams = [_Stream("all", others, behavior.seed)]
+        elif kind == EQUIVOCATE:
+            rest = [p for p in others if p not in leader_ids]
+            self.streams = [_Stream("rest", rest, behavior.seed)] + [
+                _Stream(str(("leader", leader)), [leader], behavior.seed + 1 + leader)
+                for leader in leader_ids
+            ]
+        else:
+            self.streams = [_Stream(None, others)]
 
-    @property
-    def kind(self) -> str:
-        return self.behavior.kind if self.behavior else "honest"
-
-    def sight(self, req: Request, tag: str, scheduled_on_chain: bool = False) -> int:
+    def sight(self, req: Request, tag: str, scheduled_on_chain: bool) -> int:
         ts = self.clock
         self.seen[req.id] = ts
         self.sight_tag[req.id] = tag
-        if scheduled_on_chain:
-            return ts  # only known-and-unscheduled requests are voted on
-        if self.kind in ("honest", SKEW):
-            self.pending.append(req.id)
-        else:
-            for stream in self.streams.values():
+        if not scheduled_on_chain:  # only known-and-unscheduled requests are voted on
+            for stream in self.streams:
                 stream.claim(req.id)
         return ts
 
     def has_unsent(self) -> bool:
-        if self.streams:
-            return any(s.buffer for s in self.streams.values())
-        return self.emitted < len(self.pending)
-
-    def vote_ts(self, rid: RequestId) -> Optional[int]:
-        if not self.timestamped:
-            return None
-        skew = self.behavior.offset if self.kind == SKEW else 0
-        return self.seen[rid] + skew
+        return any(s.unsent for s in self.streams)
 
     def next_incarnation(self, delivered: Container[RequestId]) -> None:
-        self.pending = [r for r in self.pending if r not in delivered]
-        self.emitted = 0
-        for stream in self.streams.values():
+        for stream in self.streams:
             stream.next_incarnation(delivered)
 
 
@@ -135,7 +114,7 @@ class Simulation:
         self.sc = scenario
         self.cfg = validate_config(scenario.n, scenario.t)
         self.instance = scenario.instance
-        self.timestamped = scenario.mode in (CLOCKED, HYBRID)
+        self.timestamped = scenario.mode in TIMESTAMPED_MODES
         self.corrupt = set(scenario.corrupt)
         self.requests: dict[str, Request] = {
             name: make_request(market, name.encode()) for name, market in scenario.requests.items()
@@ -149,8 +128,8 @@ class Simulation:
                 pid,
                 scenario.clocks.get(pid, ClockSpec()),
                 scenario.behaviors.get(pid) if pid in self.corrupt else None,
+                scenario.n,
                 self.leader_ids,
-                self.timestamped,
             )
             for pid in range(scenario.n)
         ]
@@ -170,6 +149,9 @@ class Simulation:
         self.action_index = 0
         self._stepped_version: dict[PartyId, int] = {}
         self._registered: set[RequestId] = set()
+        # The steps of each request name's first and last honest sighting.
+        self.first_seen: dict[str, int] = {}
+        self.last_seen: dict[str, int] = {}
         self.first_block_step: Optional[int] = None
         self.first_block_action: Optional[int] = None
         self.injection_end_step: Optional[int] = None
@@ -193,54 +175,59 @@ class Simulation:
         self.trace.records.append({"kind": kind, "step": self.step_no, **fields})
         self.step_no += 1
 
-    def _register(self, req: Request) -> None:
+    def _sight(self, party: _Party, req: Request, via: str, tag: Optional[str] = None) -> None:
+        """A party's first sighting of a request; its first sighting by
+        anyone declares the request. The party's vote messages for it carry
+        the schedule's tag, or `via` when there is none; only a scheduled
+        sighting's record holds the tag."""
         if req.id not in self._registered:
             self._registered.add(req.id)
             self._rec("request", id=req.id, name=req.name, market=req.market)
+        ts = party.sight(req, via if tag is None else tag,
+                         scheduled_on_chain=req.id in self.chain.delivered)
+        if party.pid not in self.corrupt:
+            self.first_seen.setdefault(req.name, self.step_no)
+            self.last_seen[req.name] = self.step_no
+        if via == "schedule":
+            self._rec("sight", party=party.pid, request=req.id, ts=ts, via=via, tag=tag)
+        else:
+            self._rec("sight", party=party.pid, request=req.id, ts=ts, via=via)
 
     # -- activations ---------------------------------------------------------
 
     def _activate(self, party: _Party) -> None:
         party.clock += party.rate
-        if party.has_unsent():
-            self._emit_votes(party)
+        for stream in party.streams:
+            if stream.unsent:
+                self._send(party, stream)
 
-    def _emit_votes(self, party: _Party) -> None:
-        if party.streams:
-            for key in party.streams:
-                stream = party.streams[key]
-                for seq, ts, rid in stream.emit_all(self.timestamped):
-                    self._send(party, seq, ts, rid, audience=key)
-            return
-        for seq in range(party.emitted, len(party.pending)):
-            rid = party.pending[seq]
-            self._send(party, seq, party.vote_ts(rid), rid, audience=None)
-        party.emitted = len(party.pending)
-
-    def _send(self, party: _Party, seq: int, ts: Optional[int], rid: RequestId,
-              audience) -> None:
-        block = self.chain.next_number
-        vote = make_vote(party.pid, self.instance, block, seq, ts, rid)
-        tag = party.sight_tag.get(rid, "relay")
-        self._rec("vote", party=party.pid, block=block, seq=seq,
-                  request=rid, ts=ts, audience=str(audience) if audience else None)
-        if audience == "rest":
-            recipients = [p for p in range(self.cfg.n)
-                          if p != party.pid and p not in self.leader_ids]
-        elif isinstance(audience, tuple) and audience[0] == "leader":
-            recipients = [audience[1]]
-        else:
-            recipients = [p for p in range(self.cfg.n) if p != party.pid]
-        for recipient in recipients:
-            mid = self._next_mid
-            self._next_mid += 1
-            self.pool[mid] = Msg(recipient, vote, tag)
-            if self.rng is not None:
-                self.pool_order.insert(self.rng.randrange(len(self.pool_order) + 1), mid)
-        # A leader ingests its own vote directly.
-        if party.pid in self.engines and audience in (None, "all"):
-            outcome = self.engines[party.pid].store.ingest(vote, self.by_id[rid])
-            self._rec_ingest(party.pid, vote, outcome)
+    def _send(self, party: _Party, stream: _Stream) -> None:
+        """Send the stream's unsent votes, numbering them after its sent ones."""
+        block = self.chain.next_number  # nothing here ships a block
+        for rid in stream.unsent:
+            if stream.rng is None:
+                ts = party.seen[rid] + party.skew
+            else:
+                stream.ts += 1 + stream.rng.randrange(3)
+                ts = stream.ts
+            seq = len(stream.sent)
+            stream.sent.append(rid)
+            vote = make_vote(party.pid, self.instance, block, seq,
+                             ts if self.timestamped else None, rid)
+            self._rec("vote", party=party.pid, block=block, seq=seq,
+                      request=rid, ts=vote.ts, audience=stream.audience)
+            tag = party.sight_tag[rid]
+            for recipient in stream.recipients:
+                mid = self._next_mid
+                self._next_mid += 1
+                self.pool[mid] = Msg(recipient, vote, tag)
+                if self.rng is not None:
+                    self.pool_order.insert(self.rng.randrange(len(self.pool_order) + 1), mid)
+            # A leader ingests its own vote directly.
+            if party.pid in self.engines:
+                outcome = self.engines[party.pid].store.ingest(vote, self.by_id[rid])
+                self._rec_ingest(party.pid, vote, outcome)
+        stream.unsent = []
 
     def _rec_ingest(self, leader: PartyId, vote: Vote, outcome) -> None:
         if outcome.reason == "duplicate":
@@ -263,9 +250,7 @@ class Simulation:
             "sender": vote.att.signer, "request": vote.request, "via": via})
         self.step_no += 1
         if req.id not in recipient.seen:
-            self._register(req)
-            ts = recipient.sight(req, "relay", scheduled_on_chain=req.id in self.chain.delivered)
-            self._rec("sight", party=recipient.pid, request=req.id, ts=ts, via="relay")
+            self._sight(recipient, req, "relay")
         if msg.recipient in self.engines:
             outcome = self.engines[msg.recipient].store.ingest(vote, req)
             self._rec_ingest(msg.recipient, vote, outcome)
@@ -280,11 +265,7 @@ class Simulation:
             req = self.requests[event["request"]]
             self._activate(party)
             if req.id not in party.seen:
-                self._register(req)
-                ts = party.sight(req, event.get("tag", "schedule"),
-                                 scheduled_on_chain=req.id in self.chain.delivered)
-                self._rec("sight", party=party.pid, request=req.id, ts=ts,
-                          via="schedule", tag=event.get("tag"))
+                self._sight(party, req, "schedule", event.get("tag"))
         elif action == "deliver":
             mid = event["msg"]
             if mid in self.pool:
@@ -419,24 +400,12 @@ class Simulation:
                 return
 
     def finish(self) -> Trace:
-        honest = [p for p in range(self.cfg.n) if p not in self.corrupt]
-        honest_seen: set[RequestId] = set()
-        for pid in honest:
-            honest_seen.update(self.parties[pid].seen)
         delivered = self.chain.delivered
-        first_seen: dict[str, int] = {}
-        last_seen: dict[str, int] = {}
-        for rec in self.trace.of_kind("sight"):
-            if rec["party"] in self.corrupt:
-                continue
-            name = self.by_id[rec["request"]].name
-            first_seen.setdefault(name, rec["step"])
-            last_seen[name] = rec["step"]
         self._rec(
             "summary",
             blocks=len(self.chain.blocks),
             delivered=len(delivered),
-            pending=len(honest_seen.difference(delivered)),
+            pending=sum(self.requests[name].id not in delivered for name in self.first_seen),
             max_candidate_order=max(
                 (e.max_candidate_order for e in self.engines.values()), default=0
             ),
@@ -452,8 +421,8 @@ class Simulation:
             first_block_action=self.first_block_action,
             injection_end_step=self.injection_end_step,
             injection_end_action=self.injection_end_action,
-            first_seen_honest=first_seen,
-            last_seen_honest=last_seen,
+            first_seen_honest=self.first_seen,
+            last_seen_honest=self.last_seen,
         )
         return self.trace
 

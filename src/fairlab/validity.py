@@ -14,6 +14,7 @@ request that a weak quorum timestamped below the declared pivot median.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,17 +55,6 @@ _INGEST_FAULTS = {
     "equivocation": "missing-history",
     "missing-timestamp": "missing-history",
 }
-
-
-def _is_sub_multiset(part, whole) -> bool:
-    """True iff no value occurs in `part` more often than in `whole`."""
-    pool = list(whole)
-    try:
-        for value in part:
-            pool.remove(value)
-    except ValueError:
-        return False
-    return True
 
 
 def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
@@ -124,7 +114,7 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         declared, m_r = prop.pivot.timestamps, prop.pivot.m_r
         low, high = median_bounds(seed_ts, cfg.strong_size)
         if (len(declared) < cfg.strong_size or m_r not in declared
-                or not _is_sub_multiset(declared, seed_ts) or not low <= m_r <= high):
+                or not Counter(declared) <= Counter(seed_ts) or not low <= m_r <= high):
             return VerifyOutcome("invalid-pivot")
         if any(timed_precedes(store, cfg, rid, prop.pivot) for rid in omitted):
             return VerifyOutcome("omitted-blocked-request")

@@ -1,7 +1,10 @@
 """Byte-identity pins: SHA-256 of the trace text and of the exported chain
 for the determinism golden suite, two deeper scenarios, a clocked benign run
-at n=10 (the first benign-wide benchmark scenario) and a small run whose
-request names hold non-ASCII and JSON-special characters.
+at n=10 (the first benign-wide benchmark scenario), a small run whose
+request names hold non-ASCII and JSON-special characters, and one run per
+byzantine vote stream: equivocate with skew (fuzz-24, clocked), reorder with
+equivocate (fuzz-12, hybrid) and a silent corrupt leader under the race
+policy (silent-race).
 
 A refactor that keeps behaviour keeps every digest. A digest that changes
 means a trace or a certificate changed, which has to be a deliberate
@@ -16,6 +19,7 @@ import pytest
 from fairlab.core import validate_config
 from fairlab.simnet import benign_schedule, fuzz_scenario, segment_schedule
 from fairlab.simnet.runner import Simulation
+from fairlab.simnet.scenario import BehaviorSpec
 
 from test_acceptance import CFG4, _golden_suite
 
@@ -40,6 +44,14 @@ def _odd_names_scenario():
         events=events)
 
 
+def _silent_leader_scenario():
+    # The race variant of the round-robin stall test's scenario: leader 0 is
+    # corrupt and sends nothing, and leader 1 ships every block.
+    return dataclasses.replace(
+        benign_schedule(CFG4, requests=2, seed=9), label="silent-race", leaders=(0, 1),
+        corrupt=(0,), behaviors={0: BehaviorSpec(kind="silent")})
+
+
 def _scenarios():
     return _golden_suite() + [
         dataclasses.replace(segment_schedule(CFG4, depth=6, seed=1), mode="neverending"),
@@ -47,6 +59,9 @@ def _scenarios():
         dataclasses.replace(benign_schedule(validate_config(10, 3), requests=12, seed=0),
                             mode="clocked"),
         _odd_names_scenario(),
+        fuzz_scenario(24, n=7, t=2, mode="clocked"),
+        fuzz_scenario(12, n=7, t=2, mode="hybrid", r_max=2),
+        _silent_leader_scenario(),
     ]
 
 
@@ -91,6 +106,18 @@ PINNED = {
     "odd-names": (
         "c7b7f38cadec5755c6c389f4ec9aac53f49c1b17cd09fc7f9159c3aa326882e7",
         "84a3f0cfd82e0c10e43ee4861b5d65bcc4b21f38d351966c7e25023a753bf812",
+    ),
+    "fuzz-24": (
+        "dc9c7bc18b16b657cc974a150925340429edafa3d2a969ad8da3f3b2374fca2c",
+        "04d6a916dfc3859ff770b7af7c3fe09f5a0d4b08d4e904f060cc587ae49d8962",
+    ),
+    "fuzz-12": (
+        "0133dac3d34f3e1dd05ee07ac17ae167c506daeee0b41c61f461ae240d164c95",
+        "586e892b228760ccbd6088e42f89c1bda550062feda74306f4d0467f74ed8414",
+    ),
+    "silent-race": (
+        "cd4d596c23aec3aebdee56b9a3f4dc17dfb2339820e64ff891713041937801b6",
+        "36474749584b3f86bb95bf80bb779c9cdbf1c89fbbcf9507750bb03737dc1fbe",
     ),
 }
 

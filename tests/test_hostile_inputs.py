@@ -203,6 +203,10 @@ def test_negative_rmax_override_exits_two(files, tmp_path, capsys):
 TRACE_CASES = {
     "header-n-string": lambda lines: lines[0].update(n="4"),
     "header-corrupt-int": lambda lines: lines[0].update(corrupt=5),
+    # n=4, t=1: a repeated id, more than t ids, and every party.
+    "header-corrupt-repeated": lambda lines: lines[0].update(corrupt=[0, 0]),
+    "header-corrupt-over-budget": lambda lines: lines[0].update(corrupt=[0, 1]),
+    "header-corrupt-everyone": lambda lines: lines[0].update(corrupt=[0, 1, 2, 3]),
     "header-n-above-limit": lambda lines: lines[0].update(n=MAX_PARTIES + 1),
     "record-not-an-object": lambda lines: lines.insert(1, [1, 2]),
     "sight-ts-string": lambda lines: _first_of_kind(lines, "sight").update(ts="x"),
@@ -239,6 +243,23 @@ def test_bad_sight_record_is_named_in_the_error(files, tmp_path, capsys, case):
     capsys.readouterr()
     assert run_command(["audit", str(path)]) == 2
     assert "'sight' trace record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["header-corrupt-repeated", "header-corrupt-over-budget",
+                                  "header-corrupt-everyone"])
+def test_impossible_corruption_set_is_quoted_in_the_error(files, tmp_path, capsys, case):
+    # The auditor used to give a verdict on the first two against a smaller
+    # honest set (exit 0 and 1 on this trace) and fail on the third with
+    # `min() arg is an empty sequence`.
+    lines = _json_lines(files["trace"])
+    assert (lines[0]["n"], lines[0]["t"]) == (4, 1)
+    TRACE_CASES[case](lines)
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    capsys.readouterr()
+    assert run_command(["audit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"not {lines[0]['corrupt']!r}" in err
 
 
 def test_block_of_undeclared_requests_is_quoted_in_the_error(files, tmp_path, capsys):
