@@ -141,6 +141,11 @@ class Scenario:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         _int(self.r_max, "r_max", 0, math.inf)
         self.corrupt = _parties(self.corrupt, self.n, "corrupt")
+        if len(set(self.corrupt)) < len(self.corrupt):
+            # The run and its trace header see a set; a repeat would give
+            # one run two scenario digests.
+            raise ValueError(f"scenario field 'corrupt' repeats a party id: "
+                             f"{list(self.corrupt)!r}")
         if len(self.corrupt) > self.t:
             raise ValueError("corruption set larger than the fault budget")
         if self.leaders is not None:

@@ -139,6 +139,9 @@ def _first_request(data):
 SCENARIO_CASES = {
     "r_max-string-hybrid": lambda d: d.update(mode="hybrid", r_max="2"),
     "corrupt-string-party": lambda d: d.update(corrupt=["1"]),
+    # Within the fault budget, so only the repeat is wrong: it used to run as
+    # corrupt=[0] under a second scenario digest.
+    "corrupt-repeated": lambda d: d.update(n=7, t=2, corrupt=[0, 0]),
     "failure_p-string": lambda d: d.update(failure_p="0.5"),
     "events-not-a-list": lambda d: d.update(events=5),
     "clock-rate-string": lambda d: d.update(clocks={"0": {"rate": "1", "offset": 0}}),
@@ -191,6 +194,17 @@ def test_unknown_mode_is_named_in_the_error(files, tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["run", str(path)]) == 2
     assert "'bogus'" in capsys.readouterr().err
+
+
+def test_repeated_corrupt_id_is_named_in_the_error(files, tmp_path, capsys):
+    # The same file with the id once runs; with it twice the error says why.
+    path = tmp_path / "s.json"
+    for corrupt, code in (([0], 0), ([0, 0], 2)):
+        path.write_text(json.dumps({**json.loads(files["scenario"]), "n": 7, "t": 2,
+                                    "corrupt": corrupt}))
+        capsys.readouterr()
+        assert run_command(["run", str(path)]) == code
+    assert "'corrupt' repeats a party id" in capsys.readouterr().err
 
 
 def test_negative_rmax_override_exits_two(files, tmp_path, capsys):
