@@ -220,7 +220,12 @@ class Scenario:
 
     @property
     def instance(self) -> str:
-        return self.digest()[:12]
+        return instance_of(self.digest())
+
+
+def instance_of(digest: str) -> str:
+    """The protocol instance id of the scenario with this digest."""
+    return digest[:12]
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:

@@ -13,42 +13,26 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from ..core import canonical_json, parse_json
 
-# The runner's per-copy records, `deliver` and `ingest`, are nearly all of a
-# wide run's lines, and canonical_json's sorted-keys encoder costs about twice
-# what these templates do. Each template writes the keys in sorted order, ints
-# through %d and strings through the escaper canonical_json's encoder uses, so
-# it gives canonical_json's bytes. A record takes its template only when its
-# key set is the runner's and every value has the exact type the template
+# The runner's per-copy records, `deliver`, `ingest` and `vote`, are nearly all
+# of a wide run's lines, and canonical_json's sorted-keys encoder costs about
+# twice what a template does. `Trace.lines` writes each of the three through
+# one f-string that lists the keys in sorted order, writes ints through str()
+# and strings through the escaper canonical_json's encoder uses, so it gives
+# canonical_json's bytes. A run repeats few strings (request ids, `via`,
+# status and reason), so each `lines()` call keeps their quoted forms in a
+# dict that lives as long as the call. A record takes its template only when
+# its key set is the runner's and every value has the exact type the template
 # expects; any other record (a bool, a float, a missing or extra key) goes
 # through canonical_json. tests/test_trace_lines.py holds the two to one
 # output.
-_DELIVER = ('{"kind": "deliver", "msg": %d, "request": %s, "sender": %d, "step": %d, '
-            '"to": %d, "via": %s}')
-_INGEST = ('{"kind": "ingest", "leader": %d, "party": %d, "reason": %s, "request": %s, '
-           '"seq": %d, "status": %s, "step": %d}')
 
 
-def _line(rec: dict) -> str:
-    kind = rec.get("kind")
-    try:
-        # With the length checked, reading every key proves the key set.
-        if kind == "deliver" and len(rec) == 7:
-            msg, request, sender = rec["msg"], rec["request"], rec["sender"]
-            step, to, via = rec["step"], rec["to"], rec["via"]
-            if (type(kind) is type(request) is type(via) is str
-                    and type(msg) is type(sender) is type(step) is type(to) is int):
-                return _DELIVER % (msg, _quote(request), sender, step, to, _quote(via))
-        elif kind == "ingest" and len(rec) == 8:
-            leader, party, reason = rec["leader"], rec["party"], rec["reason"]
-            request, seq, status, step = rec["request"], rec["seq"], rec["status"], rec["step"]
-            if (type(kind) is type(request) is type(status) is str
-                    and type(leader) is type(party) is type(seq) is type(step) is int
-                    and (reason is None or type(reason) is str)):
-                return _INGEST % (leader, party, "null" if reason is None else _quote(reason),
-                                  _quote(request), seq, _quote(status), step)
-    except KeyError:
-        pass
-    return canonical_json(rec)
+class _Quoted(dict):
+    """str -> its JSON string literal, quoted on first use."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = _quote(text)
+        return literal
 
 
 @dataclass
@@ -58,7 +42,48 @@ class Trace:
 
     def lines(self) -> list[str]:
         out = [canonical_json({"kind": "header", **self.header})]
-        out.extend(map(_line, self.records))
+        append = out.append
+        q = _Quoted()
+        for rec in self.records:
+            kind = rec.get("kind")
+            try:
+                # With the length checked, reading every key proves the key set.
+                if kind == "deliver" and len(rec) == 7:
+                    msg, request, sender = rec["msg"], rec["request"], rec["sender"]
+                    step, to, via = rec["step"], rec["to"], rec["via"]
+                    if (type(kind) is type(request) is type(via) is str
+                            and type(msg) is type(sender) is type(step) is type(to) is int):
+                        append(f'{{"kind": "deliver", "msg": {msg}, "request": {q[request]}, '
+                               f'"sender": {sender}, "step": {step}, "to": {to}, '
+                               f'"via": {q[via]}}}')
+                        continue
+                elif kind == "ingest" and len(rec) == 8:
+                    leader, party, reason = rec["leader"], rec["party"], rec["reason"]
+                    request, seq, status = rec["request"], rec["seq"], rec["status"]
+                    step = rec["step"]
+                    if (type(kind) is type(request) is type(status) is str
+                            and type(leader) is type(party) is type(seq) is type(step) is int
+                            and (reason is None or type(reason) is str)):
+                        reason = "null" if reason is None else q[reason]
+                        append(f'{{"kind": "ingest", "leader": {leader}, "party": {party}, '
+                               f'"reason": {reason}, "request": {q[request]}, "seq": {seq}, '
+                               f'"status": {q[status]}, "step": {step}}}')
+                        continue
+                elif kind == "vote" and len(rec) == 8:
+                    audience, block, party = rec["audience"], rec["block"], rec["party"]
+                    request, seq, step, ts = rec["request"], rec["seq"], rec["step"], rec["ts"]
+                    if (type(kind) is type(request) is str
+                            and type(block) is type(party) is type(seq) is type(step) is int
+                            and (audience is None or type(audience) is str)
+                            and (ts is None or type(ts) is int)):
+                        audience = "null" if audience is None else q[audience]
+                        append(f'{{"audience": {audience}, "block": {block}, "kind": "vote", '
+                               f'"party": {party}, "request": {q[request]}, "seq": {seq}, '
+                               f'"step": {step}, "ts": {"null" if ts is None else ts}}}')
+                        continue
+            except KeyError:
+                pass
+            append(canonical_json(rec))
         return out
 
     def to_text(self) -> str:

@@ -11,6 +11,7 @@ from before an exclusion remain usable.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -40,14 +41,27 @@ class Vote:
     # The bytes `att` covers, derived once from the fields above: no caller
     # can supply them, so they never disagree with the vote they belong to.
     payload: bytes = field(init=False, compare=False, repr=False)
+    # True once `vote_verifies` has found `att` good for `payload`. Both are
+    # fixed for the object's life, so the check holds for every message copy
+    # that carries this object; `dataclasses.replace` and a rebuilt vote are
+    # new objects and start unchecked. Signing does not set it.
+    verified: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "payload",
-                           vote_payload(self.instance, self.block, self.seq, self.ts, self.request))
+        _set_payload(self, vote_payload(self.instance, self.block, self.seq, self.ts, self.request))
+        _set_verified(self, False)
 
     @property
     def party(self) -> PartyId:
         return self.att.signer
+
+
+# Writes to the frozen Vote's own slots, for the fields it derives or marks
+# itself. Every vote built or checked makes them, and a slot's setter costs
+# about half of object.__setattr__, which looks the name up first.
+_set_att = Vote.att.__set__
+_set_payload = Vote.payload.__set__
+_set_verified = Vote.verified.__set__
 
 
 def vote_payload(instance: str, block: int, seq: int, ts: Optional[Timestamp], request: RequestId) -> bytes:
@@ -66,13 +80,20 @@ def vote_payload(instance: str, block: int, seq: int, ts: Optional[Timestamp], r
 def make_vote(signer: PartyId, instance: str, block: int, seq: int,
               ts: Optional[Timestamp], request: RequestId) -> Vote:
     v = Vote(instance, block, seq, ts, request, None)
-    # Sign the bytes the vote derived; the one write to a frozen field.
-    object.__setattr__(v, "att", sign(signer, v.payload))
+    # Sign the bytes the vote derived; the one write to a field it was given.
+    _set_att(v, sign(signer, v.payload))
     return v
 
 
 def vote_verifies(v: Vote) -> bool:
-    return verify(v.att, v.payload)
+    """Whether v's attestation covers its payload. A vote object is hashed
+    until it passes, and never again after; a failure is not remembered."""
+    if v.verified:
+        return True
+    if not verify(v.att, v.payload):
+        return False
+    _set_verified(v, True)
+    return True
 
 
 ACCEPTED = "accepted"
@@ -84,8 +105,10 @@ class IngestOutcome(NamedTuple):
     status: str
     reason: Optional[str] = None
     # Votes that became accepted through this ingest, in acceptance order
-    # (the new vote plus any buffered successors it released).
-    accepted: tuple[Vote, ...] = ()
+    # (the new vote plus any buffered successors it released): one list sliced
+    # from the party's accepted log, not copied again. Empty when the ingest
+    # accepted nothing.
+    accepted: Sequence[Vote] = ()
 
 
 @dataclass(slots=True)
@@ -168,10 +191,10 @@ class VoteStore:
                 if cursor is v:
                     return IngestOutcome(REJECTED, "timestamp-order")
                 # v itself was accepted; the cascade hit the mismatch.
-                return IngestOutcome(ACCEPTED, "timestamp-order", tuple(accepted[v.seq:]))
+                return IngestOutcome(ACCEPTED, "timestamp-order", accepted[v.seq:])
             self.accept(cursor)
             cursor = log.pending.pop(len(accepted), None) if log.pending else None
-        return IngestOutcome(ACCEPTED, None, tuple(accepted[v.seq:]))
+        return IngestOutcome(ACCEPTED, None, accepted[v.seq:])
 
     def accept(self, v: Vote) -> None:
         """Append v to its party's log. The caller has checked that v is the

@@ -1,7 +1,8 @@
-"""Trace line encoding: `Trace.lines` renders `deliver` and `ingest` records
-from per-kind templates and every other record through `canonical_json`. The
-two must give the same bytes for any record, and every record the runner
-writes of those two kinds must take its template."""
+"""Trace line encoding: `Trace.lines` renders `deliver`, `ingest` and `vote`
+records from per-kind templates, with the quoted strings kept for the length
+of one call, and every other record through `canonical_json`. The two must
+give the same bytes for any records, and every record the runner writes of
+those three kinds must take its template."""
 
 import dataclasses
 
@@ -22,22 +23,28 @@ from test_core import JSON_VALUES, ODD_TEXT
 _text = st.text() | st.sampled_from(ODD_TEXT + ["\ud800", "x\udfffy", "\U0010ffff"])
 _ints = st.integers() | st.integers(min_value=2**64, max_value=2**80) | st.integers(max_value=-1)
 
-# The fields the runner writes for each kind, with the values a template takes.
+# The fields the runner writes for each kind, with the value types a template takes.
 FIELDS = {
-    "deliver": {"msg": _ints, "request": _text, "sender": _ints, "step": _ints, "to": _ints,
-                "via": _text},
-    "ingest": {"leader": _ints, "party": _ints, "reason": st.none() | _text, "request": _text,
-               "seq": _ints, "status": _text, "step": _ints},
+    "deliver": {"msg": "int", "request": "str", "sender": "int", "step": "int", "to": "int",
+                "via": "str"},
+    "ingest": {"leader": "int", "party": "int", "reason": "str|null", "request": "str",
+               "seq": "int", "status": "str", "step": "int"},
+    "vote": {"audience": "str|null", "block": "int", "party": "int", "request": "str",
+             "seq": "int", "step": "int", "ts": "int|null"},
 }
+TEMPLATED = tuple(FIELDS)
 
 
 @st.composite
-def per_copy_records(draw):
-    """A record shaped like `deliver` or `ingest`, left as is, with one value
-    replaced by any JSON value (bools, floats, None, lists, objects), with one
-    key dropped or with one key added."""
+def per_copy_record(draw, strings):
+    """A record shaped like `deliver`, `ingest` or `vote`, its strings drawn
+    from `strings`, left as is, with one value replaced by any JSON value
+    (bools, floats, None, lists, objects), with one key dropped or with one
+    key added."""
+    values = {"int": _ints, "str": strings,
+              "int|null": st.none() | _ints, "str|null": st.none() | strings}
     kind = draw(st.sampled_from(sorted(FIELDS)))
-    rec = {"kind": kind, **{key: draw(values) for key, values in FIELDS[kind].items()}}
+    rec = {"kind": kind, **{key: draw(values[of]) for key, of in FIELDS[kind].items()}}
     change = draw(st.sampled_from(["none", "value", "drop", "add"]))
     if change == "value":
         rec[draw(st.sampled_from(sorted(rec)))] = draw(JSON_VALUES)
@@ -48,10 +55,18 @@ def per_copy_records(draw):
     return rec
 
 
+@st.composite
+def per_copy_traces(draw):
+    """1-6 such records whose strings come from one small pool, so one
+    `lines()` call meets a string again in the same and in other fields."""
+    strings = st.sampled_from(draw(st.lists(_text, min_size=1, max_size=4)))
+    return draw(st.lists(per_copy_record(strings), min_size=1, max_size=6))
+
+
 @settings(max_examples=400, deadline=None)
-@given(per_copy_records())
-def test_template_lines_equal_canonical_json(rec):
-    assert Trace({"n": 4}, [rec]).lines()[1] == canonical_json(rec)
+@given(per_copy_traces())
+def test_template_lines_equal_canonical_json(records):
+    assert Trace({"n": 4}, records).lines()[1:] == [canonical_json(rec) for rec in records]
 
 
 @pytest.mark.parametrize("mode,r_max", [("neverending", 0), ("clocked", 0), ("hybrid", 3)])
@@ -77,7 +92,7 @@ def test_per_copy_records_take_their_template(scenario, monkeypatch):
 
     monkeypatch.setattr(trace_module, "canonical_json", counting)
     trace.lines()
-    others = [rec for rec in trace.records if rec["kind"] not in ("deliver", "ingest")]
+    others = [rec for rec in trace.records if rec["kind"] not in TEMPLATED]
     assert len(others) < len(trace.records)
     assert len(encoded) == 1 + len(others)
     assert encoded[1:] == others

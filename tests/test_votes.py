@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 import fairlab.votes
 from fairlab.core import Attestation, validate_config
-from fairlab.votes import ACCEPTED, BUFFERED, REJECTED, TIMESTAMPED, make_vote
+from fairlab.simnet import benign_schedule
+from fairlab.simnet.runner import Simulation
+from fairlab.validity import certificate_from_dict, certificate_to_dict, verify_certificate
+from fairlab.votes import ACCEPTED, BUFFERED, REJECTED, TIMESTAMPED, Vote, make_vote, vote_verifies
 
-from conftest import cast, fill_logs, new_store, req
+from conftest import INSTANCE, cast, fill_logs, new_store, req
 
 R = {name: req(name) for name in ("r1", "r2", "r3", "r4", "r5")}
 
@@ -300,3 +303,67 @@ def test_forged_votes_for_the_current_block_are_still_verified(cfg4, monkeypatch
     assert not store.logs[0].invalid and len(store.logs[0].accepted) == 1
     # Forged and stale at once: the stale check comes first.
     assert store.ingest(stale, R["r1"]).reason == "wrong-block" and len(calls) == 2
+
+
+# -- the verified memo ---------------------------------------------------------
+
+def test_a_failed_check_is_not_remembered(cfg4, monkeypatch):
+    bad = dataclasses.replace(make_vote(0, INSTANCE, 0, 0, None, R["r1"].id),
+                              att=Attestation(0, "0" * 64))
+    stores = [new_store(cfg4) for _ in range(3)]
+    calls = _count_verify(monkeypatch)
+    for _ in range(2):
+        for store in stores:
+            out = store.ingest(bad, R["r1"])
+            assert (out.status, out.reason) == (REJECTED, "bad-attestation")
+    assert len(calls) == 6 and all(att is bad.att for att in calls)
+    assert not bad.verified
+    assert not any(store.logs[0].accepted or store.logs[0].pending for store in stores)
+
+
+def test_a_checked_vote_vouches_for_no_other_object(cfg4, monkeypatch):
+    vote = make_vote(0, INSTANCE, 0, 0, None, R["r1"].id)
+    assert not vote.verified  # signing does not mark it
+    calls = _count_verify(monkeypatch)
+    first, second = new_store(cfg4), new_store(cfg4)
+    assert first.ingest(vote, R["r1"]).status == ACCEPTED and vote.verified
+    assert second.ingest(vote, R["r1"]).status == ACCEPTED
+    assert calls == [vote.att]  # one hash for two stores
+    # A replaced attestation is a new object: hashed, refused, not marked.
+    forged = dataclasses.replace(vote, att=Attestation(0, "0" * 64))
+    assert not forged.verified
+    for store in (first, new_store(cfg4)):
+        out = store.ingest(forged, R["r1"])
+        assert (out.status, out.reason) == (REJECTED, "bad-attestation")
+    assert calls == [vote.att, forged.att, forged.att] and not forged.verified
+    # An unchanged replacement is hashed once too, and passes.
+    same = dataclasses.replace(vote)
+    assert not same.verified and new_store(cfg4).ingest(same, R["r1"]).status == ACCEPTED
+    assert calls[-1] is same.att and len(calls) == 4
+
+
+def test_rebuilt_certificates_are_hashed_vote_by_vote(cfg4, monkeypatch):
+    sim = Simulation(benign_schedule(cfg4, requests=3, seed=1))
+    sim.run()
+    assert sim.chain.blocks
+    calls = _count_verify(monkeypatch)
+    for _, cert in sim.chain.blocks:
+        cited = [v for votes in cert.proposal.votes_by_party.values() for v in votes]
+        assert all(v.verified for v in cited)
+        rebuilt = certificate_from_dict(certificate_to_dict(cert))
+        fresh = [v for votes in rebuilt.proposal.votes_by_party.values() for v in votes]
+        assert fresh == cited and not any(v.verified for v in fresh)
+        # The stand-alone verifier hashes every cited vote, once.
+        del calls[:]
+        assert verify_certificate(cfg4, rebuilt).ok
+        assert calls == [v.att for v in fresh] and all(v.verified for v in fresh)
+
+
+def test_the_mark_is_not_part_of_a_votes_value():
+    vote = make_vote(2, INSTANCE, 0, 1, 9, R["r1"].id)
+    twin = dataclasses.replace(vote)
+    assert vote_verifies(vote) and vote.verified and not twin.verified
+    assert vote == twin and hash(vote) == hash(twin) and repr(vote) == repr(twin)
+    assert "verified" not in repr(vote)
+    with pytest.raises(TypeError):
+        Vote(INSTANCE, 0, 1, 9, R["r1"].id, vote.att, verified=True)

@@ -1,7 +1,7 @@
 """Work counts. A vote's attested bytes are encoded once, when the vote is
-built, and every signature and check reuses them. The hybrid fallback tests
-timed precedence only for a block it ships, and ends only at an incarnation
-change."""
+built, and every signature and check reuses them; a vote that passed its
+check is not hashed again. The hybrid fallback tests timed precedence only
+for a block it ships, and ends only at an incarnation change."""
 
 import dataclasses
 from collections import Counter
@@ -25,19 +25,24 @@ from conftest import wrapped_hybrid_scenario
 
 def test_one_encoding_per_signed_vote(monkeypatch):
     calls = Counter()
+    hashed = []  # every attestation verify was given, kept alive so ids stay unique
     for name in ("vote_payload", "sign", "verify"):
         real = getattr(fairlab.votes, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
+            if _name == "verify":
+                hashed.append(args[0])
             return _real(*args)
 
         monkeypatch.setattr(fairlab.votes, name, counted)
     scenario = dataclasses.replace(benign_schedule(validate_config(10, 3), requests=12, seed=0),
                                    mode="clocked")
     Simulation(scenario).run()
-    # Leaders and chain verification check many copies of each signed vote.
-    assert calls["verify"] > calls["sign"] > 0
+    # Leaders and chain verification are handed many copies of each signed
+    # vote; each vote object is hashed at its first check and never again.
+    assert calls["verify"] == calls["sign"] > 0
+    assert len({id(att) for att in hashed}) == len(hashed)
     assert calls["vote_payload"] == calls["sign"]
 
 
