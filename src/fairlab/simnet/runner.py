@@ -198,7 +198,6 @@ class Simulation:
     # -- activations ---------------------------------------------------------
 
     def _activate(self, party: _Party) -> None:
-        # `_deliver` repeats this body inline; change both together.
         party.clock += party.rate
         for stream in party.streams:
             if stream.unsent:
@@ -233,7 +232,6 @@ class Simulation:
         stream.unsent = []
 
     def _rec_ingest(self, leader: PartyId, vote: Vote, outcome) -> None:
-        # `_deliver` repeats this body inline; change both together.
         if outcome.reason == "duplicate":
             return  # incarnation re-sends produce these in bulk
         # The commonest records are built as literals, without `_rec`'s kwargs.
@@ -244,33 +242,20 @@ class Simulation:
         self.step_no += 1
 
     def _deliver(self, mid: int, via: str) -> None:
-        """One vote copy reaches its recipient: the recipient's activation,
-        its sighting of the request if this is its first, and a leader's
-        ingest. Runs once per copy, so `_activate` and `_rec_ingest` are
-        written out here."""
         msg = self.pool.pop(mid)
-        to = msg.recipient
-        recipient = self.parties[to]
+        recipient = self.parties[msg.recipient]
         vote = msg.vote
-        rid = vote.request
-        recipient.clock += recipient.rate
-        for stream in recipient.streams:
-            if stream.unsent:
-                self._send(recipient, stream)
-        records = self.trace.records
-        records.append({"kind": "deliver", "step": self.step_no, "msg": mid, "to": to,
-                        "sender": vote.att.signer, "request": rid, "via": via})
+        req = self.by_id[vote.request]
+        self._activate(recipient)
+        self.trace.records.append({
+            "kind": "deliver", "step": self.step_no, "msg": mid, "to": msg.recipient,
+            "sender": vote.att.signer, "request": vote.request, "via": via})
         self.step_no += 1
-        if rid not in recipient.seen:
-            self._sight(recipient, self.by_id[rid], "relay")
-        engine = self.engines.get(to)
-        if engine is not None:
-            outcome = engine.store.ingest(vote, self.by_id[rid])
-            if outcome.reason != "duplicate":
-                records.append({"kind": "ingest", "step": self.step_no, "leader": to,
-                                "party": vote.att.signer, "seq": vote.seq, "request": rid,
-                                "status": outcome.status, "reason": outcome.reason})
-                self.step_no += 1
+        if req.id not in recipient.seen:
+            self._sight(recipient, req, "relay")
+        if msg.recipient in self.engines:
+            outcome = self.engines[msg.recipient].store.ingest(vote, req)
+            self._rec_ingest(msg.recipient, vote, outcome)
 
     # -- schedule execution ---------------------------------------------------
 
