@@ -38,11 +38,11 @@ class SubmitOutcome:
 @dataclass
 class Chain:
     cfg: QuorumConfig
-    blocks: list[tuple[int, BlockCertificate]] = field(default_factory=list)
-    delivered: dict[RequestId, int] = field(default_factory=dict)  # request -> block number
+    blocks: list[BlockCertificate] = field(default_factory=list)  # block i at index i
+    delivered: set[RequestId] = field(default_factory=set)
     # (height, proposer) -> digests of valid certificates seen, for
     # equivocation detection even after the height is decided.
-    _seen: dict[tuple[int, PartyId], list[str]] = field(default_factory=dict)
+    _seen: dict[tuple[int, PartyId], set[str]] = field(default_factory=dict)
     equivocators: list[PartyId] = field(default_factory=list)
 
     @property
@@ -54,30 +54,28 @@ class Chain:
         number = cert.proposal.block_number
         if verdict.ok:
             digest = cert.digest()
-            prior = self._seen.setdefault((number, proposer), [])
+            prior = self._seen.setdefault((number, proposer), set())
             if prior and digest not in prior:
-                prior.append(digest)
+                prior.add(digest)
                 if proposer not in self.equivocators:
                     self.equivocators.append(proposer)
                 return SubmitOutcome(EQUIVOCATION, proposer=proposer)
-            if digest not in prior:
-                prior.append(digest)
+            prior.add(digest)
         if number != self.next_number:
             return SubmitOutcome(REJECTED, "wrong-block-number")
         if not verdict.ok:
             return SubmitOutcome(REJECTED, "invalid-certificate")
         if any(rid in self.delivered for rid in cert.proposal.requests):
             return SubmitOutcome(REJECTED, "duplicate-request")
-        self.blocks.append((number, cert))
-        for rid in cert.proposal.requests:
-            self.delivered[rid] = number
+        self.blocks.append(cert)
+        self.delivered.update(cert.proposal.requests)
         return SubmitOutcome(ACCEPTED)
 
     def export_lines(self) -> list[str]:
         """One block per line; consumed by the auditor and `verify`."""
         return [
             canonical_json({"number": number, "certificate": certificate_to_dict(cert)})
-            for number, cert in self.blocks
+            for number, cert in enumerate(self.blocks)
         ]
 
 

@@ -133,9 +133,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def parse_json(text: str):
-    """`json.loads` for files read from outside: a repeated object key raises
-    ValueError instead of the last copy silently winning."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    """`json.loads` for files read from outside: a repeated object key, or
+    nesting deeper than the parser can recurse, raises ValueError instead of
+    the last copy silently winning or a RecursionError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON text nests too deeply to parse") from None
 
 
 # Attestations are simulation-level stand-ins for signatures. Each party owns a

@@ -30,7 +30,8 @@ class MedianSummary:
 
 
 def blocks(store: VoteStore, cfg: QuorumConfig, r2: RequestId, r: RequestId) -> bool:
-    if store.market_of(r2) != store.market_of(r):
+    requests = store.requests
+    if requests[r2].market != requests[r].market:
         return False
     return store.count_before(r, r2) < cfg.weak_size
 

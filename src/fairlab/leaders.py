@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Container
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -132,7 +132,7 @@ def _closure(state: LeaderState, seed: RequestId, quorum: dict[RequestId, int],
     changed = True
     while changed and not halted:
         changed = False
-        for rid in store.known_requests():
+        for rid in store.by_request:
             if rid in member_set or rid not in quorum:
                 continue
             if any(blocks(store, cfg, rid, m) for m in members[tested.get(rid, 0):]):
@@ -150,7 +150,7 @@ def _closure(state: LeaderState, seed: RequestId, quorum: dict[RequestId, int],
                 tested[rid] = len(members)
     closed = not any(
         blocks(store, cfg, rid, m)
-        for rid in store.known_requests() if rid not in member_set
+        for rid in store.by_request if rid not in member_set
         for m in members[tested.get(rid, 0):]
     )
     state.max_candidate_order = max(state.max_candidate_order, len(members))
@@ -162,7 +162,7 @@ def _build_proposal(state: LeaderState, requests: list[RequestId], mode_tag: str
     store = state.store
     votes_by_party = {p: tuple(log.accepted) for p, log in store.logs.items() if log.accepted}
     # The store indexes exactly the requests the cited votes name.
-    table = {rid: store.requests[rid] for rid in store.known_requests()}
+    table = {rid: store.requests[rid] for rid in store.by_request}
     return Proposal(
         instance=state.instance,
         block_number=state.block_number,
@@ -179,13 +179,13 @@ def _low_set(store: VoteStore, seed: RequestId, cutoff: float) -> list[RequestId
     acceptance index `cutoff`, timestamped below the latest such vote for
     seed. A cutoff of math.inf takes every accepted vote."""
     seed_max_ts = max(
-        vote.ts for vote, index in store.acceptance_records(seed) if index <= cutoff
+        vote.ts for vote, index in store.by_request[seed].values() if index <= cutoff
     )
     low = []
-    for rid in store.known_requests():
+    for rid, slot in store.by_request.items():
         if rid == seed:
             continue
-        for vote, index in store.acceptance_records(rid):
+        for vote, index in slot.values():
             if index <= cutoff and vote.ts < seed_max_ts:
                 low.append(rid)
                 break
@@ -217,7 +217,7 @@ def _first_quorum_pivot(state: LeaderState, seed: RequestId) -> MedianSummary:
 
 
 def _timed_block(state: LeaderState, seed: RequestId, pivot: MedianSummary,
-                 pool: list[RequestId]) -> Optional[Proposal]:
+                 pool: Iterable[RequestId]) -> Optional[Proposal]:
     """The timed-fair block of seed and every request in pool that precedes
     the pivot, in cited-median order; None while a member lacks a strong
     quorum."""
@@ -245,15 +245,15 @@ def clocked_step(state: LeaderState) -> Optional[Proposal]:
     # every request that was already timestamped below the seed when it
     # completed its quorum.
     covering = 0
-    for party in store.active_parties():
-        if all(party in store.by_request[rid] for rid in low_set):
+    for party, log in store.logs.items():
+        if not log.invalid and all(party in store.by_request[rid] for rid in low_set):
             covering += 1
     if covering < cfg.strong_size:
         return None
     # Admission sweeps everything currently known, not just the frozen set:
     # votes that arrived during the coverage wait are part of the cited
     # evidence and the block verifier holds the block to them.
-    return _timed_block(state, seed, pivot, store.known_requests())
+    return _timed_block(state, seed, pivot, store.by_request)
 
 
 # -- hybrid engine -----------------------------------------------------------
@@ -278,7 +278,7 @@ def _hybrid_block_fair(state: LeaderState) -> Optional[Proposal]:
     if shipped is not None:
         return _build_proposal(state, shipped, BLOCK_FAIR, pivot=None)
     if crossed:
-        state.fallback_snapshot = tuple(store.known_requests())
+        state.fallback_snapshot = tuple(store.by_request)
         state.cutoff_events += 1
     return None
 
@@ -341,7 +341,8 @@ def replay_undelivered(state: LeaderState, next_block: int,
             fresh.ingest(replayed, state.store.requests.get(v.request))
             seq += 1
     # The old store already holds every exclusion carried into it.
-    for party in state.store.invalid_parties():
-        fresh.mark_invalid(party)
+    for party, log in state.store.logs.items():
+        if log.invalid:
+            fresh.mark_invalid(party)
     snapshot = tuple(r for r in state.fallback_snapshot if r not in delivered)
     return replace(state, store=fresh, fallback_snapshot=snapshot)

@@ -47,6 +47,17 @@ def _int(value, field: str, low: float, high: float) -> None:
                          f"not {value!r}")
 
 
+def _utf8(field: str, *texts: str) -> None:
+    # Request names are payloads, and markets and the coin seed are hashed:
+    # the run encodes each as UTF-8, which a lone surrogate fails.
+    for text in texts:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"scenario field {field!r} must encode as UTF-8, "
+                             f"not {text!r}") from None
+
+
 def _parties(value, n: int, field: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not all(
         type(p) is int and 0 <= p < n for p in value
@@ -169,6 +180,7 @@ class Scenario:
         _int(self.wrapper_seed, "wrapper_seed", -math.inf, math.inf)
         if not (isinstance(self.coin_seed, str) and isinstance(self.label, str)):
             raise ValueError("scenario fields 'coin_seed' and 'label' must be strings")
+        _utf8("coin_seed", self.coin_seed)
         if not (self.generator is None or isinstance(self.generator, dict)):
             raise ValueError("scenario field 'generator' must be an object or null")
         if not isinstance(self.requests, dict) or not all(
@@ -176,6 +188,8 @@ class Scenario:
             for name, market in self.requests.items()
         ):
             raise ValueError("scenario field 'requests' must map request names to markets")
+        _utf8("requests name", *self.requests)
+        _utf8("requests market", *self.requests.values())
         _check_events(self.events, self.n, self.requests)
 
     def to_dict(self) -> dict:

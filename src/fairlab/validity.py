@@ -82,7 +82,7 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         for v in votes:
             if v.att.signer != party:
                 return VerifyOutcome("bad-attestation")
-            fault = _INGEST_FAULTS.get(store.ingest(v).reason)
+            fault = _INGEST_FAULTS.get(store.ingest(v, table.get(v.request)).reason)
             if fault is not None:
                 return VerifyOutcome(fault)
             if v.request not in table:
@@ -95,16 +95,15 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
     for rid, req in table.items():
         if request_id(req.market, req.payload) != rid:
             return VerifyOutcome("bad-attestation")
-        store.register_request(req)
     for rid in prop.requests:
         if rid not in store.strong_at:
             return VerifyOutcome("insufficient-votes")
-    if store.invalid_parties():
+    if any(log.invalid for log in store.logs.values()):
         # Some voter's timestamps ran against its sequence numbers.
         return VerifyOutcome("timestamp-order")
 
     member_set = set(prop.requests)
-    omitted = [rid for rid in store.known_requests() if rid not in member_set]
+    omitted = [rid for rid in store.by_request if rid not in member_set]
     if prop.mode_tag == TIMED_FAIR:
         if prop.pivot is None or prop.pivot.request not in member_set:
             return VerifyOutcome("invalid-pivot")

@@ -51,10 +51,6 @@ class Vote:
         _set_payload(self, vote_payload(self.instance, self.block, self.seq, self.ts, self.request))
         _set_verified(self, False)
 
-    @property
-    def party(self) -> PartyId:
-        return self.att.signer
-
 
 # Writes to the frozen Vote's own slots, for the fields it derives or marks
 # itself. Every vote built or checked makes them, and a slot's setter costs
@@ -122,12 +118,15 @@ class PartyVoteLog:
 _WRONG_BLOCK = IngestOutcome(REJECTED, "wrong-block")
 _DUPLICATE = IngestOutcome(REJECTED, "duplicate")
 
-# A vote with its global acceptance counter, used for arrival-order tie-breaks.
-AcceptedVote = tuple[Vote, int]
-
 
 class VoteStore:
-    """Single-writer view of all validated votes for one protocol incarnation."""
+    """Single-writer view of all validated votes for one protocol incarnation.
+
+    Readers use `logs`, `by_request`, `requests`, `weak_at`, `strong_at`,
+    `version`, `count_before` and `votes_for`; `ingest` is the one way in.
+    `version` is the acceptance index: each accepted vote is stored with the
+    value it had before the acceptance bumped it, and an exclusion bumps it
+    too, so indices rise strictly in acceptance order but may skip values."""
 
     def __init__(self, cfg: QuorumConfig, mode: str, instance: str, block: int):
         if mode not in (PLAIN, TIMESTAMPED):
@@ -137,18 +136,16 @@ class VoteStore:
         self.instance = instance
         self.block = block
         self.logs: dict[PartyId, PartyVoteLog] = {p: PartyVoteLog() for p in range(cfg.n)}
-        # request -> party -> AcceptedVote, in acceptance order at both levels
-        self.by_request: dict[RequestId, dict[PartyId, AcceptedVote]] = {}
+        # request -> party -> (its first vote for request, acceptance index),
+        # in acceptance order at both levels
+        self.by_request: dict[RequestId, dict[PartyId, tuple[Vote, int]]] = {}
         self.requests: dict[RequestId, Request] = {}
-        self._counter = 0
+        # request -> acceptance index of the vote that completed its quorum
         self.weak_at: dict[RequestId, int] = {}
         self.strong_at: dict[RequestId, int] = {}
         self.version = 0  # bumps on any acceptance or invalidation
 
     # -- ingestion ---------------------------------------------------------
-
-    def register_request(self, req: Request) -> None:
-        self.requests.setdefault(req.id, req)
 
     def ingest(self, v: Vote, req: Optional[Request] = None) -> IngestOutcome:
         if req is not None and req.id not in self.requests:
@@ -158,7 +155,7 @@ class VoteStore:
         # copy of a vote this party has accepted or buffered (verified then).
         if v.instance != self.instance or v.block != self.block:
             return _WRONG_BLOCK
-        log = self.logs.get(v.att.signer)  # not the `party` property: once per vote
+        log = self.logs.get(v.att.signer)
         prior = None  # this party's accepted or buffered vote at v.seq
         if log is not None and not log.invalid:
             prior = log.accepted[v.seq] if v.seq < len(log.accepted) else log.pending.get(v.seq)
@@ -174,7 +171,7 @@ class VoteStore:
             return IngestOutcome(REJECTED, "party-invalid")
         if prior is not None:
             # A different vote for a sequence number the party already used.
-            self.mark_invalid(v.party)
+            self.mark_invalid(v.att.signer)
             return IngestOutcome(REJECTED, "equivocation")
 
         if v.seq > len(log.accepted):
@@ -187,7 +184,7 @@ class VoteStore:
         cursor = v
         while cursor is not None:
             if self.mode == TIMESTAMPED and accepted and cursor.ts <= accepted[-1].ts:
-                self.mark_invalid(v.party)
+                self.mark_invalid(v.att.signer)
                 if cursor is v:
                     return IngestOutcome(REJECTED, "timestamp-order")
                 # v itself was accepted; the cascade hit the mismatch.
@@ -205,14 +202,14 @@ class VoteStore:
         party, request = v.att.signer, v.request
         self.logs[party].accepted.append(v)
         slot = self.by_request.setdefault(request, {})
-        slot.setdefault(party, (v, self._counter))
+        index = self.version
+        slot.setdefault(party, (v, index))
         count = len(slot)
         if count == self.cfg.weak_size and request not in self.weak_at:
-            self.weak_at[request] = self._counter
+            self.weak_at[request] = index
         if count == self.cfg.strong_size and request not in self.strong_at:
-            self.strong_at[request] = self._counter
-        self._counter += 1
-        self.version += 1
+            self.strong_at[request] = index
+        self.version = index + 1
 
     def mark_invalid(self, party: PartyId) -> None:
         """Exclude a party for good: its accepted votes stay usable, nothing
@@ -240,21 +237,4 @@ class VoteStore:
         """Each voter's first accepted vote for r, in acceptance order. Votes a
         now-invalid party cast before its exclusion stay usable as block
         justification."""
-        slot = self.by_request.get(r, {})
-        return [vote for vote, _ in slot.values()]
-
-    def known_requests(self) -> list[RequestId]:
-        """Requests with at least one accepted vote, in first-acceptance order."""
-        return list(self.by_request.keys())
-
-    def active_parties(self) -> list[PartyId]:
-        return [p for p, log in self.logs.items() if not log.invalid]
-
-    def invalid_parties(self) -> list[PartyId]:
-        return [p for p, log in self.logs.items() if log.invalid]
-
-    def market_of(self, r: RequestId) -> str:
-        return self.requests[r].market
-
-    def acceptance_records(self, r: RequestId) -> list[AcceptedVote]:
-        return list(self.by_request.get(r, {}).values())
+        return [vote for vote, _ in self.by_request.get(r, {}).values()]

@@ -20,7 +20,7 @@ def _rebuild(cert, votes_by_party=None, requests=None):
 
 def _resign(vote, ts=None, seq=None):
     return make_vote(
-        vote.party, vote.instance, vote.block,
+        vote.att.signer, vote.instance, vote.block,
         vote.seq if seq is None else seq,
         vote.ts if ts is None else ts,
         vote.request,

@@ -28,7 +28,7 @@ def test_single_honest_leader_accepted(cfg4):
     chain = Chain(cfg4)
     out = chain.submit(0, cert)
     assert out.status == ACCEPTED
-    assert chain.delivered == {RA.id: 0}
+    assert chain.delivered == {RA.id}
     assert chain.next_number == 1
 
 
@@ -86,7 +86,7 @@ def _rebless(proposal, block):
     # re-sign the cited votes for the new height so only the duplication fails
     votes_by_party = {
         p: tuple(
-            make_vote(v.party, v.instance, block, v.seq, v.ts, v.request)
+            make_vote(v.att.signer, v.instance, block, v.seq, v.ts, v.request)
             for v in votes
         )
         for p, votes in proposal.votes_by_party.items()
@@ -108,7 +108,7 @@ def test_on_deliver_replays_undelivered(cfg4):
     assert chain.submit(0, cert).ok
     (replayed,) = on_deliver(chain, [state])
     assert replayed.block_number == 1
-    assert replayed.store.known_requests() == [RB.id]
+    assert list(replayed.store.by_request) == [RB.id]
     assert all(v.seq == 0 for log in replayed.store.logs.values() for v in log.accepted)
 
 
@@ -142,10 +142,10 @@ def test_chain_invariants(cfg4):
     for party in range(4):
         _ingest(b, party, 0, RB)
     assert chain.submit(1, BlockCertificate(neverending_step(b), 1)).ok
-    numbers = [n for n, _ in chain.blocks]
+    numbers = [cert.proposal.block_number for cert in chain.blocks]
     assert numbers == [0, 1]
     seen = set()
-    for _, cert in chain.blocks:
+    for cert in chain.blocks:
         overlap = seen & set(cert.proposal.requests)
         assert not overlap
         seen.update(cert.proposal.requests)
@@ -174,5 +174,5 @@ def test_external_validity_under_adversarial_submissions(cfg4):
         assert out.status == REJECTED and out.reason == "invalid-certificate"
         assert chain.blocks == []
     assert chain.submit(0, honest).ok
-    for _, cert in chain.blocks:
+    for cert in chain.blocks:
         assert verify_certificate(cfg4, cert).ok

@@ -31,23 +31,20 @@ def test_blocks_cleared_by_weak_quorum(cfg4):
 
 def test_blocks_true_without_evidence(cfg4):
     store = new_store(cfg4)
-    store.register_request(RA)
-    store.register_request(RB)
+    store.requests.update({RA.id: RA, RB.id: RB})
     assert blocks(store, cfg4, RB.id, RA.id)
     assert blocks(store, cfg4, RA.id, RB.id)
 
 
 def test_blocks_false_across_markets(cfg4):
     store = new_store(cfg4)
-    store.register_request(RA)
-    store.register_request(RX)
+    store.requests.update({RA.id: RA, RX.id: RX})
     assert not blocks(store, cfg4, RX.id, RA.id)
 
 
 def test_blocks_monotone_decreasing(cfg4):
     store = new_store(cfg4)
-    store.register_request(RA)
-    store.register_request(RB)
+    store.requests.update({RA.id: RA, RB.id: RB})
     script = [(0, [RA, RB]), (1, [RA, RB]), (2, [RB, RA]), (3, [RA])]
     cleared = False
     for party, order in script:

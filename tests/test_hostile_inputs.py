@@ -455,6 +455,46 @@ def test_repeated_json_key_is_named_in_the_error(files, tmp_path, capsys, kind):
     assert f"repeats the key {key!r}" in err
 
 
+@pytest.mark.parametrize("command", ["run", "audit", "verify"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    # A scenario, trace or chain file of nested arrays used to escape the CLI
+    # as a RecursionError traceback with exit 1, which reads as a broken rule.
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 100_000 + "\n")
+    assert _exit_code(capsys, [command, str(path)], command) == 2
+
+
+def _rename_first_request(data, name):
+    old = _first_request(data)
+    data["requests"][name] = data["requests"].pop(old)
+    data["events"] = [{**e, "request": name} if e.get("request") == old else e
+                      for e in data["events"]]
+
+
+UNENCODABLE_SCENARIO_CASES = {
+    "requests name": lambda d: _rename_first_request(d, "\ud800"),
+    "requests market": lambda d: d["requests"].update({_first_request(d): "\ud800"}),
+    # The coin is drawn, and the seed encoded, only mid-run: in hybrid mode
+    # when a candidate grows past r_max with coin_stop_p below 1.
+    "coin_seed": lambda d: d.update(mode="hybrid", r_max=0, coin_stop_p=0.5,
+                                    coin_seed="\ud800"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(UNENCODABLE_SCENARIO_CASES))
+def test_unencodable_scenario_string_is_named_in_the_error(files, tmp_path, capsys, field):
+    # Each used to exit 2 with the bare codec text, naming no field.
+    data = json.loads(files["scenario"])
+    UNENCODABLE_SCENARIO_CASES[field](data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_command(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"scenario field {field!r} must encode as UTF-8" in err
+
+
 @pytest.mark.parametrize("field, value", [("instance", "\ud800"), ("vote row request", "\u00e9")])
 def test_unencodable_certificate_string_is_named_in_the_error(files, tmp_path, capsys,
                                                              field, value):

@@ -223,7 +223,7 @@ def test_closure_closed_flag_matches_brute_force_without_repeat_tests(cfg4, monk
                     ingest(state, party, seq, r, ts=(seq + 1) * 10 + party)
             store = state.store
             for seed, members, closed in _grown_candidates(monkeypatch, state):
-                outside = [r for r in store.known_requests() if r not in members]
+                outside = [r for r in store.by_request if r not in members]
                 brute = not any(
                     blocks(store, cfg4, r, m) for r in outside for m in members
                 )
@@ -245,7 +245,7 @@ def test_replay_preserves_order_and_reindexes(cfg4):
     assert replayed.block_number == 1
     # everything delivered -> fresh empty state
     empty = replay_undelivered(state, 1, {M["m1"].id, M["m2"].id, M["m3"].id})
-    assert empty.store.known_requests() == []
+    assert not empty.store.by_request
 
 
 def test_replay_equivalent_to_fresh_store(cfg4):

@@ -243,7 +243,7 @@ def test_byzantine_behaviors_stay_contained(cfg4):
         for party, log in engine.store.logs.items():
             for vote in log.accepted:
                 assert vote_verifies(vote)
-                assert vote.party == party
+                assert vote.att.signer == party
 
 
 def test_round_robin_stalls_on_byzantine_scheduled_leader(cfg4):

@@ -192,7 +192,7 @@ def test_quorum_counts_voters_not_votes(cfg4):
 def _resigned(vote, **fields):
     """`vote` with some signed fields changed, signed again by its voter."""
     v = dataclasses.replace(vote, **fields)
-    return make_vote(v.party, v.instance, v.block, v.seq, v.ts, v.request)
+    return make_vote(v.att.signer, v.instance, v.block, v.seq, v.ts, v.request)
 
 
 def _with_votes(party, edit):
@@ -213,7 +213,7 @@ def _with_table(edit):
 
 
 def _zero_attestation(vote):
-    return dataclasses.replace(vote, att=Attestation(vote.party, "0" * 64))
+    return dataclasses.replace(vote, att=Attestation(vote.att.signer, "0" * 64))
 
 
 FAULTS = [

@@ -111,13 +111,11 @@ def test_count_before_matches_oracle(cfg4):
     assert new_store(cfg4).count_before(R["r1"].id, R["r2"].id) == 0
 
 
-@pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
-@settings(max_examples=60, deadline=None)
-@given(rng=st.randoms(use_true_random=False))
-def test_count_before_matches_oracle_random(n, t, rng):
-    # Random timestamped stores, ingested in random order. Parties may vote a
-    # request twice, and may be excluded for equivocation or for a timestamp
-    # that runs backwards; r5 is held by no party.
+def _random_votes(n, rng):
+    """(party, seq, name, ts) for a random timestamped store, in random
+    ingest order. Parties may vote a request twice, and may be excluded for
+    equivocation or for a timestamp that runs backwards; r5 is held by no
+    party."""
     names = ("r1", "r2", "r3", "r4")
     votes = []
     for party in range(n):
@@ -131,6 +129,14 @@ def test_count_before_matches_oracle_random(n, t, rng):
             other = rng.choice([name for name in names if name != script[seq]])
             votes.append((party, seq, other, stamps[seq]))
     rng.shuffle(votes)
+    return votes
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_count_before_matches_oracle_random(n, t, rng):
+    votes = _random_votes(n, rng)
     store = new_store(validate_config(n, t), mode=TIMESTAMPED)
     for party, seq, name, ts in votes:
         cast(store, party, seq, R[name], ts=ts)
@@ -145,6 +151,50 @@ def test_count_before_matches_oracle_random(n, t, rng):
         voters = sum(any(v.request == r.id for v in log.accepted) for log in store.logs.values())
         assert (r.id in store.weak_at, r.id in store.strong_at) == (
             voters >= cfg.weak_size, voters >= cfg.strong_size)
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_acceptance_index_is_the_version(n, t, rng):
+    # Random stores with exclusions between acceptances. `version` is the
+    # acceptance index: a call that accepts k votes and excludes e parties
+    # raises it by k + e, and its acceptances come first, so the i-th takes
+    # the version before the call plus i.
+    votes = _random_votes(n, rng)
+    store = new_store(validate_config(n, t), mode=TIMESTAMPED)
+    order = []  # (vote, index) in acceptance order
+    for party, seq, name, ts in votes:
+        before = store.version
+        excluded = sum(log.invalid for log in store.logs.values())
+        out = cast(store, party, seq, R[name], ts=ts)
+        excluded = sum(log.invalid for log in store.logs.values()) - excluded
+        assert store.version == before + len(out.accepted) + excluded
+        order += [(v, before + i) for i, v in enumerate(out.accepted)]
+    # by_request holds each voter's first accepted vote with its index; read
+    # in acceptance order, the indices rise strictly.
+    first = {}
+    for vote, index in order:
+        first.setdefault((vote.request, vote.att.signer), (vote, index))
+    assert first == {(r, p): record for r, slot in store.by_request.items()
+                     for p, record in slot.items()}
+    indices = [index for _, index in first.values()]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    # weak_at and strong_at hold the index of the vote that completed each quorum.
+    cfg = store.cfg
+    voters = {}
+    weak, strong = {}, {}
+    for vote, index in order:
+        seen = voters.setdefault(vote.request, set())
+        if vote.att.signer in seen:
+            continue
+        seen.add(vote.att.signer)
+        if len(seen) == cfg.weak_size:
+            weak[vote.request] = index
+        if len(seen) == cfg.strong_size:
+            strong[vote.request] = index
+    assert store.weak_at == weak and store.strong_at == strong
+    assert list(store.weak_at) == sorted(weak, key=weak.get)
 
 
 def test_invalid_party_excluded_from_counts_but_votes_remain(cfg4):
@@ -347,7 +397,7 @@ def test_rebuilt_certificates_are_hashed_vote_by_vote(cfg4, monkeypatch):
     sim.run()
     assert sim.chain.blocks
     calls = _count_verify(monkeypatch)
-    for _, cert in sim.chain.blocks:
+    for cert in sim.chain.blocks:
         cited = [v for votes in cert.proposal.votes_by_party.values() for v in votes]
         assert all(v.verified for v in cited)
         rebuilt = certificate_from_dict(certificate_to_dict(cert))

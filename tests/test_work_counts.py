@@ -125,10 +125,10 @@ def test_fallback_ends_only_at_an_incarnation_change(monkeypatch):
 
     def checked(sim):
         real(sim)
-        delivered = sim.chain.delivered.keys()
+        delivered = sim.chain.delivered
         for state in sim.engines.values():
             assert not delivered & set(state.fallback_snapshot)
-            assert not delivered & set(state.store.known_requests())
+            assert not delivered & state.store.by_request.keys()
 
     monkeypatch.setattr(Simulation, "_step_leaders", checked)
     exits = 0
