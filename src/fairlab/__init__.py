@@ -2,7 +2,7 @@
 
 Leader engines that build block proposals under three fairness disciplines,
 stand-alone block verifiers, an adversary-controlled deterministic network
-simulator, and a post-hoc fairness auditor with a brute-force oracle.
+simulator, and a post-hoc fairness auditor.
 """
 
 from .core import (
@@ -33,6 +33,6 @@ from .leaders import (
 )
 from .validity import BlockCertificate, verify_certificate
 from .chain import Chain, on_deliver
-from .audit import FairnessReport, audit_trace, oracle_constraints
+from .audit import FairnessReport, audit_trace
 
 __version__ = "0.1.0"

@@ -1,24 +1,21 @@
-"""Post-hoc fairness auditor and brute-force oracle.
+"""Post-hoc fairness auditor.
 
 The auditor reconstructs ground truth from the trace's sighting records (not
 from protocol state) and checks each fairness definition against the chain
-that was produced. The oracle re-derives constraint sets by exhaustive
-enumeration over corruption hypotheses and is used to validate the checkers
-and the engines at desk scale.
+that was produced. Its constraint sets are those of the trace's actual
+corruption set; the test suite checks them against an exhaustive
+re-derivation over every corruption hypothesis from the raw records alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from math import inf
 
 from .core import validate_config
 from .leaders import MODES
 from .simnet.trace import Trace
-
-ORACLE_LIMIT = 12
 
 # Record fields the auditor reads, with their JSON types (true is no int).
 AUDITED_FIELDS = {
@@ -125,12 +122,33 @@ class TraceView:
     # Shared by the relative and the strict checker.
     @cached_property
     def relative_constraints(self) -> set[tuple[str, str]]:
-        return _relative_constraints(self, self.honest)
+        """Ordered same-market pairs (r1, r2) such that every honest party
+        received r1, and r2 only later or not at all."""
+        constraints = set()
+        requests = self.requests()
+        honest = [self.pos[p] for p in self.honest]
+        for r1 in requests:
+            for r2 in requests:
+                if r1 == r2 or self.market[r1] != self.market[r2]:
+                    continue
+                if all(pos.get(r1, inf) < pos.get(r2, inf) for pos in honest):
+                    constraints.add((r1, r2))
+        return constraints
 
-    def saw_before(self, party: int, r1: str, r2: str) -> bool:
-        """Did this party receive r1, and r2 only later or not at all?"""
-        pos = self.pos[party]
-        return pos.get(r1, inf) < pos.get(r2, inf)
+    @cached_property
+    def timed_constraints(self) -> set[tuple[str, str]]:
+        """Pairs separated by a time tau on the honest local clocks."""
+        constraints = set()
+        spans = {}  # request every honest party saw -> (first, last) sighting time
+        for r in self.requests():
+            ts = [self.ts[p][r] for p in self.honest if r in self.ts[p]]
+            if len(ts) == len(self.honest):
+                spans[r] = (min(ts), max(ts))
+        for r1, (_, last1) in spans.items():
+            for r2, (first2, _) in spans.items():
+                if r1 != r2 and self.market[r1] == self.market[r2] and last1 < first2:
+                    constraints.add((r1, r2))
+        return constraints
 
 
 @dataclass
@@ -148,35 +166,6 @@ class Verdict:
             "constraints": self.constraint_count,
             "violations": self.violations,
         }
-
-
-def _relative_constraints(view: TraceView, honest: list[int]) -> set[tuple[str, str]]:
-    """Ordered same-market pairs (r1, r2) such that every party presumed
-    honest received r1 before r2."""
-    constraints = set()
-    requests = view.requests()
-    for r1 in requests:
-        for r2 in requests:
-            if r1 == r2 or view.market[r1] != view.market[r2]:
-                continue
-            if all(view.saw_before(p, r1, r2) for p in honest):
-                constraints.add((r1, r2))
-    return constraints
-
-
-def _timed_constraints(view: TraceView, honest: list[int]) -> set[tuple[str, str]]:
-    """Pairs separated by a time tau on the presumed-honest local clocks."""
-    constraints = set()
-    spans = {}  # request every presumed-honest party saw -> (first, last) sighting time
-    for r in view.requests():
-        ts = [view.ts[p][r] for p in honest if r in view.ts[p]]
-        if len(ts) == len(honest):
-            spans[r] = (min(ts), max(ts))
-    for r1, (_, last1) in spans.items():
-        for r2, (first2, _) in spans.items():
-            if r1 != r2 and view.market[r1] == view.market[r2] and last1 < first2:
-                constraints.add((r1, r2))
-    return constraints
 
 
 def check_relative_block_fairness(view: TraceView) -> Verdict:
@@ -198,7 +187,7 @@ def check_relative_block_fairness(view: TraceView) -> Verdict:
 def check_timed_fairness(view: TraceView) -> Verdict:
     """If a time tau separates every honest sighting of r1 (before) from every
     honest sighting of r2 (after), r1 must be scheduled before r2."""
-    constraints = _timed_constraints(view, view.honest)
+    constraints = view.timed_constraints
     violations = []
     for r1, r2 in sorted(constraints):
         if r2 not in view.final_pos:
@@ -265,37 +254,6 @@ def check_absolute_fairness(view: TraceView) -> Verdict:
                     for name in missing],
         constraint_count=len(honest_seen),
     )
-
-
-@dataclass
-class OracleConstraints:
-    relative: dict[tuple[int, ...], frozenset]
-    timed: dict[tuple[int, ...], frozenset]
-
-    def relative_union(self) -> set[tuple[str, str]]:
-        out: set[tuple[str, str]] = set()
-        for pairs in self.relative.values():
-            out.update(pairs)
-        return out
-
-
-def oracle_constraints(view: TraceView) -> OracleConstraints:
-    """Exhaustive re-derivation from raw sighting events only: for every
-    corruption hypothesis of size at most t, the constraint sets the chain
-    would have to satisfy if exactly those parties were corrupt."""
-    if len(view.requests()) > ORACLE_LIMIT:
-        raise ValueError(
-            f"oracle is desk-scale only ({len(view.requests())} requests > {ORACLE_LIMIT})"
-        )
-    relative: dict[tuple[int, ...], frozenset] = {}
-    timed: dict[tuple[int, ...], frozenset] = {}
-    parties = list(range(view.n))
-    for size in range(view.t + 1):
-        for combo in combinations(parties, size):
-            honest = [p for p in parties if p not in combo]
-            relative[combo] = frozenset(_relative_constraints(view, honest))
-            timed[combo] = frozenset(_timed_constraints(view, honest))
-    return OracleConstraints(relative=relative, timed=timed)
 
 
 @dataclass

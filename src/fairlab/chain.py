@@ -28,7 +28,6 @@ EQUIVOCATION = "equivocation-detected"
 class SubmitOutcome:
     status: str
     reason: Optional[str] = None
-    proposer: Optional[PartyId] = None
 
     @property
     def ok(self) -> bool:
@@ -59,7 +58,7 @@ class Chain:
                 prior.add(digest)
                 if proposer not in self.equivocators:
                     self.equivocators.append(proposer)
-                return SubmitOutcome(EQUIVOCATION, proposer=proposer)
+                return SubmitOutcome(EQUIVOCATION)
             prior.add(digest)
         if number != self.next_number:
             return SubmitOutcome(REJECTED, "wrong-block-number")

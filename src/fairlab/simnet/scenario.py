@@ -48,8 +48,9 @@ def _int(value, field: str, low: float, high: float) -> None:
 
 
 def _utf8(field: str, *texts: str) -> None:
-    # Request names are payloads, and markets and the coin seed are hashed:
-    # the run encodes each as UTF-8, which a lone surrogate fails.
+    # Request names are payloads, markets and the coin seed are hashed, and
+    # `run` prints the label: each is encoded as UTF-8, which a lone
+    # surrogate fails.
     for text in texts:
         try:
             text.encode("utf-8")
@@ -181,6 +182,7 @@ class Scenario:
         if not (isinstance(self.coin_seed, str) and isinstance(self.label, str)):
             raise ValueError("scenario fields 'coin_seed' and 'label' must be strings")
         _utf8("coin_seed", self.coin_seed)
+        _utf8("label", self.label)
         if not (self.generator is None or isinstance(self.generator, dict)):
             raise ValueError("scenario field 'generator' must be an object or null")
         if not isinstance(self.requests, dict) or not all(

@@ -15,11 +15,9 @@ import pytest
 
 from fairlab.audit import (
     TraceView,
-    _relative_constraints,
     audit_trace,
     check_relative_block_fairness,
     check_timed_fairness,
-    oracle_constraints,
 )
 from fairlab.core import validate_config
 from fairlab.fairness import max_median_of
@@ -35,7 +33,7 @@ from fairlab.simnet.runner import Simulation
 from fairlab.validity import certificate_from_dict, verify_certificate
 
 import certutil
-from oracles import enumerate_max_median
+from oracles import enumerate_max_median, oracle_constraints
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CFG4 = validate_config(4, 1)
@@ -83,7 +81,7 @@ CYCLE_UNION = {("m1", "m2"), ("m2", "m3"), ("m3", "m4"), ("m4", "m1")}
 
 def test_criterion_2_cycle_constraint_structure():
     trace = run(cycle_schedule(CFG4))
-    oracle = oracle_constraints(TraceView(trace))
+    oracle = oracle_constraints(trace)
     assert dict(oracle.relative) == CYCLE_GOLDEN
     assert oracle.relative_union() == CYCLE_UNION
     blocks = trace.blocks()
@@ -114,9 +112,9 @@ def test_criterion_3_block_fair_safety_fuzz():
             assert verdict.holds, (
                 f"{scenario.label} ({mode}): {verdict.violations[:2]}"
             )
-            oracle = oracle_constraints(view)
+            oracle = oracle_constraints(trace)
             actual = tuple(sorted(view.corrupt))
-            assert _relative_constraints(view, view.honest) == set(oracle.relative[actual]), (
+            assert view.relative_constraints == oracle.relative[actual], (
                 f"{scenario.label}: checker and oracle disagree"
             )
             checked += 1
@@ -136,10 +134,16 @@ def test_criterion_4_clocked_safety_and_liveness():
             assert verdict.holds, f"{scenario.label}: {verdict.violations[:2]}"
             if any(view.pos[p] for p in view.honest):
                 assert trace.summary["blocks"] >= 1, f"{scenario.label}: no block emitted"
+            oracle = oracle_constraints(trace)
+            actual = tuple(sorted(view.corrupt))
+            assert view.timed_constraints == oracle.timed[actual], (
+                f"{scenario.label}: checker and oracle disagree"
+            )
             checked += 1
     assert checked == 1000
     _verdict(4, True, f"{checked} clocked scenarios, zero timed-fairness violations, "
-                      "every run with an honest-seen request emitted a block")
+                      "every run with an honest-seen request emitted a block, "
+                      "checker and oracle agree on every trace")
 
 
 # -- 5: hybrid cutoff golden ---------------------------------------------------

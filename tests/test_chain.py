@@ -54,7 +54,7 @@ def test_proposer_equivocation_detected(cfg4):
     chain = Chain(cfg4)
     assert chain.submit(0, cert_a).status == ACCEPTED
     out = chain.submit(0, cert_b)
-    assert out.status == EQUIVOCATION and out.proposer == 0
+    assert out.status == EQUIVOCATION
     assert chain.equivocators == [0]
     # resubmitting the identical accepted certificate is not equivocation
     out = chain.submit(0, cert_a)

@@ -10,7 +10,11 @@ were accepted before the load boundaries checked them.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from fairlab.core import MAX_PARTIES, validate_config
 from fairlab.simnet import benign_schedule, run
 from fairlab.simnet.scenario import Scenario
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 BAD_VALUES = ["x", 1.5, [], {}, None, True]
 
 INT, NUM, STR, LIST, DICT, NULL = (int,), (int, float), (str,), (list,), (dict,), (type(None),)
@@ -493,6 +498,27 @@ def test_unencodable_scenario_string_is_named_in_the_error(files, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"scenario field {field!r} must encode as UTF-8" in err
+
+
+def test_unencodable_label_exits_two_before_the_run(files, tmp_path):
+    # The label is printed only after the trace is saved, and captured
+    # stdout takes a lone surrogate, so this runs the CLI in a fresh
+    # interpreter. It used to write the trace, then exit 2 with the bare
+    # codec text.
+    data = json.loads(files["scenario"])
+    data["label"] = "\udc00"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    trace = tmp_path / "t.jsonl"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "fairlab.cli", "run", str(path),
+                           "--out", str(trace)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "scenario field 'label' must encode as UTF-8" in done.stderr
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize("field, value", [("instance", "\ud800"), ("vote row request", "\u00e9")])

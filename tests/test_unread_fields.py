@@ -1,17 +1,15 @@
 """No field is written and never read: every dataclass field and every
 `self.x` attribute assigned in src/fairlab is loaded somewhere in src/ or
 tests/. No accessor is called only by tests: every method and property
-defined on a class in src/fairlab is loaded somewhere in src/. The checks are
-by attribute name, so a load of any attribute with the same name counts."""
+defined on a class in src/fairlab is loaded somewhere in src/. No function or
+class is there only for tests: every module-level `def` and `class` in
+src/fairlab is loaded somewhere in src/ outside `__init__.py`. The checks are
+by name, so a load of any attribute or name with the same name counts."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# Called only from tests by design: README documents the brute-force oracle
-# and this is its entry point.
-TEST_ONLY_METHODS = {"OracleConstraints.relative_union"}
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -50,6 +48,20 @@ def _loaded_in(*dirs: str) -> set[str]:
     return loaded
 
 
+def _names_loaded_in_src() -> set[str]:
+    """Each name and attribute loaded in src/, package `__init__.py` files
+    aside: their imports re-export names, and their loads would count an
+    export as a use."""
+    loaded: set[str] = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(), str(path))
+            loaded |= _loaded(tree)
+            loaded |= {node.id for node in ast.walk(tree)
+                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return loaded
+
+
 def _methods(tree: ast.AST):
     """(class, name, line) of each method and property defined on a class,
     dunder methods aside: the language calls those."""
@@ -76,6 +88,17 @@ def test_every_method_is_called_in_src():
     uncalled = []
     for path in sorted((ROOT / "src" / "fairlab").rglob("*.py")):
         for cls, name, line in _methods(ast.parse(path.read_text(), str(path))):
-            if name not in loaded and f"{cls}.{name}" not in TEST_ONLY_METHODS:
+            if name not in loaded:
                 uncalled.append(f"{path.relative_to(ROOT)}:{line} {cls}.{name}")
     assert not uncalled, uncalled
+
+
+def test_every_module_level_def_is_used_in_src():
+    loaded = _names_loaded_in_src()
+    unused = []
+    for path in sorted((ROOT / "src" / "fairlab").rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in loaded):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not unused, unused
