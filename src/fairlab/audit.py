@@ -14,7 +14,7 @@ from functools import cached_property
 from math import inf
 
 from .core import validate_config
-from .leaders import MODES
+from .leaders import CLOCKED, HYBRID, MODES, NEVERENDING
 from .simnet.trace import Trace
 
 # Record fields the auditor reads, with their JSON types (true is no int).
@@ -256,68 +256,60 @@ def check_absolute_fairness(view: TraceView) -> Verdict:
     )
 
 
+# Report key, text label and checker of each verdict, in report order.
+CHECKS = (
+    ("block_fairness", "block fairness", check_block_fairness),
+    ("relative_block_fairness", "relative block fairness", check_relative_block_fairness),
+    ("timed_relative_fairness", "timed relative fairness", check_timed_fairness),
+    ("absolute_fairness", "absolute fairness", check_absolute_fairness),
+    ("strict_relative_fairness", "strict relative (info)", check_strict_relative_fairness),
+)
+# Which checker's verdict gates which mode: block-fair engines owe relative
+# block fairness and the clocked engine owes timed fairness. The hybrid engine
+# (None) owes confinement of relative violations to post-cutoff blocks.
+GATES = {NEVERENDING: check_relative_block_fairness, CLOCKED: check_timed_fairness, HYBRID: None}
+
+
 @dataclass
 class FairnessReport:
     mode: str
-    block_fairness: Verdict
-    relative_block_fairness: Verdict
-    timed_relative_fairness: Verdict
-    absolute_fairness: Verdict
-    strict_relative_fairness: Verdict
+    verdicts: dict[str, Verdict]  # by report key, in CHECKS order
     violations_confined_post_cutoff: bool
+    gate: bool  # the mode's gating verdict holds
 
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "block_fairness": self.block_fairness.to_dict(),
-            "relative_block_fairness": self.relative_block_fairness.to_dict(),
-            "timed_relative_fairness": self.timed_relative_fairness.to_dict(),
-            "absolute_fairness": self.absolute_fairness.to_dict(),
-            "strict_relative_fairness": self.strict_relative_fairness.to_dict(),
+            **{key: verdict.to_dict() for key, verdict in self.verdicts.items()},
             "violations_confined_post_cutoff": self.violations_confined_post_cutoff,
-            "gate_ok": self.gate_ok(),
+            "gate_ok": self.gate,
         }
 
     def gate_ok(self) -> bool:
-        """Which verdict gates which mode: block-fair engines owe relative
-        block fairness, the clocked engine owes timed fairness, and the hybrid
-        engine owes confinement of violations to post-cutoff blocks."""
-        if self.mode == "neverending":
-            return self.relative_block_fairness.holds
-        if self.mode == "clocked":
-            return self.timed_relative_fairness.holds
-        if self.mode == "hybrid":
-            return self.violations_confined_post_cutoff
-        return False
+        return self.gate
 
     def render_text(self) -> str:
-        def line(label: str, verdict: Verdict) -> str:
+        rows = [f"fairness report (mode={self.mode})"]
+        for key, label, _ in CHECKS:
+            verdict = self.verdicts[key]
             status = "holds" if verdict.holds else f"VIOLATED ({len(verdict.violations)})"
-            return f"  {label:<28} {status:<16} [{verdict.constraint_count} constraints]"
-
-        rows = [
-            f"fairness report (mode={self.mode})",
-            line("block fairness", self.block_fairness),
-            line("relative block fairness", self.relative_block_fairness),
-            line("timed relative fairness", self.timed_relative_fairness),
-            line("absolute fairness", self.absolute_fairness),
-            line("strict relative (info)", self.strict_relative_fairness),
+            rows.append(f"  {label:<28} {status:<16} [{verdict.constraint_count} constraints]")
+        rows += [
             f"  violations confined post-cutoff: {self.violations_confined_post_cutoff}",
-            f"  gate: {'ok' if self.gate_ok() else 'FAIL'}",
+            f"  gate: {'ok' if self.gate else 'FAIL'}",
         ]
         return "\n".join(rows)
 
 
 def audit_trace(trace: Trace) -> FairnessReport:
     view = TraceView(trace)
-    relative = check_relative_block_fairness(view)
+    by_checker = {checker: checker(view) for _, _, checker in CHECKS}
+    confined = all(view.post_cutoff[v["block_r2"]]
+                   for v in by_checker[check_relative_block_fairness].violations)
+    gate = GATES[view.mode]
     return FairnessReport(
         mode=view.mode,
-        block_fairness=check_block_fairness(view),
-        relative_block_fairness=relative,
-        timed_relative_fairness=check_timed_fairness(view),
-        absolute_fairness=check_absolute_fairness(view),
-        strict_relative_fairness=check_strict_relative_fairness(view),
-        violations_confined_post_cutoff=all(
-            view.post_cutoff[v["block_r2"]] for v in relative.violations),
+        verdicts={key: by_checker[checker] for key, _, checker in CHECKS},
+        violations_confined_post_cutoff=confined,
+        gate=confined if gate is None else by_checker[gate].holds,
     )

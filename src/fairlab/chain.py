@@ -48,22 +48,24 @@ class Chain:
     def next_number(self) -> int:
         return len(self.blocks)
 
-    def submit(self, proposer: PartyId, cert: BlockCertificate) -> SubmitOutcome:
-        verdict = verify_certificate(self.cfg, cert)
+    def submit(self, cert: BlockCertificate) -> SubmitOutcome:
+        """Order one certificate. A rejection names the first chain rule it
+        breaks, or the verifier's own reason for an invalid certificate."""
+        fault = verify_certificate(self.cfg, cert).reason
         number = cert.proposal.block_number
-        if verdict.ok:
+        if fault is None:
             digest = cert.digest()
-            prior = self._seen.setdefault((number, proposer), set())
+            prior = self._seen.setdefault((number, cert.proposer), set())
             if prior and digest not in prior:
                 prior.add(digest)
-                if proposer not in self.equivocators:
-                    self.equivocators.append(proposer)
+                if cert.proposer not in self.equivocators:
+                    self.equivocators.append(cert.proposer)
                 return SubmitOutcome(EQUIVOCATION)
             prior.add(digest)
         if number != self.next_number:
             return SubmitOutcome(REJECTED, "wrong-block-number")
-        if not verdict.ok:
-            return SubmitOutcome(REJECTED, "invalid-certificate")
+        if fault is not None:
+            return SubmitOutcome(REJECTED, fault)
         if any(rid in self.delivered for rid in cert.proposal.requests):
             return SubmitOutcome(REJECTED, "duplicate-request")
         self.blocks.append(cert)

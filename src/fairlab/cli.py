@@ -32,7 +32,7 @@ from .simnet.generators import (
 from .simnet.runner import Simulation
 from .simnet.scenario import Scenario, load_scenario, save_scenario
 from .simnet.trace import Trace
-from .validity import certificate_from_dict, uint64, verify_certificate
+from .validity import certificate_from_dict, uint64
 
 USAGE_ERROR = 2
 GATE_ERROR = 1
@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=MODES)
     run.add_argument("--rmax", type=int)
     run.add_argument("--seed", type=int, help="override the wrapper/coin seed")
-    run.add_argument("--parties", type=int)
-    run.add_argument("--faults", type=int)
     run.add_argument("--out", help="trace output path")
     run.add_argument("--chain", help="chain (certificate) output path")
     run.add_argument("--format", choices=["text", "structured"], default="text")
@@ -106,14 +104,10 @@ def _override(scenario: Scenario, **fields) -> Scenario:
     return dataclasses.replace(scenario, **given) if given else scenario
 
 
-def _apply_run_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    seed = args.seed
-    return _override(scenario, mode=args.mode, r_max=args.rmax, n=args.parties, t=args.faults,
-                     wrapper_seed=seed, coin_seed=None if seed is None else str(seed))
-
-
 def _run(args: argparse.Namespace) -> int:
-    scenario = _apply_run_overrides(load_scenario(args.scenario), args)
+    seed = args.seed
+    scenario = _override(load_scenario(args.scenario), mode=args.mode, r_max=args.rmax,
+                         wrapper_seed=seed, coin_seed=None if seed is None else str(seed))
     sim = Simulation(scenario)
     trace = sim.run()
     report = audit_trace(trace)
@@ -163,14 +157,9 @@ def _verify(args: argparse.Namespace) -> int:
         if number != cert.proposal.block_number:
             reason = "wrong-block-number"
         else:
-            outcome = chain.submit(cert.proposer, cert)
-            if outcome.ok:
-                reason = None
-            elif outcome.reason == "invalid-certificate":
-                # Only a rejected certificate is verified again, to name its fault.
-                reason = verify_certificate(cfg, cert).reason
-            else:
-                reason = outcome.reason or outcome.status  # equivocation has no reason
+            outcome = chain.submit(cert)
+            # An equivocation is rejected with no reason: its status names it.
+            reason = None if outcome.ok else outcome.reason or outcome.status
         results.append({"number": number, "status": INVALID if reason else VALID,
                         "reason": reason})
     all_ok = all(row["status"] == VALID for row in results)

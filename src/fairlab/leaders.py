@@ -29,7 +29,6 @@ from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore, make_vote
 NEVERENDING = "neverending"
 CLOCKED = "clocked"
 HYBRID = "hybrid"
-MODES = (NEVERENDING, CLOCKED, HYBRID)
 TIMESTAMPED_MODES = (CLOCKED, HYBRID)  # their votes carry timestamps
 
 BLOCK_FAIR = "block-fair"
@@ -195,8 +194,6 @@ def _low_set(store: VoteStore, seed: RequestId, cutoff: float) -> list[RequestId
 # -- block-fair engine (may never emit, by design) ---------------------------
 
 def neverending_step(state: LeaderState) -> Optional[Proposal]:
-    if state.mode != NEVERENDING:
-        raise ValueError("engine is not in neverending mode")
     store = state.store
     seed = next(iter(store.strong_at), None)
     if seed is None:
@@ -232,8 +229,6 @@ def _timed_block(state: LeaderState, seed: RequestId, pivot: MedianSummary,
 
 
 def clocked_step(state: LeaderState) -> Optional[Proposal]:
-    if state.mode != CLOCKED:
-        raise ValueError("engine is not in clocked mode")
     store, cfg = state.store, state.cfg
     seed = next(iter(store.strong_at), None)
     if seed is None:
@@ -301,8 +296,6 @@ def _hybrid_fallback(state: LeaderState) -> Optional[Proposal]:
 
 
 def hybrid_step(state: LeaderState) -> Optional[Proposal]:
-    if state.mode != HYBRID:
-        raise ValueError("engine is not in hybrid mode")
     if not state.fallback_snapshot:
         proposal = _hybrid_block_fair(state)
         if proposal is not None or not state.fallback_snapshot:
@@ -310,14 +303,14 @@ def hybrid_step(state: LeaderState) -> Optional[Proposal]:
     return _hybrid_fallback(state)
 
 
+# The engine of each mode. Scenario and TraceView accept no other mode.
+ENGINES = {NEVERENDING: neverending_step, CLOCKED: clocked_step, HYBRID: hybrid_step}
+MODES = tuple(ENGINES)
+
+
 def step(state: LeaderState) -> list[Proposal]:
     """The engine's proposal for this step, as a list of at most one."""
-    if state.mode == NEVERENDING:
-        proposal = neverending_step(state)
-    elif state.mode == CLOCKED:
-        proposal = clocked_step(state)
-    else:
-        proposal = hybrid_step(state)
+    proposal = ENGINES[state.mode](state)
     return [proposal] if proposal else []
 
 

@@ -154,7 +154,9 @@ _FUZZ_BEHAVIORS = ("reorder", "equivocate", "skew")
 def fuzz_scenario(seed: int, n: int = 4, t: int = 1, mode: str = "neverending",
                   r_max: int = 0, max_requests: int = 10) -> Scenario:
     """Seeded adversarial scenario: random sighting interleavings, random vote
-    release points, and up to t byzantine parties with random behaviors."""
+    release points, and up to t byzantine parties with random behaviors. A
+    party may have no scheduled sighting of one request; a complete run still
+    shows it that request by relay once a vote for it reaches the party."""
     rng = random.Random(seed)
     count = rng.randint(2, max_requests)
     names = _request_names(count)
@@ -184,7 +186,7 @@ def fuzz_scenario(seed: int, n: int = 4, t: int = 1, mode: str = "neverending",
         order = list(names)
         rng.shuffle(order)
         if len(order) > 2 and rng.random() < 0.2:
-            order = order[: len(order) - 1]  # this party never sees one request
+            order = order[: len(order) - 1]  # no scheduled sighting of one request
         streams.append(order)
     events: list[dict] = []
     cursors = [0] * n

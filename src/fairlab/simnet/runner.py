@@ -323,42 +323,47 @@ class Simulation:
         return self.leader_ids
 
     def _step_leaders(self) -> None:
+        """Step every proposer whose store changed since its last step, and
+        start over after each block, until no proposer ships one."""
+        stepped = self._stepped_version  # _on_block clears it in place
         while True:
-            accepted = False
             for pid in self._proposers():
-                state = self.engines[pid]
-                marker = state.store.version
-                if self._stepped_version.get(pid) == marker:
-                    continue
-                self._stepped_version[pid] = marker
-                before_fallback = state.fallback_snapshot
-                proposals = leader_step(state)
-                if state.fallback_snapshot and not before_fallback:
-                    self._rec("engine", leader=pid, event="fallback-enter",
-                              snapshot=[self.by_id[r].name for r in state.fallback_snapshot])
-                for prop in proposals:
-                    cert = BlockCertificate(prop, pid)
-                    outcome = self.chain.submit(pid, cert)
-                    self._rec("proposal", leader=pid, block=prop.block_number,
-                              tag=prop.mode_tag,
-                              requests=[self.by_id[r].name for r in prop.requests],
-                              outcome=outcome.status, reason=outcome.reason)
-                    if outcome.ok:
-                        self._on_block(pid, cert)
-                        accepted = True
+                marker = self.engines[pid].store.version
+                if stepped.get(pid) != marker:
+                    stepped[pid] = marker
+                    if self._turn(pid):
                         break
-                if accepted:
-                    break
-            if not accepted:
+            else:
                 return
 
-    def _on_block(self, proposer: PartyId, cert: BlockCertificate) -> None:
+    def _turn(self, pid: PartyId) -> bool:
+        """Step one leader engine and submit its proposal; True when the chain
+        accepts it as a block."""
+        state = self.engines[pid]
+        before_fallback = state.fallback_snapshot
+        proposals = leader_step(state)
+        if state.fallback_snapshot and not before_fallback:
+            self._rec("engine", leader=pid, event="fallback-enter",
+                      snapshot=[self.by_id[r].name for r in state.fallback_snapshot])
+        for prop in proposals:
+            cert = BlockCertificate(prop, pid)
+            outcome = self.chain.submit(cert)
+            self._rec("proposal", leader=pid, block=prop.block_number,
+                      tag=prop.mode_tag,
+                      requests=[self.by_id[r].name for r in prop.requests],
+                      outcome=outcome.status, reason=outcome.reason)
+            if outcome.ok:
+                self._on_block(cert)
+                return True
+        return False
+
+    def _on_block(self, cert: BlockCertificate) -> None:
         prop = cert.proposal
         post_cutoff = any(e.cutoff_events > 0 for e in self.engines.values())
         if self.first_block_step is None:
             self.first_block_step = self.step_no
             self.first_block_action = self.action_index
-        self._rec("block", number=prop.block_number, proposer=proposer,
+        self._rec("block", number=prop.block_number, proposer=cert.proposer,
                   tag=prop.mode_tag,
                   requests=[self.by_id[r].name for r in prop.requests],
                   request_ids=list(prop.requests),
@@ -371,7 +376,7 @@ class Simulation:
                 self._rec("engine", leader=pid, event="fallback-exit")
         for party in self.parties:
             party.next_incarnation(self.chain.delivered)
-        self._stepped_version = {}
+        self._stepped_version.clear()
         self._rec("incarnation", block=self.chain.next_number)
 
     # -- run loop, drain and summary --------------------------------------------

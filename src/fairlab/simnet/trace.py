@@ -113,17 +113,9 @@ class Trace:
         with open(path) as fh:
             return cls.from_lines(fh.read().splitlines())
 
-    # -- convenience views ---------------------------------------------------
-
-    def of_kind(self, kind: str) -> list[dict]:
-        return [r for r in self.records if r["kind"] == kind]
-
     @property
     def summary(self) -> dict:
         for r in reversed(self.records):
             if r["kind"] == "summary":
                 return r
         raise ValueError("trace has no summary record")
-
-    def blocks(self) -> list[dict]:
-        return self.of_kind("block")

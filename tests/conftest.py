@@ -41,6 +41,11 @@ def fill_logs(store, logs, timestamped=False):
             cast(store, party, seq, request, ts=seq + 1 if timestamped else None)
 
 
+def records(trace, kind):
+    """The trace's records of one kind, in order."""
+    return [r for r in trace.records if r["kind"] == kind]
+
+
 def wrapped_hybrid_scenario():
     """Depth-10 segments under p=0.05 failures, wrapper seed 15, hybrid with
     r_max 6: three leaders enter the fallback and one ships four blocks."""

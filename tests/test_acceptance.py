@@ -33,6 +33,7 @@ from fairlab.simnet.runner import Simulation
 from fairlab.validity import certificate_from_dict, verify_certificate
 
 import certutil
+from conftest import records
 from oracles import enumerate_max_median, oracle_constraints
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -55,7 +56,7 @@ def test_criterion_1_impossibility_reproduction():
         trace = run(scenario)
         runtimes[depth] = time.perf_counter() - started
         summary = trace.summary
-        blocks = trace.blocks()
+        blocks = records(trace, "block")
         expected = {f"m{i + 1}" for i in range(4 * depth)}
         assert summary["blocks"] == 1, f"depth {depth}: {summary['blocks']} blocks"
         assert summary["max_candidate_order"] == 4 * depth
@@ -84,7 +85,7 @@ def test_criterion_2_cycle_constraint_structure():
     oracle = oracle_constraints(trace)
     assert dict(oracle.relative) == CYCLE_GOLDEN
     assert oracle.relative_union() == CYCLE_UNION
-    blocks = trace.blocks()
+    blocks = records(trace, "block")
     assert len(blocks) == 1
     assert set(blocks[0]["requests"]) == {"m1", "m2", "m3", "m4"}
     _verdict(2, True, "per-hypothesis chains match exactly and close a cycle; "
@@ -99,8 +100,18 @@ def _fuzz_cells(mode: str, r_max: int, per_cell: int, base: int):
             yield fuzz_scenario(base + i * 13 + n, n=n, t=t, mode=mode, r_max=r_max)
 
 
+def _proposals_all_accepted(trace) -> int:
+    """Assert that the chain took every proposal an honest engine made, with
+    no reason; returns their count. An invalid certificate from an honest
+    engine would put the verifier's reason in the trace."""
+    proposals = records(trace, "proposal")
+    refused = [r for r in proposals if (r["outcome"], r["reason"]) != ("accepted", None)]
+    assert not refused, f"{trace.header['label']}: {refused[:2]}"
+    return len(proposals)
+
+
 def test_criterion_3_block_fair_safety_fuzz():
-    checked = 0
+    checked = proposals = 0
     for mode, r_max, base in (("neverending", 0, 10_000), ("hybrid", 10**6, 20_000)):
         for scenario in _fuzz_cells(mode, r_max, per_cell=250, base=base):
             trace = run(scenario)
@@ -112,26 +123,29 @@ def test_criterion_3_block_fair_safety_fuzz():
             assert verdict.holds, (
                 f"{scenario.label} ({mode}): {verdict.violations[:2]}"
             )
+            proposals += _proposals_all_accepted(trace)
             oracle = oracle_constraints(trace)
             actual = tuple(sorted(view.corrupt))
             assert view.relative_constraints == oracle.relative[actual], (
                 f"{scenario.label}: checker and oracle disagree"
             )
             checked += 1
-    assert checked == 1000
+    assert checked == 1000 and proposals > 0
     _verdict(3, True, f"{checked} adversarial scenarios, zero relative-block-fairness "
-                      "violations, checker and oracle agree on every trace")
+                      "violations, checker and oracle agree on every trace, all "
+                      f"{proposals} proposals accepted")
 
 
 def test_criterion_4_clocked_safety_and_liveness():
     # the same scenario matrix as criterion 3, re-run under the clocked engine
-    checked = 0
+    checked = proposals = 0
     for base in (10_000, 20_000):
         for scenario in _fuzz_cells("clocked", 0, per_cell=250, base=base):
             trace = run(scenario)
             view = TraceView(trace)
             verdict = check_timed_fairness(view)
             assert verdict.holds, f"{scenario.label}: {verdict.violations[:2]}"
+            proposals += _proposals_all_accepted(trace)
             if any(view.pos[p] for p in view.honest):
                 assert trace.summary["blocks"] >= 1, f"{scenario.label}: no block emitted"
             oracle = oracle_constraints(trace)
@@ -140,10 +154,11 @@ def test_criterion_4_clocked_safety_and_liveness():
                 f"{scenario.label}: checker and oracle disagree"
             )
             checked += 1
-    assert checked == 1000
+    assert checked == 1000 and proposals > 0
     _verdict(4, True, f"{checked} clocked scenarios, zero timed-fairness violations, "
                       "every run with an honest-seen request emitted a block, "
-                      "checker and oracle agree on every trace")
+                      f"checker and oracle agree on every trace, all {proposals} "
+                      "proposals accepted")
 
 
 # -- 5: hybrid cutoff golden ---------------------------------------------------
@@ -161,7 +176,7 @@ def test_criterion_5_hybrid_cutoff_behavior():
     summary = trace.summary
     assert summary["fallback_activations"] == {"0": 1}
     assert summary["fallback_blocks"]["0"] >= 1
-    timed_blocks = [b for b in trace.blocks() if b["tag"] == "timed-fair"]
+    timed_blocks = [b for b in records(trace, "block") if b["tag"] == "timed-fair"]
     assert timed_blocks, "fallback emitted no timed block"
     report = audit_trace(trace)
     assert report.violations_confined_post_cutoff

@@ -13,7 +13,7 @@ from fairlab.audit import (
 from fairlab.simnet import Scenario, Trace, benign_schedule, cycle_schedule, fuzz_scenario, run
 from fairlab.simnet.runner import Simulation
 
-from conftest import wrapped_hybrid_scenario
+from conftest import records, wrapped_hybrid_scenario
 from oracles import oracle_constraints, recount_block_fairness
 
 
@@ -89,7 +89,7 @@ def test_auditor_flags_hand_corrupted_trace(cfg4):
     if tampered_any:
         verdict = check_timed_fairness(TraceView(corrupted))
         # blocks here are single-request, so tamper the delivery order instead
-        if all(len(b["requests"]) < 2 for b in trace.blocks()):
+        if all(len(b["requests"]) < 2 for b in records(trace, "block")):
             pytest.skip("no multi-request block to tamper")
         assert not verdict.holds
 
@@ -185,7 +185,7 @@ def test_block_fairness_boundary_strong_quorum_sighting(cfg4):
     )
     trace = run(scenario)
     view = TraceView(trace)
-    assert len(trace.blocks()) == 2
+    assert len(records(trace, "block")) == 2
     start = view.incarnation_start[1]
     seen_before = sum(
         1 for p in view.honest if view.sight_step[p].get("r2", 10**18) < start
@@ -237,9 +237,9 @@ def test_hybrid_cutoff_sacrifice_is_real_and_confined(cfg4):
     trace = run(fuzz_scenario(2244, n=4, t=1, mode="hybrid", r_max=3))
     assert any(v > 0 for v in trace.summary["fallback_activations"].values())
     report = audit_trace(trace)
-    assert report.relative_block_fairness.violations  # the designed sacrifice
+    assert report.verdicts["relative_block_fairness"].violations  # the designed sacrifice
     assert report.violations_confined_post_cutoff
-    assert report.timed_relative_fairness.holds
+    assert report.verdicts["timed_relative_fairness"].holds
     assert report.gate_ok()
 
 

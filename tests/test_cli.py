@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+import fairlab.validity
 from fairlab.cli import run_command
 from fairlab.simnet.generators import fuzz_scenario
 from fairlab.simnet.scenario import load_scenario
@@ -219,3 +221,34 @@ def test_verify_entry_number_must_match_certificate_block(tmp_path, capsys):
     assert run_command(["verify", str(chain)]) == 1
     out = capsys.readouterr().out
     assert "block 7: invalid (wrong-block-number)" in out and "chain: INVALID" in out
+
+
+def test_verify_checks_each_entry_once(tmp_path, capsys, monkeypatch):
+    # Valid entries, an emptied one the verifier rejects, and a repeated one
+    # the chain rejects: each is verified once, and the printed reason is the
+    # verifier's own.
+    def tamper(lines):
+        emptied = json.loads(lines[1])
+        emptied["certificate"]["requests"] = []
+        lines.insert(1, json.dumps(emptied, sort_keys=True))
+        lines.append(lines[-1])
+
+    chain = _chain_with(tmp_path, tamper)
+    entries = len(chain.read_text().splitlines()) - 1
+    original = fairlab.validity.verify_certificate
+    calls = []
+
+    def counted(cfg, cert):
+        calls.append(cert.proposal.block_number)
+        return original(cfg, cert)
+
+    # Every fairlab module that holds the verifier, under any name.
+    for module in [m for name, m in sys.modules.items() if name.startswith("fairlab")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 1
+    out = capsys.readouterr().out
+    assert len(calls) == entries >= 4
+    assert "block 0: invalid (empty-block)" in out and "wrong-block-number" in out

@@ -18,6 +18,8 @@ from fairlab.simnet import (
 )
 from fairlab.simnet.runner import Simulation
 
+from conftest import records
+
 
 def sight_orders(scenario):
     """Per-party scheduled sighting order, from the event list alone."""
@@ -30,7 +32,7 @@ def sight_orders(scenario):
 
 def test_empty_schedule_gives_genesis_only(cfg4):
     trace = run(Scenario(n=4, t=1))
-    assert trace.blocks() == []
+    assert records(trace, "block") == []
     assert trace.summary["blocks"] == 0
     assert trace.summary["delivered"] == 0
 
@@ -67,7 +69,7 @@ def test_cycle_generalizes(cfg7):
 
 def test_cycle_run_puts_everything_in_one_block(cfg4):
     trace = run(cycle_schedule(cfg4))
-    blocks = trace.blocks()
+    blocks = records(trace, "block")
     assert len(blocks) == 1
     assert sorted(blocks[0]["requests"]) == ["m1", "m2", "m3", "m4"]
     assert trace.summary["max_candidate_order"] == 4
@@ -136,7 +138,7 @@ def test_no_message_is_dropped(cfg4):
     sim.drain()
     trace = sim.finish()
     assert not sim.pool
-    delivered_mids = {r["msg"] for r in trace.of_kind("deliver")}
+    delivered_mids = {r["msg"] for r in records(trace, "deliver")}
     assert delivered_mids == set(range(sim._next_mid))
 
 
@@ -163,7 +165,7 @@ def test_local_clocks_monotone(cfg4):
     )
     trace = run(scenario)
     per_party = {}
-    for rec in trace.of_kind("sight"):
+    for rec in records(trace, "sight"):
         per_party.setdefault(rec["party"], []).append(rec["ts"])
     for ts_list in per_party.values():
         assert all(a < b for a, b in zip(ts_list, ts_list[1:]))
@@ -176,9 +178,9 @@ def test_vote_relay_spreads_requests(cfg4):
         events=[{"a": "see", "party": 0, "request": "r1"}],
     )
     trace = run(scenario)
-    seen_by = {rec["party"] for rec in trace.of_kind("sight")}
+    seen_by = {rec["party"] for rec in records(trace, "sight")}
     assert seen_by == {0, 1, 2, 3}
-    relayed = [rec for rec in trace.of_kind("sight") if rec["via"] == "relay"]
+    relayed = [rec for rec in records(trace, "sight") if rec["via"] == "relay"]
     assert len(relayed) == 3
     assert trace.summary["blocks"] == 1
 

@@ -1,10 +1,11 @@
 """No field is written and never read: every dataclass field and every
 `self.x` attribute assigned in src/fairlab is loaded somewhere in src/ or
-tests/. No accessor is called only by tests: every method and property
-defined on a class in src/fairlab is loaded somewhere in src/. No function or
-class is there only for tests: every module-level `def` and `class` in
-src/fairlab is loaded somewhere in src/ outside `__init__.py`. The checks are
-by name, so a load of any attribute or name with the same name counts."""
+tests/. No accessor is called only by tests: every property defined on a
+class in src/fairlab is loaded somewhere in src/, and every other method is
+called there as `x.name(...)`. No function or class is there only for tests:
+every module-level `def` and `class` in src/fairlab is loaded somewhere in
+src/ outside `__init__.py`. The checks are by name, so a load (or call) of
+any attribute or name with the same name counts."""
 
 import ast
 from pathlib import Path
@@ -62,15 +63,26 @@ def _names_loaded_in_src() -> set[str]:
     return loaded
 
 
+def _called(tree: ast.AST) -> set[str]:
+    """Each attribute called as `x.name(...)`."""
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+
+
+def _is_property(method: ast.FunctionDef) -> bool:
+    return any(getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
+               for d in method.decorator_list)
+
+
 def _methods(tree: ast.AST):
-    """(class, name, line) of each method and property defined on a class,
-    dunder methods aside: the language calls those."""
+    """(class, name, line, is a property) of each method and property defined
+    on a class, dunder methods aside: the language calls those."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             for stmt in node.body:
                 if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (stmt.name.startswith("__") and stmt.name.endswith("__"))):
-                    yield node.name, stmt.name, stmt.lineno
+                    yield node.name, stmt.name, stmt.lineno, _is_property(stmt)
 
 
 def test_every_assigned_field_is_read():
@@ -84,11 +96,16 @@ def test_every_assigned_field_is_read():
 
 
 def test_every_method_is_called_in_src():
+    # A property counts as used where src/ loads it; any other method only
+    # where src/ calls it, so a same-named attribute load does not hide it.
     loaded = _loaded_in("src")
+    called: set[str] = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        called |= _called(ast.parse(path.read_text(), str(path)))
     uncalled = []
     for path in sorted((ROOT / "src" / "fairlab").rglob("*.py")):
-        for cls, name, line in _methods(ast.parse(path.read_text(), str(path))):
-            if name not in loaded:
+        for cls, name, line, is_property in _methods(ast.parse(path.read_text(), str(path))):
+            if name not in (loaded if is_property else called):
                 uncalled.append(f"{path.relative_to(ROOT)}:{line} {cls}.{name}")
     assert not uncalled, uncalled
 
