@@ -1,12 +1,11 @@
 """fairlab: an order-fairness pre-protocol laboratory.
 
-Leader engines that build block proposals under three fairness disciplines,
+Leader engines that build block certificates under three fairness disciplines,
 stand-alone block verifiers, an adversary-controlled deterministic network
 simulator, and a post-hoc fairness auditor.
 """
 
 from .core import (
-    Attestation,
     MarketId,
     PartyId,
     QuorumConfig,
@@ -21,9 +20,8 @@ from .core import (
 from .votes import Vote, VoteStore, make_vote
 from .fairness import MedianSummary, blocks, max_median, median_timestamp, timed_precedes
 from .leaders import (
-    CoinConfig,
+    BlockCertificate,
     LeaderState,
-    Proposal,
     clocked_step,
     coin_stop,
     hybrid_step,
@@ -31,7 +29,7 @@ from .leaders import (
     new_leader,
     replay_undelivered,
 )
-from .validity import BlockCertificate, verify_certificate
+from .validity import verify_certificate
 from .chain import Chain, on_deliver
 from .audit import FairnessReport, audit_trace
 

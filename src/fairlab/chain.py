@@ -8,13 +8,13 @@ sign two different valid certificates for the same height.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import PartyId, QuorumConfig, RequestId, canonical_json
-from .leaders import LeaderState, replay_undelivered
+from .leaders import BlockCertificate, LeaderState, replay_undelivered
 from .validity import (
-    BlockCertificate,
     certificate_to_dict,
     verify_certificate,
 )
@@ -52,9 +52,9 @@ class Chain:
         """Order one certificate. A rejection names the first chain rule it
         breaks, or the verifier's own reason for an invalid certificate."""
         fault = verify_certificate(self.cfg, cert).reason
-        number = cert.proposal.block_number
+        number = cert.block_number
         if fault is None:
-            digest = cert.digest()
+            digest = hashlib.sha256(canonical_json(certificate_to_dict(cert)).encode()).hexdigest()
             prior = self._seen.setdefault((number, cert.proposer), set())
             if prior and digest not in prior:
                 prior.add(digest)
@@ -66,10 +66,10 @@ class Chain:
             return SubmitOutcome(REJECTED, "wrong-block-number")
         if fault is not None:
             return SubmitOutcome(REJECTED, fault)
-        if any(rid in self.delivered for rid in cert.proposal.requests):
+        if any(rid in self.delivered for rid in cert.requests):
             return SubmitOutcome(REJECTED, "duplicate-request")
         self.blocks.append(cert)
-        self.delivered.update(cert.proposal.requests)
+        self.delivered.update(cert.requests)
         return SubmitOutcome(ACCEPTED)
 
     def export_lines(self) -> list[str]:

@@ -154,7 +154,7 @@ def _verify(args: argparse.Namespace) -> int:
             raise ValueError("chain entry is not a JSON object")
         number = uint64(entry["number"], "number")
         cert = certificate_from_dict(entry["certificate"])
-        if number != cert.proposal.block_number:
+        if number != cert.block_number:
             reason = "wrong-block-number"
         else:
             outcome = chain.submit(cert)

@@ -1,4 +1,4 @@
-"""Shared protocol vocabulary: parties, quorums, requests, and simulated attestations."""
+"""Shared protocol vocabulary: parties, quorums, requests, and simulated signatures."""
 
 from __future__ import annotations
 
@@ -151,15 +151,10 @@ def _party_key(party: PartyId) -> bytes:
     return hashlib.sha256(b"fairlab-party-key|%d" % party).digest()
 
 
-@dataclass(frozen=True, slots=True)
-class Attestation:
-    signer: PartyId
-    digest: str
+def sign(signer: PartyId, content: bytes) -> str:
+    """The signer's attestation over content: a hex digest under its key."""
+    return hashlib.sha256(_party_key(signer) + content).hexdigest()
 
 
-def sign(signer: PartyId, content: bytes) -> Attestation:
-    return Attestation(signer, hashlib.sha256(_party_key(signer) + content).hexdigest())
-
-
-def verify(att: Attestation, content: bytes) -> bool:
-    return att.digest == hashlib.sha256(_party_key(att.signer) + content).hexdigest()
+def verify(signer: PartyId, attestation: str, content: bytes) -> bool:
+    return attestation == hashlib.sha256(_party_key(signer) + content).hexdigest()

@@ -51,7 +51,7 @@ def max_median(store: VoteStore, cfg: QuorumConfig, r: RequestId) -> MedianSumma
     Equivalence with full subset enumeration is covered by an exhaustive test.
     """
     ts = tuple(v.ts for v in store.votes_for(r) if v.ts is not None)
-    return MedianSummary(request=r, timestamps=ts, m_r=max_median_of(ts, cfg.strong_size))
+    return MedianSummary(request=r, timestamps=ts, m_r=median_bounds(ts, cfg.strong_size)[1])
 
 
 def median_bounds(timestamps: Iterable[Timestamp], q: int) -> tuple[Timestamp, Timestamp]:
@@ -63,11 +63,6 @@ def median_bounds(timestamps: Iterable[Timestamp], q: int) -> tuple[Timestamp, T
         raise ValueError("not enough timestamps")
     m = (q - 1) // 2
     return ordered[m], ordered[len(ordered) - q + m]
-
-
-def max_median_of(timestamps: Iterable[Timestamp], q: int) -> Timestamp:
-    """Shortcut formula over a bare multiset (q = strong quorum size)."""
-    return median_bounds(timestamps, q)[1]
 
 
 def timed_request_order(store: VoteStore, requests: Iterable[RequestId]) -> list[RequestId]:

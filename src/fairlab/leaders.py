@@ -1,10 +1,11 @@
-"""Leader engines: block-fair, clock-fair, and hybrid proposal construction.
+"""Leader engines: block-fair, clock-fair, and hybrid block certificates.
 
 Each engine is a deterministic state machine over a VoteStore. The driver
-ingests delivered votes and calls step(); a step emits at most one proposal,
-and the surrounding broadcast loop replays undelivered requests into a fresh
-incarnation after every accepted block. Proposals cite the full accepted vote
-logs so a verifier can recheck the emission conditions with no leader state.
+ingests delivered votes and calls step(); a step emits at most one block
+certificate, naming the state's proposer, and the broadcast loop replays
+undelivered requests into a fresh incarnation after every accepted block.
+Certificates cite the full accepted vote logs so a verifier can recheck the
+emission conditions with no leader state.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Container, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import PartyId, QuorumConfig, Request, RequestId
@@ -36,9 +37,12 @@ TIMED_FAIR = "timed-fair"
 
 
 @dataclass(frozen=True)
-class Proposal:
+class BlockCertificate:
+    """A leader's block: what it proposes and the evidence for it."""
+
     instance: str
     block_number: int
+    proposer: PartyId
     mode_tag: str
     requests: tuple[RequestId, ...]
     pivot: Optional[MedianSummary]
@@ -46,14 +50,6 @@ class Proposal:
     # in sequence order. Self-contained evidence for the block verifiers.
     votes_by_party: dict[PartyId, tuple[Vote, ...]]
     request_table: dict[RequestId, Request]
-
-
-@dataclass
-class CoinConfig:
-    """Shared-randomness stop rule for the hybrid cutoff region."""
-
-    shared_seed: str = "coin"
-    stop_probability: float = 1.0
 
 
 def coin_stop(shared_seed: str, block_number: int, admissions_past_cutoff: int,
@@ -73,8 +69,11 @@ def coin_stop(shared_seed: str, block_number: int, admissions_past_cutoff: int,
 class LeaderState:
     mode: str
     store: VoteStore
-    r_max: int = 0
-    coin: CoinConfig = field(default_factory=CoinConfig)
+    proposer: PartyId  # the party whose certificates this engine builds
+    r_max: int
+    # The shared-randomness stop rule for the hybrid cutoff region (coin_stop).
+    coin_seed: str
+    coin_stop_p: float
     # Non-empty exactly while the fallback phase runs.
     fallback_snapshot: tuple[RequestId, ...] = ()
     admissions_past_cutoff: int = 0
@@ -96,12 +95,13 @@ class LeaderState:
         return self.store.block
 
 
-def new_leader(cfg: QuorumConfig, mode: str, instance: str,
+def new_leader(cfg: QuorumConfig, mode: str, instance: str, proposer: PartyId,
                block_number: int = 0, r_max: int = 0,
-               coin: Optional[CoinConfig] = None) -> LeaderState:
+               coin_seed: str = "coin", coin_stop_p: float = 1.0) -> LeaderState:
     store_mode = TIMESTAMPED if mode in TIMESTAMPED_MODES else PLAIN
     store = VoteStore(cfg, store_mode, instance, block_number)
-    return LeaderState(mode=mode, store=store, r_max=r_max, coin=coin or CoinConfig())
+    return LeaderState(mode=mode, store=store, proposer=proposer, r_max=r_max,
+                       coin_seed=coin_seed, coin_stop_p=coin_stop_p)
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -140,9 +140,8 @@ def _closure(state: LeaderState, seed: RequestId, quorum: dict[RequestId, int],
                 changed = True
                 if respect_cutoff and len(members) > state.r_max:
                     state.admissions_past_cutoff += 1
-                    if coin_stop(state.coin.shared_seed, state.block_number,
-                                 state.admissions_past_cutoff,
-                                 state.coin.stop_probability):
+                    if coin_stop(state.coin_seed, state.block_number,
+                                 state.admissions_past_cutoff, state.coin_stop_p):
                         halted = True
                         break
             else:
@@ -156,15 +155,16 @@ def _closure(state: LeaderState, seed: RequestId, quorum: dict[RequestId, int],
     return members, halted, closed
 
 
-def _build_proposal(state: LeaderState, requests: list[RequestId], mode_tag: str,
-                    pivot: Optional[MedianSummary]) -> Proposal:
+def _build_certificate(state: LeaderState, requests: list[RequestId], mode_tag: str,
+                       pivot: Optional[MedianSummary]) -> BlockCertificate:
     store = state.store
     votes_by_party = {p: tuple(log.accepted) for p, log in store.logs.items() if log.accepted}
     # The store indexes exactly the requests the cited votes name.
     table = {rid: store.requests[rid] for rid in store.by_request}
-    return Proposal(
+    return BlockCertificate(
         instance=state.instance,
         block_number=state.block_number,
+        proposer=state.proposer,
         mode_tag=mode_tag,
         requests=tuple(requests),
         pivot=pivot,
@@ -193,7 +193,7 @@ def _low_set(store: VoteStore, seed: RequestId, cutoff: float) -> list[RequestId
 
 # -- block-fair engine (may never emit, by design) ---------------------------
 
-def neverending_step(state: LeaderState) -> Optional[Proposal]:
+def neverending_step(state: LeaderState) -> Optional[BlockCertificate]:
     store = state.store
     seed = next(iter(store.strong_at), None)
     if seed is None:
@@ -201,7 +201,7 @@ def neverending_step(state: LeaderState) -> Optional[Proposal]:
     members, _, closed = _closure(state, seed, store.strong_at, respect_cutoff=False)
     if not closed:
         return None
-    return _build_proposal(state, members, BLOCK_FAIR, pivot=None)
+    return _build_certificate(state, members, BLOCK_FAIR, pivot=None)
 
 
 # -- clock-fair engine -------------------------------------------------------
@@ -214,7 +214,7 @@ def _first_quorum_pivot(state: LeaderState, seed: RequestId) -> MedianSummary:
 
 
 def _timed_block(state: LeaderState, seed: RequestId, pivot: MedianSummary,
-                 pool: Iterable[RequestId]) -> Optional[Proposal]:
+                 pool: Iterable[RequestId]) -> Optional[BlockCertificate]:
     """The timed-fair block of seed and every request in pool that precedes
     the pivot, in cited-median order; None while a member lacks a strong
     quorum."""
@@ -225,10 +225,10 @@ def _timed_block(state: LeaderState, seed: RequestId, pivot: MedianSummary,
             members.append(rid)
     if any(m not in store.strong_at for m in members):
         return None
-    return _build_proposal(state, timed_request_order(store, members), TIMED_FAIR, pivot)
+    return _build_certificate(state, timed_request_order(store, members), TIMED_FAIR, pivot)
 
 
-def clocked_step(state: LeaderState) -> Optional[Proposal]:
+def clocked_step(state: LeaderState) -> Optional[BlockCertificate]:
     store, cfg = state.store, state.cfg
     seed = next(iter(store.strong_at), None)
     if seed is None:
@@ -253,7 +253,7 @@ def clocked_step(state: LeaderState) -> Optional[Proposal]:
 
 # -- hybrid engine -----------------------------------------------------------
 
-def _hybrid_block_fair(state: LeaderState) -> Optional[Proposal]:
+def _hybrid_block_fair(state: LeaderState) -> Optional[BlockCertificate]:
     """Ship the first closed candidate, in seed quorum order, whose members
     all hold a strong quorum; with none, enter the fallback if a candidate
     crossed the cutoff. Every seed up to the crossing one is grown, shipped
@@ -271,14 +271,14 @@ def _hybrid_block_fair(state: LeaderState) -> Optional[Proposal]:
         if crossed:
             break
     if shipped is not None:
-        return _build_proposal(state, shipped, BLOCK_FAIR, pivot=None)
+        return _build_certificate(state, shipped, BLOCK_FAIR, pivot=None)
     if crossed:
         state.fallback_snapshot = tuple(store.by_request)
         state.cutoff_events += 1
     return None
 
 
-def _hybrid_fallback(state: LeaderState) -> Optional[Proposal]:
+def _hybrid_fallback(state: LeaderState) -> Optional[BlockCertificate]:
     """A timed-fair block for the first snapshot seed, in quorum order, whose
     every request timestamped below it holds a strong quorum. The phase ends
     in replay_undelivered, once the snapshot is delivered."""
@@ -295,11 +295,11 @@ def _hybrid_fallback(state: LeaderState) -> Optional[Proposal]:
     return None
 
 
-def hybrid_step(state: LeaderState) -> Optional[Proposal]:
+def hybrid_step(state: LeaderState) -> Optional[BlockCertificate]:
     if not state.fallback_snapshot:
-        proposal = _hybrid_block_fair(state)
-        if proposal is not None or not state.fallback_snapshot:
-            return proposal
+        cert = _hybrid_block_fair(state)
+        if cert is not None or not state.fallback_snapshot:
+            return cert
     return _hybrid_fallback(state)
 
 
@@ -308,10 +308,10 @@ ENGINES = {NEVERENDING: neverending_step, CLOCKED: clocked_step, HYBRID: hybrid_
 MODES = tuple(ENGINES)
 
 
-def step(state: LeaderState) -> list[Proposal]:
-    """The engine's proposal for this step, as a list of at most one."""
-    proposal = ENGINES[state.mode](state)
-    return [proposal] if proposal else []
+def step(state: LeaderState) -> list[BlockCertificate]:
+    """The engine's certificate for this step, as a list of at most one."""
+    cert = ENGINES[state.mode](state)
+    return [cert] if cert else []
 
 
 # -- replay ------------------------------------------------------------------

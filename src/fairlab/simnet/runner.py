@@ -23,9 +23,8 @@ from typing import Optional
 
 from ..core import PartyId, Request, RequestId, make_request, validate_config
 from ..chain import Chain, on_deliver
-from ..leaders import TIMESTAMPED_MODES, CoinConfig, LeaderState, new_leader
+from ..leaders import TIMESTAMPED_MODES, BlockCertificate, LeaderState, new_leader
 from ..leaders import step as leader_step
-from ..validity import BlockCertificate
 from ..votes import Vote, make_vote
 from .scenario import (EQUIVOCATE, REORDER, SILENT, SKEW, BehaviorSpec, ClockSpec, Scenario,
                        instance_of)
@@ -35,7 +34,7 @@ from .trace import Trace
 @dataclass(slots=True)
 class Msg:
     recipient: PartyId
-    vote: Vote  # carries its sender (att.signer) and request id
+    vote: Vote  # carries its sender (signer) and request id
     tag: str
 
 
@@ -135,10 +134,9 @@ class Simulation:
             )
             for pid in range(scenario.n)
         ]
-        coin = CoinConfig(shared_seed=scenario.coin_seed, stop_probability=scenario.coin_stop_p)
         self.engines: dict[PartyId, LeaderState] = {
-            pid: new_leader(self.cfg, scenario.mode, self.instance,
-                            r_max=scenario.r_max, coin=coin)
+            pid: new_leader(self.cfg, scenario.mode, self.instance, pid, r_max=scenario.r_max,
+                            coin_seed=scenario.coin_seed, coin_stop_p=scenario.coin_stop_p)
             for pid in self.leader_ids
         }
         self.chain = Chain(self.cfg)
@@ -237,7 +235,7 @@ class Simulation:
         # The commonest records are built as literals, without `_rec`'s kwargs.
         self.trace.records.append({
             "kind": "ingest", "step": self.step_no, "leader": leader,
-            "party": vote.att.signer, "seq": vote.seq, "request": vote.request,
+            "party": vote.signer, "seq": vote.seq, "request": vote.request,
             "status": outcome.status, "reason": outcome.reason})
         self.step_no += 1
 
@@ -249,7 +247,7 @@ class Simulation:
         self._activate(recipient)
         self.trace.records.append({
             "kind": "deliver", "step": self.step_no, "msg": mid, "to": msg.recipient,
-            "sender": vote.att.signer, "request": vote.request, "via": via})
+            "sender": vote.signer, "request": vote.request, "via": via})
         self.step_no += 1
         if req.id not in recipient.seen:
             self._sight(recipient, req, "relay")
@@ -303,7 +301,7 @@ class Simulation:
         self.pool_order = [mid for mid in self.pool_order if mid in self.pool]
         for mid in list(self.pool_order):
             msg = self.pool[mid]
-            if msg.vote.att.signer in self.corrupt or msg.recipient in self.corrupt:
+            if msg.vote.signer in self.corrupt or msg.recipient in self.corrupt:
                 continue  # only honest-to-honest traffic escapes the adversary
             if self.rng.random() < p:
                 self._deliver(mid, "sweep")
@@ -337,20 +335,19 @@ class Simulation:
                 return
 
     def _turn(self, pid: PartyId) -> bool:
-        """Step one leader engine and submit its proposal; True when the chain
-        accepts it as a block."""
+        """Step one leader engine and submit its certificate; True when the
+        chain accepts it as a block."""
         state = self.engines[pid]
         before_fallback = state.fallback_snapshot
-        proposals = leader_step(state)
+        certs = leader_step(state)
         if state.fallback_snapshot and not before_fallback:
             self._rec("engine", leader=pid, event="fallback-enter",
                       snapshot=[self.by_id[r].name for r in state.fallback_snapshot])
-        for prop in proposals:
-            cert = BlockCertificate(prop, pid)
+        for cert in certs:
             outcome = self.chain.submit(cert)
-            self._rec("proposal", leader=pid, block=prop.block_number,
-                      tag=prop.mode_tag,
-                      requests=[self.by_id[r].name for r in prop.requests],
+            self._rec("proposal", leader=pid, block=cert.block_number,
+                      tag=cert.mode_tag,
+                      requests=[self.by_id[r].name for r in cert.requests],
                       outcome=outcome.status, reason=outcome.reason)
             if outcome.ok:
                 self._on_block(cert)
@@ -358,15 +355,14 @@ class Simulation:
         return False
 
     def _on_block(self, cert: BlockCertificate) -> None:
-        prop = cert.proposal
         post_cutoff = any(e.cutoff_events > 0 for e in self.engines.values())
         if self.first_block_step is None:
             self.first_block_step = self.step_no
             self.first_block_action = self.action_index
-        self._rec("block", number=prop.block_number, proposer=cert.proposer,
-                  tag=prop.mode_tag,
-                  requests=[self.by_id[r].name for r in prop.requests],
-                  request_ids=list(prop.requests),
+        self._rec("block", number=cert.block_number, proposer=cert.proposer,
+                  tag=cert.mode_tag,
+                  requests=[self.by_id[r].name for r in cert.requests],
+                  request_ids=list(cert.requests),
                   post_cutoff=post_cutoff)
         was_fallback = {p for p in self.leader_ids if self.engines[p].fallback_snapshot}
         states = on_deliver(self.chain, [self.engines[p] for p in self.leader_ids])

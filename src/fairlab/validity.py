@@ -1,9 +1,10 @@
 """Stand-alone block verifiers.
 
-A certificate is self-contained: the proposal, every cited vote grouped per
-voter (full histories from sequence number zero), and the request table that
-binds every cited request id to its market and payload. Verification uses
-only the certificate and the quorum configuration, never leader state.
+A certificate (`leaders.BlockCertificate`) is self-contained: the proposed
+block and its proposer, every cited vote grouped per voter (full histories
+from sequence number zero), and the request table that binds every cited
+request id to its market and payload. Verification uses only the certificate
+and the quorum configuration, never leader state.
 
 The trailing fairness clause re-checks the emission condition the engines use:
 a block-fair certificate may not omit a cited request that, on the cited
@@ -13,16 +14,14 @@ request that a weak quorum timestamped below the declared pivot median.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 # `verify` is not called here: perfbench/tracing.py patches it by this name.
-from .core import (Attestation, PartyId, QuorumConfig, Request, canonical_json, party_key,
-                   request_id, verify)
+from .core import QuorumConfig, Request, party_key, request_id, verify
 from .fairness import MedianSummary, blocks, median_bounds, timed_precedes, timed_request_order
-from .leaders import BLOCK_FAIR, TIMED_FAIR, Proposal
+from .leaders import BLOCK_FAIR, TIMED_FAIR, BlockCertificate
 from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore
 
 
@@ -33,15 +32,6 @@ class VerifyOutcome:
     @property
     def ok(self) -> bool:
         return self.reason is None
-
-
-@dataclass(frozen=True)
-class BlockCertificate:
-    proposal: Proposal
-    proposer: PartyId
-
-    def digest(self) -> str:
-        return hashlib.sha256(canonical_json(certificate_to_dict(self)).encode()).hexdigest()
 
 
 # The certificate reason for each ingest refusal that condemns a certificate.
@@ -58,29 +48,30 @@ _INGEST_FAULTS = {
 
 
 def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
-    """Block validity: non-empty, a strong quorum of fully-historied votes per
-    member, and no cited request left out while it still blocks (block-fair)
-    or precedes the pivot (timed). The cited votes are admitted, in cited
+    """Block validity: a party as proposer, non-empty, a strong quorum of
+    fully-historied votes per member, and no cited request left out while it
+    still blocks (block-fair) or precedes the pivot (timed). The cited votes are admitted, in cited
     order, by `VoteStore.ingest`, the rule the engines' stores apply; the
     first refusal that condemns the certificate names its fault. A
     certificate with timestamped votes or a timed tag gets the timestamped
     vote rules: voters whose timestamps run against their sequence numbers
     lose their votes from the mismatch onward, which can drop a member below
     quorum."""
-    prop = cert.proposal
-    timestamped = prop.mode_tag == TIMED_FAIR or any(
-        v.ts is not None for votes in prop.votes_by_party.values() for v in votes
+    if not 0 <= cert.proposer < cfg.n:
+        return VerifyOutcome("unknown-proposer")
+    timestamped = cert.mode_tag == TIMED_FAIR or any(
+        v.ts is not None for votes in cert.votes_by_party.values() for v in votes
     )
-    if not prop.requests:
+    if not cert.requests:
         return VerifyOutcome("empty-block")
-    if len(set(prop.requests)) != len(prop.requests):
+    if len(set(cert.requests)) != len(cert.requests):
         return VerifyOutcome("duplicate-request")
-    table = prop.request_table
-    store = VoteStore(cfg, TIMESTAMPED if timestamped else PLAIN, prop.instance,
-                      prop.block_number)
-    for party, votes in prop.votes_by_party.items():
+    table = cert.request_table
+    store = VoteStore(cfg, TIMESTAMPED if timestamped else PLAIN, cert.instance,
+                      cert.block_number)
+    for party, votes in cert.votes_by_party.items():
         for v in votes:
-            if v.att.signer != party:
+            if v.signer != party:
                 return VerifyOutcome("bad-attestation")
             fault = _INGEST_FAULTS.get(store.ingest(v, table.get(v.request)).reason)
             if fault is not None:
@@ -95,31 +86,31 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
     for rid, req in table.items():
         if request_id(req.market, req.payload) != rid:
             return VerifyOutcome("bad-attestation")
-    for rid in prop.requests:
+    for rid in cert.requests:
         if rid not in store.strong_at:
             return VerifyOutcome("insufficient-votes")
     if any(log.invalid for log in store.logs.values()):
         # Some voter's timestamps ran against its sequence numbers.
         return VerifyOutcome("timestamp-order")
 
-    member_set = set(prop.requests)
+    member_set = set(cert.requests)
     omitted = [rid for rid in store.by_request if rid not in member_set]
-    if prop.mode_tag == TIMED_FAIR:
-        if prop.pivot is None or prop.pivot.request not in member_set:
+    if cert.mode_tag == TIMED_FAIR:
+        if cert.pivot is None or cert.pivot.request not in member_set:
             return VerifyOutcome("invalid-pivot")
         # The declared timestamps are n-t or more of the seed's cited ones and
         # hold the median; the median is one some n-t of them can have.
-        seed_ts = [v.ts for v in store.votes_for(prop.pivot.request)]
-        declared, m_r = prop.pivot.timestamps, prop.pivot.m_r
+        seed_ts = [v.ts for v in store.votes_for(cert.pivot.request)]
+        declared, m_r = cert.pivot.timestamps, cert.pivot.m_r
         low, high = median_bounds(seed_ts, cfg.strong_size)
         if (len(declared) < cfg.strong_size or m_r not in declared
                 or not Counter(declared) <= Counter(seed_ts) or not low <= m_r <= high):
             return VerifyOutcome("invalid-pivot")
-        if any(timed_precedes(store, cfg, rid, prop.pivot) for rid in omitted):
+        if any(timed_precedes(store, cfg, rid, cert.pivot) for rid in omitted):
             return VerifyOutcome("omitted-blocked-request")
-        if list(prop.requests) != timed_request_order(store, prop.requests):
+        if list(cert.requests) != timed_request_order(store, cert.requests):
             return VerifyOutcome("timestamp-order")
-    elif any(blocks(store, cfg, rid, member) for rid in omitted for member in prop.requests):
+    elif any(blocks(store, cfg, rid, member) for rid in omitted for member in cert.requests):
         return VerifyOutcome("omitted-blocked-request")
     return VerifyOutcome()
 
@@ -127,29 +118,28 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
 # -- canonical serialization -------------------------------------------------
 
 def certificate_to_dict(cert: BlockCertificate) -> dict:
-    prop = cert.proposal
     return {
-        "instance": prop.instance,
-        "block": prop.block_number,
-        "mode": prop.mode_tag,
+        "instance": cert.instance,
+        "block": cert.block_number,
+        "mode": cert.mode_tag,
         "proposer": cert.proposer,
-        "requests": list(prop.requests),
+        "requests": list(cert.requests),
         "pivot": (
             None
-            if prop.pivot is None
+            if cert.pivot is None
             else {
-                "request": prop.pivot.request,
-                "timestamps": list(prop.pivot.timestamps),
-                "median": prop.pivot.m_r,
+                "request": cert.pivot.request,
+                "timestamps": list(cert.pivot.timestamps),
+                "median": cert.pivot.m_r,
             }
         ),
         "votes": {
-            str(party): [[v.seq, v.ts, v.request, v.att.digest] for v in votes]
-            for party, votes in prop.votes_by_party.items()
+            str(party): [[v.seq, v.ts, v.request, v.attestation] for v in votes]
+            for party, votes in cert.votes_by_party.items()
         },
         "requests_table": {
             rid: {"market": req.market, "payload": req.payload.hex()}
-            for rid, req in prop.request_table.items()
+            for rid, req in cert.request_table.items()
         },
     }
 
@@ -173,7 +163,7 @@ def uint64(value, field: str) -> int:
 
 
 def _vote_row(row) -> list:
-    """One cited vote, [seq, ts, request-id, attestation-digest]; one call per
+    """One cited vote, [seq, ts, request-id, attestation]; one call per
     row, as certificates cite every vote in the store."""
     if not (isinstance(row, list) and len(row) == 4 and _is_uint64(row[0])
             and (row[1] is None or _is_uint64(row[1]))
@@ -206,7 +196,7 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
             # Positional construction: certificates cite every vote in the
             # store, and keyword calls cost a third more per vote.
             votes_by_party[party] = tuple(
-                Vote(instance, block, seq, ts, rid, Attestation(party, att))
+                Vote(instance, block, seq, ts, rid, party, att)
                 for seq, ts, rid, att in map(_vote_row, _typed(rows, list, "votes"))
             )
         except UnicodeEncodeError as exc:
@@ -231,7 +221,7 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
     if data["mode"] not in (BLOCK_FAIR, TIMED_FAIR):
         raise ValueError(f"certificate field 'mode' must be {BLOCK_FAIR!r} or {TIMED_FAIR!r}, "
                          f"not {data['mode']!r}")
-    prop = Proposal(
+    return BlockCertificate(
         instance=instance,
         block_number=block,
         mode_tag=data["mode"],
@@ -240,5 +230,5 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
         pivot=pivot,
         votes_by_party=votes_by_party,
         request_table=table,
+        proposer=uint64(data["proposer"], "proposer"),
     )
-    return BlockCertificate(proposal=prop, proposer=uint64(data["proposer"], "proposer"))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .core import (
-    Attestation,
     PartyId,
     QuorumConfig,
     Request,
@@ -37,12 +36,13 @@ class Vote:
     seq: int
     ts: Optional[Timestamp]
     request: RequestId
-    att: Attestation
-    # The bytes `att` covers, derived once from the fields above: no caller
-    # can supply them, so they never disagree with the vote they belong to.
+    signer: PartyId
+    attestation: str  # the signer's signature over `payload`
+    # The bytes `attestation` covers, derived once from the fields above: no
+    # caller can supply them, so they never disagree with the vote they belong to.
     payload: bytes = field(init=False, compare=False, repr=False)
-    # True once `vote_verifies` has found `att` good for `payload`. Both are
-    # fixed for the object's life, so the check holds for every message copy
+    # True once `vote_verifies` has found `attestation` good for `payload`. Both
+    # are fixed for the object's life, so the check holds for every message copy
     # that carries this object; `dataclasses.replace` and a rebuilt vote are
     # new objects and start unchecked. Signing does not set it.
     verified: bool = field(init=False, compare=False, repr=False)
@@ -55,7 +55,7 @@ class Vote:
 # Writes to the frozen Vote's own slots, for the fields it derives or marks
 # itself. Every vote built or checked makes them, and a slot's setter costs
 # about half of object.__setattr__, which looks the name up first.
-_set_att = Vote.att.__set__
+_set_attestation = Vote.attestation.__set__
 _set_payload = Vote.payload.__set__
 _set_verified = Vote.verified.__set__
 
@@ -75,9 +75,9 @@ def vote_payload(instance: str, block: int, seq: int, ts: Optional[Timestamp], r
 
 def make_vote(signer: PartyId, instance: str, block: int, seq: int,
               ts: Optional[Timestamp], request: RequestId) -> Vote:
-    v = Vote(instance, block, seq, ts, request, None)
+    v = Vote(instance, block, seq, ts, request, signer, None)
     # Sign the bytes the vote derived; the one write to a field it was given.
-    _set_att(v, sign(signer, v.payload))
+    _set_attestation(v, sign(signer, v.payload))
     return v
 
 
@@ -86,7 +86,7 @@ def vote_verifies(v: Vote) -> bool:
     until it passes, and never again after; a failure is not remembered."""
     if v.verified:
         return True
-    if not verify(v.att, v.payload):
+    if not verify(v.signer, v.attestation, v.payload):
         return False
     _set_verified(v, True)
     return True
@@ -155,7 +155,7 @@ class VoteStore:
         # copy of a vote this party has accepted or buffered (verified then).
         if v.instance != self.instance or v.block != self.block:
             return _WRONG_BLOCK
-        log = self.logs.get(v.att.signer)
+        log = self.logs.get(v.signer)
         prior = None  # this party's accepted or buffered vote at v.seq
         if log is not None and not log.invalid:
             prior = log.accepted[v.seq] if v.seq < len(log.accepted) else log.pending.get(v.seq)
@@ -171,7 +171,7 @@ class VoteStore:
             return IngestOutcome(REJECTED, "party-invalid")
         if prior is not None:
             # A different vote for a sequence number the party already used.
-            self.mark_invalid(v.att.signer)
+            self.mark_invalid(v.signer)
             return IngestOutcome(REJECTED, "equivocation")
 
         if v.seq > len(log.accepted):
@@ -184,7 +184,7 @@ class VoteStore:
         cursor = v
         while cursor is not None:
             if self.mode == TIMESTAMPED and accepted and cursor.ts <= accepted[-1].ts:
-                self.mark_invalid(v.att.signer)
+                self.mark_invalid(v.signer)
                 if cursor is v:
                     return IngestOutcome(REJECTED, "timestamp-order")
                 # v itself was accepted; the cascade hit the mismatch.
@@ -199,7 +199,7 @@ class VoteStore:
 
         A party that votes one request twice is one voter for it: its first
         vote is the one counted, ordered and cited as its report."""
-        party, request = v.att.signer, v.request
+        party, request = v.signer, v.request
         self.logs[party].accepted.append(v)
         slot = self.by_request.setdefault(request, {})
         index = self.version

@@ -4,23 +4,20 @@ rejections exercise the protocol rules rather than the signature check."""
 
 import dataclasses
 
-from fairlab.validity import BlockCertificate
 from fairlab.votes import make_vote
 
 
 def _rebuild(cert, votes_by_party=None, requests=None):
-    prop = cert.proposal
-    new_prop = dataclasses.replace(
-        prop,
-        votes_by_party=votes_by_party if votes_by_party is not None else prop.votes_by_party,
-        requests=requests if requests is not None else prop.requests,
+    return dataclasses.replace(
+        cert,
+        votes_by_party=votes_by_party if votes_by_party is not None else cert.votes_by_party,
+        requests=requests if requests is not None else cert.requests,
     )
-    return BlockCertificate(proposal=new_prop, proposer=cert.proposer)
 
 
 def _resign(vote, ts=None, seq=None):
     return make_vote(
-        vote.att.signer, vote.instance, vote.block,
+        vote.signer, vote.instance, vote.block,
         vote.seq if seq is None else seq,
         vote.ts if ts is None else ts,
         vote.request,
@@ -30,7 +27,7 @@ def _resign(vote, ts=None, seq=None):
 def member_vote_count(cert, member):
     return sum(
         1
-        for votes in cert.proposal.votes_by_party.values()
+        for votes in cert.votes_by_party.values()
         for v in votes
         if v.request == member
     )
@@ -39,7 +36,7 @@ def member_vote_count(cert, member):
 def reduce_member_votes(cert, member, target):
     """Truncate voter histories at their vote for `member` until only `target`
     votes for it remain; histories stay contiguous."""
-    votes_by_party = {p: list(vs) for p, vs in cert.proposal.votes_by_party.items()}
+    votes_by_party = {p: list(vs) for p, vs in cert.votes_by_party.items()}
     count = member_vote_count(cert, member)
     for party in sorted(votes_by_party, reverse=True):
         if count <= target:
@@ -57,17 +54,17 @@ def reduce_member_votes(cert, member, target):
 
 def drop_history_entry(cert):
     """Remove one interior vote from some cited history, leaving a gap."""
-    for party in sorted(cert.proposal.votes_by_party):
-        votes = cert.proposal.votes_by_party[party]
+    for party in sorted(cert.votes_by_party):
+        votes = cert.votes_by_party[party]
         if len(votes) >= 2:
-            votes_by_party = dict(cert.proposal.votes_by_party)
+            votes_by_party = dict(cert.votes_by_party)
             votes_by_party[party] = tuple(votes[:-2] + votes[-1:])
             return _rebuild(cert, votes_by_party=votes_by_party)
     raise ValueError("no voter has two votes to drop from")
 
 
 def omit_member(cert, member):
-    requests = tuple(r for r in cert.proposal.requests if r != member)
+    requests = tuple(r for r in cert.requests if r != member)
     return _rebuild(cert, requests=requests)
 
 
@@ -79,8 +76,8 @@ def invert_timestamps(cert):
     """Swap the timestamps of two adjacent votes in one cited history and
     re-sign them; the voter's sequence and timestamp orders now disagree.
     Returns (mutated certificate, party, index of the first swapped vote)."""
-    for party in sorted(cert.proposal.votes_by_party):
-        votes = list(cert.proposal.votes_by_party[party])
+    for party in sorted(cert.votes_by_party):
+        votes = list(cert.votes_by_party[party])
         if len(votes) < 2:
             continue
         a, b = votes[-2], votes[-1]
@@ -88,7 +85,7 @@ def invert_timestamps(cert):
             continue
         votes[-2] = _resign(a, ts=b.ts)
         votes[-1] = _resign(b, ts=a.ts)
-        votes_by_party = dict(cert.proposal.votes_by_party)
+        votes_by_party = dict(cert.votes_by_party)
         votes_by_party[party] = tuple(votes)
         return _rebuild(cert, votes_by_party=votes_by_party), party, len(votes) - 2
     raise ValueError("no voter has two timestamped votes to invert")
@@ -99,14 +96,14 @@ def expected_inversion_reason(cert, cfg, party, idx):
     below a strong quorum of surviving votes yields insufficient-votes,
     otherwise the residual mismatch itself is reported."""
     surviving = {}
-    for p, votes in cert.proposal.votes_by_party.items():
+    for p, votes in cert.votes_by_party.items():
         prefix = []
         for v in sorted(votes, key=lambda v: v.seq):
             if prefix and v.ts <= prefix[-1].ts:
                 break
             prefix.append(v)
         surviving[p] = prefix
-    for member in cert.proposal.requests:
+    for member in cert.requests:
         count = sum(
             1 for votes in surviving.values() for v in votes if v.request == member
         )

@@ -12,7 +12,9 @@ ORACLE_LIMIT = 12
 
 
 def enumerate_max_median(timestamps, q):
-    """Brute-force reference for max_median_of; ValueError below q timestamps."""
+    """Brute-force largest median over the q-subsets of timestamps, the
+    reference for `median_bounds(timestamps, q)[1]`; ValueError below q
+    timestamps."""
     return max(median_timestamp(sub) for sub in combinations(sorted(timestamps), q))
 
 

@@ -20,7 +20,7 @@ from fairlab.audit import (
     check_timed_fairness,
 )
 from fairlab.core import validate_config
-from fairlab.fairness import max_median_of
+from fairlab.fairness import median_bounds
 from fairlab.simnet import (
     benign_schedule,
     cycle_schedule,
@@ -225,13 +225,13 @@ def test_criterion_6_validity_mutation_suite():
         assert verify_certificate(cfg, cert).ok, "honest certificate rejected"
         honest_ok += 1
 
-        member = cert.proposal.requests[0]
+        member = cert.requests[0]
         mutated = certutil.reduce_member_votes(cert, member, cfg.n - cfg.t - 1)
         out = verify_certificate(cfg, mutated)
         assert (not out.ok) and out.reason == "insufficient-votes", out
         applied["dropped-vote"] += 1
 
-        if any(len(v) >= 2 for v in cert.proposal.votes_by_party.values()):
+        if any(len(v) >= 2 for v in cert.votes_by_party.values()):
             out = verify_certificate(cfg, certutil.drop_history_entry(cert))
             assert (not out.ok) and out.reason == "missing-history", out
             applied["dropped-history"] += 1
@@ -243,9 +243,9 @@ def test_criterion_6_validity_mutation_suite():
             applied["omitted-member"] += 1
 
         timestamped = any(
-            v.ts is not None for vs in cert.proposal.votes_by_party.values() for v in vs
+            v.ts is not None for vs in cert.votes_by_party.values() for v in vs
         )
-        if timestamped and any(len(v) >= 2 for v in cert.proposal.votes_by_party.values()):
+        if timestamped and any(len(v) >= 2 for v in cert.votes_by_party.values()):
             try:
                 mutated, party, idx = certutil.invert_timestamps(cert)
             except ValueError:
@@ -268,27 +268,26 @@ def test_criterion_6_validity_mutation_suite():
 
 def _removable_member(cfg, cert):
     """A member whose omission the matching verifier must flag."""
-    prop = cert.proposal
-    if len(prop.requests) < 2:
+    if len(cert.requests) < 2:
         return None
-    if prop.mode_tag == "timed-fair":
-        for member in prop.requests:
-            if member == prop.pivot.request:
+    if cert.mode_tag == "timed-fair":
+        for member in cert.requests:
+            if member == cert.pivot.request:
                 continue
             below = sum(
                 1
-                for votes in prop.votes_by_party.values()
+                for votes in cert.votes_by_party.values()
                 for v in votes
-                if v.request == member and v.ts < prop.pivot.m_r
+                if v.request == member and v.ts < cert.pivot.m_r
             )
             if below >= cfg.t + 1:
                 return member
         return None
     # block-fair: any member still blocking another member once omitted
-    table = prop.request_table
+    table = cert.request_table
     seqs = {
         party: {v.request: v.seq for v in votes}
-        for party, votes in prop.votes_by_party.items()
+        for party, votes in cert.votes_by_party.items()
     }
 
     def count_before(r, r2):
@@ -300,8 +299,8 @@ def _removable_member(cfg, cert):
                 count += 1
         return count
 
-    for member in prop.requests:
-        for other in prop.requests:
+    for member in cert.requests:
+        for other in cert.requests:
             if other == member or table[member].market != table[other].market:
                 continue
             if count_before(other, member) < cfg.t + 1:
@@ -346,7 +345,7 @@ def test_criterion_8_max_median_oracle_equivalence():
         q = cfg.strong_size
         for size in range(q, 9):
             for ts in combinations_with_replacement(range(1, 9), size):
-                assert max_median_of(ts, q) == enumerate_max_median(ts, q)
+                assert median_bounds(ts, q)[1] == enumerate_max_median(ts, q)
                 checked += 1
     _verdict(8, True, f"shortcut equals subset enumeration on {checked} "
                       "timestamp multisets, zero mismatches")

@@ -2,7 +2,6 @@ import dataclasses
 
 from fairlab.chain import ACCEPTED, EQUIVOCATION, REJECTED, Chain, on_deliver
 from fairlab.leaders import NEVERENDING, neverending_step, new_leader
-from fairlab.validity import BlockCertificate
 from fairlab.votes import make_vote
 
 from conftest import INSTANCE, req
@@ -15,8 +14,8 @@ def _ingest(state, party, seq, request, ts=None):
     return state.store.ingest(vote, request)
 
 
-def _single_request_state(cfg, request):
-    state = new_leader(cfg, NEVERENDING, instance=INSTANCE)
+def _single_request_state(cfg, request, proposer=0):
+    state = new_leader(cfg, NEVERENDING, INSTANCE, proposer)
     for party in range(cfg.n):
         _ingest(state, party, 0, request)
     return state
@@ -24,7 +23,7 @@ def _single_request_state(cfg, request):
 
 def test_single_honest_leader_accepted(cfg4):
     state = _single_request_state(cfg4, RA)
-    cert = BlockCertificate(neverending_step(state), proposer=0)
+    cert = neverending_step(state)
     chain = Chain(cfg4)
     out = chain.submit(cert)
     assert out.status == ACCEPTED
@@ -36,10 +35,9 @@ def test_first_valid_certificate_wins(cfg4):
     # two leaders derive different valid blocks for height 0 from different
     # vote arrival orders; the arbitration order decides, the loser retries
     # against a decided height
-    a = _single_request_state(cfg4, RA)
-    b = _single_request_state(cfg4, RB)
-    cert_a = BlockCertificate(neverending_step(a), proposer=0)
-    cert_b = BlockCertificate(neverending_step(b), proposer=1)
+    a = _single_request_state(cfg4, RA, proposer=0)
+    b = _single_request_state(cfg4, RB, proposer=1)
+    cert_a, cert_b = neverending_step(a), neverending_step(b)
     chain = Chain(cfg4)
     assert chain.submit(cert_a).status == ACCEPTED
     retry = chain.submit(cert_b)
@@ -49,8 +47,7 @@ def test_first_valid_certificate_wins(cfg4):
 def test_proposer_equivocation_detected(cfg4):
     a = _single_request_state(cfg4, RA)
     b = _single_request_state(cfg4, RB)
-    cert_a = BlockCertificate(neverending_step(a), proposer=0)
-    cert_b = BlockCertificate(neverending_step(b), proposer=0)
+    cert_a, cert_b = neverending_step(a), neverending_step(b)
     chain = Chain(cfg4)
     assert chain.submit(cert_a).status == ACCEPTED
     out = chain.submit(cert_b)
@@ -63,8 +60,8 @@ def test_proposer_equivocation_detected(cfg4):
 
 def test_invalid_certificate_rejected(cfg4):
     state = _single_request_state(cfg4, RA)
-    cert = BlockCertificate(neverending_step(state), proposer=0)
-    bad = BlockCertificate(dataclasses.replace(cert.proposal, requests=()), proposer=0)
+    cert = neverending_step(state)
+    bad = dataclasses.replace(cert, requests=())
     chain = Chain(cfg4)
     out = chain.submit(bad)
     # The chain reports the verifier's own reason.
@@ -73,39 +70,38 @@ def test_invalid_certificate_rejected(cfg4):
 
 def test_duplicate_request_rejected(cfg4):
     state = _single_request_state(cfg4, RA)
-    cert = BlockCertificate(neverending_step(state), proposer=0)
+    cert = neverending_step(state)
     chain = Chain(cfg4)
     assert chain.submit(cert).ok
     # a later block that re-ships ra must be refused
-    again = dataclasses.replace(cert.proposal, block_number=1)
-    again = BlockCertificate(_rebless(again, 1), proposer=0)
+    again = _rebless(cert, 1)
     out = chain.submit(again)
     assert out.status == REJECTED and out.reason == "duplicate-request"
 
 
-def _rebless(proposal, block):
+def _rebless(cert, block):
     # re-sign the cited votes for the new height so only the duplication fails
     votes_by_party = {
         p: tuple(
-            make_vote(v.att.signer, v.instance, block, v.seq, v.ts, v.request)
+            make_vote(v.signer, v.instance, block, v.seq, v.ts, v.request)
             for v in votes
         )
-        for p, votes in proposal.votes_by_party.items()
+        for p, votes in cert.votes_by_party.items()
     }
-    return dataclasses.replace(proposal, block_number=block, votes_by_party=votes_by_party)
+    return dataclasses.replace(cert, block_number=block, votes_by_party=votes_by_party)
 
 
 def test_on_deliver_replays_undelivered(cfg4):
-    state = new_leader(cfg4, NEVERENDING, instance=INSTANCE)
+    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0)
     for party in range(4):
         _ingest(state, party, 0, RA)
         _ingest(state, party, 1, RB)
-    cert = BlockCertificate(neverending_step(state), proposer=0)
+    cert = neverending_step(state)
     chain = Chain(cfg4)
     # the neverending closure ships both; craft a chain where only ra landed
-    if set(cert.proposal.requests) == {RA.id, RB.id}:
+    if set(cert.requests) == {RA.id, RB.id}:
         solo = _single_request_state(cfg4, RA)
-        cert = BlockCertificate(neverending_step(solo), proposer=0)
+        cert = neverending_step(solo)
     assert chain.submit(cert).ok
     (replayed,) = on_deliver(chain, [state])
     assert replayed.block_number == 1
@@ -114,7 +110,7 @@ def test_on_deliver_replays_undelivered(cfg4):
 
 
 def test_consecutive_deliveries_equal_union_replay(cfg4):
-    state = new_leader(cfg4, NEVERENDING, instance=INSTANCE)
+    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0)
     requests = [req(f"x{i}") for i in range(4)]
     for party in range(4):
         for seq, r in enumerate(requests):
@@ -137,19 +133,19 @@ def test_consecutive_deliveries_equal_union_replay(cfg4):
 def test_chain_invariants(cfg4):
     chain = Chain(cfg4)
     a = _single_request_state(cfg4, RA)
-    assert chain.submit(BlockCertificate(neverending_step(a), 0)).ok
-    b = new_leader(cfg4, NEVERENDING, instance=INSTANCE, block_number=1)
+    assert chain.submit(neverending_step(a)).ok
+    b = new_leader(cfg4, NEVERENDING, INSTANCE, 1, block_number=1)
     b.store.block = 1
     for party in range(4):
         _ingest(b, party, 0, RB)
-    assert chain.submit(BlockCertificate(neverending_step(b), 1)).ok
-    numbers = [cert.proposal.block_number for cert in chain.blocks]
+    assert chain.submit(neverending_step(b)).ok
+    numbers = [cert.block_number for cert in chain.blocks]
     assert numbers == [0, 1]
     seen = set()
     for cert in chain.blocks:
-        overlap = seen & set(cert.proposal.requests)
+        overlap = seen & set(cert.requests)
         assert not overlap
-        seen.update(cert.proposal.requests)
+        seen.update(cert.requests)
 
 
 def test_external_validity_under_adversarial_submissions(cfg4):
@@ -157,18 +153,18 @@ def test_external_validity_under_adversarial_submissions(cfg4):
     import certutil
     from fairlab.validity import verify_certificate
 
-    state = new_leader(cfg4, NEVERENDING, instance=INSTANCE)
+    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0)
     names = ("ra", "rb")
     for party in range(4):
         for seq, name in enumerate(names):
             _ingest(state, party, seq, req(name))
-    honest = BlockCertificate(neverending_step(state), proposer=0)
+    honest = neverending_step(state)
     chain = Chain(cfg4)
     hostile = [
         certutil.empty_requests(honest),
         certutil.drop_history_entry(honest),
-        certutil.reduce_member_votes(honest, honest.proposal.requests[0], 2),
-        certutil.omit_member(honest, honest.proposal.requests[-1]),
+        certutil.reduce_member_votes(honest, honest.requests[0], 2),
+        certutil.omit_member(honest, honest.requests[-1]),
     ]
     for cert in hostile:
         out = chain.submit(cert)

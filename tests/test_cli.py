@@ -123,6 +123,16 @@ def _set_first_vote_seq(cert, seq):
     cert["votes"][party][0][0] = seq
 
 
+@pytest.mark.parametrize("proposer", [4, 999])
+def test_verify_rejects_a_proposer_that_is_no_party(tmp_path, capsys, proposer):
+    chain = _chain_with(tmp_path, _edit_certificate(lambda c: c.update(proposer=proposer)))
+    assert len(chain.read_text().splitlines()) == 3  # n = 4, two blocks
+    capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 1
+    out = capsys.readouterr().out
+    assert "block 0: invalid (unknown-proposer)" in out and "chain: INVALID" in out
+
+
 def test_verify_non_list_requests_exits_two(tmp_path, capsys):
     chain = _chain_with(tmp_path, _edit_certificate(lambda c: c.update(requests=5)))
     capsys.readouterr()
@@ -239,7 +249,7 @@ def test_verify_checks_each_entry_once(tmp_path, capsys, monkeypatch):
     calls = []
 
     def counted(cfg, cert):
-        calls.append(cert.proposal.block_number)
+        calls.append(cert.block_number)
         return original(cfg, cert)
 
     # Every fairlab module that holds the verifier, under any name.

@@ -74,13 +74,12 @@ def test_request_id_binds_market_and_payload():
 
 def test_attestation_verifies_only_genuine_content():
     att = sign(2, b"payload")
-    assert verify(att, b"payload")
-    assert not verify(att, b"payload2")
+    assert verify(2, att, b"payload")
+    assert not verify(2, att, b"payload2")
     other = sign(3, b"payload")
-    assert other.digest != att.digest
-    # an attestation claiming a different signer over the same bytes fails
-    forged = type(att)(signer=1, digest=att.digest)
-    assert not verify(forged, b"payload")
+    assert other != att
+    # an attestation claimed for a different signer over the same bytes fails
+    assert not verify(1, att, b"payload")
 
 
 # -- canonical JSON ------------------------------------------------------------

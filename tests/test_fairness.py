@@ -6,7 +6,7 @@ from fairlab.fairness import (
     MedianSummary,
     blocks,
     max_median,
-    max_median_of,
+    median_bounds,
     median_timestamp,
     timed_precedes,
 )
@@ -101,7 +101,7 @@ def test_max_median_shortcut_matches_enumeration(n, t, domain, max_size):
     q = n - t
     for size in range(q, max_size + 1):
         for ts in combinations_with_replacement(range(1, domain + 1), size):
-            assert max_median_of(ts, q) == enumerate_max_median(ts, q)
+            assert median_bounds(ts, q)[1] == enumerate_max_median(ts, q)
 
 
 def test_timed_precedes(cfg4):

@@ -4,7 +4,6 @@ from fairlab.leaders import (
     CLOCKED,
     HYBRID,
     NEVERENDING,
-    CoinConfig,
     clocked_step,
     coin_stop,
     hybrid_step,
@@ -12,7 +11,7 @@ from fairlab.leaders import (
     new_leader,
     replay_undelivered,
 )
-from fairlab.validity import BlockCertificate, verify_certificate
+from fairlab.validity import verify_certificate
 from fairlab.votes import make_vote
 
 from conftest import INSTANCE, req
@@ -23,7 +22,7 @@ A1, A2, B1 = req("a1", market="A"), req("a2", market="A"), req("b1", market="B")
 
 
 def engine(cfg, mode, **kw):
-    return new_leader(cfg, mode, instance=INSTANCE, **kw)
+    return new_leader(cfg, mode, INSTANCE, 0, **kw)
 
 
 def ingest(state, party, seq, request, ts=None):
@@ -35,10 +34,10 @@ def test_neverending_single_request(cfg4):
     state = engine(cfg4, NEVERENDING)
     for party in range(4):
         ingest(state, party, 0, RA)
-    proposal = neverending_step(state)
-    assert proposal is not None
-    assert proposal.requests == (RA.id,)
-    assert proposal.mode_tag == "block-fair"
+    cert = neverending_step(state)
+    assert cert is not None
+    assert cert.requests == (RA.id,)
+    assert cert.mode_tag == "block-fair"
 
 
 def _cycle_rotation(n):
@@ -51,9 +50,9 @@ def test_neverending_cycle_emits_one_block_of_all(cfg4):
     for party, order in _cycle_rotation(4).items():
         for seq, idx in enumerate(order):
             ingest(state, party, seq, M[names[idx]])
-    proposal = neverending_step(state)
-    assert proposal is not None
-    assert sorted(M[n].id for n in names) == sorted(proposal.requests)
+    cert = neverending_step(state)
+    assert cert is not None
+    assert sorted(M[n].id for n in names) == sorted(cert.requests)
 
 
 def test_neverending_waits_on_subquorum_blocker(cfg4):
@@ -68,20 +67,20 @@ def test_neverending_waits_on_subquorum_blocker(cfg4):
     assert neverending_step(state) is None
     # rb completes a strong quorum: it joins and the block ships as a pair
     ingest(state, 2, 0, RB)
-    proposal = neverending_step(state)
-    assert proposal is not None
-    assert set(proposal.requests) == {RA.id, RB.id}
+    cert = neverending_step(state)
+    assert cert is not None
+    assert set(cert.requests) == {RA.id, RB.id}
 
 
 def test_clocked_single_request(cfg4):
     state = engine(cfg4, CLOCKED)
     for party, ts in ((0, 5), (1, 7), (2, 9)):
         ingest(state, party, 0, RA, ts=ts)
-    proposal = clocked_step(state)
-    assert proposal is not None
-    assert proposal.requests == (RA.id,)
-    assert proposal.mode_tag == "timed-fair"
-    assert proposal.pivot.m_r == 7
+    cert = clocked_step(state)
+    assert cert is not None
+    assert cert.requests == (RA.id,)
+    assert cert.mode_tag == "timed-fair"
+    assert cert.pivot.m_r == 7
 
 
 def test_clocked_admits_by_median(cfg4):
@@ -94,13 +93,13 @@ def test_clocked_admits_by_median(cfg4):
     ingest(state, 2, 0, RA, ts=30)
     assert clocked_step(state) is None  # rb has t+1 votes below 20 but only 2 total
     ingest(state, 3, 0, RB, ts=25)
-    proposal = clocked_step(state)
-    assert proposal is not None
+    cert = clocked_step(state)
+    assert cert is not None
     # oracle recount: rb has 2 = t+1 votes (5, 12) strictly below 20
     below = [v.ts for v in state.store.votes_for(RB.id) if v.ts < 20]
     assert len(below) == 2
     # in-block order by cited medians: rb at 12, ra at 20
-    assert proposal.requests == (RB.id, RA.id)
+    assert cert.requests == (RB.id, RA.id)
 
 
 def test_clocked_leaves_later_request_out(cfg4):
@@ -111,19 +110,19 @@ def test_clocked_leaves_later_request_out(cfg4):
     ingest(state, 0, 1, RB, ts=21)
     ingest(state, 1, 1, RB, ts=22)
     ingest(state, 3, 0, RB, ts=23)
-    proposal = clocked_step(state)
-    assert proposal is not None
-    assert proposal.requests == (RA.id,)
+    cert = clocked_step(state)
+    assert cert is not None
+    assert cert.requests == (RA.id,)
 
 
 def test_hybrid_benign_matches_neverending(cfg4):
     state = engine(cfg4, HYBRID, r_max=100)
     for party, ts in ((0, 1), (1, 2), (2, 3), (3, 4)):
         ingest(state, party, 0, RA, ts=ts)
-    proposal = hybrid_step(state)
-    assert proposal is not None
-    assert proposal.requests == (RA.id,)
-    assert proposal.mode_tag == "block-fair"
+    cert = hybrid_step(state)
+    assert cert is not None
+    assert cert.requests == (RA.id,)
+    assert cert.mode_tag == "block-fair"
 
 
 def test_hybrid_two_markets_ship_separately(cfg4):
@@ -298,7 +297,7 @@ def test_coin_stop_deterministic_and_biased():
 
 def test_engine_determinism(cfg4):
     def drive():
-        state = engine(cfg4, HYBRID, r_max=2, coin=CoinConfig("c", 1.0))
+        state = engine(cfg4, HYBRID, r_max=2, coin_seed="c", coin_stop_p=1.0)
         emitted = []
         delivered = set()
         script = []
@@ -310,10 +309,10 @@ def test_engine_determinism(cfg4):
                 script.append((party, seq, r, (seq + 1) * 10 + party))
         for party, seq, r, ts in script:
             ingest(state, party, seq, r, ts=ts)
-            proposal = hybrid_step(state)
-            if proposal is not None:
-                emitted.append((proposal.block_number, proposal.mode_tag, proposal.requests))
-                delivered |= set(proposal.requests)
+            cert = hybrid_step(state)
+            if cert is not None:
+                emitted.append((cert.block_number, cert.mode_tag, cert.requests))
+                delivered |= set(cert.requests)
                 state = replay_undelivered(state, state.block_number + 1, delivered)
         return emitted
     assert drive() == drive()
@@ -370,8 +369,8 @@ def test_clocked_waits_for_member_strong_quorum(cfg4):
     # votes a member needs, so the step waits.
     assert clocked_step(state) is None
     ingest(state, 1, 1, RB, ts=25)
-    proposal = clocked_step(state)
-    assert proposal is not None
-    assert proposal.requests == (RB.id, RA.id)
-    assert proposal.pivot.m_r == 20
-    assert verify_certificate(cfg4, BlockCertificate(proposal, proposer=0)).ok
+    cert = clocked_step(state)
+    assert cert is not None
+    assert cert.requests == (RB.id, RA.id)
+    assert cert.pivot.m_r == 20
+    assert verify_certificate(cfg4, cert).ok

@@ -12,7 +12,7 @@ from fairlab.fairness import median_bounds, median_timestamp
 from fairlab.leaders import TIMED_FAIR
 from fairlab.simnet.generators import benign_schedule
 from fairlab.simnet.runner import Simulation
-from fairlab.validity import BlockCertificate, verify_certificate
+from fairlab.validity import verify_certificate
 
 
 def _achievable(ts, q):
@@ -57,14 +57,13 @@ def test_verifier_accepts_exactly_the_enumerated_pivot_medians():
     cfg, certs = _clocked_benign(7, 3)
     assert certs
     for cert in certs:
-        prop = cert.proposal
-        assert prop.mode_tag == TIMED_FAIR
-        seed_ts = sorted(v.ts for votes in prop.votes_by_party.values() for v in votes
-                         if v.request == prop.pivot.request)
+        assert cert.mode_tag == TIMED_FAIR
+        seed_ts = sorted(v.ts for votes in cert.votes_by_party.values() for v in votes
+                         if v.request == cert.pivot.request)
         achievable = _achievable(seed_ts, cfg.strong_size)
         for value in range(seed_ts[0] - 1, seed_ts[-1] + 2):
-            pivot = dataclasses.replace(prop.pivot, m_r=value)
-            forged = BlockCertificate(dataclasses.replace(prop, pivot=pivot), cert.proposer)
+            pivot = dataclasses.replace(cert.pivot, m_r=value)
+            forged = dataclasses.replace(cert, pivot=pivot)
             reason = verify_certificate(cfg, forged).reason
             assert (reason == "invalid-pivot") == (value not in achievable), (value, reason)
 
@@ -79,6 +78,6 @@ def test_no_subset_enumeration_at_run_time(monkeypatch):
     # n = 31 and n - t = 21: enumeration would visit 44,352,165 subsets per
     # certificate; the run's Chain.submit calls verify every block.
     cfg, certs = _clocked_benign(31, 12)
-    assert sum(len(cert.proposal.requests) for cert in certs) == 12
+    assert sum(len(cert.requests) for cert in certs) == 12
     for cert in certs:
         assert verify_certificate(cfg, cert).ok

@@ -158,6 +158,26 @@ def test_votes_are_cast_for_the_next_block(mode):
     assert later > 0
 
 
+@pytest.mark.parametrize("mode", ["neverending", "clocked", "hybrid"])
+def test_blocks_keep_the_proposer_the_engine_stamped(mode):
+    # Each engine stamps its own party on its certificates, and a replay
+    # into the next incarnation keeps the stamp: every block names the
+    # leader whose accepted proposal it is.
+    replayed = set()  # proposers of blocks after the first
+    for n, t in ((4, 1), (7, 2)):
+        for seed in range(40):
+            proposal = None
+            for rec in run(fuzz_scenario(seed, n=n, t=t, mode=mode, r_max=2)).records:
+                if rec["kind"] == "proposal":
+                    proposal = rec
+                elif rec["kind"] == "block":
+                    assert proposal["outcome"] == "accepted", (n, seed, rec)
+                    assert rec["proposer"] == proposal["leader"], (n, seed, rec)
+                    if rec["number"] > 0:
+                        replayed.add(rec["proposer"])
+    assert replayed - {0}  # a replayed engine other than party 0's shipped a block
+
+
 def test_local_clocks_monotone(cfg4):
     scenario = dataclasses.replace(
         fuzz_scenario(29, mode="clocked"),
@@ -245,7 +265,7 @@ def test_byzantine_behaviors_stay_contained(cfg4):
         for party, log in engine.store.logs.items():
             for vote in log.accepted:
                 assert vote_verifies(vote)
-                assert vote.att.signer == party
+                assert vote.signer == party
 
 
 def test_round_robin_stalls_on_byzantine_scheduled_leader(cfg4):

@@ -2,14 +2,8 @@ import dataclasses
 
 import pytest
 
-from fairlab.core import Attestation
 from fairlab.leaders import CLOCKED, NEVERENDING, clocked_step, neverending_step, new_leader
-from fairlab.validity import (
-    BlockCertificate,
-    certificate_from_dict,
-    certificate_to_dict,
-    verify_certificate,
-)
+from fairlab.validity import certificate_from_dict, certificate_to_dict, verify_certificate
 from fairlab.votes import VoteStore, make_vote
 
 import certutil
@@ -25,27 +19,27 @@ def _ingest(state, party, seq, request, ts=None):
 
 
 def cycle_cert(cfg):
-    state = new_leader(cfg, NEVERENDING, instance=INSTANCE)
+    state = new_leader(cfg, NEVERENDING, INSTANCE, 0)
     names = ["m1", "m2", "m3", "m4"]
     for party in range(4):
         for seq in range(4):
             _ingest(state, party, seq, M[names[(party + seq) % 4]])
-    proposal = neverending_step(state)
-    assert proposal is not None
-    return BlockCertificate(proposal, proposer=0)
+    cert = neverending_step(state)
+    assert cert is not None
+    return cert
 
 
 def clocked_cert(cfg):
-    state = new_leader(cfg, CLOCKED, instance=INSTANCE)
+    state = new_leader(cfg, CLOCKED, INSTANCE, 0)
     _ingest(state, 0, 0, RB, ts=5)
     _ingest(state, 0, 1, RA, ts=10)
     _ingest(state, 1, 0, RB, ts=12)
     _ingest(state, 1, 1, RA, ts=20)
     _ingest(state, 2, 0, RA, ts=30)
     _ingest(state, 3, 0, RB, ts=25)
-    proposal = clocked_step(state)
-    assert proposal is not None
-    return BlockCertificate(proposal, proposer=0)
+    cert = clocked_step(state)
+    assert cert is not None
+    return cert
 
 
 def test_honest_block_fair_certificate_verifies(cfg4):
@@ -54,7 +48,7 @@ def test_honest_block_fair_certificate_verifies(cfg4):
 
 def test_insufficient_votes_detected(cfg4):
     cert = cycle_cert(cfg4)
-    member = cert.proposal.requests[0]
+    member = cert.requests[0]
     mutated = certutil.reduce_member_votes(cert, member, cfg4.n - cfg4.t - 1)
     out = verify_certificate(cfg4, mutated)
     assert not out.ok and out.reason == "insufficient-votes"
@@ -62,7 +56,7 @@ def test_insufficient_votes_detected(cfg4):
 
 def test_omitted_blocking_request_detected(cfg4):
     cert = cycle_cert(cfg4)
-    mutated = certutil.omit_member(cert, cert.proposal.requests[1])
+    mutated = certutil.omit_member(cert, cert.requests[1])
     out = verify_certificate(cfg4, mutated)
     assert not out.ok and out.reason == "omitted-blocked-request"
 
@@ -80,14 +74,15 @@ def test_missing_history_detected(cfg4):
 
 def test_tampered_vote_detected(cfg4):
     cert = cycle_cert(cfg4)
-    votes_by_party = dict(cert.proposal.votes_by_party)
+    votes_by_party = dict(cert.votes_by_party)
     party = sorted(votes_by_party)[0]
     votes = list(votes_by_party[party])
     # alter the claimed request without re-signing
     victim = votes[0]
     votes[0] = type(victim)(
         instance=victim.instance, block=victim.block, seq=victim.seq,
-        ts=victim.ts, request=M["m4"].id, att=victim.att,
+        ts=victim.ts, request=M["m4"].id, signer=victim.signer,
+        attestation=victim.attestation,
     )
     votes_by_party[party] = tuple(votes)
     mutated = certutil._rebuild(cert, votes_by_party=votes_by_party)
@@ -98,11 +93,10 @@ def test_tampered_vote_detected(cfg4):
 def test_tampered_request_table_detected(cfg4):
     import dataclasses
     cert = cycle_cert(cfg4)
-    table = dict(cert.proposal.request_table)
-    rid = cert.proposal.requests[0]
+    table = dict(cert.request_table)
+    rid = cert.requests[0]
     table[rid] = dataclasses.replace(table[rid], market="other")
-    prop = dataclasses.replace(cert.proposal, request_table=table)
-    out = verify_certificate(cfg4, BlockCertificate(prop, cert.proposer))
+    out = verify_certificate(cfg4, dataclasses.replace(cert, request_table=table))
     assert not out.ok and out.reason == "bad-attestation"
 
 
@@ -122,7 +116,7 @@ def test_timestamp_inversion_detected(cfg4):
 
 def test_timed_omission_detected(cfg4):
     cert = clocked_cert(cfg4)
-    admitted = [r for r in cert.proposal.requests if r != cert.proposal.pivot.request]
+    admitted = [r for r in cert.requests if r != cert.pivot.request]
     assert admitted
     out = verify_certificate(cfg4, certutil.omit_member(cert, admitted[0]))
     assert not out.ok and out.reason == "omitted-blocked-request"
@@ -131,10 +125,9 @@ def test_timed_omission_detected(cfg4):
 def test_timed_in_block_order_enforced(cfg4):
     import dataclasses
     cert = clocked_cert(cfg4)
-    assert len(cert.proposal.requests) >= 2
-    shuffled = tuple(reversed(cert.proposal.requests))
-    prop = dataclasses.replace(cert.proposal, requests=shuffled)
-    out = verify_certificate(cfg4, BlockCertificate(prop, cert.proposer))
+    assert len(cert.requests) >= 2
+    shuffled = tuple(reversed(cert.requests))
+    out = verify_certificate(cfg4, dataclasses.replace(cert, requests=shuffled))
     assert not out.ok and out.reason == "timestamp-order"
 
 
@@ -143,7 +136,7 @@ def test_serialization_round_trip(cfg4):
         data = certificate_to_dict(cert)
         back = certificate_from_dict(data)
         assert back == cert
-        assert back.digest() == cert.digest()
+        assert certificate_to_dict(back) == data
         assert verify_certificate(cfg4, back).ok
 
 
@@ -160,7 +153,7 @@ def _double_voter_cert(timestamped):
     """Parties 0 and 1 each vote the only member twice, at seq 0 and seq 1:
     four votes from two voters, short of the n-t=3 quorum."""
     from fairlab.fairness import MedianSummary
-    from fairlab.leaders import BLOCK_FAIR, TIMED_FAIR, Proposal
+    from fairlab.leaders import BLOCK_FAIR, TIMED_FAIR, BlockCertificate
 
     member = M["m1"]
     votes_by_party = {
@@ -171,13 +164,12 @@ def _double_voter_cert(timestamped):
         for party in (0, 1)
     }
     pivot = MedianSummary(member.id, (1, 1, 2), 1) if timestamped else None
-    prop = Proposal(
-        instance=INSTANCE, block_number=0,
+    return BlockCertificate(
+        instance=INSTANCE, block_number=0, proposer=0,
         mode_tag=TIMED_FAIR if timestamped else BLOCK_FAIR,
         requests=(member.id,), pivot=pivot,
         votes_by_party=votes_by_party, request_table={member.id: member},
     )
-    return BlockCertificate(prop, proposer=0)
 
 
 def test_quorum_counts_voters_not_votes(cfg4):
@@ -192,31 +184,33 @@ def test_quorum_counts_voters_not_votes(cfg4):
 def _resigned(vote, **fields):
     """`vote` with some signed fields changed, signed again by its voter."""
     v = dataclasses.replace(vote, **fields)
-    return make_vote(v.att.signer, v.instance, v.block, v.seq, v.ts, v.request)
+    return make_vote(v.signer, v.instance, v.block, v.seq, v.ts, v.request)
 
 
 def _with_votes(party, edit):
     """A mutation that replaces `party`'s cited history with `edit(history)`."""
-    def mutate(prop):
-        votes = dict(prop.votes_by_party)
+    def mutate(cert):
+        votes = dict(cert.votes_by_party)
         votes[party] = tuple(edit(list(votes.get(party, ()))))
-        return dataclasses.replace(prop, votes_by_party=votes)
+        return dataclasses.replace(cert, votes_by_party=votes)
     return mutate
 
 
 def _with_table(edit):
-    def mutate(prop):
-        table = dict(prop.request_table)
-        edit(table, prop)
-        return dataclasses.replace(prop, request_table=table)
+    def mutate(cert):
+        table = dict(cert.request_table)
+        edit(table, cert)
+        return dataclasses.replace(cert, request_table=table)
     return mutate
 
 
 def _zero_attestation(vote):
-    return dataclasses.replace(vote, att=Attestation(vote.att.signer, "0" * 64))
+    return dataclasses.replace(vote, attestation="0" * 64)
 
 
 FAULTS = [
+    ("proposer-not-party", cycle_cert, lambda cert: dataclasses.replace(cert, proposer=4),
+     "unknown-proposer"),
     ("signer-not-key", cycle_cert, _with_votes(1, lambda vs: [
         make_vote(0, v.instance, v.block, v.seq, v.ts, v.request) for v in vs]),
      "bad-attestation"),
@@ -241,11 +235,11 @@ FAULTS = [
     ("skipped-seq", cycle_cert, _with_votes(1, lambda vs: vs[:1] + vs[2:]), "missing-history"),
     ("no-seq-zero", cycle_cert, _with_votes(1, lambda vs: vs[1:]), "missing-history"),
     ("request-not-in-table", cycle_cert,
-     _with_table(lambda table, prop: table.pop(prop.requests[-1])), "missing-history"),
+     _with_table(lambda table, cert: table.pop(cert.requests[-1])), "missing-history"),
     ("table-id-not-digest", cycle_cert,
-     _with_table(lambda table, prop: table.update({"0" * 64: M["m1"]})), "bad-attestation"),
+     _with_table(lambda table, cert: table.update({"0" * 64: M["m1"]})), "bad-attestation"),
     ("duplicate-request", cycle_cert,
-     lambda prop: dataclasses.replace(prop, requests=prop.requests + prop.requests[:1]),
+     lambda cert: dataclasses.replace(cert, requests=cert.requests + cert.requests[:1]),
      "duplicate-request"),
 ]
 
@@ -255,7 +249,7 @@ FAULTS = [
 def test_certificate_fault_reasons(cfg4, base, mutate, reason):
     cert = base(cfg4)
     assert verify_certificate(cfg4, cert).ok
-    out = verify_certificate(cfg4, BlockCertificate(mutate(cert.proposal), cert.proposer))
+    out = verify_certificate(cfg4, mutate(cert))
     assert (out.ok, out.reason) == (False, reason)
 
 
@@ -272,5 +266,5 @@ def test_verification_ingests_each_cited_vote_once(cfg4, monkeypatch):
     for cert in certs:
         ingested.clear()
         assert verify_certificate(cfg4, cert).ok
-        cited = [v for votes in cert.proposal.votes_by_party.values() for v in votes]
+        cited = [v for votes in cert.votes_by_party.values() for v in votes]
         assert ingested == cited

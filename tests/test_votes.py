@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairlab.votes
-from fairlab.core import Attestation, validate_config
+from fairlab.core import validate_config
 from fairlab.simnet import benign_schedule
 from fairlab.simnet.runner import Simulation
 from fairlab.validity import certificate_from_dict, certificate_to_dict, verify_certificate
@@ -175,7 +175,7 @@ def test_acceptance_index_is_the_version(n, t, rng):
     # in acceptance order, the indices rise strictly.
     first = {}
     for vote, index in order:
-        first.setdefault((vote.request, vote.att.signer), (vote, index))
+        first.setdefault((vote.request, vote.signer), (vote, index))
     assert first == {(r, p): record for r, slot in store.by_request.items()
                      for p, record in slot.items()}
     indices = [index for _, index in first.values()]
@@ -186,9 +186,9 @@ def test_acceptance_index_is_the_version(n, t, rng):
     weak, strong = {}, {}
     for vote, index in order:
         seen = voters.setdefault(vote.request, set())
-        if vote.att.signer in seen:
+        if vote.signer in seen:
             continue
-        seen.add(vote.att.signer)
+        seen.add(vote.signer)
         if len(seen) == cfg.weak_size:
             weak[vote.request] = index
         if len(seen) == cfg.strong_size:
@@ -286,30 +286,41 @@ def test_count_before_monotone_while_active(cfg4):
 
 
 def test_tampered_attestation_rejected(cfg4):
-    from fairlab.core import Attestation
     store = new_store(cfg4)
     vote = make_vote(0, store.instance, store.block, 0, None, R["r1"].id)
     forged = type(vote)(
         instance=vote.instance, block=vote.block, seq=vote.seq, ts=vote.ts,
-        request=R["r2"].id, att=vote.att,  # attestation covers r1, not r2
+        request=R["r2"].id, signer=vote.signer,
+        attestation=vote.attestation,  # covers r1, not r2
     )
     out = store.ingest(forged, R["r2"])
     assert out.status == REJECTED and out.reason == "bad-attestation"
     relabeled = type(vote)(
         instance=vote.instance, block=vote.block, seq=vote.seq, ts=vote.ts,
-        request=vote.request, att=Attestation(signer=1, digest=vote.att.digest),
+        request=vote.request, signer=1, attestation=vote.attestation,
     )
     out = store.ingest(relabeled, R["r1"])
     assert out.status == REJECTED and out.reason == "bad-attestation"
 
 
 def _count_verify(monkeypatch):
-    """Count attestation checks made through the name ingest calls."""
+    """Record attestation checks made through the name ingest calls, each by
+    the payload it covered: a vote derives its payload object once, so the
+    object names the vote checked."""
     calls = []
     real = fairlab.votes.verify
-    monkeypatch.setattr(fairlab.votes, "verify",
-                        lambda att, content: calls.append(att) or real(att, content))
+
+    def counted(signer, attestation, content):
+        calls.append(content)
+        return real(signer, attestation, content)
+
+    monkeypatch.setattr(fairlab.votes, "verify", counted)
     return calls
+
+
+def _checked(calls, votes):
+    """Whether the checks recorded in `calls` were of `votes`, in order."""
+    return len(calls) == len(votes) and all(p is v.payload for p, v in zip(calls, votes))
 
 
 def test_stale_and_duplicate_copies_are_not_hashed(cfg4, monkeypatch):
@@ -336,15 +347,15 @@ def test_forged_votes_for_the_current_block_are_still_verified(cfg4, monkeypatch
     store = new_store(cfg4)
     vote = make_vote(0, store.instance, store.block, 0, None, R["r1"].id)
     assert store.ingest(vote, R["r1"]).status == ACCEPTED
-    forged = Attestation(0, "0" * 64)
+    forged = "0" * 64
     # A forged copy of the accepted vote is no duplicate, and a forged next
     # vote is no acceptance: both are hashed and turned away.
-    copy = dataclasses.replace(vote, att=forged)
+    copy = dataclasses.replace(vote, attestation=forged)
     following = dataclasses.replace(
-        make_vote(0, store.instance, store.block, 1, None, R["r2"].id), att=forged)
+        make_vote(0, store.instance, store.block, 1, None, R["r2"].id), attestation=forged)
     stale = dataclasses.replace(
         make_vote(1, store.instance, store.block + 1, 0, None, R["r1"].id),
-        att=Attestation(1, "0" * 64))
+        attestation=forged)
     calls = _count_verify(monkeypatch)
     for bad in (copy, following):
         out = store.ingest(bad, R["r2"])
@@ -359,14 +370,14 @@ def test_forged_votes_for_the_current_block_are_still_verified(cfg4, monkeypatch
 
 def test_a_failed_check_is_not_remembered(cfg4, monkeypatch):
     bad = dataclasses.replace(make_vote(0, INSTANCE, 0, 0, None, R["r1"].id),
-                              att=Attestation(0, "0" * 64))
+                              attestation="0" * 64)
     stores = [new_store(cfg4) for _ in range(3)]
     calls = _count_verify(monkeypatch)
     for _ in range(2):
         for store in stores:
             out = store.ingest(bad, R["r1"])
             assert (out.status, out.reason) == (REJECTED, "bad-attestation")
-    assert len(calls) == 6 and all(att is bad.att for att in calls)
+    assert _checked(calls, [bad] * 6)
     assert not bad.verified
     assert not any(store.logs[0].accepted or store.logs[0].pending for store in stores)
 
@@ -378,18 +389,18 @@ def test_a_checked_vote_vouches_for_no_other_object(cfg4, monkeypatch):
     first, second = new_store(cfg4), new_store(cfg4)
     assert first.ingest(vote, R["r1"]).status == ACCEPTED and vote.verified
     assert second.ingest(vote, R["r1"]).status == ACCEPTED
-    assert calls == [vote.att]  # one hash for two stores
-    # A replaced attestation is a new object: hashed, refused, not marked.
-    forged = dataclasses.replace(vote, att=Attestation(0, "0" * 64))
+    assert _checked(calls, [vote])  # one hash for two stores
+    # A replaced attestation makes a new object: hashed, refused, not marked.
+    forged = dataclasses.replace(vote, attestation="0" * 64)
     assert not forged.verified
     for store in (first, new_store(cfg4)):
         out = store.ingest(forged, R["r1"])
         assert (out.status, out.reason) == (REJECTED, "bad-attestation")
-    assert calls == [vote.att, forged.att, forged.att] and not forged.verified
+    assert _checked(calls, [vote, forged, forged]) and not forged.verified
     # An unchanged replacement is hashed once too, and passes.
     same = dataclasses.replace(vote)
     assert not same.verified and new_store(cfg4).ingest(same, R["r1"]).status == ACCEPTED
-    assert calls[-1] is same.att and len(calls) == 4
+    assert _checked(calls, [vote, forged, forged, same])
 
 
 def test_rebuilt_certificates_are_hashed_vote_by_vote(cfg4, monkeypatch):
@@ -398,15 +409,17 @@ def test_rebuilt_certificates_are_hashed_vote_by_vote(cfg4, monkeypatch):
     assert sim.chain.blocks
     calls = _count_verify(monkeypatch)
     for cert in sim.chain.blocks:
-        cited = [v for votes in cert.proposal.votes_by_party.values() for v in votes]
+        cited = [v for votes in cert.votes_by_party.values() for v in votes]
         assert all(v.verified for v in cited)
         rebuilt = certificate_from_dict(certificate_to_dict(cert))
-        fresh = [v for votes in rebuilt.proposal.votes_by_party.values() for v in votes]
+        fresh = [v for votes in rebuilt.votes_by_party.values() for v in votes]
         assert fresh == cited and not any(v.verified for v in fresh)
         # The stand-alone verifier hashes every cited vote, once.
         del calls[:]
         assert verify_certificate(cfg4, rebuilt).ok
-        assert calls == [v.att for v in fresh] and all(v.verified for v in fresh)
+        assert _checked(calls, fresh) and all(v.verified for v in fresh)
+        # A second verification hashes none of them again.
+        assert verify_certificate(cfg4, rebuilt).ok and _checked(calls, fresh)
 
 
 def test_the_mark_is_not_part_of_a_votes_value():
@@ -416,4 +429,4 @@ def test_the_mark_is_not_part_of_a_votes_value():
     assert vote == twin and hash(vote) == hash(twin) and repr(vote) == repr(twin)
     assert "verified" not in repr(vote)
     with pytest.raises(TypeError):
-        Vote(INSTANCE, 0, 1, 9, R["r1"].id, vote.att, verified=True)
+        Vote(INSTANCE, 0, 1, 9, R["r1"].id, vote.signer, vote.attestation, verified=True)

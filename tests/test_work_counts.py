@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fairlab.leaders
 import fairlab.votes
-from fairlab.core import Attestation, validate_config
+from fairlab.core import validate_config
 from fairlab.leaders import BLOCK_FAIR
 from fairlab.simnet import benign_schedule
 from fairlab.simnet.generators import fuzz_scenario
@@ -25,14 +25,14 @@ from conftest import wrapped_hybrid_scenario
 
 def test_one_encoding_per_signed_vote(monkeypatch):
     calls = Counter()
-    hashed = []  # every attestation verify was given, kept alive so ids stay unique
+    hashed = []  # the payload of every check, kept alive so ids stay unique
     for name in ("vote_payload", "sign", "verify"):
         real = getattr(fairlab.votes, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
             if _name == "verify":
-                hashed.append(args[0])
+                hashed.append(args[2])
             return _real(*args)
 
         monkeypatch.setattr(fairlab.votes, name, counted)
@@ -42,7 +42,8 @@ def test_one_encoding_per_signed_vote(monkeypatch):
     # Leaders and chain verification are handed many copies of each signed
     # vote; each vote object is hashed at its first check and never again.
     assert calls["verify"] == calls["sign"] > 0
-    assert len({id(att) for att in hashed}) == len(hashed)
+    # A vote derives its payload object once, so the object names the vote.
+    assert len({id(payload) for payload in hashed}) == len(hashed)
     assert calls["vote_payload"] == calls["sign"]
 
 
@@ -66,9 +67,9 @@ def _cited(signer, fields):
     cert = certificate_from_dict({
         "instance": v.instance, "block": v.block, "mode": BLOCK_FAIR, "proposer": 0,
         "requests": [], "pivot": None, "requests_table": {},
-        "votes": {str(signer): [[v.seq, v.ts, v.request, v.att.digest]]},
+        "votes": {str(signer): [[v.seq, v.ts, v.request, v.attestation]]},
     })
-    return cert.proposal.votes_by_party[signer][0]
+    return cert.votes_by_party[signer][0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,14 +91,14 @@ def test_attested_bytes_follow_the_fields(signer, fields, changed, data):
 
     digest = data.draw(st.text("0123456789abcdef", min_size=64, max_size=64))
     forged_signer = data.draw(st.integers(0, 15))
-    if (forged_signer, digest) != (signer, v.att.digest):
-        assert not vote_verifies(dataclasses.replace(v, att=Attestation(forged_signer, digest)))
+    if (forged_signer, digest) != (signer, v.attestation):
+        assert not vote_verifies(dataclasses.replace(v, signer=forged_signer, attestation=digest))
 
 
 def test_attested_bytes_are_no_argument_and_not_compared():
     v = make_vote(1, "inst", 0, 3, 7, "ab")
     with pytest.raises(TypeError):
-        Vote("inst", 0, 3, 7, "ab", v.att, b"other bytes")
+        Vote("inst", 0, 3, 7, "ab", v.signer, v.attestation, b"other bytes")
     odd = dataclasses.replace(v)
     object.__setattr__(odd, "payload", b"other bytes")
     assert odd == v and hash(odd) == hash(v)
