@@ -4,15 +4,15 @@ Each engine is a deterministic state machine over a VoteStore. The driver
 ingests delivered votes and calls step(); a step emits at most one block
 certificate, naming the state's proposer, and the broadcast loop replays
 undelivered requests into a fresh incarnation after every accepted block.
-Certificates cite the full accepted vote logs so a verifier can recheck the
-emission conditions with no leader state.
+Certificates cite the full accepted vote logs, so the verifier can apply the
+engines' emission rules (`omits_blocker`, `timed_members`) with no leader state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -104,6 +104,31 @@ def new_leader(cfg: QuorumConfig, mode: str, instance: str, proposer: PartyId,
                        coin_seed=coin_seed, coin_stop_p=coin_stop_p)
 
 
+# -- emission rules, shared with validity.verify_certificate -----------------
+
+def omits_blocker(store: VoteStore, cfg: QuorumConfig, members: Sequence[RequestId],
+                  cleared: Mapping[RequestId, int] = {}) -> bool:
+    """True iff a request outside `members` still blocks a member; `cleared`
+    maps a request to the number of leading members it is known not to block."""
+    member_set = set(members)
+    return any(
+        blocks(store, cfg, rid, m)
+        for rid in store.by_request if rid not in member_set
+        for m in members[cleared.get(rid, 0):]
+    )
+
+
+def timed_members(store: VoteStore, cfg: QuorumConfig, pivot: MedianSummary,
+                  pool: Iterable[RequestId]) -> list[RequestId]:
+    """The pivot's request, then every request in `pool` that a weak quorum
+    timestamps below the pivot median, in pool order."""
+    members = [pivot.request]
+    for rid in pool:
+        if rid != pivot.request and timed_precedes(store, cfg, rid, pivot):
+            members.append(rid)
+    return members
+
+
 # -- shared helpers ----------------------------------------------------------
 #
 # The store's weak_at and strong_at maps are filled in completion order, so
@@ -146,11 +171,7 @@ def _closure(state: LeaderState, seed: RequestId, quorum: dict[RequestId, int],
                         break
             else:
                 tested[rid] = len(members)
-    closed = not any(
-        blocks(store, cfg, rid, m)
-        for rid in store.by_request if rid not in member_set
-        for m in members[tested.get(rid, 0):]
-    )
+    closed = not omits_blocker(store, cfg, members, tested)
     state.max_candidate_order = max(state.max_candidate_order, len(members))
     return members, halted, closed
 
@@ -213,16 +234,12 @@ def _first_quorum_pivot(state: LeaderState, seed: RequestId) -> MedianSummary:
     return MedianSummary(request=seed, timestamps=ts, m_r=median_timestamp(ts))
 
 
-def _timed_block(state: LeaderState, seed: RequestId, pivot: MedianSummary,
+def _timed_block(state: LeaderState, pivot: MedianSummary,
                  pool: Iterable[RequestId]) -> Optional[BlockCertificate]:
-    """The timed-fair block of seed and every request in pool that precedes
-    the pivot, in cited-median order; None while a member lacks a strong
-    quorum."""
-    store, cfg = state.store, state.cfg
-    members = [seed]
-    for rid in pool:
-        if rid != seed and timed_precedes(store, cfg, rid, pivot):
-            members.append(rid)
+    """The timed-fair block of `timed_members`, in cited-median order; None
+    while a member lacks a strong quorum."""
+    store = state.store
+    members = timed_members(store, state.cfg, pivot, pool)
     if any(m not in store.strong_at for m in members):
         return None
     return _build_certificate(state, timed_request_order(store, members), TIMED_FAIR, pivot)
@@ -248,7 +265,7 @@ def clocked_step(state: LeaderState) -> Optional[BlockCertificate]:
     # Admission sweeps everything currently known, not just the frozen set:
     # votes that arrived during the coverage wait are part of the cited
     # evidence and the block verifier holds the block to them.
-    return _timed_block(state, seed, pivot, store.by_request)
+    return _timed_block(state, pivot, store.by_request)
 
 
 # -- hybrid engine -----------------------------------------------------------
@@ -291,7 +308,7 @@ def _hybrid_fallback(state: LeaderState) -> Optional[BlockCertificate]:
             continue
         # Seed and low set hold strong quorums, so the block ships.
         state.fallback_blocks_emitted += 1
-        return _timed_block(state, seed, max_median(store, cfg, seed), low)
+        return _timed_block(state, max_median(store, cfg, seed), low)
     return None
 
 

@@ -6,10 +6,10 @@ from sequence number zero), and the request table that binds every cited
 request id to its market and payload. Verification uses only the certificate
 and the quorum configuration, never leader state.
 
-The trailing fairness clause re-checks the emission condition the engines use:
-a block-fair certificate may not omit a cited request that, on the cited
-evidence, still blocks a member; a timed certificate may not omit a cited
-request that a weak quorum timestamped below the declared pivot median.
+The trailing fairness clause applies the engines' own emission rules from
+`leaders.py` to the cited evidence: a block-fair certificate has no pivot and
+omits no request still due with or before a member; a timed certificate holds
+exactly its pivot's request and the requests timestamped below its median.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Optional
 
 # `verify` is not called here: perfbench/tracing.py patches it by this name.
 from .core import QuorumConfig, Request, party_key, request_id, verify
-from .fairness import MedianSummary, blocks, median_bounds, timed_precedes, timed_request_order
-from .leaders import BLOCK_FAIR, TIMED_FAIR, BlockCertificate
+from .fairness import MedianSummary, median_bounds, timed_request_order
+from .leaders import BLOCK_FAIR, TIMED_FAIR, BlockCertificate, omits_blocker, timed_members
 from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore
 
 
@@ -49,14 +49,14 @@ _INGEST_FAULTS = {
 
 def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
     """Block validity: a party as proposer, non-empty, a strong quorum of
-    fully-historied votes per member, and no cited request left out while it
-    still blocks (block-fair) or precedes the pivot (timed). The cited votes are admitted, in cited
-    order, by `VoteStore.ingest`, the rule the engines' stores apply; the
-    first refusal that condemns the certificate names its fault. A
-    certificate with timestamped votes or a timed tag gets the timestamped
-    vote rules: voters whose timestamps run against their sequence numbers
-    lose their votes from the mismatch onward, which can drop a member below
-    quorum."""
+    fully-historied votes per member, and the members the engines' emission
+    rules ask for (`leaders.omits_blocker`, `leaders.timed_members`). The
+    cited votes are admitted, in cited order, by `VoteStore.ingest`, the
+    rule the engines' stores apply; the first refusal that condemns the
+    certificate names its fault. A certificate with timestamped votes or a
+    timed tag gets the timestamped vote rules: voters whose timestamps run
+    against their sequence numbers lose their votes from the mismatch
+    onward, which can drop a member below quorum."""
     if not 0 <= cert.proposer < cfg.n:
         return VerifyOutcome("unknown-proposer")
     timestamped = cert.mode_tag == TIMED_FAIR or any(
@@ -94,7 +94,6 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         return VerifyOutcome("timestamp-order")
 
     member_set = set(cert.requests)
-    omitted = [rid for rid in store.by_request if rid not in member_set]
     if cert.mode_tag == TIMED_FAIR:
         if cert.pivot is None or cert.pivot.request not in member_set:
             return VerifyOutcome("invalid-pivot")
@@ -106,11 +105,16 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         if (len(declared) < cfg.strong_size or m_r not in declared
                 or not Counter(declared) <= Counter(seed_ts) or not low <= m_r <= high):
             return VerifyOutcome("invalid-pivot")
-        if any(timed_precedes(store, cfg, rid, cert.pivot) for rid in omitted):
+        members = timed_members(store, cfg, cert.pivot, store.by_request)
+        if not member_set.issuperset(members):
             return VerifyOutcome("omitted-blocked-request")
+        if len(members) != len(member_set):
+            return VerifyOutcome("member-after-pivot")
         if list(cert.requests) != timed_request_order(store, cert.requests):
             return VerifyOutcome("timestamp-order")
-    elif any(blocks(store, cfg, rid, member) for rid in omitted for member in cert.requests):
+    elif cert.pivot is not None:
+        return VerifyOutcome("invalid-pivot")
+    elif omits_blocker(store, cfg, cert.requests):
         return VerifyOutcome("omitted-blocked-request")
     return VerifyOutcome()
 

@@ -68,6 +68,27 @@ def omit_member(cert, member):
     return _rebuild(cert, requests=requests)
 
 
+def pad_member(cert, cfg):
+    """The certificate with one more cited request that holds votes from n-t
+    voters, the block kept in cited-median order; None if no request
+    outside the block has them."""
+    voters, stamps = {}, {}
+    for party, votes in cert.votes_by_party.items():
+        for v in votes:
+            voters.setdefault(v.request, set()).add(party)
+            stamps.setdefault(v.request, []).append(v.ts)
+    extra = next((r for r in cert.request_table if r not in cert.requests
+                  and len(voters.get(r, ())) >= cfg.n - cfg.t), None)
+    if extra is None:
+        return None
+
+    def cited_median(r):
+        ts = sorted(stamps[r])
+        return ts[(len(ts) - 1) // 2], r
+
+    return _rebuild(cert, requests=tuple(sorted(cert.requests + (extra,), key=cited_median)))
+
+
 def empty_requests(cert):
     return _rebuild(cert, requests=())
 

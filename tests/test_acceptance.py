@@ -20,7 +20,7 @@ from fairlab.audit import (
     check_timed_fairness,
 )
 from fairlab.core import validate_config
-from fairlab.fairness import median_bounds
+from fairlab.fairness import MedianSummary, median_bounds
 from fairlab.simnet import (
     benign_schedule,
     cycle_schedule,
@@ -220,7 +220,8 @@ def test_criterion_6_validity_mutation_suite():
     assert len(certs) >= 20
     honest_ok = 0
     applied = {"dropped-vote": 0, "dropped-history": 0, "omitted-member": 0,
-               "timestamp-inversion": 0, "emptied-requests": 0}
+               "timestamp-inversion": 0, "emptied-requests": 0, "padded-member": 0,
+               "block-fair-pivot": 0}
     for cfg, cert in certs:
         assert verify_certificate(cfg, cert).ok, "honest certificate rejected"
         honest_ok += 1
@@ -259,6 +260,18 @@ def test_criterion_6_validity_mutation_suite():
         out = verify_certificate(cfg, certutil.empty_requests(cert))
         assert (not out.ok) and out.reason == "empty-block", out
         applied["emptied-requests"] += 1
+
+        if cert.mode_tag == "timed-fair":
+            padded = certutil.pad_member(cert, cfg)
+            if padded is not None:
+                out = verify_certificate(cfg, padded)
+                assert (not out.ok) and out.reason == "member-after-pivot", out
+                applied["padded-member"] += 1
+        else:
+            pivot = MedianSummary(member, (0,) * (cfg.n - cfg.t), 0)
+            out = verify_certificate(cfg, dataclasses.replace(cert, pivot=pivot))
+            assert (not out.ok) and out.reason == "invalid-pivot", out
+            applied["block-fair-pivot"] += 1
 
     assert honest_ok == len(certs)
     assert all(count >= 5 for count in applied.values()), applied

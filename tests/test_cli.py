@@ -133,6 +133,19 @@ def test_verify_rejects_a_proposer_that_is_no_party(tmp_path, capsys, proposer):
     assert "block 0: invalid (unknown-proposer)" in out and "chain: INVALID" in out
 
 
+def _attach_pivot(cert):
+    cert["pivot"] = {"request": cert["requests"][0], "timestamps": [1, 1, 1], "median": 1}
+
+
+def test_verify_rejects_a_pivot_on_a_block_fair_certificate(tmp_path, capsys):
+    chain = _chain_with(tmp_path, _edit_certificate(_attach_pivot))
+    assert json.loads(chain.read_text().splitlines()[1])["certificate"]["mode"] == "block-fair"
+    capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 1
+    out = capsys.readouterr().out
+    assert "block 0: invalid (invalid-pivot)" in out and "chain: INVALID" in out
+
+
 def test_verify_non_list_requests_exits_two(tmp_path, capsys):
     chain = _chain_with(tmp_path, _edit_certificate(lambda c: c.update(requests=5)))
     capsys.readouterr()

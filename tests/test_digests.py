@@ -1,10 +1,11 @@
 """Byte-identity pins: SHA-256 of the trace text and of the exported chain
-for the determinism golden suite, two deeper scenarios, a clocked benign run
-at n=10 (the first benign-wide benchmark scenario), a small run whose
+for the determinism golden suite, a hybrid fuzz run, a small run whose
 request names hold non-ASCII and JSON-special characters, and one run per
 byzantine vote stream: equivocate with skew (fuzz-24, clocked), reorder with
 equivocate (fuzz-12, hybrid) and a silent corrupt leader under the race
-policy (silent-race).
+policy (silent-race). The benchmark's scenarios, among them the deeper
+segments runs and the clocked benign runs at n=10 and up, are pinned in
+`perfbench/pinned.json` and checked by `tests/test_bench_pins.py`.
 
 A refactor that keeps behaviour keeps every digest. A digest that changes
 means a trace or a certificate changed, which has to be a deliberate
@@ -16,8 +17,7 @@ import hashlib
 
 import pytest
 
-from fairlab.core import validate_config
-from fairlab.simnet import benign_schedule, fuzz_scenario, segment_schedule
+from fairlab.simnet import benign_schedule, fuzz_scenario
 from fairlab.simnet.runner import Simulation
 from fairlab.simnet.scenario import BehaviorSpec
 
@@ -54,10 +54,7 @@ def _silent_leader_scenario():
 
 def _scenarios():
     return _golden_suite() + [
-        dataclasses.replace(segment_schedule(CFG4, depth=6, seed=1), mode="neverending"),
         fuzz_scenario(3, n=4, t=1, mode="hybrid", r_max=3),
-        dataclasses.replace(benign_schedule(validate_config(10, 3), requests=12, seed=0),
-                            mode="clocked"),
         _odd_names_scenario(),
         fuzz_scenario(24, n=7, t=2, mode="clocked"),
         fuzz_scenario(12, n=7, t=2, mode="hybrid", r_max=2),
@@ -91,17 +88,9 @@ PINNED = {
         "d9549d2dc99072e524ee5570940faf5aabc4489423adc755539b779762d6494a",
         "0a3a25e18ef7f5c63b27c11046b854833922948d8414d6ebeb86feacde5cc19f",
     ),
-    "segments-k6": (
-        "db5878aef9e3c9ee347b8eba12e1258220735d19b68c9382fdf1b0ec6c4fc0be",
-        "744ad1a2aeeb0d1ceba5980b986bef171acbaaf88ccb4b3b452bf688a2ccf11a",
-    ),
     "fuzz-3": (
         "72a70930a1e1eda9716e18accdfa719cc22792454d2b4470ca25d7b57c40ba9a",
         "18e5054bea4c8e3b32d916cd01ee5cd3f759b5fb513bdaa40fa895c06ab8a98b",
-    ),
-    "benign-r12": (
-        "db59f2edb092a26827db85555e00bdd5e3a42a4779d5b871247b26d2bffaee39",
-        "aba4a36e8d1ac761fac7f53bc84408ebea039b7a71bc93480da780b9bda8837f",
     ),
     "odd-names": (
         "c7b7f38cadec5755c6c389f4ec9aac53f49c1b17cd09fc7f9159c3aa326882e7",

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from fairlab.fairness import MedianSummary
 from fairlab.leaders import CLOCKED, NEVERENDING, clocked_step, neverending_step, new_leader
 from fairlab.validity import certificate_from_dict, certificate_to_dict, verify_certificate
 from fairlab.votes import VoteStore, make_vote
@@ -11,6 +14,7 @@ from conftest import INSTANCE, req
 
 M = {name: req(name) for name in ("m1", "m2", "m3", "m4")}
 RA, RB = req("ra"), req("rb")
+SA, SB, SC = req("sa"), req("sb"), req("sc")
 
 
 def _ingest(state, party, seq, request, ts=None):
@@ -39,6 +43,18 @@ def clocked_cert(cfg):
     _ingest(state, 3, 0, RB, ts=25)
     cert = clocked_step(state)
     assert cert is not None
+    return cert
+
+
+def stamped_cert(cfg):
+    """Every party stamps a, b and c at 1, 5 and 9: the clocked engine ships
+    [a], and b, stamped before c by everyone, stays out with it."""
+    state = new_leader(cfg, CLOCKED, INSTANCE, 0)
+    for party in range(cfg.n):
+        for seq, (request, ts) in enumerate(((SA, 1), (SB, 5), (SC, 9))):
+            _ingest(state, party, seq, request, ts=ts)
+    cert = clocked_step(state)
+    assert cert is not None and cert.requests == (SA.id,)
     return cert
 
 
@@ -152,7 +168,6 @@ def test_verifier_uses_only_certificate_and_config(cfg4):
 def _double_voter_cert(timestamped):
     """Parties 0 and 1 each vote the only member twice, at seq 0 and seq 1:
     four votes from two voters, short of the n-t=3 quorum."""
-    from fairlab.fairness import MedianSummary
     from fairlab.leaders import BLOCK_FAIR, TIMED_FAIR, BlockCertificate
 
     member = M["m1"]
@@ -241,6 +256,11 @@ FAULTS = [
     ("duplicate-request", cycle_cert,
      lambda cert: dataclasses.replace(cert, requests=cert.requests + cert.requests[:1]),
      "duplicate-request"),
+    ("padded-member", stamped_cert,
+     lambda cert: dataclasses.replace(cert, requests=(SA.id, SC.id)), "member-after-pivot"),
+    ("pivot-on-block-fair", cycle_cert,
+     lambda cert: dataclasses.replace(cert, pivot=MedianSummary(cert.requests[0], (1, 1, 1), 1)),
+     "invalid-pivot"),
 ]
 
 
@@ -268,3 +288,19 @@ def test_verification_ingests_each_cited_vote_once(cfg4, monkeypatch):
         assert verify_certificate(cfg4, cert).ok
         cited = [v for votes in cert.votes_by_party.values() for v in votes]
         assert ingested == cited
+
+
+def test_verifier_has_no_copy_of_the_emission_rules():
+    # The verifier applies leaders.omits_blocker and leaders.timed_members,
+    # the engines' own rules; a direct use of the predicates under them
+    # would be a second copy that can drift from the engines.
+    path = Path(__file__).resolve().parents[1] / "src" / "fairlab" / "validity.py"
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update((node.name, node.asname))
+    assert not used & {"blocks", "timed_precedes"}

@@ -14,7 +14,7 @@ import fairlab.leaders
 import fairlab.votes
 from fairlab.core import validate_config
 from fairlab.leaders import BLOCK_FAIR
-from fairlab.simnet import benign_schedule
+from fairlab.simnet import benign_schedule, runner
 from fairlab.simnet.generators import fuzz_scenario
 from fairlab.simnet.runner import Simulation
 from fairlab.validity import certificate_from_dict
@@ -106,14 +106,25 @@ def test_attested_bytes_are_no_argument_and_not_compared():
 
 
 def test_fallback_tests_timed_precedence_once_per_block(monkeypatch):
+    # Only the engine's calls count: the chain's certificate check applies
+    # the same rule through the same name.
     calls = Counter()
     real = fairlab.leaders.timed_precedes
+    real_step = runner.leader_step
+    in_step = []
 
     def counted(*args):
-        calls["timed_precedes"] += 1
+        calls["timed_precedes"] += bool(in_step)
         return real(*args)
 
+    def stepping(state):
+        in_step.append(state)
+        certs = real_step(state)
+        in_step.pop()
+        return certs
+
     monkeypatch.setattr(fairlab.leaders, "timed_precedes", counted)
+    monkeypatch.setattr(runner, "leader_step", stepping)
     summary = Simulation(wrapped_hybrid_scenario()).run().summary
     assert sum(summary["fallback_blocks"].values()) == 4
     # Each fallback block tests its one low-set request; a seed whose low set
