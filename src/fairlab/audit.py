@@ -9,9 +9,11 @@ re-derivation over every corruption hypothesis from the raw records alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
+from typing import Callable
 
 from .core import validate_config
 from .leaders import CLOCKED, HYBRID, MODES, NEVERENDING
@@ -168,50 +170,41 @@ class Verdict:
         }
 
 
+def _pair_verdict(view: TraceView, constraints: set, late: Callable, record: Callable) -> Verdict:
+    """The pair rule every relative definition shares: a constraint (r1, r2)
+    whose r2 was delivered is violated when r1 was not, or when r1's
+    `final_pos` entry is `late` against r2's. Each violation holds r1, r2 and
+    `record` of the two entries (r1's is None when undelivered)."""
+    pos = view.final_pos
+    violations = []
+    for r1, r2 in sorted(constraints):
+        if r2 in pos and (r1 not in pos or late(pos[r1], pos[r2])):
+            violations.append({"r1": r1, "r2": r2, **record(pos.get(r1), pos[r2])})
+    return Verdict(violations=violations, constraint_count=len(constraints))
+
+
 def check_relative_block_fairness(view: TraceView) -> Verdict:
     """If every honest party received r1 before r2, r1 must land in the same
     block as r2 or earlier."""
-    constraints = view.relative_constraints
-    violations = []
-    for r1, r2 in sorted(constraints):
-        if r2 not in view.final_pos:
-            continue
-        b1 = view.final_pos.get(r1, (None,))[0]
-        b2 = view.final_pos[r2][0]
-        if b1 is None or b1 > b2:
-            violations.append({"r1": r1, "r2": r2, "block_r1": b1, "block_r2": b2,
-                               "evidence": "all honest parties saw r1 first"})
-    return Verdict(violations=violations, constraint_count=len(constraints))
+    return _pair_verdict(
+        view, view.relative_constraints, lambda p1, p2: p1[0] > p2[0],
+        lambda p1, p2: {"block_r1": None if p1 is None else p1[0], "block_r2": p2[0],
+                        "evidence": "all honest parties saw r1 first"})
 
 
 def check_timed_fairness(view: TraceView) -> Verdict:
     """If a time tau separates every honest sighting of r1 (before) from every
     honest sighting of r2 (after), r1 must be scheduled before r2."""
-    constraints = view.timed_constraints
-    violations = []
-    for r1, r2 in sorted(constraints):
-        if r2 not in view.final_pos:
-            continue
-        if r1 not in view.final_pos or view.final_pos[r1] > view.final_pos[r2]:
-            violations.append({
-                "r1": r1, "r2": r2,
-                "pos_r1": view.final_pos.get(r1), "pos_r2": view.final_pos[r2],
-                "evidence": "honest sighting intervals are disjoint",
-            })
-    return Verdict(violations=violations, constraint_count=len(constraints))
+    return _pair_verdict(
+        view, view.timed_constraints, operator.gt,
+        lambda p1, p2: {"pos_r1": p1, "pos_r2": p2,
+                        "evidence": "honest sighting intervals are disjoint"})
 
 
 def check_strict_relative_fairness(view: TraceView) -> Verdict:
     """The contradictory first-attempt definition (strictly earlier delivery,
     not same-block). Report-mode only; never gates acceptance."""
-    constraints = view.relative_constraints
-    violations = []
-    for r1, r2 in sorted(constraints):
-        if r2 not in view.final_pos:
-            continue
-        if r1 not in view.final_pos or view.final_pos[r1] >= view.final_pos[r2]:
-            violations.append({"r1": r1, "r2": r2})
-    return Verdict(violations=violations, constraint_count=len(constraints))
+    return _pair_verdict(view, view.relative_constraints, operator.ge, lambda p1, p2: {})
 
 
 def check_block_fairness(view: TraceView) -> Verdict:

@@ -3,12 +3,12 @@
 A trivially-correct sequencer standing in for a real consensus backend: it
 totally orders block certificates, enforces external validity through the
 block verifiers, tracks the delivered-request set, and flags proposers that
-sign two different valid certificates for the same height.
+sign two different valid certificates for the same height, compared as
+values (for certificates that verify, equal values are equal encodings).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,9 +39,9 @@ class Chain:
     cfg: QuorumConfig
     blocks: list[BlockCertificate] = field(default_factory=list)  # block i at index i
     delivered: set[RequestId] = field(default_factory=set)
-    # (height, proposer) -> digests of valid certificates seen, for
+    # (height, proposer) -> the distinct valid certificates seen, for
     # equivocation detection even after the height is decided.
-    _seen: dict[tuple[int, PartyId], set[str]] = field(default_factory=dict)
+    _seen: dict[tuple[int, PartyId], list[BlockCertificate]] = field(default_factory=dict)
     equivocators: list[PartyId] = field(default_factory=list)
 
     @property
@@ -54,14 +54,13 @@ class Chain:
         fault = verify_certificate(self.cfg, cert).reason
         number = cert.block_number
         if fault is None:
-            digest = hashlib.sha256(canonical_json(certificate_to_dict(cert)).encode()).hexdigest()
-            prior = self._seen.setdefault((number, cert.proposer), set())
-            if prior and digest not in prior:
-                prior.add(digest)
-                if cert.proposer not in self.equivocators:
-                    self.equivocators.append(cert.proposer)
-                return SubmitOutcome(EQUIVOCATION)
-            prior.add(digest)
+            prior = self._seen.setdefault((number, cert.proposer), [])
+            if cert not in prior:
+                prior.append(cert)
+                if len(prior) > 1:
+                    if cert.proposer not in self.equivocators:
+                        self.equivocators.append(cert.proposer)
+                    return SubmitOutcome(EQUIVOCATION)
         if number != self.next_number:
             return SubmitOutcome(REJECTED, "wrong-block-number")
         if fault is not None:

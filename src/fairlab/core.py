@@ -84,11 +84,8 @@ class Request:
 
     @property
     def name(self) -> str:
-        # Generators use printable payloads; traces render them for humans.
-        try:
-            return self.payload.decode("utf-8")
-        except UnicodeDecodeError:
-            return self.id[:12]
+        # Payloads are scenario names, checked as UTF-8; traces render them.
+        return self.payload.decode("utf-8")
 
 
 def make_request(market: MarketId, payload: bytes) -> Request:
@@ -119,7 +116,7 @@ def _canonical_encoder(make_encoder=json.encoder.c_make_encoder):
 
 
 # `json.dumps(obj, sort_keys=True)` without building an encoder per call: the
-# encoding of every trace line, chain line and certificate digest.
+# encoding of every trace line and chain line.
 canonical_json = _canonical_encoder()
 
 

@@ -5,6 +5,9 @@ be delivered in the same block as r or earlier. It turns false exactly when a
 weak quorum reported seeing r before r2 (one of those reporters is honest, so
 not every honest party can have seen r2 first), or when the two requests live
 in different markets.
+
+`median_bounds` is the one median formula: every pivot, pivot check and
+in-block order of a timed block takes one of its two bounds.
 """
 
 from __future__ import annotations
@@ -36,21 +39,13 @@ def blocks(store: VoteStore, cfg: QuorumConfig, r2: RequestId, r: RequestId) -> 
     return store.count_before(r, r2) < cfg.weak_size
 
 
-def median_timestamp(ts: Iterable[Timestamp]) -> Timestamp:
-    """Median of a timestamp multiset; even cardinality takes the lower middle."""
-    ordered = sorted(ts)
-    if not ordered:
-        raise ValueError("median of empty timestamp multiset")
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def max_median(store: VoteStore, cfg: QuorumConfig, r: RequestId) -> MedianSummary:
     """Largest median over any (n-t)-subset of r's vote timestamps.
 
     Computed via the shortcut: the median of the n-t largest timestamps.
     Equivalence with full subset enumeration is covered by an exhaustive test.
     """
-    ts = tuple(v.ts for v in store.votes_for(r) if v.ts is not None)
+    ts = tuple(v.ts for v in store.votes_for(r))
     return MedianSummary(request=r, timestamps=ts, m_r=median_bounds(ts, cfg.strong_size)[1])
 
 
@@ -71,14 +66,13 @@ def timed_request_order(store: VoteStore, requests: Iterable[RequestId]) -> list
     cited votes alone."""
 
     def cited_median(r: RequestId) -> Timestamp:
-        return median_timestamp([v.ts for v in store.votes_for(r) if v.ts is not None])
+        ts = [v.ts for v in store.votes_for(r)]
+        return median_bounds(ts, len(ts))[0]
 
     return sorted(requests, key=lambda r: (cited_median(r), r))
 
 
 def timed_precedes(store: VoteStore, cfg: QuorumConfig, r2: RequestId, pivot: MedianSummary) -> bool:
     """True iff a weak quorum of votes timestamp r2 strictly below the pivot median."""
-    below = sum(
-        1 for v in store.votes_for(r2) if v.ts is not None and v.ts < pivot.m_r
-    )
+    below = sum(1 for v in store.votes_for(r2) if v.ts < pivot.m_r)
     return below >= cfg.weak_size

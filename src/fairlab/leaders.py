@@ -21,7 +21,7 @@ from .fairness import (
     MedianSummary,
     blocks,
     max_median,
-    median_timestamp,
+    median_bounds,
     timed_precedes,
     timed_request_order,
 )
@@ -229,9 +229,11 @@ def neverending_step(state: LeaderState) -> Optional[BlockCertificate]:
 
 def _first_quorum_pivot(state: LeaderState, seed: RequestId) -> MedianSummary:
     """Median of the timestamps in the first strong quorum observed for seed
-    (votes_for lists voters in acceptance order)."""
-    ts = tuple(v.ts for v in state.store.votes_for(seed)[:state.cfg.strong_size])
-    return MedianSummary(request=seed, timestamps=ts, m_r=median_timestamp(ts))
+    (votes_for lists voters in acceptance order). There are exactly n-t of
+    them, so `median_bounds`' low and high medians agree."""
+    q = state.cfg.strong_size
+    ts = tuple(v.ts for v in state.store.votes_for(seed)[:q])
+    return MedianSummary(request=seed, timestamps=ts, m_r=median_bounds(ts, q)[0])
 
 
 def _timed_block(state: LeaderState, pivot: MedianSummary,

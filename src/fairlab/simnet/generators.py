@@ -24,7 +24,7 @@ def _request_names(count: int) -> list[str]:
     return [f"m{i + 1}" for i in range(count)]
 
 
-def cycle_schedule(cfg: QuorumConfig, label: str = "") -> Scenario:
+def cycle_schedule(cfg: QuorumConfig) -> Scenario:
     """Party i sees the n requests in rotation starting at its own index;
     all votes are relayed only after every sighting has happened."""
     names = _request_names(cfg.n)
@@ -41,7 +41,7 @@ def cycle_schedule(cfg: QuorumConfig, label: str = "") -> Scenario:
         requests={name: MARKET for name in names},
         events=events,
         generator={"name": "cycle", "n": cfg.n, "t": cfg.t},
-        label=label or f"cycle-n{cfg.n}",
+        label=f"cycle-n{cfg.n}",
     )
 
 
@@ -152,13 +152,13 @@ _FUZZ_BEHAVIORS = ("reorder", "equivocate", "skew")
 
 
 def fuzz_scenario(seed: int, n: int = 4, t: int = 1, mode: str = "neverending",
-                  r_max: int = 0, max_requests: int = 10) -> Scenario:
+                  r_max: int = 0) -> Scenario:
     """Seeded adversarial scenario: random sighting interleavings, random vote
     release points, and up to t byzantine parties with random behaviors. A
     party may have no scheduled sighting of one request; a complete run still
     shows it that request by relay once a vote for it reaches the party."""
     rng = random.Random(seed)
-    count = rng.randint(2, max_requests)
+    count = rng.randint(2, 10)
     names = _request_names(count)
     markets = 1 if rng.random() < 0.7 else 2
     market_of = {

@@ -140,7 +140,7 @@ class Simulation:
             for pid in self.leader_ids
         }
         self.chain = Chain(self.cfg)
-        self.pool: dict[int, Msg] = {}
+        self.pool: dict[int, Msg] = {}  # in id order: ids only grow, none is re-pooled
         # The probabilistic wrapper's seeded sweep order over pool messages.
         self.pool_order: list[int] = []
         self._next_mid = 0  # message ids are dense: every id below was sent
@@ -277,7 +277,7 @@ class Simulation:
         elif action == "flush":
             tags = event.get("tags")
             seen_only = event.get("seen_only", False)
-            for mid in sorted(self.pool):
+            for mid in list(self.pool):
                 msg = self.pool[mid]
                 if tags is not None and msg.tag not in tags:
                     continue
@@ -364,11 +364,10 @@ class Simulation:
                   requests=[self.by_id[r].name for r in cert.requests],
                   request_ids=list(cert.requests),
                   post_cutoff=post_cutoff)
-        was_fallback = {p for p in self.leader_ids if self.engines[p].fallback_snapshot}
-        states = on_deliver(self.chain, [self.engines[p] for p in self.leader_ids])
-        self.engines = dict(zip(self.leader_ids, states))
-        for pid in self.leader_ids:
-            if pid in was_fallback and not self.engines[pid].fallback_snapshot:
+        old = [self.engines[p] for p in self.leader_ids]
+        self.engines = dict(zip(self.leader_ids, on_deliver(self.chain, old)))
+        for pid, before in zip(self.leader_ids, old):
+            if before.fallback_snapshot and not self.engines[pid].fallback_snapshot:
                 self._rec("engine", leader=pid, event="fallback-exit")
         for party in self.parties:
             party.next_incarnation(self.chain.delivered)
@@ -393,13 +392,11 @@ class Simulation:
                 if party.has_unsent():
                     self._activate(party)
                     moved = True
-            for mid in sorted(self.pool):
+            for mid in list(self.pool):
                 self._deliver(mid, "drain")
                 moved = True
             self._step_leaders()
-            if not moved and not self.pool and not any(
-                p.has_unsent() for p in self.parties
-            ):
+            if not moved and not any(p.has_unsent() for p in self.parties):
                 return
 
     def finish(self) -> Trace:

@@ -5,17 +5,23 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from fairlab.audit import TraceView, Verdict
-from fairlab.fairness import median_timestamp
 from fairlab.simnet import Trace
 
 ORACLE_LIMIT = 12
+
+
+def lower_median(timestamps):
+    """Median of a non-empty multiset by definition: sorted, the middle
+    element, the lower of the two middles at even size."""
+    ordered = sorted(timestamps)
+    return ordered[(len(ordered) - 1) // 2]
 
 
 def enumerate_max_median(timestamps, q):
     """Brute-force largest median over the q-subsets of timestamps, the
     reference for `median_bounds(timestamps, q)[1]`; ValueError below q
     timestamps."""
-    return max(median_timestamp(sub) for sub in combinations(sorted(timestamps), q))
+    return max(lower_median(sub) for sub in combinations(sorted(timestamps), q))
 
 
 def recount_block_fairness(view: TraceView) -> Verdict:

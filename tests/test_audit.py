@@ -230,6 +230,26 @@ def test_absolute_fairness_across_modes(cfg4):
             assert verdict.holds, (mode, seed, verdict.violations)
 
 
+@pytest.mark.parametrize("mode", ["neverending", "clocked", "hybrid"])
+def test_pair_checkers_skip_an_undelivered_r2(mode):
+    # Every party sees m1; only the silent corrupt party 3 sees m2, so no
+    # vote for m2 exists. (m1, m2) is a relative constraint whose r2 is never
+    # delivered, which violates nothing.
+    from fairlab.simnet.scenario import BehaviorSpec
+    sees = [{"a": "see", "party": p, "request": "m1"} for p in range(4)]
+    scenario = Scenario(n=4, t=1, requests={"m1": "m", "m2": "m"}, mode=mode,
+                        corrupt=(3,), behaviors={3: BehaviorSpec(kind="silent")},
+                        events=sees + [{"a": "see", "party": 3, "request": "m2"}])
+    trace = run(scenario)
+    assert set(TraceView(trace).final_pos) == {"m1"}
+    report = audit_trace(trace)
+    for key in ("relative_block_fairness", "strict_relative_fairness"):
+        verdict = report.verdicts[key]
+        assert verdict.constraint_count == 1 and verdict.holds, key
+    assert report.verdicts["timed_relative_fairness"].holds
+    assert report.gate_ok()
+
+
 def test_hybrid_cutoff_sacrifice_is_real_and_confined(cfg4):
     # A run in which the cutoff genuinely costs block-relative fairness for
     # specific pairs: the violations exist, sit only in post-cutoff blocks,

@@ -2,6 +2,7 @@ import dataclasses
 
 from fairlab.chain import ACCEPTED, EQUIVOCATION, REJECTED, Chain, on_deliver
 from fairlab.leaders import NEVERENDING, neverending_step, new_leader
+from fairlab.validity import certificate_from_dict, certificate_to_dict
 from fairlab.votes import make_vote
 
 from conftest import INSTANCE, req
@@ -56,6 +57,20 @@ def test_proposer_equivocation_detected(cfg4):
     # resubmitting the identical accepted certificate is not equivocation
     out = chain.submit(cert_a)
     assert out.status == REJECTED and out.reason == "wrong-block-number"
+
+
+def test_equal_certificate_is_no_equivocation(cfg4):
+    # A rebuilt copy of the accepted certificate is a different object with
+    # the same value: the chain compares certificates as values, so it is a
+    # stale resubmission, not a second certificate for the height.
+    cert = neverending_step(_single_request_state(cfg4, RA))
+    chain = Chain(cfg4)
+    assert chain.submit(cert).ok
+    copy = certificate_from_dict(certificate_to_dict(cert))
+    assert copy is not cert
+    out = chain.submit(copy)
+    assert out.status == REJECTED and out.reason == "wrong-block-number"
+    assert chain.equivocators == []
 
 
 def test_invalid_certificate_rejected(cfg4):

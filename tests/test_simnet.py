@@ -212,6 +212,31 @@ def test_schedule_rejects_unknown_message(cfg4):
         run(scenario)
 
 
+def test_schedule_delivers_a_pooled_message(cfg4):
+    # Party 0's second activation sends its vote for m1, which pools message
+    # 0 (to party 1); the schedule then delivers that copy itself.
+    scenario = Scenario(n=4, t=1, requests={"m1": "m"}, events=[
+        {"a": "see", "party": 0, "request": "m1"},
+        {"a": "see", "party": 0, "request": "m1"},
+        {"a": "deliver", "msg": 0},
+    ])
+    first = records(run(scenario), "deliver")[0]
+    assert (first["msg"], first["sender"], first["to"], first["via"]) == (0, 0, 1, "schedule")
+
+
+def test_probabilistic_sweep_skips_corrupt_traffic(cfg4):
+    # Only honest-to-honest copies escape the adversary: at p=1 the sweep
+    # delivers each of them, and the schedule's flushes deliver the rest.
+    from fairlab.simnet.scenario import BehaviorSpec
+    base = dataclasses.replace(benign_schedule(cfg4), corrupt=(3,),
+                               behaviors={3: BehaviorSpec(kind="reorder")})
+    delivers = records(run(probabilistic_adversary(base, 1.0, 0)), "deliver")
+    swept = [d for d in delivers if d["via"] == "sweep"]
+    assert swept and all(3 not in (d["sender"], d["to"]) for d in swept)
+    corrupt = [d["via"] for d in delivers if 3 in (d["sender"], d["to"])]
+    assert corrupt == ["flush"] * 16
+
+
 def test_steps_strictly_increase(cfg4):
     trace = run(segment_schedule(cfg4, depth=2))
     steps = [rec["step"] for rec in trace.records]
