@@ -34,6 +34,8 @@ class VerifyOutcome:
         return self.reason is None
 
 
+_VALID = VerifyOutcome()  # every valid certificate's outcome; it is frozen
+
 # The certificate reason for each ingest refusal that condemns a certificate.
 # `timestamp-order` is not one: it excludes the voter, whose earlier votes
 # stay usable and whose later ones are refused as `party-invalid`.
@@ -116,7 +118,7 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         return VerifyOutcome("invalid-pivot")
     elif omits_blocker(store, cfg, cert.requests):
         return VerifyOutcome("omitted-blocked-request")
-    return VerifyOutcome()
+    return _VALID
 
 
 # -- canonical serialization -------------------------------------------------
@@ -197,12 +199,10 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
     for party_s, rows in _typed(data["votes"], dict, "votes").items():
         party = party_key(party_s, "certificate field 'votes'")
         try:
-            # Positional construction: certificates cite every vote in the
-            # store, and keyword calls cost a third more per vote.
-            votes_by_party[party] = tuple(
+            votes_by_party[party] = tuple([
                 Vote(instance, block, seq, ts, rid, party, att)
                 for seq, ts, rid, att in map(_vote_row, _typed(rows, list, "votes"))
-            )
+            ])
         except UnicodeEncodeError as exc:
             # A vote encodes its instance as UTF-8 and its request id as
             # ASCII (vote_payload); the failing codec names the field.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -29,7 +30,7 @@ PLAIN = "plain"
 TIMESTAMPED = "timestamped"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vote:
     instance: str
     block: int
@@ -47,17 +48,48 @@ class Vote:
     # new objects and start unchecked. Signing does not set it.
     verified: bool = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _set_payload(self, vote_payload(self.instance, self.block, self.seq, self.ts, self.request))
+    def __init__(self, instance: str, block: int, seq: int, ts: Optional[Timestamp],
+                 request: RequestId, signer: PartyId, attestation: str) -> None:
+        # The one constructor: `make_vote`, `certificate_from_dict`,
+        # `dataclasses.replace` and tests all build votes here.
+        _set_payload(self, vote_payload(instance, block, seq, ts, request))
+        _set_instance(self, instance)
+        _set_block(self, block)
+        _set_seq(self, seq)
+        _set_ts(self, ts)
+        _set_request(self, request)
+        _set_signer(self, signer)
+        _set_attestation(self, attestation)
         _set_verified(self, False)
 
 
-# Writes to the frozen Vote's own slots, for the fields it derives or marks
-# itself. Every vote built or checked makes them, and a slot's setter costs
-# about half of object.__setattr__, which looks the name up first.
+# Writes to the frozen Vote's slots. The constructor and the two later writes
+# (`make_vote`'s signature, `vote_verifies`'s mark) go through them: a slot's
+# setter costs about half of object.__setattr__, which looks the name up first,
+# and every vote built or checked makes these writes.
+_set_instance = Vote.instance.__set__
+_set_block = Vote.block.__set__
+_set_seq = Vote.seq.__set__
+_set_ts = Vote.ts.__set__
+_set_request = Vote.request.__set__
+_set_signer = Vote.signer.__set__
 _set_attestation = Vote.attestation.__set__
 _set_payload = Vote.payload.__set__
 _set_verified = Vote.verified.__set__
+
+# block, seq, the 0x00 no-timestamp byte, the request id's length
+_UNSTAMPED = struct.Struct(">QQxI")
+# block, seq, the 0x01 timestamp flag, the timestamp, the request id's length
+_STAMPED = struct.Struct(">QQBQI")
+
+
+@lru_cache(maxsize=64)
+def _payload_head(instance: str) -> bytes:
+    """`vote|`, the instance id's length and the instance id: the part of a
+    payload every vote of one incarnation shares. An instance that does not
+    encode raises, and a raise is never cached."""
+    inst = instance.encode("utf-8")
+    return b"vote|" + struct.pack(">I", len(inst)) + inst
 
 
 def vote_payload(instance: str, block: int, seq: int, ts: Optional[Timestamp], request: RequestId) -> bytes:
@@ -66,11 +98,11 @@ def vote_payload(instance: str, block: int, seq: int, ts: Optional[Timestamp], r
     Length-prefixed fields in fixed order so digests are stable across
     implementations; layout documented in docs/FORMATS.md.
     """
-    inst = instance.encode("utf-8")
+    head = _payload_head(instance)
     rid = request.encode("ascii")
-    stamp = b"\x00" if ts is None else b"\x01" + struct.pack(">Q", ts)
-    return b"".join((b"vote|", struct.pack(">I", len(inst)), inst,
-                     struct.pack(">QQ", block, seq), stamp, struct.pack(">I", len(rid)), rid))
+    if ts is None:
+        return head + _UNSTAMPED.pack(block, seq, len(rid)) + rid
+    return head + _STAMPED.pack(block, seq, 1, ts, len(rid)) + rid
 
 
 def make_vote(signer: PartyId, instance: str, block: int, seq: int,
@@ -107,11 +139,15 @@ class IngestOutcome(NamedTuple):
     accepted: Sequence[Vote] = ()
 
 
-@dataclass(slots=True)
 class PartyVoteLog:
-    accepted: list[Vote] = field(default_factory=list)
-    pending: dict[int, Vote] = field(default_factory=dict)
-    invalid: bool = False  # permanently-invalid: accepted never grows again
+    # A plain slots class: every store makes one per party, and the verifier
+    # makes a store per certificate.
+    __slots__ = ("accepted", "pending", "invalid")
+
+    def __init__(self) -> None:
+        self.accepted: list[Vote] = []
+        self.pending: dict[int, Vote] = {}
+        self.invalid = False  # permanently-invalid: accepted never grows again
 
 
 # The two rejections ingest decides before hashing; the commonest outcomes.

@@ -540,6 +540,42 @@ def test_unencodable_certificate_string_is_named_in_the_error(files, tmp_path, c
     assert f"certificate field {field!r}" in err
 
 
+def _no_votes(cert):
+    cert["instance"] = "\ud800"
+    cert["votes"] = {}
+
+
+def _first_row_malformed(cert):
+    cert["instance"] = "\ud800"
+    cert["votes"]["0"][0] = [0, None, "ab"]
+
+
+def _second_row_request_unencodable(cert):
+    cert["votes"]["0"][1][2] = "é"
+
+
+@pytest.mark.parametrize("mutate, code, out, err", [
+    # No vote is built, so the instance is never encoded.
+    (_no_votes, 1, "block 0: invalid (insufficient-votes)\n", ""),
+    # A row's shape is checked before its vote encodes the instance.
+    (_first_row_malformed, 2, "", "error: certificate vote row must be [seq, ts, request, "
+     "attestation] with seq and ts in [0, 2**64), not [0, None, 'ab']\n"),
+    # The instance encodes for the first row; the second row's request fails.
+    (_second_row_request_unencodable, 2, "",
+     "error: certificate field 'vote row request' must encode as ascii, not 'é'\n"),
+])
+def test_certificate_decoding_errors_keep_their_order(files, tmp_path, capsys,
+                                                      mutate, code, out, err):
+    header, entry, *rest = _json_lines(files["chain"])
+    mutate(entry["certificate"])
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [header, entry] + rest)
+    capsys.readouterr()
+    assert run_command(["verify", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out) and captured.err == err
+
+
 # -- well-formed but invalid: exit 1 ---------------------------------------------
 
 @pytest.mark.parametrize("key", ["9", "-1"])

@@ -153,6 +153,46 @@ def test_count_before_matches_oracle_random(n, t, rng):
             voters >= cfg.weak_size, voters >= cfg.strong_size)
 
 
+def _interleaved_votes(n, rng):
+    """(party, seq, name, ts) for a random timestamped store, shuffled. Three
+    distinct parties misbehave: one votes its first request again, one
+    equivocates at a random seq, and one stamps a later vote with 0, below
+    its predecessor."""
+    names = ("r1", "r2", "r3", "r4")
+    double, equivocator, inverter = rng.sample(range(n), 3)
+    votes = []
+    for party in range(n):
+        script = [rng.choice(names) for _ in range(rng.randint(2, 5))]
+        if party == double:
+            script.append(script[0])
+        stamps = [10 * (seq + 1) for seq in range(len(script))]
+        if party == inverter:
+            stamps[rng.randrange(1, len(script))] = 0
+        votes += [(party, seq, name, ts) for seq, (name, ts) in enumerate(zip(script, stamps))]
+        if party == equivocator:
+            seq = rng.randrange(len(script))
+            other = rng.choice([name for name in names if name != script[seq]])
+            votes.append((party, seq, other, stamps[seq]))
+    rng.shuffle(votes)
+    return votes
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rng=st.randoms(use_true_random=False))
+def test_count_before_matches_oracle_after_every_ingest(n, t, rng):
+    # The store half of the blocking-state differential test: `count_before`
+    # is read between ingests, so an exclusion that an ingest triggers must
+    # show in the very next count, not only in the final store.
+    store = new_store(validate_config(n, t), mode=TIMESTAMPED)
+    for party, seq, name, ts in _interleaved_votes(n, rng):
+        cast(store, party, seq, R[name], ts=ts)
+        valid = {p: [v.request for v in log.accepted]
+                 for p, log in store.logs.items() if not log.invalid}
+        for r, r2 in permutations(R.values(), 2):
+            assert store.count_before(r.id, r2.id) == _count_before_oracle(valid, r.id, r2.id)
+
+
 @pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
 @settings(max_examples=60, deadline=None)
 @given(rng=st.randoms(use_true_random=False))

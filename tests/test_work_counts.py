@@ -4,6 +4,7 @@ check is not hashed again. The hybrid fallback tests timed precedence only
 for a block it ships, and ends only at an incarnation change."""
 
 import dataclasses
+import json
 from collections import Counter
 
 import pytest
@@ -17,15 +18,16 @@ from fairlab.leaders import BLOCK_FAIR
 from fairlab.simnet import benign_schedule, runner
 from fairlab.simnet.generators import fuzz_scenario
 from fairlab.simnet.runner import Simulation
-from fairlab.validity import certificate_from_dict
+from fairlab.validity import certificate_from_dict, verify_certificate
 from fairlab.votes import Vote, make_vote, vote_payload, vote_verifies
 
 from conftest import wrapped_hybrid_scenario
 
 
-def test_one_encoding_per_signed_vote(monkeypatch):
+def _count_vote_work(monkeypatch, hashed):
+    """Count the vote module's encodings, signatures and checks, appending
+    the payload of every check to `hashed`."""
     calls = Counter()
-    hashed = []  # the payload of every check, kept alive so ids stay unique
     for name in ("vote_payload", "sign", "verify"):
         real = getattr(fairlab.votes, name)
 
@@ -36,6 +38,12 @@ def test_one_encoding_per_signed_vote(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(fairlab.votes, name, counted)
+    return calls
+
+
+def test_one_encoding_per_signed_vote(monkeypatch):
+    hashed = []  # the payload of every check, kept alive so ids stay unique
+    calls = _count_vote_work(monkeypatch, hashed)
     scenario = dataclasses.replace(benign_schedule(validate_config(10, 3), requests=12, seed=0),
                                    mode="clocked")
     Simulation(scenario).run()
@@ -61,37 +69,64 @@ def _payload_of(v):
     return vote_payload(v.instance, v.block, v.seq, v.ts, v.request)
 
 
-def _cited(signer, fields):
-    """The vote as `certificate_from_dict` rebuilds it from a chain line."""
-    v = make_vote(signer, **fields)
-    cert = certificate_from_dict({
-        "instance": v.instance, "block": v.block, "mode": BLOCK_FAIR, "proposer": 0,
-        "requests": [], "pivot": None, "requests_table": {},
-        "votes": {str(signer): [[v.seq, v.ts, v.request, v.attestation]]},
-    })
-    return cert.votes_by_party[signer][0]
+# An instance with a character outside ASCII, encoded as UTF-8 in the payload.
+NON_ASCII_INSTANCE = st.tuples(
+    FIELDS["instance"], st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)),
+).map("".join)
+
+
+@st.composite
+def cited_rows(draw):
+    """party -> [(seq, ts, request), ...] for several parties: the first
+    party's first row has no timestamp and the second party's first row has one."""
+    parties = draw(st.lists(st.integers(0, 15), min_size=2, max_size=4, unique=True))
+    row = st.tuples(FIELDS["seq"], FIELDS["ts"], FIELDS["request"])
+    rows = {party: draw(st.lists(row, min_size=1, max_size=3)) for party in parties}
+    seq, _, request = rows[parties[0]][0]
+    rows[parties[0]][0] = (seq, None, request)
+    seq, _, request = rows[parties[1]][0]
+    rows[parties[1]][0] = (seq, draw(UINT64), request)
+    return rows
 
 
 @settings(max_examples=200, deadline=None)
-@given(signer=st.integers(0, 15), fields=st.fixed_dictionaries(FIELDS),
+@given(instance=NON_ASCII_INSTANCE, block=UINT64, rows=cited_rows(),
        changed=st.sampled_from(sorted(FIELDS)), data=st.data())
-def test_attested_bytes_follow_the_fields(signer, fields, changed, data):
-    v = make_vote(signer, **fields)
-    cited = _cited(signer, fields)
-    assert v.payload == cited.payload == _payload_of(v)
-    assert v == cited and hash(v) == hash(cited)
-    assert vote_verifies(v) and vote_verifies(cited)
+def test_attested_bytes_follow_the_fields(instance, block, rows, changed, data):
+    signed = {party: [make_vote(party, instance, block, seq, ts, request)
+                      for seq, ts, request in cited]
+              for party, cited in rows.items()}
+    cert = certificate_from_dict({
+        "instance": instance, "block": block, "mode": BLOCK_FAIR, "proposer": 0,
+        "requests": [], "pivot": None, "requests_table": {},
+        "votes": {str(party): [[v.seq, v.ts, v.request, v.attestation] for v in votes]
+                  for party, votes in signed.items()},
+    })
+    # The signer's vote, the one a chain line rebuilds and one built directly
+    # are one value, built on one path: same bytes, unchecked.
+    for party, votes in signed.items():
+        for v, cited in zip(votes, cert.votes_by_party[party], strict=True):
+            built = Vote(v.instance, v.block, v.seq, v.ts, v.request, party, v.attestation)
+            for u in (v, cited, built):
+                assert u == v and hash(u) == hash(v)
+                assert u.payload == _payload_of(u) == v.payload
+                assert not u.verified
+            assert vote_verifies(v) and vote_verifies(cited) and vote_verifies(built)
 
     # A replaced field re-derives the bytes, which the old attestation no
-    # longer covers.
-    other = data.draw(FIELDS[changed].filter(lambda value: value != fields[changed]))
+    # longer covers; a replaced vote is a new object and starts unchecked.
+    v = signed[next(iter(signed))][0]
+    assert v.verified
+    twin = dataclasses.replace(v)
+    assert twin == v and twin.payload == v.payload and not twin.verified
+    other = data.draw(FIELDS[changed].filter(lambda value: value != getattr(v, changed)))
     moved = dataclasses.replace(v, **{changed: other})
     assert moved.payload == _payload_of(moved) != v.payload
-    assert not vote_verifies(moved)
+    assert not moved.verified and not vote_verifies(moved)
 
     digest = data.draw(st.text("0123456789abcdef", min_size=64, max_size=64))
     forged_signer = data.draw(st.integers(0, 15))
-    if (forged_signer, digest) != (signer, v.attestation):
+    if (forged_signer, digest) != (v.signer, v.attestation):
         assert not vote_verifies(dataclasses.replace(v, signer=forged_signer, attestation=digest))
 
 
@@ -99,10 +134,32 @@ def test_attested_bytes_are_no_argument_and_not_compared():
     v = make_vote(1, "inst", 0, 3, 7, "ab")
     with pytest.raises(TypeError):
         Vote("inst", 0, 3, 7, "ab", v.signer, v.attestation, b"other bytes")
+    with pytest.raises(TypeError):
+        Vote("inst", 0, 3, 7, "ab", v.signer, v.attestation, payload=b"other bytes")
+    with pytest.raises(TypeError):
+        Vote("inst", 0, 3, 7, "ab", v.signer, v.attestation, verified=True)
     odd = dataclasses.replace(v)
     object.__setattr__(odd, "payload", b"other bytes")
     assert odd == v and hash(odd) == hash(v)
     assert "other bytes" not in repr(odd)
+
+
+def test_standalone_verify_checks_each_cited_vote_once(monkeypatch):
+    # `fairlab verify` rebuilds every chain line's votes and hashes each one
+    # once; it signs nothing.
+    scenario = wrapped_hybrid_scenario()
+    sim = Simulation(scenario)
+    sim.run()
+    lines = sim.chain_lines()
+    cfg = validate_config(scenario.n, scenario.t)
+    calls = _count_vote_work(monkeypatch, [])
+    cited = 0
+    for line in lines:
+        data = json.loads(line)["certificate"]
+        cited += sum(len(rows) for rows in data["votes"].values())
+        assert verify_certificate(cfg, certificate_from_dict(data)).ok
+    assert cited > 0
+    assert calls == Counter(vote_payload=cited, verify=cited)
 
 
 def test_fallback_tests_timed_precedence_once_per_block(monkeypatch):
