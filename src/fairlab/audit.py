@@ -58,9 +58,7 @@ class TraceView:
         self.blocks: list[dict] = []
         self.final_pos: dict[str, tuple[int, int]] = {}
         self.incarnation_start: dict[int, int] = {0: 0}
-        # By block number: did an engine enter fallback before the block?
-        self.post_cutoff: list[bool] = []
-        fallback = False
+        fallback = False  # an engine entered the fallback earlier in the file
         for rec in trace.records:
             kind = rec["kind"]
             fields = AUDITED_FIELDS.get(kind)
@@ -106,7 +104,6 @@ class TraceView:
                                      f"{'an' if fallback else 'no'} 'engine' fallback-enter "
                                      f"record comes before it: {rec!r}")
                 self.blocks.append(rec)
-                self.post_cutoff.append(fallback)
                 for idx, name in enumerate(rec["requests"]):
                     self.final_pos[name] = (number, idx)
             else:  # incarnation
@@ -297,7 +294,8 @@ class FairnessReport:
 def audit_trace(trace: Trace) -> FairnessReport:
     view = TraceView(trace)
     by_checker = {checker: checker(view) for _, _, checker in CHECKS}
-    confined = all(view.post_cutoff[v["block_r2"]]
+    # TraceView has held each block's post_cutoff to the fallback-enter records.
+    confined = all(view.blocks[v["block_r2"]]["post_cutoff"]
                    for v in by_checker[check_relative_block_fairness].violations)
     gate = GATES[view.mode]
     return FairnessReport(

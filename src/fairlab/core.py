@@ -92,32 +92,9 @@ def make_request(market: MarketId, payload: bytes) -> Request:
     return Request(id=request_id(market, payload), market=market, payload=payload)
 
 
-def _canonical_encoder(make_encoder=json.encoder.c_make_encoder):
-    """The encoder behind `canonical_json`, built once. `make_encoder` is
-    CPython's C encoder factory, or None where the interpreter lacks it."""
-    fallback = json.JSONEncoder(sort_keys=True)
-    if make_encoder is None:
-        return fallback.encode
-    # The arguments json.dumps passes for its defaults plus sort_keys=True.
-    markers: dict = {}
-    encode = make_encoder(markers, fallback.default, json.encoder.encode_basestring_ascii,
-                          None, ": ", ", ", True, False, True)
-
-    def canonical(obj) -> str:
-        try:
-            return "".join(encode(obj, 0))
-        except BaseException:
-            # A failed encode leaves its open containers in the circular-
-            # reference markers, where a later object could reuse their ids.
-            markers.clear()
-            raise
-
-    return canonical
-
-
 # `json.dumps(obj, sort_keys=True)` without building an encoder per call: the
-# encoding of every trace line and chain line.
-canonical_json = _canonical_encoder()
+# encoding of every chain line and of the trace lines no template writes.
+canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -25,7 +25,7 @@ from .fairness import (
     timed_precedes,
     timed_request_order,
 )
-from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore, make_vote
+from .votes import Vote, VoteStore, make_vote
 
 NEVERENDING = "neverending"
 CLOCKED = "clocked"
@@ -96,10 +96,9 @@ class LeaderState:
 
 
 def new_leader(cfg: QuorumConfig, mode: str, instance: str, proposer: PartyId,
-               block_number: int = 0, r_max: int = 0,
+               requests: Mapping[RequestId, Request], block_number: int = 0, r_max: int = 0,
                coin_seed: str = "coin", coin_stop_p: float = 1.0) -> LeaderState:
-    store_mode = TIMESTAMPED if mode in TIMESTAMPED_MODES else PLAIN
-    store = VoteStore(cfg, store_mode, instance, block_number)
+    store = VoteStore(cfg, mode in TIMESTAMPED_MODES, instance, block_number, requests)
     return LeaderState(mode=mode, store=store, proposer=proposer, r_max=r_max,
                        coin_seed=coin_seed, coin_stop_p=coin_stop_p)
 
@@ -342,15 +341,15 @@ def replay_undelivered(state: LeaderState, next_block: int,
     sequence numbers re-assigned densely from zero. Permanent exclusions and
     the fallback phase carry over, the phase until its snapshot is delivered;
     the vote store itself starts clean."""
-    fresh = VoteStore(state.cfg, state.store.mode, state.instance, next_block)
-    # Ingest registers each carried request with its first replayed vote.
+    fresh = VoteStore(state.cfg, state.store.timestamped, state.instance, next_block,
+                      state.store.requests)
     for party, log in state.store.logs.items():
         seq = 0
         for v in log.accepted:
             if v.request in delivered:
                 continue
             replayed = make_vote(party, state.instance, next_block, seq, v.ts, v.request)
-            fresh.ingest(replayed, state.store.requests.get(v.request))
+            fresh.ingest(replayed)
             seq += 1
     # The old store already holds every exclusion carried into it.
     for party, log in state.store.logs.items():

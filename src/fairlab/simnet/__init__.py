@@ -1,25 +1,6 @@
-from .scenario import BehaviorSpec, ClockSpec, Scenario, load_scenario, save_scenario
-from .trace import Trace
-from .runner import run
-from .generators import (
-    benign_schedule,
-    cycle_schedule,
-    fuzz_scenario,
-    probabilistic_adversary,
-    segment_schedule,
-)
+"""The adversary-scheduled network simulator.
 
-__all__ = [
-    "BehaviorSpec",
-    "ClockSpec",
-    "Scenario",
-    "Trace",
-    "benign_schedule",
-    "cycle_schedule",
-    "fuzz_scenario",
-    "load_scenario",
-    "probabilistic_adversary",
-    "run",
-    "save_scenario",
-    "segment_schedule",
-]
+`scenario` holds the scenario file format, `generators` the built-in
+schedules, `runner` the deterministic event loop and `trace` the trace file
+format. Import each name from its module.
+"""

@@ -135,8 +135,9 @@ class Simulation:
             for pid in range(scenario.n)
         ]
         self.engines: dict[PartyId, LeaderState] = {
-            pid: new_leader(self.cfg, scenario.mode, self.instance, pid, r_max=scenario.r_max,
-                            coin_seed=scenario.coin_seed, coin_stop_p=scenario.coin_stop_p)
+            pid: new_leader(self.cfg, scenario.mode, self.instance, pid, self.by_id,
+                            r_max=scenario.r_max, coin_seed=scenario.coin_seed,
+                            coin_stop_p=scenario.coin_stop_p)
             for pid in self.leader_ids
         }
         self.chain = Chain(self.cfg)
@@ -225,7 +226,7 @@ class Simulation:
                     self.pool_order.insert(self.rng.randrange(len(self.pool_order) + 1), mid)
             # A leader ingests its own vote directly.
             if party.pid in self.engines:
-                outcome = self.engines[party.pid].store.ingest(vote, self.by_id[rid])
+                outcome = self.engines[party.pid].store.ingest(vote)
                 self._rec_ingest(party.pid, vote, outcome)
         stream.unsent = []
 
@@ -252,7 +253,7 @@ class Simulation:
         if req.id not in recipient.seen:
             self._sight(recipient, req, "relay")
         if msg.recipient in self.engines:
-            outcome = self.engines[msg.recipient].store.ingest(vote, req)
+            outcome = self.engines[msg.recipient].store.ingest(vote)
             self._rec_ingest(msg.recipient, vote, outcome)
 
     # -- schedule execution ---------------------------------------------------

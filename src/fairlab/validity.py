@@ -22,7 +22,7 @@ from typing import Optional
 from .core import QuorumConfig, Request, party_key, request_id, verify
 from .fairness import MedianSummary, median_bounds, timed_request_order
 from .leaders import BLOCK_FAIR, TIMED_FAIR, BlockCertificate, omits_blocker, timed_members
-from .votes import PLAIN, TIMESTAMPED, Vote, VoteStore
+from .votes import Vote, VoteStore
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,12 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
     if len(set(cert.requests)) != len(cert.requests):
         return VerifyOutcome("duplicate-request")
     table = cert.request_table
-    store = VoteStore(cfg, TIMESTAMPED if timestamped else PLAIN, cert.instance,
-                      cert.block_number)
+    store = VoteStore(cfg, timestamped, cert.instance, cert.block_number, table)
     for party, votes in cert.votes_by_party.items():
         for v in votes:
             if v.signer != party:
                 return VerifyOutcome("bad-attestation")
-            fault = _INGEST_FAULTS.get(store.ingest(v, table.get(v.request)).reason)
+            fault = _INGEST_FAULTS.get(store.ingest(v).reason)
             if fault is not None:
                 return VerifyOutcome(fault)
             if v.request not in table:
@@ -185,6 +184,11 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
     failing deep inside verification."""
     _typed(data, dict, "certificate")
     instance = _typed(data["instance"], str, "instance")
+    try:
+        instance.encode("utf-8")  # as every vote's payload encodes it
+    except UnicodeEncodeError:
+        raise ValueError(f"certificate field 'instance' must encode as utf-8, "
+                         f"not {instance!r}") from None
     block = uint64(data["block"], "block")
     pivot = None
     if data["pivot"] is not None:
@@ -204,10 +208,8 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
                 for seq, ts, rid, att in map(_vote_row, _typed(rows, list, "votes"))
             ])
         except UnicodeEncodeError as exc:
-            # A vote encodes its instance as UTF-8 and its request id as
-            # ASCII (vote_payload); the failing codec names the field.
-            field = "instance" if exc.encoding == "utf-8" else "vote row request"
-            raise ValueError(f"certificate field {field!r} must encode as {exc.encoding}, "
+            # A vote encodes its request id as ASCII (vote_payload).
+            raise ValueError(f"certificate field 'vote row request' must encode as ascii, "
                              f"not {exc.object!r}") from None
     table = {}
     for rid, entry in _typed(data["requests_table"], dict, "requests_table").items():

@@ -11,7 +11,7 @@ from before an exclusion remain usable.
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -25,9 +25,6 @@ from .core import (
     sign,
     verify,
 )
-
-PLAIN = "plain"
-TIMESTAMPED = "timestamped"
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -162,20 +159,21 @@ class VoteStore:
     `version`, `count_before` and `votes_for`; `ingest` is the one way in.
     `version` is the acceptance index: each accepted vote is stored with the
     value it had before the acceptance bumped it, and an exclusion bumps it
-    too, so indices rise strictly in acceptance order but may skip values."""
+    too, so indices rise strictly in acceptance order but may skip values.
+    `requests` is the run's request table (a certificate's, in the verifier),
+    held by reference and never written."""
 
-    def __init__(self, cfg: QuorumConfig, mode: str, instance: str, block: int):
-        if mode not in (PLAIN, TIMESTAMPED):
-            raise ValueError(f"unknown store mode {mode!r}")
+    def __init__(self, cfg: QuorumConfig, timestamped: bool, instance: str, block: int,
+                 requests: Mapping[RequestId, Request]):
         self.cfg = cfg
-        self.mode = mode
+        self.timestamped = timestamped
         self.instance = instance
         self.block = block
+        self.requests = requests
         self.logs: dict[PartyId, PartyVoteLog] = {p: PartyVoteLog() for p in range(cfg.n)}
         # request -> party -> (its first vote for request, acceptance index),
         # in acceptance order at both levels
         self.by_request: dict[RequestId, dict[PartyId, tuple[Vote, int]]] = {}
-        self.requests: dict[RequestId, Request] = {}
         # request -> acceptance index of the vote that completed its quorum
         self.weak_at: dict[RequestId, int] = {}
         self.strong_at: dict[RequestId, int] = {}
@@ -183,9 +181,7 @@ class VoteStore:
 
     # -- ingestion ---------------------------------------------------------
 
-    def ingest(self, v: Vote, req: Optional[Request] = None) -> IngestOutcome:
-        if req is not None and req.id not in self.requests:
-            self.requests[req.id] = req
+    def ingest(self, v: Vote) -> IngestOutcome:
         # Copies that cannot change the store are turned away before the
         # attestation is hashed: a vote for another incarnation, and an exact
         # copy of a vote this party has accepted or buffered (verified then).
@@ -201,7 +197,7 @@ class VoteStore:
             return IngestOutcome(REJECTED, "bad-attestation")
         if log is None:
             return IngestOutcome(REJECTED, "unknown-party")
-        if self.mode == TIMESTAMPED and v.ts is None:
+        if self.timestamped and v.ts is None:
             return IngestOutcome(REJECTED, "missing-timestamp")
         if log.invalid:
             return IngestOutcome(REJECTED, "party-invalid")
@@ -219,7 +215,7 @@ class VoteStore:
         accepted = log.accepted
         cursor = v
         while cursor is not None:
-            if self.mode == TIMESTAMPED and accepted and cursor.ts <= accepted[-1].ts:
+            if self.timestamped and accepted and cursor.ts <= accepted[-1].ts:
                 self.mark_invalid(v.signer)
                 if cursor is v:
                     return IngestOutcome(REJECTED, "timestamp-order")

@@ -4,7 +4,7 @@ import pytest
 
 from fairlab.core import make_request, validate_config
 from fairlab.simnet.generators import probabilistic_adversary, segment_schedule
-from fairlab.votes import PLAIN, VoteStore, make_vote
+from fairlab.votes import VoteStore, make_vote
 
 INSTANCE = "test-instance"
 
@@ -23,14 +23,17 @@ def req(name, market="m"):
     return make_request(market, name.encode())
 
 
-def new_store(cfg, mode=PLAIN, block=0):
-    return VoteStore(cfg, mode, INSTANCE, block)
+def new_store(cfg, timestamped=False, block=0):
+    """A store over a request table of the test's own, which `cast` fills."""
+    return VoteStore(cfg, timestamped, INSTANCE, block, {})
 
 
 def cast(store, party, seq, request, ts=None):
-    """Sign and ingest one vote; returns the ingest outcome."""
+    """Enter request in the store's table, then sign and ingest one vote;
+    returns the ingest outcome."""
+    store.requests[request.id] = request
     vote = make_vote(party, store.instance, store.block, seq, ts, request.id)
-    return store.ingest(vote, request)
+    return store.ingest(vote)
 
 
 def fill_logs(store, logs, timestamped=False):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from fairlab.audit import TraceView, Verdict
-from fairlab.simnet import Trace
+from fairlab.simnet.trace import Trace
 
 ORACLE_LIMIT = 12
 

@@ -21,15 +21,14 @@ from fairlab.audit import (
 )
 from fairlab.core import validate_config
 from fairlab.fairness import MedianSummary, median_bounds
-from fairlab.simnet import (
+from fairlab.simnet.generators import (
     benign_schedule,
     cycle_schedule,
     fuzz_scenario,
     probabilistic_adversary,
-    run,
     segment_schedule,
 )
-from fairlab.simnet.runner import Simulation
+from fairlab.simnet.runner import Simulation, run
 from fairlab.validity import certificate_from_dict, verify_certificate
 
 import certutil

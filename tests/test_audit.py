@@ -10,8 +10,10 @@ from fairlab.audit import (
     check_relative_block_fairness,
     check_timed_fairness,
 )
-from fairlab.simnet import Scenario, Trace, benign_schedule, cycle_schedule, fuzz_scenario, run
-from fairlab.simnet.runner import Simulation
+from fairlab.simnet.generators import benign_schedule, cycle_schedule, fuzz_scenario
+from fairlab.simnet.runner import Simulation, run
+from fairlab.simnet.scenario import Scenario
+from fairlab.simnet.trace import Trace
 
 from conftest import records, wrapped_hybrid_scenario
 from oracles import oracle_constraints, recount_block_fairness
@@ -196,7 +198,7 @@ def test_block_fairness_boundary_strong_quorum_sighting(cfg4):
 
 
 def test_oracle_union_forces_segments_into_one_block(cfg4):
-    from fairlab.simnet import segment_schedule
+    from fairlab.simnet.generators import segment_schedule
     trace = run(segment_schedule(cfg4, depth=2))
     union = oracle_constraints(trace).relative_union()
     requests = {f"m{i + 1}" for i in range(8)}

@@ -11,12 +11,13 @@ RA, RB = req("ra"), req("rb")
 
 
 def _ingest(state, party, seq, request, ts=None):
+    state.store.requests[request.id] = request  # the test's own table
     vote = make_vote(party, state.instance, state.block_number, seq, ts, request.id)
-    return state.store.ingest(vote, request)
+    return state.store.ingest(vote)
 
 
 def _single_request_state(cfg, request, proposer=0):
-    state = new_leader(cfg, NEVERENDING, INSTANCE, proposer)
+    state = new_leader(cfg, NEVERENDING, INSTANCE, proposer, {})
     for party in range(cfg.n):
         _ingest(state, party, 0, request)
     return state
@@ -107,7 +108,7 @@ def _rebless(cert, block):
 
 
 def test_on_deliver_replays_undelivered(cfg4):
-    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0)
+    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0, {})
     for party in range(4):
         _ingest(state, party, 0, RA)
         _ingest(state, party, 1, RB)
@@ -125,7 +126,7 @@ def test_on_deliver_replays_undelivered(cfg4):
 
 
 def test_consecutive_deliveries_equal_union_replay(cfg4):
-    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0)
+    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0, {})
     requests = [req(f"x{i}") for i in range(4)]
     for party in range(4):
         for seq, r in enumerate(requests):
@@ -149,7 +150,7 @@ def test_chain_invariants(cfg4):
     chain = Chain(cfg4)
     a = _single_request_state(cfg4, RA)
     assert chain.submit(neverending_step(a)).ok
-    b = new_leader(cfg4, NEVERENDING, INSTANCE, 1, block_number=1)
+    b = new_leader(cfg4, NEVERENDING, INSTANCE, 1, {}, block_number=1)
     b.store.block = 1
     for party in range(4):
         _ingest(b, party, 0, RB)
@@ -168,7 +169,7 @@ def test_external_validity_under_adversarial_submissions(cfg4):
     import certutil
     from fairlab.validity import verify_certificate
 
-    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0)
+    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0, {})
     names = ("ra", "rb")
     for party in range(4):
         for seq, name in enumerate(names):

@@ -1,13 +1,11 @@
 import json
 from itertools import combinations
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairlab.core import (
-    _canonical_encoder,
     canonical_json,
     make_request,
     request_id,
@@ -98,9 +96,6 @@ JSON_VALUES = st.recursive(
 def test_canonical_json_matches_json_dumps(value):
     expected = json.dumps(value, sort_keys=True)
     assert canonical_json(value) == expected
-    # Where the interpreter has no C encoder, json itself runs in pure Python.
-    with mock.patch.object(json.encoder, "c_make_encoder", None):
-        assert _canonical_encoder(json.encoder.c_make_encoder)(value) == expected
 
 
 def test_canonical_json_recovers_from_a_failed_encode():

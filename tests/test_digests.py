@@ -17,7 +17,7 @@ import hashlib
 
 import pytest
 
-from fairlab.simnet import benign_schedule, fuzz_scenario
+from fairlab.simnet.generators import benign_schedule, fuzz_scenario
 from fairlab.simnet.runner import Simulation
 from fairlab.simnet.scenario import BehaviorSpec
 

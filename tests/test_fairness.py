@@ -9,7 +9,6 @@ from fairlab.fairness import (
     median_bounds,
     timed_precedes,
 )
-from fairlab.votes import TIMESTAMPED
 
 from conftest import cast, fill_logs, new_store, req
 from oracles import enumerate_max_median
@@ -69,7 +68,7 @@ def test_median_timestamp():
 
 
 def _timed_store(cfg, ts_by_party):
-    store = new_store(cfg, mode=TIMESTAMPED)
+    store = new_store(cfg, timestamped=True)
     for party, entries in ts_by_party.items():
         for seq, (r, ts) in enumerate(entries):
             cast(store, party, seq, r, ts=ts)

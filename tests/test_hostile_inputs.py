@@ -20,7 +20,8 @@ import pytest
 
 from fairlab.cli import run_command
 from fairlab.core import MAX_PARTIES, validate_config
-from fairlab.simnet import benign_schedule, run
+from fairlab.simnet.generators import benign_schedule
+from fairlab.simnet.runner import run
 from fairlab.simnet.scenario import Scenario
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -61,14 +62,17 @@ def files(tmp_path_factory):
     return {kind: path.read_text() for kind, path in paths.items()}
 
 
-def _exit_code(capsys, argv, case):
-    """Run the CLI; exit 2 must come with exactly one `error:` line."""
+def _exit_code(capsys, argv, case, error=None):
+    """Run the CLI; exit 2 must come with exactly one `error:` line. Given an
+    `error` message, the run must exit 2 with it."""
     capsys.readouterr()
     code = run_command(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2), case
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+    if error is not None:
+        assert (code, err) == (2, f"error: {error}\n"), (case, code, err)
     return code
 
 
@@ -141,17 +145,33 @@ def _first_request(data):
     return sorted(data["requests"])[0]
 
 
+# The message of each input check that no other case reaches.
+PINNED_ERRORS = {
+    "scenario-not-an-object": "scenario file is not a JSON object",
+    "corrupt-over-budget": "corruption set larger than the fault budget",
+    "behavior-unknown-kind": "unknown byzantine behavior 'bogus'",
+    "clocks-key-not-an-integer":
+        "scenario field 'clocks' key 'x' is not a party id in canonical decimal form",
+    "votes-key-not-an-integer":
+        "certificate field 'votes' key 'abc' is not a party id in canonical decimal form",
+    "trace-first-line-not-header": "trace does not start with a header record",
+}
+
+# Each mutates the scenario object in place, or returns the file's new content.
 SCENARIO_CASES = {
+    "scenario-not-an-object": lambda d: [],
     "r_max-string-hybrid": lambda d: d.update(mode="hybrid", r_max="2"),
     "corrupt-string-party": lambda d: d.update(corrupt=["1"]),
     # Within the fault budget, so only the repeat is wrong: it used to run as
     # corrupt=[0] under a second scenario digest.
     "corrupt-repeated": lambda d: d.update(n=7, t=2, corrupt=[0, 0]),
+    "corrupt-over-budget": lambda d: d.update(corrupt=[0, 1]),  # n=4, t=1
     "failure_p-string": lambda d: d.update(failure_p="0.5"),
     "events-not-a-list": lambda d: d.update(events=5),
     "clock-rate-string": lambda d: d.update(clocks={"0": {"rate": "1", "offset": 0}}),
     "behavior-unknown-key": lambda d: d.update(
         corrupt=[3], behaviors={"3": {"kind": "silent", "speed": 1}}),
+    "behavior-unknown-kind": lambda d: d.update(behaviors={"0": {"kind": "bogus"}}),
     "see-party-out-of-range": lambda d: d.update(
         events=[{"a": "see", "party": 9, "request": _first_request(d)}] + d["events"]),
     "leaders-string": lambda d: d.update(leaders="01"),
@@ -160,6 +180,7 @@ SCENARIO_CASES = {
     "clocks-key-not-canonical": lambda d: d.update(
         clocks={"1": {"rate": 1, "offset": 0}, "01": {"rate": 2, "offset": 0}}),
     "clocks-key-out-of-range": lambda d: d.update(clocks={"9": {"rate": 1, "offset": 0}}),
+    "clocks-key-not-an-integer": lambda d: d.update(clocks={"x": {"rate": 1, "offset": 0}}),
     "behaviors-key-out-of-range": lambda d: d.update(
         behaviors={**d.get("behaviors", {}), "9": {"kind": "silent"}}),
     "leaders-out-of-range": lambda d: d.update(leaders=[7]),
@@ -172,10 +193,10 @@ SCENARIO_CASES = {
 @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
 def test_malformed_scenario_exits_two(files, tmp_path, capsys, case):
     data = json.loads(files["scenario"])
-    SCENARIO_CASES[case](data)
+    replaced = SCENARIO_CASES[case](data)
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(data))
-    assert _exit_code(capsys, ["run", str(path)], case) == 2
+    path.write_text(json.dumps(data if replaced is None else replaced))
+    assert _exit_code(capsys, ["run", str(path)], case, PINNED_ERRORS.get(case)) == 2
 
 
 def test_scenario_defaults_and_unknown_keys(files):
@@ -220,6 +241,7 @@ def test_negative_rmax_override_exits_two(files, tmp_path, capsys):
 
 
 TRACE_CASES = {
+    "trace-first-line-not-header": lambda lines: lines.pop(0),
     "header-n-string": lambda lines: lines[0].update(n="4"),
     "header-corrupt-int": lambda lines: lines[0].update(corrupt=5),
     # n=4, t=1: a repeated id, more than t ids, and every party.
@@ -249,7 +271,7 @@ def test_malformed_trace_exits_two(files, tmp_path, capsys, case):
     TRACE_CASES[case](lines)
     path = tmp_path / "t.jsonl"
     _write_lines(path, lines)
-    assert _exit_code(capsys, ["audit", str(path)], case) == 2
+    assert _exit_code(capsys, ["audit", str(path)], case, PINNED_ERRORS.get(case)) == 2
 
 
 @pytest.mark.parametrize("case", ["sight-party-out-of-range", "sight-request-undeclared"])
@@ -361,6 +383,7 @@ CHAIN_CASES = {
     "mode-unknown": lambda lines: lines[1]["certificate"].update(mode="x"),
     "proposer-negative": lambda lines: lines[1]["certificate"].update(proposer=-1),
     "proposer-true": lambda lines: lines[1]["certificate"].update(proposer=True),
+    "votes-key-not-an-integer": lambda lines: lines[1]["certificate"]["votes"].update(abc=[]),
 }
 
 
@@ -370,7 +393,7 @@ def test_malformed_chain_exits_two(files, tmp_path, capsys, case):
     CHAIN_CASES[case](lines)
     path = tmp_path / "c.jsonl"
     _write_lines(path, lines)
-    assert _exit_code(capsys, ["verify", str(path)], case) == 2
+    assert _exit_code(capsys, ["verify", str(path)], case, PINNED_ERRORS.get(case)) == 2
 
 
 def _rekey(old, new):
@@ -554,13 +577,15 @@ def _second_row_request_unencodable(cert):
     cert["votes"]["0"][1][2] = "é"
 
 
+INSTANCE_UNENCODABLE = "error: certificate field 'instance' must encode as utf-8, not '\\ud800'\n"
+
+
 @pytest.mark.parametrize("mutate, code, out, err", [
-    # No vote is built, so the instance is never encoded.
-    (_no_votes, 1, "block 0: invalid (insufficient-votes)\n", ""),
-    # A row's shape is checked before its vote encodes the instance.
-    (_first_row_malformed, 2, "", "error: certificate vote row must be [seq, ts, request, "
-     "attestation] with seq and ts in [0, 2**64), not [0, None, 'ab']\n"),
-    # The instance encodes for the first row; the second row's request fails.
+    # The instance is checked where it is read, with no vote built from it.
+    (_no_votes, 2, "", INSTANCE_UNENCODABLE),
+    # The instance is read before any vote row.
+    (_first_row_malformed, 2, "", INSTANCE_UNENCODABLE),
+    # The first row builds its vote; the second row's request fails.
     (_second_row_request_unencodable, 2, "",
      "error: certificate field 'vote row request' must encode as ascii, not 'é'\n"),
 ])

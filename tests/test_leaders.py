@@ -22,12 +22,13 @@ A1, A2, B1 = req("a1", market="A"), req("a2", market="A"), req("b1", market="B")
 
 
 def engine(cfg, mode, **kw):
-    return new_leader(cfg, mode, INSTANCE, 0, **kw)
+    return new_leader(cfg, mode, INSTANCE, 0, {}, **kw)
 
 
 def ingest(state, party, seq, request, ts=None):
+    state.store.requests[request.id] = request  # the test's own table
     vote = make_vote(party, state.instance, state.block_number, seq, ts, request.id)
-    return state.store.ingest(vote, request)
+    return state.store.ingest(vote)
 
 
 def test_neverending_single_request(cfg4):
@@ -324,8 +325,8 @@ def test_clocked_safety_exhaustive_two_request_enumeration(cfg4):
     # and three clock models, an emitted clocked block never orders a pair
     # against a separating local time.
     import itertools
-    from fairlab.simnet import Scenario, run
-    from fairlab.simnet.scenario import ClockSpec
+    from fairlab.simnet.runner import run
+    from fairlab.simnet.scenario import ClockSpec, Scenario
     from fairlab.audit import TraceView, check_timed_fairness
 
     clock_models = [

@@ -4,19 +4,16 @@ import json
 import pytest
 
 from fairlab.core import validate_config
-from fairlab.simnet import (
-    Scenario,
-    Trace,
+from fairlab.simnet.generators import (
     benign_schedule,
     cycle_schedule,
     fuzz_scenario,
-    load_scenario,
     probabilistic_adversary,
-    run,
-    save_scenario,
     segment_schedule,
 )
-from fairlab.simnet.runner import Simulation
+from fairlab.simnet.runner import Simulation, run
+from fairlab.simnet.scenario import Scenario, load_scenario, save_scenario
+from fairlab.simnet.trace import Trace
 
 from conftest import records
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairlab.core import canonical_json
-from fairlab.simnet import benign_schedule, fuzz_scenario, run
 from fairlab.simnet import trace as trace_module
+from fairlab.simnet.generators import benign_schedule, fuzz_scenario
+from fairlab.simnet.runner import run
 from fairlab.simnet.trace import Trace
 
 from conftest import wrapped_hybrid_scenario

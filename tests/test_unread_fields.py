@@ -4,8 +4,9 @@ tests/. No accessor is called only by tests: every property defined on a
 class in src/fairlab is loaded somewhere in src/, and every other method is
 called there as `x.name(...)`. No function or class is there only for tests:
 every module-level `def` and `class` in src/fairlab is loaded somewhere in
-src/ outside `__init__.py`. The checks are by name, so a load (or call) of
-any attribute or name with the same name counts."""
+src/. No package `__init__.py` re-exports a name: each holds its docstring
+and, at the top level, `__version__`. The checks are by name, so a load (or
+call) of any attribute or name with the same name counts."""
 
 import ast
 from pathlib import Path
@@ -50,16 +51,13 @@ def _loaded_in(*dirs: str) -> set[str]:
 
 
 def _names_loaded_in_src() -> set[str]:
-    """Each name and attribute loaded in src/, package `__init__.py` files
-    aside: their imports re-export names, and their loads would count an
-    export as a use."""
+    """Each name and attribute loaded in src/."""
     loaded: set[str] = set()
     for path in (ROOT / "src").rglob("*.py"):
-        if path.name != "__init__.py":
-            tree = ast.parse(path.read_text(), str(path))
-            loaded |= _loaded(tree)
-            loaded |= {node.id for node in ast.walk(tree)
-                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        tree = ast.parse(path.read_text(), str(path))
+        loaded |= _loaded(tree)
+        loaded |= {node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return loaded
 
 
@@ -119,3 +117,22 @@ def test_every_module_level_def_is_used_in_src():
                     and node.name not in loaded):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, unused
+
+
+def _is_docstring(node: ast.stmt) -> bool:
+    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def test_package_inits_hold_no_code():
+    # An import in a package's __init__.py would give its names a second
+    # import path, and its loads would count an export as a use above.
+    top = ROOT / "src" / "fairlab" / "__init__.py"
+    extra = []
+    for path in sorted((ROOT / "src" / "fairlab").rglob("__init__.py")):
+        for index, node in enumerate(ast.parse(path.read_text(), str(path)).body):
+            version = (path == top and isinstance(node, ast.Assign)
+                       and [getattr(t, "id", None) for t in node.targets] == ["__version__"])
+            if not (version or index == 0 and _is_docstring(node)):
+                extra.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not extra, extra

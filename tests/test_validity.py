@@ -18,12 +18,13 @@ SA, SB, SC = req("sa"), req("sb"), req("sc")
 
 
 def _ingest(state, party, seq, request, ts=None):
+    state.store.requests[request.id] = request  # the test's own table
     vote = make_vote(party, state.instance, state.block_number, seq, ts, request.id)
-    return state.store.ingest(vote, request)
+    return state.store.ingest(vote)
 
 
 def cycle_cert(cfg):
-    state = new_leader(cfg, NEVERENDING, INSTANCE, 0)
+    state = new_leader(cfg, NEVERENDING, INSTANCE, 0, {})
     names = ["m1", "m2", "m3", "m4"]
     for party in range(4):
         for seq in range(4):
@@ -34,7 +35,7 @@ def cycle_cert(cfg):
 
 
 def clocked_cert(cfg):
-    state = new_leader(cfg, CLOCKED, INSTANCE, 0)
+    state = new_leader(cfg, CLOCKED, INSTANCE, 0, {})
     _ingest(state, 0, 0, RB, ts=5)
     _ingest(state, 0, 1, RA, ts=10)
     _ingest(state, 1, 0, RB, ts=12)
@@ -49,7 +50,7 @@ def clocked_cert(cfg):
 def stamped_cert(cfg):
     """Every party stamps a, b and c at 1, 5 and 9: the clocked engine ships
     [a], and b, stamped before c by everyone, stays out with it."""
-    state = new_leader(cfg, CLOCKED, INSTANCE, 0)
+    state = new_leader(cfg, CLOCKED, INSTANCE, 0, {})
     for party in range(cfg.n):
         for seq, (request, ts) in enumerate(((SA, 1), (SB, 5), (SC, 9))):
             _ingest(state, party, seq, request, ts=ts)
@@ -278,9 +279,9 @@ def test_verification_ingests_each_cited_vote_once(cfg4, monkeypatch):
     ingested = []
     original = VoteStore.ingest
 
-    def counting(self, vote, req=None):
+    def counting(self, vote):
         ingested.append(vote)
-        return original(self, vote, req)
+        return original(self, vote)
 
     monkeypatch.setattr(VoteStore, "ingest", counting)
     for cert in certs:

@@ -1,5 +1,6 @@
 import dataclasses
 from itertools import permutations
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,21 @@ from hypothesis import strategies as st
 
 import fairlab.votes
 from fairlab.core import validate_config
-from fairlab.simnet import benign_schedule
+from fairlab.leaders import (
+    CLOCKED,
+    NEVERENDING,
+    clocked_step,
+    neverending_step,
+    new_leader,
+    replay_undelivered,
+)
+from fairlab.simnet import runner
+from fairlab.simnet.generators import benign_schedule
 from fairlab.simnet.runner import Simulation
 from fairlab.validity import certificate_from_dict, certificate_to_dict, verify_certificate
-from fairlab.votes import ACCEPTED, BUFFERED, REJECTED, TIMESTAMPED, Vote, make_vote, vote_verifies
+from fairlab.votes import ACCEPTED, BUFFERED, REJECTED, Vote, make_vote, vote_verifies
 
-from conftest import INSTANCE, cast, fill_logs, new_store, req
+from conftest import INSTANCE, cast, fill_logs, new_store, req, wrapped_hybrid_scenario
 
 R = {name: req(name) for name in ("r1", "r2", "r3", "r4", "r5")}
 
@@ -28,7 +38,7 @@ def test_gap_fill_buffers_and_cascades(cfg4):
 
 
 def test_timestamp_regression_invalidates_party(cfg4):
-    store = new_store(cfg4, mode=TIMESTAMPED)
+    store = new_store(cfg4, timestamped=True)
     assert cast(store, 3, 0, R["r1"], ts=50).status == ACCEPTED
     out = cast(store, 3, 1, R["r2"], ts=40)
     assert out.status == REJECTED and out.reason == "timestamp-order"
@@ -41,14 +51,14 @@ def test_timestamp_regression_invalidates_party(cfg4):
 
 
 def test_equal_timestamp_counts_as_regression(cfg4):
-    store = new_store(cfg4, mode=TIMESTAMPED)
+    store = new_store(cfg4, timestamped=True)
     cast(store, 1, 0, R["r1"], ts=5)
     out = cast(store, 1, 1, R["r2"], ts=5)
     assert out.status == REJECTED and out.reason == "timestamp-order"
 
 
 def test_fill_that_releases_a_backward_timestamp_stays_accepted(cfg4):
-    store = new_store(cfg4, mode=TIMESTAMPED)
+    store = new_store(cfg4, timestamped=True)
     assert cast(store, 2, 1, R["r2"], ts=9).status == BUFFERED
     assert cast(store, 2, 2, R["r3"], ts=8).status == BUFFERED  # runs backwards
     assert cast(store, 2, 3, R["r4"], ts=20).status == BUFFERED
@@ -79,7 +89,7 @@ def test_equivocation_on_same_seq(cfg4):
 def test_wrong_incarnation_rejected(cfg4):
     store = new_store(cfg4, block=1)
     vote = make_vote(0, store.instance, 0, 0, None, R["r1"].id)
-    out = store.ingest(vote, R["r1"])
+    out = store.ingest(vote)
     assert out.status == REJECTED and out.reason == "wrong-block"
 
 
@@ -137,7 +147,7 @@ def _random_votes(n, rng):
 @given(rng=st.randoms(use_true_random=False))
 def test_count_before_matches_oracle_random(n, t, rng):
     votes = _random_votes(n, rng)
-    store = new_store(validate_config(n, t), mode=TIMESTAMPED)
+    store = new_store(validate_config(n, t), timestamped=True)
     for party, seq, name, ts in votes:
         cast(store, party, seq, R[name], ts=ts)
     valid = {p: [v.request for v in log.accepted]
@@ -184,7 +194,7 @@ def test_count_before_matches_oracle_after_every_ingest(n, t, rng):
     # The store half of the blocking-state differential test: `count_before`
     # is read between ingests, so an exclusion that an ingest triggers must
     # show in the very next count, not only in the final store.
-    store = new_store(validate_config(n, t), mode=TIMESTAMPED)
+    store = new_store(validate_config(n, t), timestamped=True)
     for party, seq, name, ts in _interleaved_votes(n, rng):
         cast(store, party, seq, R[name], ts=ts)
         valid = {p: [v.request for v in log.accepted]
@@ -202,7 +212,7 @@ def test_acceptance_index_is_the_version(n, t, rng):
     # raises it by k + e, and its acceptances come first, so the i-th takes
     # the version before the call plus i.
     votes = _random_votes(n, rng)
-    store = new_store(validate_config(n, t), mode=TIMESTAMPED)
+    store = new_store(validate_config(n, t), timestamped=True)
     order = []  # (vote, index) in acceptance order
     for party, seq, name, ts in votes:
         before = store.version
@@ -305,7 +315,7 @@ def test_ingestion_order_does_not_matter_random(rng):
     for _ in range(4):
         order = list(votes)
         rng.shuffle(order)
-        store = new_store(cfg, mode=TIMESTAMPED)
+        store = new_store(cfg, timestamped=True)
         for party, seq, name, ts in order:
             cast(store, party, seq, R[name], ts=ts)
         state = _final_state(store)
@@ -333,13 +343,13 @@ def test_tampered_attestation_rejected(cfg4):
         request=R["r2"].id, signer=vote.signer,
         attestation=vote.attestation,  # covers r1, not r2
     )
-    out = store.ingest(forged, R["r2"])
+    out = store.ingest(forged)
     assert out.status == REJECTED and out.reason == "bad-attestation"
     relabeled = type(vote)(
         instance=vote.instance, block=vote.block, seq=vote.seq, ts=vote.ts,
         request=vote.request, signer=1, attestation=vote.attestation,
     )
-    out = store.ingest(relabeled, R["r1"])
+    out = store.ingest(relabeled)
     assert out.status == REJECTED and out.reason == "bad-attestation"
 
 
@@ -367,8 +377,8 @@ def test_stale_and_duplicate_copies_are_not_hashed(cfg4, monkeypatch):
     store = new_store(cfg4, block=1)
     accepted = make_vote(0, store.instance, 1, 0, None, R["r1"].id)
     buffered = make_vote(0, store.instance, 1, 2, None, R["r2"].id)
-    assert store.ingest(accepted, R["r1"]).status == ACCEPTED
-    assert store.ingest(buffered, R["r2"]).status == BUFFERED
+    assert store.ingest(accepted).status == ACCEPTED
+    assert store.ingest(buffered).status == BUFFERED
     copies = [
         (make_vote(1, store.instance, 0, 0, None, R["r1"].id), "wrong-block"),
         (make_vote(1, "other-instance", 1, 0, None, R["r1"].id), "wrong-block"),
@@ -377,7 +387,7 @@ def test_stale_and_duplicate_copies_are_not_hashed(cfg4, monkeypatch):
     ]
     calls = _count_verify(monkeypatch)
     for vote, reason in copies:
-        out = store.ingest(vote, R["r1"])
+        out = store.ingest(vote)
         assert (out.status, out.reason) == (REJECTED, reason)
     assert calls == []
     assert [v.seq for v in store.logs[0].accepted] == [0] and list(store.logs[0].pending) == [2]
@@ -386,7 +396,7 @@ def test_stale_and_duplicate_copies_are_not_hashed(cfg4, monkeypatch):
 def test_forged_votes_for_the_current_block_are_still_verified(cfg4, monkeypatch):
     store = new_store(cfg4)
     vote = make_vote(0, store.instance, store.block, 0, None, R["r1"].id)
-    assert store.ingest(vote, R["r1"]).status == ACCEPTED
+    assert store.ingest(vote).status == ACCEPTED
     forged = "0" * 64
     # A forged copy of the accepted vote is no duplicate, and a forged next
     # vote is no acceptance: both are hashed and turned away.
@@ -398,12 +408,12 @@ def test_forged_votes_for_the_current_block_are_still_verified(cfg4, monkeypatch
         attestation=forged)
     calls = _count_verify(monkeypatch)
     for bad in (copy, following):
-        out = store.ingest(bad, R["r2"])
+        out = store.ingest(bad)
         assert (out.status, out.reason) == (REJECTED, "bad-attestation")
     assert len(calls) == 2
     assert not store.logs[0].invalid and len(store.logs[0].accepted) == 1
     # Forged and stale at once: the stale check comes first.
-    assert store.ingest(stale, R["r1"]).reason == "wrong-block" and len(calls) == 2
+    assert store.ingest(stale).reason == "wrong-block" and len(calls) == 2
 
 
 # -- the verified memo ---------------------------------------------------------
@@ -415,7 +425,7 @@ def test_a_failed_check_is_not_remembered(cfg4, monkeypatch):
     calls = _count_verify(monkeypatch)
     for _ in range(2):
         for store in stores:
-            out = store.ingest(bad, R["r1"])
+            out = store.ingest(bad)
             assert (out.status, out.reason) == (REJECTED, "bad-attestation")
     assert _checked(calls, [bad] * 6)
     assert not bad.verified
@@ -427,19 +437,19 @@ def test_a_checked_vote_vouches_for_no_other_object(cfg4, monkeypatch):
     assert not vote.verified  # signing does not mark it
     calls = _count_verify(monkeypatch)
     first, second = new_store(cfg4), new_store(cfg4)
-    assert first.ingest(vote, R["r1"]).status == ACCEPTED and vote.verified
-    assert second.ingest(vote, R["r1"]).status == ACCEPTED
+    assert first.ingest(vote).status == ACCEPTED and vote.verified
+    assert second.ingest(vote).status == ACCEPTED
     assert _checked(calls, [vote])  # one hash for two stores
     # A replaced attestation makes a new object: hashed, refused, not marked.
     forged = dataclasses.replace(vote, attestation="0" * 64)
     assert not forged.verified
     for store in (first, new_store(cfg4)):
-        out = store.ingest(forged, R["r1"])
+        out = store.ingest(forged)
         assert (out.status, out.reason) == (REJECTED, "bad-attestation")
     assert _checked(calls, [vote, forged, forged]) and not forged.verified
     # An unchanged replacement is hashed once too, and passes.
     same = dataclasses.replace(vote)
-    assert not same.verified and new_store(cfg4).ingest(same, R["r1"]).status == ACCEPTED
+    assert not same.verified and new_store(cfg4).ingest(same).status == ACCEPTED
     assert _checked(calls, [vote, forged, forged, same])
 
 
@@ -470,3 +480,45 @@ def test_the_mark_is_not_part_of_a_votes_value():
     assert "verified" not in repr(vote)
     with pytest.raises(TypeError):
         Vote(INSTANCE, 0, 1, 9, R["r1"].id, vote.signer, vote.attestation, verified=True)
+
+
+# -- the request table ---------------------------------------------------------
+
+@pytest.mark.parametrize("mode, step", [(NEVERENDING, neverending_step), (CLOCKED, clocked_step)])
+def test_a_store_only_reads_its_request_table(cfg4, mode, step):
+    # Over a read-only table, an engine's store takes votes, ships a block,
+    # replays the undelivered request into the next incarnation and ships
+    # it too, and the verifier's store checks both certificates.
+    table = MappingProxyType({R["r1"].id: R["r1"], R["r2"].id: R["r2"]})
+    state = new_leader(cfg4, mode, INSTANCE, 0, table)
+    for party in range(4):
+        for seq, name in enumerate(("r1", "r2")):
+            ts = 10 * (seq + 1) if mode == CLOCKED else None
+            vote = make_vote(party, INSTANCE, 0, seq, ts, R[name].id)
+            assert state.store.ingest(vote).status == ACCEPTED
+    delivered = set()
+    for number in (0, 1):
+        cert = step(state)
+        assert cert is not None and cert.requests == (R[f"r{number + 1}"].id,)
+        read_only = dataclasses.replace(cert, request_table=MappingProxyType(cert.request_table))
+        assert verify_certificate(cfg4, read_only).ok
+        delivered.update(cert.requests)
+        state = replay_undelivered(state, number + 1, delivered)
+        assert state.store.requests is table
+    assert not state.store.by_request
+
+
+def test_every_leader_store_reads_the_runs_request_table(monkeypatch):
+    sim = Simulation(wrapped_hybrid_scenario())
+    stores = [state.store for state in sim.engines.values()]
+    real = runner.on_deliver
+
+    def recording(chain, states):
+        fresh = real(chain, states)
+        stores.extend(state.store for state in fresh)
+        return fresh
+
+    monkeypatch.setattr(runner, "on_deliver", recording)
+    sim.run()
+    assert len(stores) == len(sim.engines) * (len(sim.chain.blocks) + 1)
+    assert all(store.requests is sim.by_id for store in stores)

@@ -15,8 +15,8 @@ import fairlab.leaders
 import fairlab.votes
 from fairlab.core import validate_config
 from fairlab.leaders import BLOCK_FAIR
-from fairlab.simnet import benign_schedule, runner
-from fairlab.simnet.generators import fuzz_scenario
+from fairlab.simnet import runner
+from fairlab.simnet.generators import benign_schedule, fuzz_scenario
 from fairlab.simnet.runner import Simulation
 from fairlab.validity import certificate_from_dict, verify_certificate
 from fairlab.votes import Vote, make_vote, vote_payload, vote_verifies
