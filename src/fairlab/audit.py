@@ -10,6 +10,7 @@ re-derivation over every corruption hypothesis from the raw records alone.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
@@ -123,29 +124,50 @@ class TraceView:
     def relative_constraints(self) -> set[tuple[str, str]]:
         """Ordered same-market pairs (r1, r2) such that every honest party
         received r1, and r2 only later or not at all."""
-        constraints = set()
         requests = self.requests()
-        honest = [self.pos[p] for p in self.honest]
-        for r1 in requests:
-            for r2 in requests:
-                if r1 == r2 or self.market[r1] != self.market[r2]:
-                    continue
-                if all(pos.get(r1, inf) < pos.get(r2, inf) for pos in honest):
-                    constraints.add((r1, r2))
+        bit = {name: 1 << i for i, name in enumerate(requests)}
+        # Each request's set of possible r2s, as a bitmask over `requests`:
+        # first the requests of its market other than itself, then only
+        # those each honest party saw later or never (none if it never saw r1).
+        in_market: dict[str, int] = {}
+        for name in requests:
+            in_market[self.market[name]] = in_market.get(self.market[name], 0) | bit[name]
+        later = {name: in_market[self.market[name]] ^ bit[name] for name in requests}
+        for p in self.honest:
+            unseen = (1 << len(requests)) - 1
+            after: dict[str, int] = {}  # what p had not seen when it saw the name
+            for name in self.pos[p]:  # in sighting order
+                unseen ^= bit[name]
+                after[name] = unseen
+            later = {name: mask & after.get(name, 0) for name, mask in later.items() if mask}
+        constraints = set()
+        for r1, mask in later.items():
+            while mask:
+                low = mask & -mask
+                constraints.add((r1, requests[low.bit_length() - 1]))
+                mask ^= low
         return constraints
 
     @cached_property
     def timed_constraints(self) -> set[tuple[str, str]]:
-        """Pairs separated by a time tau on the honest local clocks."""
+        """Pairs separated by a time tau on the honest local clocks: every
+        honest party saw both, and r1's last honest sighting time is below
+        r2's first."""
+        clocks = [self.ts[p] for p in self.honest]
+        # Per market, the requests every honest party saw, as (first, last,
+        # name) sorted by first honest sighting time.
+        spans: dict[str, list[tuple[int, int, str]]] = {}
+        for name in set(clocks[0]).intersection(*clocks[1:]):
+            ts = [clock[name] for clock in clocks]
+            spans.setdefault(self.market[name], []).append((min(ts), max(ts), name))
         constraints = set()
-        spans = {}  # request every honest party saw -> (first, last) sighting time
-        for r in self.requests():
-            ts = [self.ts[p][r] for p in self.honest if r in self.ts[p]]
-            if len(ts) == len(self.honest):
-                spans[r] = (min(ts), max(ts))
-        for r1, (_, last1) in spans.items():
-            for r2, (first2, _) in spans.items():
-                if r1 != r2 and self.market[r1] == self.market[r2] and last1 < first2:
+        for market_spans in spans.values():
+            market_spans.sort()
+            firsts = [first for first, _, _ in market_spans]
+            for _, last1, r1 in market_spans:
+                # Every r2 whose first sighting is after r1's last; r1's own
+                # first is at most its last, so r1 is never among them.
+                for _, _, r2 in market_spans[bisect_right(firsts, last1):]:
                     constraints.add((r1, r2))
         return constraints
 
@@ -171,12 +193,12 @@ def _pair_verdict(view: TraceView, constraints: set, late: Callable, record: Cal
     """The pair rule every relative definition shares: a constraint (r1, r2)
     whose r2 was delivered is violated when r1 was not, or when r1's
     `final_pos` entry is `late` against r2's. Each violation holds r1, r2 and
-    `record` of the two entries (r1's is None when undelivered)."""
+    `record` of the two entries (r1's is None when undelivered); they come
+    sorted by (r1, r2)."""
     pos = view.final_pos
-    violations = []
-    for r1, r2 in sorted(constraints):
-        if r2 in pos and (r1 not in pos or late(pos[r1], pos[r2])):
-            violations.append({"r1": r1, "r2": r2, **record(pos.get(r1), pos[r2])})
+    violated = sorted((r1, r2) for r1, r2 in constraints
+                      if r2 in pos and (r1 not in pos or late(pos[r1], pos[r2])))
+    violations = [{"r1": r1, "r2": r2, **record(pos.get(r1), pos[r2])} for r1, r2 in violated]
     return Verdict(violations=violations, constraint_count=len(constraints))
 
 
@@ -214,18 +236,23 @@ def check_block_fairness(view: TraceView) -> Verdict:
     steps = {name: sorted([view.sight_step[p].get(name, inf) for p in view.honest] + [inf] * quorum)
              for name in view.market}
     requests = view.requests()
+    # Per request, in name order: the step of its (n-t)-th honest sighting
+    # and the number of the block that delivered it.
+    due = [(name, steps[name][quorum - 1], view.final_pos.get(name, (inf,))[0])
+           for name in requests]
     violations = []
     for block in view.blocks:
         number = block["number"]
         start = view.incarnation_start.get(number, 0)
-        for name in requests:
-            if steps[name][quorum - 1] < start and view.final_pos.get(name, (inf,))[0] > number:
+        for name, quorum_step, delivered in due:
+            if quorum_step < start and delivered > number:
                 violations.append({
                     "request": name, "block": number,
                     "reason": "seen by a strong quorum of honest parties "
                               "before the incarnation began but not included",
                 })
-        for name in set(block["requests"]):
+        # In the block's order, so the report does not hang on the hash seed.
+        for name in dict.fromkeys(block["requests"]):
             if steps[name][0] >= block["step"]:
                 violations.append({
                     "request": name, "block": number,

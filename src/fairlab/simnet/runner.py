@@ -299,12 +299,21 @@ class Simulation:
         if self.rng is None:
             return
         p = self.sc.failure_p
-        self.pool_order = [mid for mid in self.pool_order if mid in self.pool]
-        for mid in list(self.pool_order):
-            msg = self.pool[mid]
-            if msg.vote.signer in self.corrupt or msg.recipient in self.corrupt:
-                continue  # only honest-to-honest traffic escapes the adversary
-            if self.rng.random() < p:
+        pool = self.pool
+        # Delivered ids leave the order here, not on delivery: `_send` draws
+        # each new id's place from the order's length, delivered ids included.
+        self.pool_order = list(filter(pool.__contains__, self.pool_order))
+        # A new list: messages the deliveries below send join `pool_order`,
+        # not this sweep. Only honest-to-honest traffic escapes the adversary.
+        corrupt = self.corrupt
+        if corrupt:
+            eligible = [mid for mid in self.pool_order
+                        if pool[mid].recipient not in corrupt and pool[mid].vote.signer not in corrupt]
+        else:
+            eligible = self.pool_order.copy()
+        draw = self.rng.random
+        for mid in eligible:
+            if draw() < p:
                 self._deliver(mid, "sweep")
 
     # -- leader loop -----------------------------------------------------------

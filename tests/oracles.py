@@ -3,6 +3,7 @@ against. None of them is called at run time."""
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 
 from fairlab.audit import TraceView, Verdict
 from fairlab.simnet.trace import Trace
@@ -46,7 +47,7 @@ def recount_block_fairness(view: TraceView) -> Verdict:
                         "reason": "seen by a strong quorum of honest parties "
                                   "before the incarnation began but not included",
                     })
-        for name in set(block["requests"]):
+        for name in dict.fromkeys(block["requests"]):
             honest_saw = any(
                 view.sight_step[p].get(name, 10**18) < block["step"] for p in view.honest
             )
@@ -77,31 +78,16 @@ def oracle_constraints(trace: Trace) -> OracleConstraints:
     were corrupt. It reads no TraceView and calls no auditor code, so the
     auditor's builders are checked against the definitions, not themselves."""
     n, t = trace.header["n"], trace.header["t"]
-    names: dict[str, str] = {}  # request id -> name
-    market: dict[str, str] = {}  # request name -> market
-    order: dict[int, list[str]] = {p: [] for p in range(n)}  # names in sighting order
-    clock: dict[int, dict[str, int]] = {p: {} for p in range(n)}  # name -> local time
-    for rec in trace.records:
-        if rec["kind"] == "request":
-            names[rec["id"]] = rec["name"]
-            market[rec["name"]] = rec["market"]
-        elif rec["kind"] == "sight":
-            name = names[rec["request"]]
-            order[rec["party"]].append(name)
-            clock[rec["party"]].setdefault(name, rec["ts"])
+    market, position, clock = _sightings(trace)
     if len(market) > ORACLE_LIMIT:
         raise ValueError(f"oracle is desk-scale only ({len(market)} requests > {ORACLE_LIMIT})")
-    pairs = frozenset((r1, r2) for r1 in market for r2 in market
-                      if r1 != r2 and market[r1] == market[r2])
+    pairs = _pairs(market)
     # Each party's verdict on each pair is computed once: the pairs it
     # received first, and for each ordered pair of parties (p, q) the pairs
     # whose r1 p sighted earlier, on p's clock, than q sighted r2 on q's. A
     # hypothesis's sets intersect these over its honest parties.
-    first = {p: {(r1, r2) for r1, r2 in pairs if _received_first(order[p], r1, r2)}
-             for p in range(n)}
-    earlier = {(p, q): {(r1, r2) for r1, r2 in pairs
-                        if r1 in clock[p] and r2 in clock[q] and clock[p][r1] < clock[q][r2]}
-               for p in range(n) for q in range(n)}
+    first = {p: _received_first(pairs, position[p]) for p in range(n)}
+    earlier = {(p, q): _earlier(pairs, clock[p], clock[q]) for p in range(n) for q in range(n)}
     relative: dict[tuple[int, ...], frozenset] = {}
     timed: dict[tuple[int, ...], frozenset] = {}
     for size in range(t + 1):
@@ -115,6 +101,56 @@ def oracle_constraints(trace: Trace) -> OracleConstraints:
     return OracleConstraints(relative=relative, timed=timed)
 
 
-def _received_first(order: list[str], r1: str, r2: str) -> bool:
-    """The party sighted r1, and r2 is not among its sightings before r1."""
-    return r1 in order and r2 not in order[:order.index(r1)]
+def header_constraints(trace: Trace) -> tuple[frozenset, frozenset]:
+    """The relative and timed constraint sets of the one hypothesis the
+    header's `corrupt` list names, by the same per-party definitions as
+    `oracle_constraints` and without its request limit: each honest party,
+    and each ordered pair of them, keeps only the pairs it agrees with."""
+    n, corrupt = trace.header["n"], trace.header["corrupt"]
+    market, position, clock = _sightings(trace)
+    honest = [p for p in range(n) if p not in corrupt]
+    relative = timed = _pairs(market)
+    for p in honest:
+        relative = _received_first(relative, position[p])
+        for q in honest:
+            timed = _earlier(timed, clock[p], clock[q])
+    return relative, timed
+
+
+def _sightings(trace: Trace):
+    """From the raw request and sight records: each request name's market,
+    and per party each name's place among its sightings and its local time,
+    both from the party's first sighting of it."""
+    n = trace.header["n"]
+    names: dict[str, str] = {}  # request id -> name
+    market: dict[str, str] = {}  # request name -> market
+    position: dict[int, dict[str, int]] = {p: {} for p in range(n)}  # name -> sighting index
+    clock: dict[int, dict[str, int]] = {p: {} for p in range(n)}  # name -> local time
+    for rec in trace.records:
+        if rec["kind"] == "request":
+            names[rec["id"]] = rec["name"]
+            market[rec["name"]] = rec["market"]
+        elif rec["kind"] == "sight":
+            name = names[rec["request"]]
+            position[rec["party"]].setdefault(name, len(position[rec["party"]]))
+            clock[rec["party"]].setdefault(name, rec["ts"])
+    return market, position, clock
+
+
+def _pairs(market: dict[str, str]) -> frozenset:
+    """Every ordered pair of distinct requests in one market."""
+    return frozenset((r1, r2) for r1 in market for r2 in market
+                     if r1 != r2 and market[r1] == market[r2])
+
+
+def _received_first(pairs, position: dict[str, int]) -> frozenset:
+    """The pairs (r1, r2) whose r1 the party sighted, and r2 not before r1."""
+    return frozenset((r1, r2) for r1, r2 in pairs
+                     if r1 in position and position.get(r2, inf) > position[r1])
+
+
+def _earlier(pairs, clock_p: dict[str, int], clock_q: dict[str, int]) -> frozenset:
+    """The pairs (r1, r2) whose r1 party p sighted, on its clock, earlier
+    than party q sighted r2 on q's."""
+    return frozenset((r1, r2) for r1, r2 in pairs
+                     if r1 in clock_p and r2 in clock_q and clock_p[r1] < clock_q[r2])

@@ -10,13 +10,14 @@ from fairlab.audit import (
     check_relative_block_fairness,
     check_timed_fairness,
 )
-from fairlab.simnet.generators import benign_schedule, cycle_schedule, fuzz_scenario
+from fairlab.simnet.generators import (benign_schedule, cycle_schedule, fuzz_scenario,
+                                       segment_schedule)
 from fairlab.simnet.runner import Simulation, run
 from fairlab.simnet.scenario import Scenario
 from fairlab.simnet.trace import Trace
 
 from conftest import records, wrapped_hybrid_scenario
-from oracles import oracle_constraints, recount_block_fairness
+from oracles import header_constraints, oracle_constraints, recount_block_fairness
 
 
 def test_benign_sequential_schedule_holds(cfg4):
@@ -135,6 +136,22 @@ def test_block_fairness_flags_unseen_member(cfg4):
     assert any(v["request"] == "ghost" for v in verdict.violations)
 
 
+def _cut_and_complete(scenario, stops):
+    """One run's trace as it stood after each count of events in `stops`,
+    then its complete trace."""
+    sim = Simulation(scenario)
+    done = 0
+    for stop in stops:
+        for event in scenario.events[done:stop]:
+            sim.execute(event)
+        done = stop
+        yield Trace(header=sim.trace.header, records=list(sim.trace.records))
+    for event in scenario.events[done:]:
+        sim.execute(event)
+    sim.drain()
+    yield sim.finish()
+
+
 def test_checker_and_oracle_agree_on_fuzz_traces(cfg4):
     # A complete run's relays leave every honest party with the same
     # sightings, so each scenario is also cut short before its drain: there
@@ -142,17 +159,51 @@ def test_checker_and_oracle_agree_on_fuzz_traces(cfg4):
     partial = 0
     for seed in range(12):
         scenario = fuzz_scenario(seed, n=4, t=1, mode="neverending")
-        cut = Simulation(scenario)
-        for event in scenario.events[:len(scenario.events) // 2]:
-            cut.execute(event)
-        for trace in (run(scenario), cut.finish()):
+        for trace in _cut_and_complete(scenario, [len(scenario.events) // 2]):
             view = TraceView(trace)
             oracle = oracle_constraints(trace)
             actual = tuple(sorted(view.corrupt))
             assert view.relative_constraints == oracle.relative[actual]
             assert view.timed_constraints == oracle.timed[actual]
+            assert header_constraints(trace) == (oracle.relative[actual], oracle.timed[actual])
             partial += len({frozenset(view.pos[p]) for p in view.honest}) > 1
     assert partial
+
+
+def test_builders_match_the_header_oracle_past_64_requests(cfg4, cfg7):
+    # Masks wider than a machine word, two markets, and (cut short, in the
+    # middle of a request's sightings) honest parties that never sighted a
+    # request others did. Parties 2 and 5 are declared corrupt but send like
+    # honest ones.
+    benign = benign_schedule(cfg7, requests=100, seed=3, markets=2)  # 8 events a request
+    scenarios = [
+        (segment_schedule(cfg4, depth=20), (300, 360)),
+        (benign, (563, 723)),
+        (dataclasses.replace(benign, corrupt=(2, 5)), (645,)),
+    ]
+    partial = 0
+    for scenario, stops in scenarios:
+        for trace in _cut_and_complete(scenario, stops):
+            view = TraceView(trace)
+            assert len(view.market) > 64
+            relative, timed = header_constraints(trace)
+            assert view.relative_constraints == relative
+            assert view.timed_constraints == timed
+            partial += len({frozenset(view.pos[p]) for p in view.honest}) > 1
+    assert partial == 5
+
+
+def test_violations_come_in_the_documented_order(cfg4):
+    # The first and last of twelve one-request blocks swap their requests.
+    trace = run(benign_schedule(cfg4, requests=12, seed=1))
+    blocks = records(trace, "block")
+    blocks[0]["requests"], blocks[-1]["requests"] = blocks[-1]["requests"], blocks[0]["requests"]
+    report = audit_trace(trace)
+    for key in ("relative_block_fairness", "timed_relative_fairness", "strict_relative_fairness"):
+        pairs = [(v["r1"], v["r2"]) for v in report.verdicts[key].violations]
+        assert len(pairs) > 10 and pairs == sorted(pairs), key
+    numbers = [v["block"] for v in report.verdicts["block_fairness"].violations]
+    assert numbers and numbers == sorted(numbers)
 
 
 def test_full_report_shape(cfg4):
@@ -198,7 +249,6 @@ def test_block_fairness_boundary_strong_quorum_sighting(cfg4):
 
 
 def test_oracle_union_forces_segments_into_one_block(cfg4):
-    from fairlab.simnet.generators import segment_schedule
     trace = run(segment_schedule(cfg4, depth=2))
     union = oracle_constraints(trace).relative_union()
     requests = {f"m{i + 1}" for i in range(8)}

@@ -3,7 +3,9 @@ for the determinism golden suite, a hybrid fuzz run, a small run whose
 request names hold non-ASCII and JSON-special characters, and one run per
 byzantine vote stream: equivocate with skew (fuzz-24, clocked), reorder with
 equivocate (fuzz-12, hybrid) and a silent corrupt leader under the race
-policy (silent-race). The benchmark's scenarios, among them the deeper
+policy (silent-race). Two hybrid fuzz runs at n=7 under the p=0.05 failure
+wrapper have corrupt parties, so the wrapper's sweep must skip their
+traffic: one reorders (fuzz-9+p0.05), two equivocate (fuzz-10+p0.05). The benchmark's scenarios, among them the deeper
 segments runs and the clocked benign runs at n=10 and up, are pinned in
 `perfbench/pinned.json` and checked by `tests/test_bench_pins.py`.
 
@@ -17,7 +19,7 @@ import hashlib
 
 import pytest
 
-from fairlab.simnet.generators import benign_schedule, fuzz_scenario
+from fairlab.simnet.generators import benign_schedule, fuzz_scenario, probabilistic_adversary
 from fairlab.simnet.runner import Simulation
 from fairlab.simnet.scenario import BehaviorSpec
 
@@ -59,7 +61,8 @@ def _scenarios():
         fuzz_scenario(24, n=7, t=2, mode="clocked"),
         fuzz_scenario(12, n=7, t=2, mode="hybrid", r_max=2),
         _silent_leader_scenario(),
-    ]
+    ] + [probabilistic_adversary(fuzz_scenario(seed, n=7, t=2, mode="hybrid", r_max=3), 0.05, seed)
+         for seed in (9, 10)]
 
 
 # label -> (trace sha256, chain sha256)
@@ -107,6 +110,14 @@ PINNED = {
     "silent-race": (
         "cd4d596c23aec3aebdee56b9a3f4dc17dfb2339820e64ff891713041937801b6",
         "36474749584b3f86bb95bf80bb779c9cdbf1c89fbbcf9507750bb03737dc1fbe",
+    ),
+    "fuzz-9+p0.05": (
+        "05998df6fe5ac761a3b7a7bcc8c3a9322264a743504d474a07c99580609069d0",
+        "548ede6c9e388e3ce38cdc3f7758aef2838b92514abbfb3a2fdd8b59a58ade49",
+    ),
+    "fuzz-10+p0.05": (
+        "1f464307e19bc8cbc77cfb39ea5f412603f4614b4d9dbc7032287f8a556a508b",
+        "ee8e09dfe279823a2bbd15e32eb2e199c08d3d71e31ef3c7dada5ea05c0ef3e8",
     ),
 }
 

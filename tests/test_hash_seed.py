@@ -1,5 +1,6 @@
-"""The pinned trace and chain digests do not depend on Python's string hash
-seed: the digest suite is re-run in a fresh interpreter under other seeds."""
+"""Nothing fairlab writes depends on Python's string hash seed: the digest
+suite and an audit report are re-made in fresh interpreters under other
+seeds."""
 
 import os
 import subprocess
@@ -8,14 +9,41 @@ from pathlib import Path
 
 import pytest
 
+from fairlab.core import validate_config
+from fairlab.simnet.generators import segment_schedule
+from fairlab.simnet.runner import run
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _under_seed(seed, argv):
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_digests_hold_under_another_hash_seed(seed):
-    env = {**os.environ, "PYTHONHASHSEED": seed}
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(ROOT / "tests" / "test_digests.py")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    done = _under_seed(seed, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              str(ROOT / "tests" / "test_digests.py")])
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+def test_audit_report_holds_under_another_hash_seed(tmp_path):
+    # Each block record's step set to 0 puts every request of every block
+    # before its first honest sighting, so block fairness reports each of
+    # them, in an order the auditor must not take from a set.
+    trace = run(segment_schedule(validate_config(4, 1), depth=3))
+    for rec in trace.records:
+        if rec["kind"] == "block":
+            rec["step"] = 0
+    path = tmp_path / "trace.jsonl"
+    path.write_text(trace.to_text(), encoding="utf-8")
+    reports = [_under_seed(seed, ["-m", "fairlab.cli", "audit", str(path),
+                                  "--format", "structured"])
+               for seed in ("1", "2")]
+    assert [r.returncode for r in reports] == [0, 0], reports[0].stderr + reports[1].stderr
+    assert "included without any honest sighting" in reports[0].stdout
+    assert reports[0].stdout == reports[1].stdout

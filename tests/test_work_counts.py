@@ -1,10 +1,13 @@
 """Work counts. A vote's attested bytes are encoded once, when the vote is
 built, and every signature and check reuses them; a vote that passed its
 check is not hashed again. The hybrid fallback tests timed precedence only
-for a block it ships, and ends only at an incarnation change."""
+for a block it ships, and ends only at an incarnation change. The auditor
+builds its constraint sets from a bounded number of reads per party and
+request, not from every pair against every party."""
 
 import dataclasses
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -13,11 +16,13 @@ from hypothesis import strategies as st
 
 import fairlab.leaders
 import fairlab.votes
+from fairlab.audit import TraceView
 from fairlab.core import validate_config
 from fairlab.leaders import BLOCK_FAIR
 from fairlab.simnet import runner
 from fairlab.simnet.generators import benign_schedule, fuzz_scenario
 from fairlab.simnet.runner import Simulation
+from fairlab.simnet.trace import Trace
 from fairlab.validity import certificate_from_dict, verify_certificate
 from fairlab.votes import Vote, make_vote, vote_payload, vote_verifies
 
@@ -211,3 +216,73 @@ def test_fallback_ends_only_at_an_incarnation_change(monkeypatch):
                         exits += 1
                         assert before["kind"] == "block" or before.get("event") == "fallback-exit"
     assert exits > 0
+
+
+class _CountedReads(dict):
+    """A per-party sighting map that counts each key or value it hands out."""
+
+    def __init__(self, data, reads):
+        super().__init__(data)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads["n"] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads["n"] += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads["n"] += 1
+        return super().__contains__(key)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.reads["n"] += 1
+            yield key
+
+    def keys(self):
+        self.reads["n"] += len(self)
+        return super().keys()
+
+    def values(self):
+        self.reads["n"] += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads["n"] += len(self)
+        return super().items()
+
+
+def _nearly_agreeing_trace(n, t, requests, seed):
+    """A trace in which every party sights every request, each in the same
+    order up to a few swapped neighbours, one step of its clock apart: most
+    ordered pairs are constraints of both kinds."""
+    rng = random.Random(seed)
+    names = [f"r{i}" for i in range(requests)]
+    records = [{"kind": "request", "id": f"{i:064x}", "name": name, "market": "m"}
+               for i, name in enumerate(names)]
+    for party in range(n):
+        order = list(range(requests))
+        for _ in range(requests // 10):
+            i = rng.randrange(requests - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+        records += [{"kind": "sight", "party": party, "request": f"{i:064x}", "ts": 3 * k + party,
+                     "step": 0} for k, i in enumerate(order)]
+    header = {"n": n, "t": t, "mode": "neverending", "corrupt": [n - 1]}
+    return Trace(header=header, records=records)
+
+
+@pytest.mark.parametrize("builder", ["relative_constraints", "timed_constraints"])
+def test_constraint_builders_read_each_sighting_a_few_times(builder):
+    requests = 200
+    view = TraceView(_nearly_agreeing_trace(7, 2, requests, seed=1))
+    reads = {"n": 0}
+    for sightings in (view.pos, view.ts, view.sight_step):
+        for party in sightings:
+            sightings[party] = _CountedReads(sightings[party], reads)
+    constraints = getattr(view, builder)
+    # Every pair against every honest party would read about 200 times more.
+    assert reads["n"] <= 3 * len(view.honest) * requests
+    assert len(constraints) > requests * (requests - 1) // 4
