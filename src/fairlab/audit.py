@@ -60,6 +60,7 @@ class TraceView:
         self.final_pos: dict[str, tuple[int, int]] = {}
         self.incarnation_start: dict[int, int] = {0: 0}
         fallback = False  # an engine entered the fallback earlier in the file
+        last_step = -1  # the steps below rise strictly in file order
         for rec in trace.records:
             kind = rec["kind"]
             fields = AUDITED_FIELDS.get(kind)
@@ -72,6 +73,12 @@ class TraceView:
                 ok = all(isinstance(name, str) for name in rec["requests"])
             if not ok:
                 raise ValueError(f"malformed {kind!r} trace record: {rec!r}")
+            if "step" in fields:  # the records the auditor reads a step from
+                if rec["step"] <= last_step:
+                    raise ValueError(f"{kind!r} trace record's step must be above {last_step}, "
+                                     f"an earlier 'sight', 'block' or 'incarnation' record's: "
+                                     f"{rec!r}")
+                last_step = rec["step"]
             if kind == "request":
                 # The runner declares each request once; a second declaration
                 # would give its name a second market and id.

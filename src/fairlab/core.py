@@ -65,16 +65,16 @@ def party_key(key: str, field: str) -> int:
     return party
 
 
+# Exactly the keys `party_key` accepts below MAX_PARTIES, each with its party
+# id: a lookup here stands in for the call on a hot path.
+PARTY_IDS = {str(p): p for p in range(MAX_PARTIES)}
+
+
 def request_id(market: MarketId, payload: bytes) -> RequestId:
-    h = hashlib.sha256()
-    h.update(b"req|")
-    h.update(market.encode("utf-8"))
-    h.update(b"|")
-    h.update(payload)
-    return h.hexdigest()
+    return hashlib.sha256(b"req|" + market.encode("utf-8") + b"|" + payload).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Request:
     """A client transaction; the unit being ordered fairly within one market."""
 
@@ -82,10 +82,21 @@ class Request:
     market: MarketId
     payload: bytes
 
+    def __init__(self, id: RequestId, market: MarketId, payload: bytes) -> None:
+        # Writes its slots directly, as `votes.Vote` does; the verifier builds one per table row.
+        _set_id(self, id)
+        _set_market(self, market)
+        _set_payload(self, payload)
+
     @property
     def name(self) -> str:
         # Payloads are scenario names, checked as UTF-8; traces render them.
         return self.payload.decode("utf-8")
+
+
+_set_id = Request.id.__set__
+_set_market = Request.market.__set__
+_set_payload = Request.payload.__set__
 
 
 def make_request(market: MarketId, payload: bytes) -> Request:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 # `verify` is not called here: perfbench/tracing.py patches it by this name.
-from .core import QuorumConfig, Request, party_key, request_id, verify
+from .core import PARTY_IDS, QuorumConfig, Request, party_key, request_id, verify
 from .fairness import MedianSummary, median_bounds, timed_request_order
 from .leaders import BLOCK_FAIR, TIMED_FAIR, BlockCertificate, omits_blocker, timed_members
 from .votes import Vote, VoteStore
@@ -66,7 +66,8 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
     )
     if not cert.requests:
         return VerifyOutcome("empty-block")
-    if len(set(cert.requests)) != len(cert.requests):
+    member_set = set(cert.requests)
+    if len(member_set) != len(cert.requests):
         return VerifyOutcome("duplicate-request")
     table = cert.request_table
     store = VoteStore(cfg, timestamped, cert.instance, cert.block_number, table)
@@ -94,7 +95,6 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         # Some voter's timestamps ran against its sequence numbers.
         return VerifyOutcome("timestamp-order")
 
-    member_set = set(cert.requests)
     if cert.mode_tag == TIMED_FAIR:
         if cert.pivot is None or cert.pivot.request not in member_set:
             return VerifyOutcome("invalid-pivot")
@@ -150,38 +150,34 @@ def certificate_to_dict(cert: BlockCertificate) -> dict:
 
 
 def _typed(value, kind: type, field: str):
-    if not isinstance(value, kind):
+    # The exact type, as the inline tests in `certificate_from_dict` check it.
+    if type(value) is not kind:
         raise ValueError(f"certificate field {field!r} must be a {kind.__name__}, "
                          f"not {type(value).__name__}")
     return value
 
 
-def _is_uint64(value) -> bool:
-    return type(value) is int and 0 <= value < 2**64  # bool is an int
-
-
 def uint64(value, field: str) -> int:
     """`value` if it is an integer in [0, 2**64); ValueError naming `field` if not."""
-    if not _is_uint64(value):
+    if not (type(value) is int and 0 <= value < 2**64):  # bool is an int
         raise ValueError(f"field {field!r} must be an integer in [0, 2**64), not {value!r}")
     return value
 
 
-def _vote_row(row) -> list:
-    """One cited vote, [seq, ts, request-id, attestation]; one call per
-    row, as certificates cite every vote in the store."""
-    if not (isinstance(row, list) and len(row) == 4 and _is_uint64(row[0])
-            and (row[1] is None or _is_uint64(row[1]))
-            and isinstance(row[2], str) and isinstance(row[3], str)):
-        raise ValueError(f"certificate vote row must be [seq, ts, request, attestation] "
-                         f"with seq and ts in [0, 2**64), not {row!r}")
-    return row
+def _bad_row(row) -> NoReturn:
+    """Raise the error for a cited vote row that is not [seq, ts, request-id,
+    attestation] with seq and ts in [0, 2**64). The test for a valid row is
+    the one inline in `certificate_from_dict`."""
+    raise ValueError(f"certificate vote row must be [seq, ts, request, attestation] "
+                     f"with seq and ts in [0, 2**64), not {row!r}")
 
 
 def certificate_from_dict(data: dict) -> BlockCertificate:
     """Rebuild a certificate from its canonical dict. Shapes and integer
     ranges are checked here, so hostile input raises ValueError instead of
-    failing deep inside verification."""
+    failing deep inside verification. The checks repeated per party, row and
+    table entry are written out inline, and call `party_key`, `_bad_row` or
+    `_typed` only to raise their message."""
     _typed(data, dict, "certificate")
     instance = _typed(data["instance"], str, "instance")
     try:
@@ -201,38 +197,53 @@ def certificate_from_dict(data: dict) -> BlockCertificate:
         )
     votes_by_party = {}
     for party_s, rows in _typed(data["votes"], dict, "votes").items():
-        party = party_key(party_s, "certificate field 'votes'")
+        party = PARTY_IDS.get(party_s)
+        if party is None:
+            party = party_key(party_s, "certificate field 'votes'")
+        if type(rows) is not list:
+            _typed(rows, list, "votes")
+        cited = []
         try:
-            votes_by_party[party] = tuple([
-                Vote(instance, block, seq, ts, rid, party, att)
-                for seq, ts, rid, att in map(_vote_row, _typed(rows, list, "votes"))
-            ])
+            for row in rows:
+                # The one test of a valid row; it runs once per cited vote.
+                seq, ts, rid, att = row if type(row) is list and len(row) == 4 else _bad_row(row)
+                if not (type(seq) is int and 0 <= seq < 2**64
+                        and (ts is None or type(ts) is int and 0 <= ts < 2**64)
+                        and type(rid) is str and type(att) is str):
+                    _bad_row(row)
+                cited.append(Vote(instance, block, seq, ts, rid, party, att))
         except UnicodeEncodeError as exc:
             # A vote encodes its request id as ASCII (vote_payload).
             raise ValueError(f"certificate field 'vote row request' must encode as ascii, "
                              f"not {exc.object!r}") from None
+        votes_by_party[party] = tuple(cited)
     table = {}
     for rid, entry in _typed(data["requests_table"], dict, "requests_table").items():
-        _typed(entry, dict, "requests_table entry")
-        hex_payload = _typed(entry["payload"], str, "requests_table payload")
+        if type(entry) is not dict:
+            _typed(entry, dict, "requests_table entry")
+        hex_payload = entry["payload"]
+        if type(hex_payload) is not str:
+            _typed(hex_payload, str, "requests_table payload")
         payload = bytes.fromhex(hex_payload)
         if payload.hex() != hex_payload:  # fromhex also takes capitals and spaces
             raise ValueError(f"certificate field 'requests_table payload' must be lower-case "
                              f"hex without spaces, not {hex_payload!r}")
-        table[rid] = Request(
-            id=rid,
-            market=_typed(entry["market"], str, "requests_table market"),
-            payload=payload,
-        )
+        market = entry["market"]
+        if type(market) is not str:
+            _typed(market, str, "requests_table market")
+        table[rid] = Request(rid, market, payload)
     if data["mode"] not in (BLOCK_FAIR, TIMED_FAIR):
         raise ValueError(f"certificate field 'mode' must be {BLOCK_FAIR!r} or {TIMED_FAIR!r}, "
                          f"not {data['mode']!r}")
+    requests = _typed(data["requests"], list, "requests")
+    for rid in requests:
+        if type(rid) is not str:
+            _typed(rid, str, "requests")
     return BlockCertificate(
         instance=instance,
         block_number=block,
         mode_tag=data["mode"],
-        requests=tuple(_typed(rid, str, "requests")
-                       for rid in _typed(data["requests"], list, "requests")),
+        requests=tuple(requests),
         pivot=pivot,
         votes_by_party=votes_by_party,
         request_table=table,

@@ -19,10 +19,11 @@ from pathlib import Path
 import pytest
 
 from fairlab.cli import run_command
-from fairlab.core import MAX_PARTIES, validate_config
+from fairlab.core import MAX_PARTIES, make_request, validate_config
 from fairlab.simnet.generators import benign_schedule
 from fairlab.simnet.runner import run
 from fairlab.simnet.scenario import Scenario
+from fairlab.validity import certificate_from_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BAD_VALUES = ["x", 1.5, [], {}, None, True]
@@ -258,7 +259,17 @@ TRACE_CASES = {
         request="0" * 64),
     "block-request-undeclared": lambda lines: _first_of_kind(lines, "block").update(
         requests=["zzz"]),
+    # Every block before its requests' sightings: block fairness used to
+    # report each delivered request as included without an honest sighting.
+    "block-steps-zeroed": lambda lines: [rec.update(step=0) for rec in lines
+                                         if rec["kind"] == "block"],
+    "sight-step-repeated": lambda lines: _second_sight_at_the_first_step(lines),
 }
+
+
+def _second_sight_at_the_first_step(lines):
+    first, second = [rec for rec in lines if rec["kind"] == "sight"][:2]
+    second["step"] = first["step"]
 
 
 def _first_of_kind(lines, kind):
@@ -314,6 +325,18 @@ def test_block_of_undeclared_requests_is_quoted_in_the_error(files, tmp_path, ca
     assert run_command(["audit", str(path)]) == 2
     err = capsys.readouterr().err
     assert "'block' trace record" in err and "'zzz'" in err
+
+
+def test_zeroed_block_step_is_quoted_in_the_error(files, tmp_path, capsys):
+    lines = _json_lines(files["trace"])
+    TRACE_CASES["block-steps-zeroed"](lines)
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    capsys.readouterr()
+    assert run_command(["audit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'block' trace record's step must be above" in err
+    assert repr(_first_of_kind(lines, "block")) in err
 
 
 def _repeat_sightings(records):
@@ -577,6 +600,15 @@ def _second_row_request_unencodable(cert):
     cert["votes"]["0"][1][2] = "é"
 
 
+def _requests_not_a_list(cert):
+    cert["requests"] = 5
+
+
+def _request_not_a_str_nor_proposer(cert):
+    cert["requests"].append(5)
+    cert["proposer"] = -1
+
+
 INSTANCE_UNENCODABLE = "error: certificate field 'instance' must encode as utf-8, not '\\ud800'\n"
 
 
@@ -588,6 +620,10 @@ INSTANCE_UNENCODABLE = "error: certificate field 'instance' must encode as utf-8
     # The first row builds its vote; the second row's request fails.
     (_second_row_request_unencodable, 2, "",
      "error: certificate field 'vote row request' must encode as ascii, not 'é'\n"),
+    (_requests_not_a_list, 2, "", "error: certificate field 'requests' must be a list, not int\n"),
+    # The request list is read before the proposer.
+    (_request_not_a_str_nor_proposer, 2, "",
+     "error: certificate field 'requests' must be a str, not int\n"),
 ])
 def test_certificate_decoding_errors_keep_their_order(files, tmp_path, capsys,
                                                       mutate, code, out, err):
@@ -599,6 +635,81 @@ def test_certificate_decoding_errors_keep_their_order(files, tmp_path, capsys,
     assert run_command(["verify", str(path)]) == code
     captured = capsys.readouterr()
     assert captured.out.startswith(out) and captured.err == err
+
+
+VOTE_ROW_ERROR = ("error: certificate vote row must be [seq, ts, request, attestation] "
+                  "with seq and ts in [0, 2**64), not {!r}\n")
+
+
+def _malformed_rows(row):
+    """A cited vote row [seq, ts, request, attestation] replaced by a number,
+    cut short or lengthened, or with one field of a wrong type or range."""
+    yield 5
+    yield row[:3]
+    yield row + [row[3]]
+    for at in (0, 1):  # seq, ts
+        for value in (True, -1, 2**64, 1.5):
+            yield row[:at] + [value] + row[at + 1:]
+    for at in (2, 3):  # request, attestation
+        for value in (7, None):
+            yield row[:at] + [value] + row[at + 1:]
+
+
+def test_malformed_vote_row_gives_the_row_error(files, tmp_path, capsys):
+    header, entry, *rest = _json_lines(files["chain"])
+    rows = entry["certificate"]["votes"]["1"]
+    assert rows[1][1] is not None  # a timed chain: every row has a timestamp
+    path = tmp_path / "c.jsonl"
+    cases = list(_malformed_rows(rows[1]))
+    assert len(cases) == 15
+    errors = []
+    for bad in cases:
+        rows[1] = bad
+        _write_lines(path, [header, entry] + rest)
+        capsys.readouterr()
+        assert run_command(["verify", str(path)]) == 2, bad
+        errors.append(capsys.readouterr().err)
+        assert errors[-1] == VOTE_ROW_ERROR.format(bad), bad
+    # Two lines in full: the row replaced by a number, and the row cut short.
+    assert errors[0] == ("error: certificate vote row must be [seq, ts, request, attestation] "
+                         "with seq and ts in [0, 2**64), not 5\n")
+    assert errors[1] == (
+        "error: certificate vote row must be [seq, ts, request, attestation] with seq and ts "
+        "in [0, 2**64), not "
+        "[1, 2, 'ede588316822942c6b530f447e45689990e176d532a7d55749daf4cff6795b81']\n")
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("entry", 5, "'requests_table entry' must be a dict, not int"),
+    ("payload", 5, "'requests_table payload' must be a str, not int"),
+    ("payload", None, "'requests_table payload' must be a str, not NoneType"),
+    ("market", 5, "'requests_table market' must be a str, not int"),
+    ("market", None, "'requests_table market' must be a str, not NoneType"),
+])
+def test_malformed_table_entry_is_named_in_the_error(files, tmp_path, capsys, field, value,
+                                                     error):
+    header, entry, *rest = _json_lines(files["chain"])
+    table = entry["certificate"]["requests_table"]
+    rid = sorted(table)[0]
+    if field == "entry":
+        table[rid] = value
+    else:
+        table[rid][field] = value
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [header, entry] + rest)
+    _exit_code(capsys, ["verify", str(path)], (field, value), f"certificate field {error}")
+
+
+def test_requests_are_one_value_on_every_path(files):
+    # The request a run makes, the one a chain line rebuilds and a replaced
+    # copy are equal, hash equal and, like votes, keep no instance dict.
+    cert = _json_lines(files["chain"])[1]["certificate"]
+    rid, entry = sorted(cert["requests_table"].items())[0]
+    made = make_request(entry["market"], bytes.fromhex(entry["payload"]))
+    rebuilt = certificate_from_dict(cert).request_table[rid]
+    for r in (made, rebuilt, dataclasses.replace(made)):
+        assert r == made and hash(r) == hash(made) and r.id == rid
+        assert not hasattr(r, "__dict__")
 
 
 # -- well-formed but invalid: exit 1 ---------------------------------------------
