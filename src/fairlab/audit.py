@@ -36,7 +36,7 @@ class TraceView:
 
     def __init__(self, trace: Trace):
         header = trace.header
-        cfg = validate_config(header.get("n"), header.get("t"))
+        cfg = self.cfg = validate_config(header.get("n"), header.get("t"))
         n = self.n = cfg.n
         self.t = cfg.t
         self.mode = header.get("mode")
@@ -53,7 +53,6 @@ class TraceView:
         self.honest = [p for p in range(n) if p not in self.corrupt]
         names: dict[str, str] = {}  # request id -> name
         self.market: dict[str, str] = {}
-        self.pos: dict[int, dict[str, int]] = {p: {} for p in range(n)}
         self.ts: dict[int, dict[str, int]] = {p: {} for p in range(n)}
         self.sight_step: dict[int, dict[str, int]] = {p: {} for p in range(n)}
         self.blocks: list[dict] = []
@@ -93,12 +92,10 @@ class TraceView:
                     raise ValueError(f"'sight' trace record names a party outside [0, {n}) or "
                                      f"a request no earlier 'request' record declares: {rec!r}")
                 name = names[rec["request"]]
-                pos = self.pos[party]
                 # The auditor keeps one sighting per party and request.
-                if name in pos:
+                if name in self.sight_step[party]:
                     raise ValueError(f"'sight' trace record repeats an earlier sighting of "
                                      f"its request by its party: {rec!r}")
-                pos[name] = len(pos)
                 self.ts[party][name] = rec["ts"]
                 self.sight_step[party][name] = rec["step"]
             elif kind == "block":
@@ -143,7 +140,7 @@ class TraceView:
         for p in self.honest:
             unseen = (1 << len(requests)) - 1
             after: dict[str, int] = {}  # what p had not seen when it saw the name
-            for name in self.pos[p]:  # in sighting order
+            for name in self.sight_step[p]:  # in sighting order
                 unseen ^= bit[name]
                 after[name] = unseen
             later = {name: mask & after.get(name, 0) for name, mask in later.items() if mask}
@@ -237,7 +234,7 @@ def check_block_fairness(view: TraceView) -> Verdict:
     """Per block boundary: a request seen by n-t honest parties before the
     incarnation began belongs in that block (or an earlier one); a request no
     honest party had seen at proposal time must not appear."""
-    quorum = view.n - view.t
+    quorum = view.cfg.strong_size
     # Each request's honest sighting steps, ascending and padded with inf:
     # [0] is its first honest sighting and [n-t-1] its (n-t)-th.
     steps = {name: sorted([view.sight_step[p].get(name, inf) for p in view.honest] + [inf] * quorum)
@@ -271,7 +268,7 @@ def check_block_fairness(view: TraceView) -> Verdict:
 def check_absolute_fairness(view: TraceView) -> Verdict:
     """Once injection stops, every request any honest party ever saw must end
     up on-chain."""
-    honest_seen = set().union(*(view.pos[p] for p in view.honest))
+    honest_seen = set().union(*(view.sight_step[p] for p in view.honest))
     missing = sorted(honest_seen.difference(view.final_pos))
     return Verdict(
         violations=[{"request": name, "reason": "honest-seen but never delivered"}

@@ -130,6 +130,8 @@ def parse_json(text: str):
 # Attestations are simulation-level stand-ins for signatures. Each party owns a
 # derived key; honest and byzantine code paths only ever sign with their own
 # identity, so forgery is impossible by construction rather than by hardness.
+# One exception: `leaders.replay_undelivered` re-signs each carried vote as its
+# voter for the next incarnation (ROADMAP item 3 removes it).
 
 @lru_cache(maxsize=1024)  # every sign and verify derives one; parties are few
 def _party_key(party: PartyId) -> bytes:

@@ -17,15 +17,19 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import PartyId, QuorumConfig, Request, RequestId
-from .fairness import (
+# `blocks` and `timed_precedes` are looked up as this module's names, where
+# perfbench/tracing.py and the tests patch them.
+from .votes import (
     MedianSummary,
+    Vote,
+    VoteStore,
     blocks,
+    make_vote,
     max_median,
     median_bounds,
     timed_precedes,
     timed_request_order,
 )
-from .votes import Vote, VoteStore, make_vote
 
 NEVERENDING = "neverending"
 CLOCKED = "clocked"
@@ -105,25 +109,25 @@ def new_leader(cfg: QuorumConfig, mode: str, instance: str, proposer: PartyId,
 
 # -- emission rules, shared with validity.verify_certificate -----------------
 
-def omits_blocker(store: VoteStore, cfg: QuorumConfig, members: Sequence[RequestId],
+def omits_blocker(store: VoteStore, members: Sequence[RequestId],
                   cleared: Mapping[RequestId, int] = {}) -> bool:
     """True iff a request outside `members` still blocks a member; `cleared`
     maps a request to the number of leading members it is known not to block."""
     member_set = set(members)
     return any(
-        blocks(store, cfg, rid, m)
+        blocks(store, rid, m)
         for rid in store.by_request if rid not in member_set
         for m in members[cleared.get(rid, 0):]
     )
 
 
-def timed_members(store: VoteStore, cfg: QuorumConfig, pivot: MedianSummary,
+def timed_members(store: VoteStore, pivot: MedianSummary,
                   pool: Iterable[RequestId]) -> list[RequestId]:
     """The pivot's request, then every request in `pool` that a weak quorum
     timestamps below the pivot median, in pool order."""
     members = [pivot.request]
     for rid in pool:
-        if rid != pivot.request and timed_precedes(store, cfg, rid, pivot):
+        if rid != pivot.request and timed_precedes(store, rid, pivot):
             members.append(rid)
     return members
 
@@ -135,18 +139,20 @@ def timed_members(store: VoteStore, cfg: QuorumConfig, pivot: MedianSummary,
 # exactly when its distinct voters reach t+1 (n-t): counts only grow, and
 # accept records each threshold as it is crossed.
 
-def _closure(state: LeaderState, seed: RequestId, quorum: dict[RequestId, int],
-             respect_cutoff: bool) -> tuple[list[RequestId], bool, bool]:
+def _closure(state: LeaderState, seed: RequestId) -> tuple[list[RequestId], bool, bool]:
     """Grow a candidate from seed: admit, round by round, any outside request
-    that still blocks a member and is a key of `quorum` (the store's weak_at
-    or strong_at), and record its order in state.max_candidate_order.
+    that still blocks a member and holds a quorum (a weak one for the hybrid
+    engine, which also draws the cutoff coin past r_max members, a strong one
+    otherwise), and record its order in state.max_candidate_order.
     Returns (members, halted, closed): halted means the hybrid cutoff fired
     during growth, closed that no outside request blocks any member.
 
     No member needs pruning later: each one blocks a member admitted before
     it. The store does not change within a step, so each outside request is
     tested only against the members after those it is known not to block."""
-    store, cfg = state.store, state.cfg
+    store = state.store
+    hybrid = state.mode == HYBRID
+    quorum = store.weak_at if hybrid else store.strong_at
     members: list[RequestId] = [seed]
     member_set = {seed}
     # outside request -> number of leading members it does not block
@@ -158,11 +164,11 @@ def _closure(state: LeaderState, seed: RequestId, quorum: dict[RequestId, int],
         for rid in store.by_request:
             if rid in member_set or rid not in quorum:
                 continue
-            if any(blocks(store, cfg, rid, m) for m in members[tested.get(rid, 0):]):
+            if any(blocks(store, rid, m) for m in members[tested.get(rid, 0):]):
                 members.append(rid)
                 member_set.add(rid)
                 changed = True
-                if respect_cutoff and len(members) > state.r_max:
+                if hybrid and len(members) > state.r_max:
                     state.admissions_past_cutoff += 1
                     if coin_stop(state.coin_seed, state.block_number,
                                  state.admissions_past_cutoff, state.coin_stop_p):
@@ -170,7 +176,7 @@ def _closure(state: LeaderState, seed: RequestId, quorum: dict[RequestId, int],
                         break
             else:
                 tested[rid] = len(members)
-    closed = not omits_blocker(store, cfg, members, tested)
+    closed = not omits_blocker(store, members, tested)
     state.max_candidate_order = max(state.max_candidate_order, len(members))
     return members, halted, closed
 
@@ -218,7 +224,7 @@ def neverending_step(state: LeaderState) -> Optional[BlockCertificate]:
     seed = next(iter(store.strong_at), None)
     if seed is None:
         return None
-    members, _, closed = _closure(state, seed, store.strong_at, respect_cutoff=False)
+    members, _, closed = _closure(state, seed)
     if not closed:
         return None
     return _build_certificate(state, members, BLOCK_FAIR, pivot=None)
@@ -240,7 +246,7 @@ def _timed_block(state: LeaderState, pivot: MedianSummary,
     """The timed-fair block of `timed_members`, in cited-median order; None
     while a member lacks a strong quorum."""
     store = state.store
-    members = timed_members(store, state.cfg, pivot, pool)
+    members = timed_members(store, pivot, pool)
     if any(m not in store.strong_at for m in members):
         return None
     return _build_certificate(state, timed_request_order(store, members), TIMED_FAIR, pivot)
@@ -280,7 +286,7 @@ def _hybrid_block_fair(state: LeaderState) -> Optional[BlockCertificate]:
     shipped = None
     crossed = False
     for seed in store.weak_at:
-        members, halted, closed = _closure(state, seed, store.weak_at, respect_cutoff=True)
+        members, halted, closed = _closure(state, seed)
         # Every shipped member needs a strong quorum behind it or the block
         # certificate cannot carry n-t votes per request.
         if shipped is None and closed and all(m in store.strong_at for m in members):
@@ -300,7 +306,7 @@ def _hybrid_fallback(state: LeaderState) -> Optional[BlockCertificate]:
     """A timed-fair block for the first snapshot seed, in quorum order, whose
     every request timestamped below it holds a strong quorum. The phase ends
     in replay_undelivered, once the snapshot is delivered."""
-    store, cfg = state.store, state.cfg
+    store = state.store
     for seed in store.strong_at:
         if seed not in state.fallback_snapshot:
             continue
@@ -309,7 +315,7 @@ def _hybrid_fallback(state: LeaderState) -> Optional[BlockCertificate]:
             continue
         # Seed and low set hold strong quorums, so the block ships.
         state.fallback_blocks_emitted += 1
-        return _timed_block(state, max_median(store, cfg, seed), low)
+        return _timed_block(state, max_median(store, seed), low)
     return None
 
 

@@ -74,8 +74,8 @@ class _Party:
         self.rate = clock.rate
         kind = behavior.kind if behavior is not None else None
         self.skew = behavior.offset if kind == SKEW else 0
-        self.seen: dict[RequestId, int] = {}
-        self.sight_tag: dict[RequestId, str] = {}
+        # request -> (local time, vote message tag) of the party's sighting
+        self.seen: dict[RequestId, tuple[int, str]] = {}
         others = [p for p in range(n) if p != pid]
         if kind == SILENT:
             self.streams = []
@@ -92,8 +92,7 @@ class _Party:
 
     def sight(self, req: Request, tag: str, scheduled_on_chain: bool) -> int:
         ts = self.clock
-        self.seen[req.id] = ts
-        self.sight_tag[req.id] = tag
+        self.seen[req.id] = (ts, tag)
         if not scheduled_on_chain:  # only known-and-unscheduled requests are voted on
             for stream in self.streams:
                 stream.claim(req.id)
@@ -206,8 +205,9 @@ class Simulation:
         """Send the stream's unsent votes, numbering them after its sent ones."""
         block = self.chain.next_number  # nothing here ships a block
         for rid in stream.unsent:
+            seen_ts, tag = party.seen[rid]
             if stream.rng is None:
-                ts = party.seen[rid] + party.skew
+                ts = seen_ts + party.skew
             else:
                 stream.ts += 1 + stream.rng.randrange(3)
                 ts = stream.ts
@@ -217,7 +217,6 @@ class Simulation:
                              ts if self.timestamped else None, rid)
             self._rec("vote", party=party.pid, block=block, seq=seq,
                       request=rid, ts=vote.ts, audience=stream.audience)
-            tag = party.sight_tag[rid]
             for recipient in stream.recipients:
                 mid = self._next_mid
                 self._next_mid += 1
@@ -438,8 +437,3 @@ class Simulation:
 
     def chain_lines(self) -> list[str]:
         return self.chain.export_lines()
-
-
-def run(scenario: Scenario) -> Trace:
-    """Execute a scenario to quiescence and return its trace."""
-    return Simulation(scenario).run()

@@ -20,9 +20,8 @@ from typing import NoReturn, Optional
 
 # `verify` is not called here: perfbench/tracing.py patches it by this name.
 from .core import PARTY_IDS, QuorumConfig, Request, party_key, request_id, verify
-from .fairness import MedianSummary, median_bounds, timed_request_order
 from .leaders import BLOCK_FAIR, TIMED_FAIR, BlockCertificate, omits_blocker, timed_members
-from .votes import Vote, VoteStore
+from .votes import MedianSummary, Vote, VoteStore, median_bounds, timed_request_order
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         if (len(declared) < cfg.strong_size or m_r not in declared
                 or not Counter(declared) <= Counter(seed_ts) or not low <= m_r <= high):
             return VerifyOutcome("invalid-pivot")
-        members = timed_members(store, cfg, cert.pivot, store.by_request)
+        members = timed_members(store, cert.pivot, store.by_request)
         if not member_set.issuperset(members):
             return VerifyOutcome("omitted-blocked-request")
         if len(members) != len(member_set):
@@ -115,7 +114,7 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
             return VerifyOutcome("timestamp-order")
     elif cert.pivot is not None:
         return VerifyOutcome("invalid-pivot")
-    elif omits_blocker(store, cfg, cert.requests):
+    elif omits_blocker(store, cert.requests):
         return VerifyOutcome("omitted-blocked-request")
     return _VALID
 

@@ -4,6 +4,7 @@ import pytest
 
 from fairlab.core import make_request, validate_config
 from fairlab.simnet.generators import probabilistic_adversary, segment_schedule
+from fairlab.simnet.runner import Simulation
 from fairlab.votes import VoteStore, make_vote
 
 INSTANCE = "test-instance"
@@ -42,6 +43,11 @@ def fill_logs(store, logs, timestamped=False):
     for party, requests in logs.items():
         for seq, request in enumerate(requests):
             cast(store, party, seq, request, ts=seq + 1 if timestamped else None)
+
+
+def run(scenario):
+    """Execute a scenario to quiescence and return its trace."""
+    return Simulation(scenario).run()
 
 
 def records(trace, kind):

@@ -20,7 +20,6 @@ from fairlab.audit import (
     check_timed_fairness,
 )
 from fairlab.core import validate_config
-from fairlab.fairness import MedianSummary, median_bounds
 from fairlab.simnet.generators import (
     benign_schedule,
     cycle_schedule,
@@ -28,11 +27,12 @@ from fairlab.simnet.generators import (
     probabilistic_adversary,
     segment_schedule,
 )
-from fairlab.simnet.runner import Simulation, run
+from fairlab.simnet.runner import Simulation
 from fairlab.validity import certificate_from_dict, verify_certificate
+from fairlab.votes import MedianSummary, median_bounds
 
 import certutil
-from conftest import records
+from conftest import records, run
 from oracles import enumerate_max_median, oracle_constraints
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -145,7 +145,7 @@ def test_criterion_4_clocked_safety_and_liveness():
             verdict = check_timed_fairness(view)
             assert verdict.holds, f"{scenario.label}: {verdict.violations[:2]}"
             proposals += _proposals_all_accepted(trace)
-            if any(view.pos[p] for p in view.honest):
+            if any(view.sight_step[p] for p in view.honest):
                 assert trace.summary["blocks"] >= 1, f"{scenario.label}: no block emitted"
             oracle = oracle_constraints(trace)
             actual = tuple(sorted(view.corrupt))

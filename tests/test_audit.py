@@ -12,11 +12,11 @@ from fairlab.audit import (
 )
 from fairlab.simnet.generators import (benign_schedule, cycle_schedule, fuzz_scenario,
                                        segment_schedule)
-from fairlab.simnet.runner import Simulation, run
+from fairlab.simnet.runner import Simulation
 from fairlab.simnet.scenario import Scenario
 from fairlab.simnet.trace import Trace
 
-from conftest import records, wrapped_hybrid_scenario
+from conftest import records, run, wrapped_hybrid_scenario
 from oracles import header_constraints, oracle_constraints, recount_block_fairness
 
 
@@ -166,7 +166,7 @@ def test_checker_and_oracle_agree_on_fuzz_traces(cfg4):
             assert view.relative_constraints == oracle.relative[actual]
             assert view.timed_constraints == oracle.timed[actual]
             assert header_constraints(trace) == (oracle.relative[actual], oracle.timed[actual])
-            partial += len({frozenset(view.pos[p]) for p in view.honest}) > 1
+            partial += len({frozenset(view.sight_step[p]) for p in view.honest}) > 1
     assert partial
 
 
@@ -189,7 +189,7 @@ def test_builders_match_the_header_oracle_past_64_requests(cfg4, cfg7):
             relative, timed = header_constraints(trace)
             assert view.relative_constraints == relative
             assert view.timed_constraints == timed
-            partial += len({frozenset(view.pos[p]) for p in view.honest}) > 1
+            partial += len({frozenset(view.sight_step[p]) for p in view.honest}) > 1
     assert partial == 5
 
 

@@ -2,7 +2,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from fairlab.fairness import (
+from fairlab.votes import (
     MedianSummary,
     blocks,
     max_median,
@@ -22,22 +22,22 @@ def test_blocks_cleared_by_weak_quorum(cfg4):
     store = new_store(cfg4)
     fill_logs(store, {0: [RA, RB], 1: [RA, RB], 2: [RB]})
     # two parties reported ra before rb: rb cannot be required ahead of ra
-    assert not blocks(store, cfg4, RB.id, RA.id)
+    assert not blocks(store, RB.id, RA.id)
     # but only one party reported rb before ra, so ra still blocks rb
-    assert blocks(store, cfg4, RA.id, RB.id)
+    assert blocks(store, RA.id, RB.id)
 
 
 def test_blocks_true_without_evidence(cfg4):
     store = new_store(cfg4)
     store.requests.update({RA.id: RA, RB.id: RB})
-    assert blocks(store, cfg4, RB.id, RA.id)
-    assert blocks(store, cfg4, RA.id, RB.id)
+    assert blocks(store, RB.id, RA.id)
+    assert blocks(store, RA.id, RB.id)
 
 
 def test_blocks_false_across_markets(cfg4):
     store = new_store(cfg4)
     store.requests.update({RA.id: RA, RX.id: RX})
-    assert not blocks(store, cfg4, RX.id, RA.id)
+    assert not blocks(store, RX.id, RA.id)
 
 
 def test_blocks_monotone_decreasing(cfg4):
@@ -49,8 +49,8 @@ def test_blocks_monotone_decreasing(cfg4):
         for seq, r in enumerate(order):
             cast(store, party, seq, r)
             if cleared:
-                assert not blocks(store, cfg4, RB.id, RA.id)
-            cleared = not blocks(store, cfg4, RB.id, RA.id)
+                assert not blocks(store, RB.id, RA.id)
+            cleared = not blocks(store, RB.id, RA.id)
     assert cleared
 
 
@@ -79,23 +79,23 @@ def test_max_median_enumeration_oracle(cfg4):
     # oracle first: all four 3-subsets of {10,20,30,40} have medians {20,20,30,30}
     assert enumerate_max_median([10, 20, 30, 40], 3) == 30
     store = _timed_store(cfg4, {p: [(RA, ts)] for p, ts in enumerate((10, 20, 30, 40))})
-    summary = max_median(store, cfg4, RA.id)
+    summary = max_median(store, RA.id)
     assert summary.m_r == 30
     assert sorted(summary.timestamps) == [10, 20, 30, 40]
 
 
 def test_max_median_exact_quorum(cfg4):
     store = _timed_store(cfg4, {p: [(RA, ts)] for p, ts in enumerate((10, 20, 30))})
-    assert max_median(store, cfg4, RA.id).m_r == 20
+    assert max_median(store, RA.id).m_r == 20
     store = _timed_store(cfg4, {p: [(RA, 5)] for p in range(4)})
     # per-party clocks never tie, but the value rule is total anyway
-    assert max_median(store, cfg4, RA.id).m_r == 5
+    assert max_median(store, RA.id).m_r == 5
 
 
 def test_max_median_requires_strong_quorum(cfg4):
     store = _timed_store(cfg4, {0: [(RA, 10)], 1: [(RA, 20)]})
     with pytest.raises(ValueError):
-        max_median(store, cfg4, RA.id)
+        max_median(store, RA.id)
 
 
 @pytest.mark.parametrize("n,t,domain,max_size", [(4, 1, 6, 6), (7, 2, 6, 7)])
@@ -109,14 +109,14 @@ def test_max_median_shortcut_matches_enumeration(n, t, domain, max_size):
 def test_timed_precedes(cfg4):
     pivot = MedianSummary(request=RA.id, timestamps=(10, 20, 30), m_r=20)
     store = _timed_store(cfg4, {0: [(RB, 5)], 1: [(RB, 12)]})
-    assert timed_precedes(store, cfg4, RB.id, pivot)
+    assert timed_precedes(store, RB.id, pivot)
     store = _timed_store(cfg4, {0: [(RB, 25)], 1: [(RB, 30)], 2: [(RB, 31)]})
-    assert not timed_precedes(store, cfg4, RB.id, pivot)
+    assert not timed_precedes(store, RB.id, pivot)
     store = _timed_store(cfg4, {0: [(RB, 1)]})
-    assert not timed_precedes(store, cfg4, RB.id, pivot)
+    assert not timed_precedes(store, RB.id, pivot)
     # equal timestamps do not count as strictly smaller
     store = _timed_store(cfg4, {0: [(RB, 20)], 1: [(RB, 20)]})
-    assert not timed_precedes(store, cfg4, RB.id, pivot)
+    assert not timed_precedes(store, RB.id, pivot)
 
 
 def test_pivot_multisets_are_odd_sized():

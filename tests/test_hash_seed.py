@@ -11,7 +11,8 @@ import pytest
 
 from fairlab.core import validate_config
 from fairlab.simnet.generators import segment_schedule
-from fairlab.simnet.runner import run
+
+from conftest import run
 
 ROOT = Path(__file__).resolve().parents[1]
 

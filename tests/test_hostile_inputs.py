@@ -21,9 +21,10 @@ import pytest
 from fairlab.cli import run_command
 from fairlab.core import MAX_PARTIES, make_request, validate_config
 from fairlab.simnet.generators import benign_schedule
-from fairlab.simnet.runner import run
 from fairlab.simnet.scenario import Scenario
 from fairlab.validity import certificate_from_dict
+
+from conftest import run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BAD_VALUES = ["x", 1.5, [], {}, None, True]
@@ -155,6 +156,9 @@ PINNED_ERRORS = {
         "scenario field 'clocks' key 'x' is not a party id in canonical decimal form",
     "votes-key-not-an-integer":
         "certificate field 'votes' key 'abc' is not a party id in canonical decimal form",
+    "votes-entry-not-a-list": "certificate field 'votes' must be a list, not dict",
+    "n-missing": "scenario file has no 'n' field",
+    "t-missing": "scenario file has no 't' field",
     "trace-first-line-not-header": "trace does not start with a header record",
 }
 
@@ -186,8 +190,9 @@ SCENARIO_CASES = {
         behaviors={**d.get("behaviors", {}), "9": {"kind": "silent"}}),
     "leaders-out-of-range": lambda d: d.update(leaders=[7]),
     "proposer_policy-unknown": lambda d: d.update(proposer_policy="bogus"),
-    "n-missing": lambda d: d.pop("n"),
-    "t-missing": lambda d: d.pop("t"),
+    # A new object: `d.pop` would return the value, written as the whole file.
+    "n-missing": lambda d: {key: value for key, value in d.items() if key != "n"},
+    "t-missing": lambda d: {key: value for key, value in d.items() if key != "t"},
 }
 
 
@@ -340,10 +345,13 @@ def test_zeroed_block_step_is_quoted_in_the_error(files, tmp_path, capsys):
 
 
 def _repeat_sightings(records):
-    """Append a second copy of every sight record, in reverse order."""
+    """Add a second copy of every sight record before the summary, in reverse
+    order, with steps above the summary's, so that the steps still rise."""
     sights = [rec for rec in records if rec["kind"] == "sight"]
-    records += [dict(rec) for rec in reversed(sights)]
-    return records[-len(sights)]
+    last = records[-1]["step"]
+    again = [{**rec, "step": last + i} for i, rec in enumerate(reversed(sights), 1)]
+    records[-1:-1] = again
+    return again[0]
 
 
 def _renumber_blocks(records):
@@ -373,6 +381,13 @@ def _redeclare_requests(records):
 
 # The hybrid gate passes when every violation sits in a post-cutoff block.
 TAMPER_MODE = {_flag_blocks_post_cutoff: {"mode": "hybrid", "r_max": 6}}
+# The rule each tamper breaks, as its error names it.
+TAMPER_ERROR = {
+    _repeat_sightings: "repeats an earlier sighting",
+    _renumber_blocks: "is not numbered",
+    _flag_blocks_post_cutoff: "post_cutoff must be",
+    _redeclare_requests: "re-declares",
+}
 
 
 @pytest.mark.parametrize("tamper", [_repeat_sightings, _renumber_blocks,
@@ -395,8 +410,11 @@ def test_tampered_trace_cannot_hide_violations(tmp_path, capsys, tamper):
     _write_lines(path, records)
     capsys.readouterr()
     assert run_command(["audit", str(path)]) == 2
-    # The error quotes the record as the loader read it, keys in file order.
-    assert repr(dict(sorted(offending.items()))) in capsys.readouterr().err
+    # The error names the tamper's rule and quotes the record as the loader
+    # read it, keys in file order.
+    err = capsys.readouterr().err
+    assert TAMPER_ERROR[tamper] in err
+    assert repr(dict(sorted(offending.items()))) in err
 
 
 CHAIN_CASES = {
@@ -407,6 +425,7 @@ CHAIN_CASES = {
     "proposer-negative": lambda lines: lines[1]["certificate"].update(proposer=-1),
     "proposer-true": lambda lines: lines[1]["certificate"].update(proposer=True),
     "votes-key-not-an-integer": lambda lines: lines[1]["certificate"]["votes"].update(abc=[]),
+    "votes-entry-not-a-list": lambda lines: lines[1]["certificate"]["votes"].update({"0": {}}),
 }
 
 

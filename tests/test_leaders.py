@@ -14,7 +14,7 @@ from fairlab.leaders import (
 from fairlab.validity import verify_certificate
 from fairlab.votes import make_vote
 
-from conftest import INSTANCE, req
+from conftest import INSTANCE, req, run
 
 M = {name: req(name) for name in ("m1", "m2", "m3", "m4")}
 RA, RB = req("ra"), req("rb")
@@ -127,7 +127,7 @@ def test_hybrid_benign_matches_neverending(cfg4):
 
 
 def test_hybrid_two_markets_ship_separately(cfg4):
-    from fairlab.fairness import blocks
+    from fairlab.votes import blocks
     state = engine(cfg4, HYBRID, r_max=100)
     for party in range(4):
         # votes for the two markets interleave in every stream
@@ -135,8 +135,8 @@ def test_hybrid_two_markets_ship_separately(cfg4):
         for seq, (r, ts) in enumerate(order):
             ingest(state, party, seq, r, ts=ts)
     # no cross-market blocking exists in either direction
-    assert not blocks(state.store, cfg4, A1.id, B1.id)
-    assert not blocks(state.store, cfg4, B1.id, A1.id)
+    assert not blocks(state.store, A1.id, B1.id)
+    assert not blocks(state.store, B1.id, A1.id)
     first = hybrid_step(state)
     assert first is not None
     delivered = set(first.requests)
@@ -157,8 +157,8 @@ def _grown_candidates(monkeypatch, state):
     grown = []
     closure = leaders._closure
 
-    def recording_closure(state, seed, *args, **kwargs):
-        members, halted, closed = closure(state, seed, *args, **kwargs)
+    def recording_closure(state, seed):
+        members, halted, closed = closure(state, seed)
         grown.append((seed, tuple(members), closed))
         return members, halted, closed
 
@@ -177,7 +177,7 @@ def test_hybrid_candidate_members_block_each_other(cfg4, monkeypatch):
         rng.shuffle(order)
         for seq, r in enumerate(order):
             ingest(state, party, seq, r, ts=(seq + 1) * 10 + party)
-    from fairlab.fairness import blocks
+    from fairlab.votes import blocks
     candidates = _grown_candidates(monkeypatch, state)
     assert candidates
     for seed, members, _ in candidates:
@@ -185,20 +185,20 @@ def test_hybrid_candidate_members_block_each_other(cfg4, monkeypatch):
             if member == seed:
                 continue
             assert any(
-                blocks(state.store, cfg4, member, other)
+                blocks(state.store, member, other)
                 for other in members if other != member
             )
 
 
 def test_closure_closed_flag_matches_brute_force_without_repeat_tests(cfg4, monkeypatch):
     import fairlab.leaders as leaders
-    from fairlab.fairness import blocks
+    from fairlab.votes import blocks
 
     pairs = []
 
-    def counting_blocks(store, cfg, r2, r):
+    def counting_blocks(store, r2, r):
         pairs.append((r2, r))
-        return blocks(store, cfg, r2, r)
+        return blocks(store, r2, r)
 
     def checked_closure(*args, **kwargs):
         pairs.clear()
@@ -225,7 +225,7 @@ def test_closure_closed_flag_matches_brute_force_without_repeat_tests(cfg4, monk
             for seed, members, closed in _grown_candidates(monkeypatch, state):
                 outside = [r for r in store.by_request if r not in members]
                 brute = not any(
-                    blocks(store, cfg4, r, m) for r in outside for m in members
+                    blocks(store, r, m) for r in outside for m in members
                 )
                 assert closed == brute, (trial, r_max, seed, members)
                 seen.add((closed, len(members) > r_max))
@@ -325,7 +325,6 @@ def test_clocked_safety_exhaustive_two_request_enumeration(cfg4):
     # and three clock models, an emitted clocked block never orders a pair
     # against a separating local time.
     import itertools
-    from fairlab.simnet.runner import run
     from fairlab.simnet.scenario import ClockSpec, Scenario
     from fairlab.audit import TraceView, check_timed_fairness
 

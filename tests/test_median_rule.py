@@ -6,13 +6,13 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-import fairlab.fairness
+import fairlab.votes
 from fairlab.core import validate_config
-from fairlab.fairness import median_bounds
 from fairlab.leaders import TIMED_FAIR
 from fairlab.simnet.generators import benign_schedule
 from fairlab.simnet.runner import Simulation
 from fairlab.validity import verify_certificate
+from fairlab.votes import median_bounds
 
 from oracles import lower_median
 
@@ -74,9 +74,9 @@ def test_no_subset_enumeration_at_run_time(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run-time code enumerated timestamp subsets")
 
-    # Set even though fairness imports no combinations: a run-time call to
+    # Set even though votes imports no combinations: a run-time call to
     # one would look this module global up first.
-    monkeypatch.setattr(fairlab.fairness, "combinations", refuse, raising=False)
+    monkeypatch.setattr(fairlab.votes, "combinations", refuse, raising=False)
     # n = 31 and n - t = 21: enumeration would visit 44,352,165 subsets per
     # certificate; the run's Chain.submit calls verify every block.
     cfg, certs = _clocked_benign(31, 12)

@@ -11,11 +11,11 @@ from fairlab.simnet.generators import (
     probabilistic_adversary,
     segment_schedule,
 )
-from fairlab.simnet.runner import Simulation, run
+from fairlab.simnet.runner import Simulation
 from fairlab.simnet.scenario import Scenario, load_scenario, save_scenario
 from fairlab.simnet.trace import Trace
 
-from conftest import records
+from conftest import records, run
 
 
 def sight_orders(scenario):

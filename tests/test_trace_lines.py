@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from fairlab.core import canonical_json
 from fairlab.simnet import trace as trace_module
 from fairlab.simnet.generators import benign_schedule, fuzz_scenario
-from fairlab.simnet.runner import run
 from fairlab.simnet.trace import Trace
 
-from conftest import wrapped_hybrid_scenario
+from conftest import run, wrapped_hybrid_scenario
 from test_acceptance import CFG4
 from test_core import JSON_VALUES, ODD_TEXT
 
@@ -40,19 +39,23 @@ TEMPLATED = tuple(FIELDS)
 def per_copy_record(draw, strings):
     """A record shaped like `deliver`, `ingest` or `vote`, its strings drawn
     from `strings`, left as is, with one value replaced by any JSON value
-    (bools, floats, None, lists, objects), with one key dropped or with one
-    key added."""
+    (bools, floats, None, lists, objects), with one key dropped, with one
+    key added or with one key renamed."""
     values = {"int": _ints, "str": strings,
               "int|null": st.none() | _ints, "str|null": st.none() | strings}
     kind = draw(st.sampled_from(sorted(FIELDS)))
     rec = {"kind": kind, **{key: draw(values[of]) for key, of in FIELDS[kind].items()}}
-    change = draw(st.sampled_from(["none", "value", "drop", "add"]))
+    change = draw(st.sampled_from(["none", "value", "drop", "add", "rename"]))
     if change == "value":
         rec[draw(st.sampled_from(sorted(rec)))] = draw(JSON_VALUES)
     elif change == "drop":
         del rec[draw(st.sampled_from(sorted(rec)))]
     elif change == "add":
         rec[draw(_text.filter(lambda key: key not in rec))] = draw(JSON_VALUES)
+    elif change == "rename":
+        # The runner's key count with a key it lacks: a template's read misses.
+        old = draw(st.sampled_from(sorted(rec)))
+        rec[draw(_text.filter(lambda key: key not in rec))] = rec.pop(old)
     return rec
 
 

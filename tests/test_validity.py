@@ -4,10 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from fairlab.fairness import MedianSummary
 from fairlab.leaders import CLOCKED, NEVERENDING, clocked_step, neverending_step, new_leader
 from fairlab.validity import certificate_from_dict, certificate_to_dict, verify_certificate
-from fairlab.votes import VoteStore, make_vote
+from fairlab.votes import MedianSummary, VoteStore, make_vote
 
 import certutil
 from conftest import INSTANCE, req

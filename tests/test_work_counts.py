@@ -319,7 +319,7 @@ def test_constraint_builders_read_each_sighting_a_few_times(builder):
     requests = 200
     view = TraceView(_nearly_agreeing_trace(7, 2, requests, seed=1))
     reads = {"n": 0}
-    for sightings in (view.pos, view.ts, view.sight_step):
+    for sightings in (view.ts, view.sight_step):
         for party in sightings:
             sightings[party] = _CountedReads(sightings[party], reads)
     constraints = getattr(view, builder)
