@@ -37,8 +37,7 @@ class TraceView:
     def __init__(self, trace: Trace):
         header = trace.header
         cfg = self.cfg = validate_config(header.get("n"), header.get("t"))
-        n = self.n = cfg.n
-        self.t = cfg.t
+        n = cfg.n
         self.mode = header.get("mode")
         if self.mode not in MODES:
             raise ValueError(f"trace header has unknown mode {self.mode!r}")
@@ -46,8 +45,8 @@ class TraceView:
         if not isinstance(corrupt, list) or not all(type(p) is int and 0 <= p < n for p in corrupt):
             raise ValueError(f"trace header 'corrupt' must list party ids in [0, {n}), "
                              f"not {corrupt!r}")
-        if len(set(corrupt)) < len(corrupt) or len(corrupt) > self.t:
-            raise ValueError(f"trace header 'corrupt' must list at most t={self.t} distinct "
+        if len(set(corrupt)) < len(corrupt) or len(corrupt) > cfg.t:
+            raise ValueError(f"trace header 'corrupt' must list at most t={cfg.t} distinct "
                              f"party ids, not {corrupt!r}")
         self.corrupt = set(corrupt)
         self.honest = [p for p in range(n) if p not in self.corrupt]
@@ -110,6 +109,10 @@ class TraceView:
                                      f"record comes before it: {rec!r}")
                 self.blocks.append(rec)
                 for idx, name in enumerate(rec["requests"]):
+                    # A request delivered again would move its position.
+                    if name in self.final_pos:
+                        raise ValueError(f"'block' trace record names a request that an earlier "
+                                         f"'block' record, or itself, already named: {rec!r}")
                     self.final_pos[name] = (number, idx)
             else:  # incarnation
                 self.incarnation_start[rec["block"]] = rec["step"]
@@ -256,7 +259,7 @@ def check_block_fairness(view: TraceView) -> Verdict:
                               "before the incarnation began but not included",
                 })
         # In the block's order, so the report does not hang on the hash seed.
-        for name in dict.fromkeys(block["requests"]):
+        for name in block["requests"]:
             if steps[name][0] >= block["step"]:
                 violations.append({
                     "request": name, "block": number,
@@ -285,10 +288,10 @@ CHECKS = (
     ("absolute_fairness", "absolute fairness", check_absolute_fairness),
     ("strict_relative_fairness", "strict relative (info)", check_strict_relative_fairness),
 )
-# Which checker's verdict gates which mode: block-fair engines owe relative
-# block fairness and the clocked engine owes timed fairness. The hybrid engine
-# (None) owes confinement of relative violations to post-cutoff blocks.
-GATES = {NEVERENDING: check_relative_block_fairness, CLOCKED: check_timed_fairness, HYBRID: None}
+# The report key of the verdict that gates each mode: block-fair engines owe
+# relative block fairness, the clocked engine timed fairness, and the hybrid
+# engine (None) confinement of relative violations to post-cutoff blocks.
+GATES = {NEVERENDING: "relative_block_fairness", CLOCKED: "timed_relative_fairness", HYBRID: None}
 
 
 @dataclass
@@ -324,14 +327,14 @@ class FairnessReport:
 
 def audit_trace(trace: Trace) -> FairnessReport:
     view = TraceView(trace)
-    by_checker = {checker: checker(view) for _, _, checker in CHECKS}
+    verdicts = {key: checker(view) for key, _, checker in CHECKS}
     # TraceView has held each block's post_cutoff to the fallback-enter records.
     confined = all(view.blocks[v["block_r2"]]["post_cutoff"]
-                   for v in by_checker[check_relative_block_fairness].violations)
+                   for v in verdicts["relative_block_fairness"].violations)
     gate = GATES[view.mode]
     return FairnessReport(
         mode=view.mode,
-        verdicts={key: by_checker[checker] for key, _, checker in CHECKS},
+        verdicts=verdicts,
         violations_confined_post_cutoff=confined,
-        gate=confined if gate is None else by_checker[gate].holds,
+        gate=confined if gate is None else verdicts[gate].holds,
     )

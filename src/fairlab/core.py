@@ -71,6 +71,7 @@ PARTY_IDS = {str(p): p for p in range(MAX_PARTIES)}
 
 
 def request_id(market: MarketId, payload: bytes) -> RequestId:
+    """Market names hold no `|`, so no two (market, payload) pairs hash alike."""
     return hashlib.sha256(b"req|" + market.encode("utf-8") + b"|" + payload).hexdigest()
 
 

@@ -85,19 +85,6 @@ class LeaderState:
     max_candidate_order: int = 0
     cutoff_events: int = 0
 
-    # The store's configuration and incarnation, read through rather than copied.
-    @property
-    def cfg(self) -> QuorumConfig:
-        return self.store.cfg
-
-    @property
-    def instance(self) -> str:
-        return self.store.instance
-
-    @property
-    def block_number(self) -> int:
-        return self.store.block
-
 
 def new_leader(cfg: QuorumConfig, mode: str, instance: str, proposer: PartyId,
                requests: Mapping[RequestId, Request], block_number: int = 0, r_max: int = 0,
@@ -139,13 +126,14 @@ def timed_members(store: VoteStore, pivot: MedianSummary,
 # exactly when its distinct voters reach t+1 (n-t): counts only grow, and
 # accept records each threshold as it is crossed.
 
-def _closure(state: LeaderState, seed: RequestId) -> tuple[list[RequestId], bool, bool]:
+def _closure(state: LeaderState, seed: RequestId) -> tuple[list[RequestId], bool]:
     """Grow a candidate from seed: admit, round by round, any outside request
     that still blocks a member and holds a quorum (a weak one for the hybrid
     engine, which also draws the cutoff coin past r_max members, a strong one
     otherwise), and record its order in state.max_candidate_order.
-    Returns (members, halted, closed): halted means the hybrid cutoff fired
-    during growth, closed that no outside request blocks any member.
+    Returns (members, closed): closed means no outside request blocks any
+    member. The coin stops growth only on an admission past r_max, so a
+    candidate it stopped has more than r_max members.
 
     No member needs pruning later: each one blocks a member admitted before
     it. The store does not change within a step, so each outside request is
@@ -157,9 +145,8 @@ def _closure(state: LeaderState, seed: RequestId) -> tuple[list[RequestId], bool
     member_set = {seed}
     # outside request -> number of leading members it does not block
     tested: dict[RequestId, int] = {}
-    halted = False
     changed = True
-    while changed and not halted:
+    while changed:
         changed = False
         for rid in store.by_request:
             if rid in member_set or rid not in quorum:
@@ -170,15 +157,15 @@ def _closure(state: LeaderState, seed: RequestId) -> tuple[list[RequestId], bool
                 changed = True
                 if hybrid and len(members) > state.r_max:
                     state.admissions_past_cutoff += 1
-                    if coin_stop(state.coin_seed, state.block_number,
+                    if coin_stop(state.coin_seed, store.block,
                                  state.admissions_past_cutoff, state.coin_stop_p):
-                        halted = True
+                        changed = False  # the coin stops growth
                         break
             else:
                 tested[rid] = len(members)
     closed = not omits_blocker(store, members, tested)
     state.max_candidate_order = max(state.max_candidate_order, len(members))
-    return members, halted, closed
+    return members, closed
 
 
 def _build_certificate(state: LeaderState, requests: list[RequestId], mode_tag: str,
@@ -188,8 +175,8 @@ def _build_certificate(state: LeaderState, requests: list[RequestId], mode_tag: 
     # The store indexes exactly the requests the cited votes name.
     table = {rid: store.requests[rid] for rid in store.by_request}
     return BlockCertificate(
-        instance=state.instance,
-        block_number=state.block_number,
+        instance=store.instance,
+        block_number=store.block,
         proposer=state.proposer,
         mode_tag=mode_tag,
         requests=tuple(requests),
@@ -224,7 +211,7 @@ def neverending_step(state: LeaderState) -> Optional[BlockCertificate]:
     seed = next(iter(store.strong_at), None)
     if seed is None:
         return None
-    members, _, closed = _closure(state, seed)
+    members, closed = _closure(state, seed)
     if not closed:
         return None
     return _build_certificate(state, members, BLOCK_FAIR, pivot=None)
@@ -236,7 +223,7 @@ def _first_quorum_pivot(state: LeaderState, seed: RequestId) -> MedianSummary:
     """Median of the timestamps in the first strong quorum observed for seed
     (votes_for lists voters in acceptance order). There are exactly n-t of
     them, so `median_bounds`' low and high medians agree."""
-    q = state.cfg.strong_size
+    q = state.store.cfg.strong_size
     ts = tuple(v.ts for v in state.store.votes_for(seed)[:q])
     return MedianSummary(request=seed, timestamps=ts, m_r=median_bounds(ts, q)[0])
 
@@ -253,7 +240,7 @@ def _timed_block(state: LeaderState, pivot: MedianSummary,
 
 
 def clocked_step(state: LeaderState) -> Optional[BlockCertificate]:
-    store, cfg = state.store, state.cfg
+    store = state.store
     seed = next(iter(store.strong_at), None)
     if seed is None:
         return None
@@ -267,7 +254,7 @@ def clocked_step(state: LeaderState) -> Optional[BlockCertificate]:
     for party, log in store.logs.items():
         if not log.invalid and all(party in store.by_request[rid] for rid in low_set):
             covering += 1
-    if covering < cfg.strong_size:
+    if covering < store.cfg.strong_size:
         return None
     # Admission sweeps everything currently known, not just the frozen set:
     # votes that arrived during the coverage wait are part of the cited
@@ -286,12 +273,12 @@ def _hybrid_block_fair(state: LeaderState) -> Optional[BlockCertificate]:
     shipped = None
     crossed = False
     for seed in store.weak_at:
-        members, halted, closed = _closure(state, seed)
+        members, closed = _closure(state, seed)
         # Every shipped member needs a strong quorum behind it or the block
         # certificate cannot carry n-t votes per request.
         if shipped is None and closed and all(m in store.strong_at for m in members):
             shipped = members
-        crossed = halted or len(members) > state.r_max
+        crossed = len(members) > state.r_max
         if crossed:
             break
     if shipped is not None:
@@ -347,18 +334,18 @@ def replay_undelivered(state: LeaderState, next_block: int,
     sequence numbers re-assigned densely from zero. Permanent exclusions and
     the fallback phase carry over, the phase until its snapshot is delivered;
     the vote store itself starts clean."""
-    fresh = VoteStore(state.cfg, state.store.timestamped, state.instance, next_block,
-                      state.store.requests)
-    for party, log in state.store.logs.items():
+    store = state.store
+    fresh = VoteStore(store.cfg, store.timestamped, store.instance, next_block, store.requests)
+    for party, log in store.logs.items():
         seq = 0
         for v in log.accepted:
             if v.request in delivered:
                 continue
-            replayed = make_vote(party, state.instance, next_block, seq, v.ts, v.request)
+            replayed = make_vote(party, store.instance, next_block, seq, v.ts, v.request)
             fresh.ingest(replayed)
             seq += 1
     # The old store already holds every exclusion carried into it.
-    for party, log in state.store.logs.items():
+    for party, log in store.logs.items():
         if log.invalid:
             fresh.mark_invalid(party)
     snapshot = tuple(r for r in state.fallback_snapshot if r not in delivered)

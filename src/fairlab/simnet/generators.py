@@ -135,9 +135,8 @@ def benign_schedule(cfg: QuorumConfig, requests: int = 4, seed: int = 0,
 def probabilistic_adversary(base: Scenario, p: float, seed: int) -> Scenario:
     """Wrap a schedule with probabilistic adversary failures: after every
     adversary action, each pending honest-to-honest message independently
-    delivers with probability p, in a seeded random pool order."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError("delivery probability must be in (0, 1]")
+    delivers with probability p, in a seeded random pool order. Scenario
+    refuses a p outside (0, 1]."""
     return replace(
         base,
         failure_p=p,

@@ -192,28 +192,23 @@ class Scenario:
             raise ValueError("scenario field 'requests' must map request names to markets")
         _utf8("requests name", *self.requests)
         _utf8("requests market", *self.requests.values())
+        for market in self.requests.values():
+            if "|" in market:  # the separator in request_id's hashed bytes
+                raise ValueError(f"scenario field 'requests market' must not contain '|', "
+                                 f"not {market!r}")
         _check_events(self.events, self.n, self.requests)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "mode": self.mode,
-            "r_max": self.r_max,
-            "corrupt": list(self.corrupt),
-            "behaviors": {str(p): asdict(b) for p, b in sorted(self.behaviors.items())},
-            "clocks": {str(p): asdict(c) for p, c in sorted(self.clocks.items())},
-            "leaders": None if self.leaders is None else list(self.leaders),
-            "proposer_policy": self.proposer_policy,
-            "failure_p": self.failure_p,
-            "wrapper_seed": self.wrapper_seed,
-            "coin_stop_p": self.coin_stop_p,
-            "coin_seed": self.coin_seed,
-            "requests": dict(sorted(self.requests.items())),
-            "events": self.events,
-            "generator": self.generator,
-            "label": self.label,
-        }
+        """Every field under its own name; only these five need converting to JSON."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            corrupt=list(self.corrupt),
+            behaviors={str(p): asdict(b) for p, b in sorted(self.behaviors.items())},
+            clocks={str(p): asdict(c) for p, c in sorted(self.clocks.items())},
+            leaders=None if self.leaders is None else list(self.leaders),
+            requests=dict(sorted(self.requests.items())),
+        )
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":

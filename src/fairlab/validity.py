@@ -85,7 +85,8 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         if log.pending:  # the cited history skips a sequence number
             return VerifyOutcome("missing-history")
     for rid, req in table.items():
-        if request_id(req.market, req.payload) != rid:
+        # A market with the separator in it could relabel a request (request_id).
+        if "|" in req.market or request_id(req.market, req.payload) != rid:
             return VerifyOutcome("bad-attestation")
     for rid in cert.requests:
         if rid not in store.strong_at:

@@ -28,7 +28,7 @@ def enumerate_max_median(timestamps, q):
 def recount_block_fairness(view: TraceView) -> Verdict:
     """Block fairness by its first formula: for every (block, request) pair,
     count again the honest parties that sighted the request in time."""
-    quorum = view.n - view.t
+    quorum = view.cfg.n - view.cfg.t
     violations = []
     checked = 0
     for block in view.blocks:

@@ -12,7 +12,7 @@ RA, RB = req("ra"), req("rb")
 
 def _ingest(state, party, seq, request, ts=None):
     state.store.requests[request.id] = request  # the test's own table
-    vote = make_vote(party, state.instance, state.block_number, seq, ts, request.id)
+    vote = make_vote(party, state.store.instance, state.store.block, seq, ts, request.id)
     return state.store.ingest(vote)
 
 
@@ -120,7 +120,7 @@ def test_on_deliver_replays_undelivered(cfg4):
         cert = neverending_step(solo)
     assert chain.submit(cert).ok
     (replayed,) = on_deliver(chain, [state])
-    assert replayed.block_number == 1
+    assert replayed.store.block == 1
     assert list(replayed.store.by_request) == [RB.id]
     assert all(v.seq == 0 for log in replayed.store.logs.values() for v in log.accepted)
 

@@ -199,6 +199,13 @@ def test_gen_fuzz_and_probabilistic(tmp_path):
     assert load_scenario(str(direct)).to_dict() != load_scenario(str(base)).to_dict()
 
 
+@pytest.mark.parametrize("p", ["0", "1.5"])
+def test_gen_probabilistic_refuses_p_outside_the_unit_interval(capsys, p):
+    capsys.readouterr()
+    assert run_command(["gen", "probabilistic", "--p", p]) == 2
+    assert capsys.readouterr().err == "error: delivery probability must be in (0, 1]\n"
+
+
 def test_gen_writes_stdout_without_out(tmp_path, capsys):
     path = tmp_path / "s.json"
     run_command(["gen", "cycle", "--out", str(path)])

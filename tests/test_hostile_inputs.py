@@ -158,6 +158,7 @@ PINNED_ERRORS = {
         "certificate field 'votes' key 'abc' is not a party id in canonical decimal form",
     "votes-entry-not-a-list": "certificate field 'votes' must be a list, not dict",
     "n-missing": "scenario file has no 'n' field",
+    "market-with-separator": "scenario field 'requests market' must not contain '|', not 'a|b'",
     "t-missing": "scenario file has no 't' field",
     "trace-first-line-not-header": "trace does not start with a header record",
 }
@@ -190,6 +191,10 @@ SCENARIO_CASES = {
         behaviors={**d.get("behaviors", {}), "9": {"kind": "silent"}}),
     "leaders-out-of-range": lambda d: d.update(leaders=[7]),
     "proposer_policy-unknown": lambda d: d.update(proposer_policy="bogus"),
+    # Both requests hash b"req|a|b|c" (core.request_id), so one id named two
+    # requests; a run that ships one failed its own audit with exit 2.
+    "market-with-separator": lambda d: d.update(
+        requests={**d["requests"], "b|c": "a", "c": "a|b"}),
     # A new object: `d.pop` would return the value, written as the whole file.
     "n-missing": lambda d: {key: value for key, value in d.items() if key != "n"},
     "t-missing": lambda d: {key: value for key, value in d.items() if key != "t"},
@@ -379,6 +384,14 @@ def _redeclare_requests(records):
     return again[0]
 
 
+def _redeliver_requests(records):
+    """Append every earlier block's requests to the last block, which moves
+    each request's last delivery to that block."""
+    *earlier, last = [rec for rec in records if rec["kind"] == "block"]
+    last["requests"] += [name for rec in earlier for name in rec["requests"]]
+    return last
+
+
 # The hybrid gate passes when every violation sits in a post-cutoff block.
 TAMPER_MODE = {_flag_blocks_post_cutoff: {"mode": "hybrid", "r_max": 6}}
 # The rule each tamper breaks, as its error names it.
@@ -387,17 +400,19 @@ TAMPER_ERROR = {
     _renumber_blocks: "is not numbered",
     _flag_blocks_post_cutoff: "post_cutoff must be",
     _redeclare_requests: "re-declares",
+    _redeliver_requests: "already named",
 }
 
 
 @pytest.mark.parametrize("tamper", [_repeat_sightings, _renumber_blocks,
-                                    _flag_blocks_post_cutoff, _redeclare_requests])
+                                    _flag_blocks_post_cutoff, _redeclare_requests,
+                                    _redeliver_requests])
 def test_tampered_trace_cannot_hide_violations(tmp_path, capsys, tamper):
     # Swapping the first and last blocks' requests breaks relative block
     # fairness (exit 1). Each tamper used to make the same trace pass (exit 0):
     # a repeat of every sighting in reverse order, every block numbered 0,
-    # every block flagged post-cutoff in hybrid mode, or every request
-    # declared again in a market of its own.
+    # every block flagged post-cutoff in hybrid mode, every request declared
+    # again in a market of its own, or every request delivered again last.
     scenario = benign_schedule(validate_config(4, 1), requests=3, seed=4)
     trace = run(dataclasses.replace(scenario, **TAMPER_MODE.get(tamper, {})))
     records = _json_lines("\n".join(trace.lines()))

@@ -27,7 +27,7 @@ def engine(cfg, mode, **kw):
 
 def ingest(state, party, seq, request, ts=None):
     state.store.requests[request.id] = request  # the test's own table
-    vote = make_vote(party, state.instance, state.block_number, seq, ts, request.id)
+    vote = make_vote(party, state.store.instance, state.store.block, seq, ts, request.id)
     return state.store.ingest(vote)
 
 
@@ -158,9 +158,9 @@ def _grown_candidates(monkeypatch, state):
     closure = leaders._closure
 
     def recording_closure(state, seed):
-        members, halted, closed = closure(state, seed)
+        members, closed = closure(state, seed)
         grown.append((seed, tuple(members), closed))
-        return members, halted, closed
+        return members, closed
 
     with monkeypatch.context() as patch:
         patch.setattr(leaders, "_closure", recording_closure)
@@ -242,7 +242,7 @@ def test_replay_preserves_order_and_reindexes(cfg4):
     assert [(v.seq, v.request) for v in log.accepted] == [
         (0, M["m1"].id), (1, M["m3"].id)
     ]
-    assert replayed.block_number == 1
+    assert replayed.store.block == 1
     # everything delivered -> fresh empty state
     empty = replay_undelivered(state, 1, {M["m1"].id, M["m2"].id, M["m3"].id})
     assert not empty.store.by_request
@@ -314,7 +314,7 @@ def test_engine_determinism(cfg4):
             if cert is not None:
                 emitted.append((cert.block_number, cert.mode_tag, cert.requests))
                 delivered |= set(cert.requests)
-                state = replay_undelivered(state, state.block_number + 1, delivered)
+                state = replay_undelivered(state, state.store.block + 1, delivered)
         return emitted
     assert drive() == drive()
 

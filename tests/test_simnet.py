@@ -209,6 +209,18 @@ def test_schedule_rejects_unknown_message(cfg4):
         run(scenario)
 
 
+def test_execute_rejects_an_unknown_action():
+    # Scenario refuses such an event, so only a direct call reaches this check.
+    sim = Simulation(Scenario(n=4, t=1))
+    with pytest.raises(ValueError, match="unknown schedule action 'bogus'"):
+        sim.execute({"a": "bogus"})
+
+
+def test_summary_of_a_trace_without_one_raises():
+    with pytest.raises(ValueError, match="trace has no summary record"):
+        Trace(header={}).summary
+
+
 def test_schedule_delivers_a_pooled_message(cfg4):
     # Party 0's second activation sends its vote for m1, which pools message
     # 0 (to party 1); the schedule then delivers that copy itself.

@@ -2,7 +2,9 @@
 `self.x` attribute assigned in src/fairlab is loaded somewhere in src/ or
 tests/. No accessor is called only by tests: every property defined on a
 class in src/fairlab is loaded somewhere in src/, and every other method is
-called there as `x.name(...)`. No function or class is there only for tests:
+called there as `x.name(...)`, and no property only returns an attribute
+path of self (`self.a.b`), a second name callers can do without. No function
+or class is there only for tests:
 every module-level `def` and `class` in src/fairlab is loaded by bare name in
 its own module or imported by name from it in another module of src/. No
 package `__init__.py` re-exports a name: each holds its docstring and, at the
@@ -117,6 +119,29 @@ def test_every_method_is_called_in_src():
             if name not in (loaded if is_property else called):
                 uncalled.append(f"{path.relative_to(ROOT)}:{line} {cls}.{name}")
     assert not uncalled, uncalled
+
+
+def _aliases_a_path(method: ast.FunctionDef) -> bool:
+    """True iff the body, past a docstring, is only `return self.a.b...`."""
+    body = method.body[1:] if _is_docstring(method.body[0]) else method.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    node, depth = body[0].value, 0
+    while isinstance(node, ast.Attribute):
+        node, depth = node.value, depth + 1
+    return depth >= 2 and isinstance(node, ast.Name) and node.id == "self"
+
+
+def test_no_property_aliases_an_attribute_path():
+    aliases = []
+    for path in sorted((ROOT / "src" / "fairlab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                aliases += [f"{path.relative_to(ROOT)}:{stmt.lineno} {node.name}.{stmt.name}"
+                            for stmt in node.body
+                            if isinstance(stmt, ast.FunctionDef) and _is_property(stmt)
+                            and _aliases_a_path(stmt)]
+    assert not aliases, aliases
 
 
 def test_every_module_level_def_is_used_in_src():

@@ -18,7 +18,7 @@ SA, SB, SC = req("sa"), req("sb"), req("sc")
 
 def _ingest(state, party, seq, request, ts=None):
     state.store.requests[request.id] = request  # the test's own table
-    vote = make_vote(party, state.instance, state.block_number, seq, ts, request.id)
+    vote = make_vote(party, state.store.instance, state.store.block, seq, ts, request.id)
     return state.store.ingest(vote)
 
 
@@ -114,6 +114,26 @@ def test_tampered_request_table_detected(cfg4):
     table[rid] = dataclasses.replace(table[rid], market="other")
     out = verify_certificate(cfg4, dataclasses.replace(cert, request_table=table))
     assert not out.ok and out.reason == "bad-attestation"
+
+
+def test_request_table_cannot_move_a_request_across_the_market_separator(cfg4):
+    # request_id hashes b"req|" + market + b"|" + payload, so market "m" with
+    # payload "x|y" and market "m|x" with payload "y" share one id. Every
+    # party votes r2 before r1, so r2 blocks r1 and a block of r1 alone omits
+    # it; relabeled into a market of its own, r2 used to block nothing and
+    # the block verified.
+    r1, r2 = req("r1"), req("x|y")
+    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0, {})
+    for party in range(cfg4.n):
+        _ingest(state, party, 0, r2)
+        _ingest(state, party, 1, r1)
+    cert = dataclasses.replace(neverending_step(state), requests=(r1.id,))
+    assert verify_certificate(cfg4, cert).reason == "omitted-blocked-request"
+    moved = req("y", market="m|x")
+    assert moved.id == r2.id
+    relabeled = {**cert.request_table, r2.id: moved}
+    out = verify_certificate(cfg4, dataclasses.replace(cert, request_table=relabeled))
+    assert (out.ok, out.reason) == (False, "bad-attestation")
 
 
 def test_honest_clocked_certificate_verifies(cfg4):
