@@ -16,7 +16,7 @@ from functools import cached_property
 from math import inf
 from typing import Callable
 
-from .core import validate_config
+from .core import request_id, validate_config
 from .leaders import CLOCKED, HYBRID, MODES, NEVERENDING
 from .simnet.trace import Trace
 
@@ -83,6 +83,16 @@ class TraceView:
                 if rec["id"] in names or rec["name"] in self.market:
                     raise ValueError(f"'request' trace record re-declares the id or name of "
                                      f"an earlier one: {rec!r}")
+                # As the verifier checks a request table: a relabeled market
+                # would move the request out of its market's constraints.
+                try:
+                    ok = "|" not in rec["market"] and rec["id"] == request_id(
+                        rec["market"], rec["name"].encode("utf-8"))
+                except UnicodeEncodeError:  # a lone surrogate
+                    ok = False
+                if not ok:
+                    raise ValueError(f"'request' trace record's market holds '|' or its id is "
+                                     f"not the digest of its market and name: {rec!r}")
                 names[rec["id"]] = rec["name"]
                 self.market[rec["name"]] = rec["market"]
             elif kind == "sight":
@@ -115,6 +125,11 @@ class TraceView:
                                          f"'block' record, or itself, already named: {rec!r}")
                     self.final_pos[name] = (number, idx)
             else:  # incarnation
+                # The runner starts each incarnation right after its block.
+                if rec["block"] != len(self.blocks):
+                    raise ValueError(f"'incarnation' trace record's block must be "
+                                     f"{len(self.blocks)}, the number of 'block' records "
+                                     f"before it: {rec!r}")
                 self.incarnation_start[rec["block"]] = rec["step"]
         # A block may name a request declared further down: a trace whose
         # blocks swapped their requests is well formed, and its audit fails.
@@ -299,18 +314,19 @@ class FairnessReport:
     mode: str
     verdicts: dict[str, Verdict]  # by report key, in CHECKS order
     violations_confined_post_cutoff: bool
-    gate: bool  # the mode's gating verdict holds
 
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
             **{key: verdict.to_dict() for key, verdict in self.verdicts.items()},
             "violations_confined_post_cutoff": self.violations_confined_post_cutoff,
-            "gate_ok": self.gate,
+            "gate_ok": self.gate_ok(),
         }
 
     def gate_ok(self) -> bool:
-        return self.gate
+        """The mode's gating verdict holds."""
+        gate = GATES[self.mode]
+        return self.violations_confined_post_cutoff if gate is None else self.verdicts[gate].holds
 
     def render_text(self) -> str:
         rows = [f"fairness report (mode={self.mode})"]
@@ -320,7 +336,7 @@ class FairnessReport:
             rows.append(f"  {label:<28} {status:<16} [{verdict.constraint_count} constraints]")
         rows += [
             f"  violations confined post-cutoff: {self.violations_confined_post_cutoff}",
-            f"  gate: {'ok' if self.gate else 'FAIL'}",
+            f"  gate: {'ok' if self.gate_ok() else 'FAIL'}",
         ]
         return "\n".join(rows)
 
@@ -331,10 +347,8 @@ def audit_trace(trace: Trace) -> FairnessReport:
     # TraceView has held each block's post_cutoff to the fallback-enter records.
     confined = all(view.blocks[v["block_r2"]]["post_cutoff"]
                    for v in verdicts["relative_block_fairness"].violations)
-    gate = GATES[view.mode]
     return FairnessReport(
         mode=view.mode,
         verdicts=verdicts,
         violations_confined_post_cutoff=confined,
-        gate=confined if gate is None else verdicts[gate].holds,
     )

@@ -30,7 +30,7 @@ from .simnet.generators import (
     segment_schedule,
 )
 from .simnet.runner import Simulation
-from .simnet.scenario import Scenario, load_scenario, save_scenario
+from .simnet.scenario import Scenario, load_scenario, scenario_text
 from .simnet.trace import Trace
 from .validity import certificate_from_dict, uint64
 
@@ -118,25 +118,18 @@ def _run(args: argparse.Namespace) -> int:
             header = canonical_json({"kind": "chain-header", "n": scenario.n, "t": scenario.t})
             fh.write("\n".join([header] + sim.chain_lines()) + "\n")
     summary = trace.summary
-    if args.format == "structured":
-        print(json.dumps({"summary": summary, "report": report.to_dict()}, sort_keys=True))
-    else:
-        print(f"run {scenario.label or args.scenario}: "
-              f"{summary['blocks']} blocks, {summary['delivered']} delivered, "
-              f"{summary['pending']} pending, max candidate order "
-              f"{summary['max_candidate_order']}, steps {summary['elapsed_steps']}")
-        print(report.render_text())
-    return 0 if report.gate_ok() else GATE_ERROR
+    return _report(args, report.gate_ok(), {"summary": summary, "report": report.to_dict()},
+                   f"run {scenario.label or args.scenario}: "
+                   f"{summary['blocks']} blocks, {summary['delivered']} delivered, "
+                   f"{summary['pending']} pending, max candidate order "
+                   f"{summary['max_candidate_order']}, steps {summary['elapsed_steps']}\n"
+                   + report.render_text())
 
 
 def _audit(args: argparse.Namespace) -> int:
     trace = Trace.load(args.trace)
     report = audit_trace(trace)
-    if args.format == "structured":
-        print(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        print(report.render_text())
-    return 0 if report.gate_ok() else GATE_ERROR
+    return _report(args, report.gate_ok(), report.to_dict(), report.render_text())
 
 
 def _verify(args: argparse.Namespace) -> int:
@@ -163,14 +156,16 @@ def _verify(args: argparse.Namespace) -> int:
         results.append({"number": number, "status": INVALID if reason else VALID,
                         "reason": reason})
     all_ok = all(row["status"] == VALID for row in results)
-    if args.format == "structured":
-        print(json.dumps({"blocks": results, "ok": all_ok}, sort_keys=True))
-    else:
-        for row in results:
-            suffix = "" if row["reason"] is None else f" ({row['reason']})"
-            print(f"block {row['number']}: {row['status']}{suffix}")
-        print(f"chain: {'ok' if all_ok else 'INVALID'}")
-    return 0 if all_ok else GATE_ERROR
+    rows = [f"block {row['number']}: {row['status']}"
+            + ("" if row["reason"] is None else f" ({row['reason']})") for row in results]
+    return _report(args, all_ok, {"blocks": results, "ok": all_ok},
+                   "\n".join(rows + [f"chain: {'ok' if all_ok else 'INVALID'}"]))
+
+
+def _report(args: argparse.Namespace, ok: bool, payload: dict, text: str) -> int:
+    """Print a command's result as `payload` in JSON or as `text`; exit 0 when ok."""
+    print(json.dumps(payload, sort_keys=True) if args.format == "structured" else text)
+    return 0 if ok else GATE_ERROR
 
 
 def run_command(argv: Optional[list[str]] = None) -> int:
@@ -181,11 +176,12 @@ def run_command(argv: Optional[list[str]] = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         if args.command == "gen":
-            scenario = _generate(args)
+            text = scenario_text(_generate(args))
             if args.out:
-                save_scenario(scenario, args.out)
+                with open(args.out, "w") as fh:
+                    fh.write(text)
             else:
-                print(json.dumps(scenario.to_dict(), indent=2, sort_keys=True))
+                sys.stdout.write(text)
             return 0
         if args.command == "run":
             return _run(args)

@@ -24,6 +24,11 @@ def _request_names(count: int) -> list[str]:
     return [f"m{i + 1}" for i in range(count)]
 
 
+def _markets(names: list[str], markets: int, rng: random.Random) -> dict[str, str]:
+    """Each name's market: MARKET, or one of `markets` drawn from rng when there are several."""
+    return {name: (MARKET if markets <= 1 else f"m{rng.randrange(markets)}") for name in names}
+
+
 def cycle_schedule(cfg: QuorumConfig) -> Scenario:
     """Party i sees the n requests in rotation starting at its own index;
     all votes are relayed only after every sighting has happened."""
@@ -109,10 +114,7 @@ def benign_schedule(cfg: QuorumConfig, requests: int = 4, seed: int = 0,
     is injected and votes flow promptly."""
     names = _request_names(requests)
     rng = random.Random(seed)
-    market_of = {
-        name: (MARKET if markets <= 1 else f"m{rng.randrange(markets)}")
-        for name in names
-    }
+    market_of = _markets(names, markets, rng)
     events: list[dict] = []
     for name in names:
         order = list(range(cfg.n))
@@ -160,10 +162,7 @@ def fuzz_scenario(seed: int, n: int = 4, t: int = 1, mode: str = "neverending",
     count = rng.randint(2, 10)
     names = _request_names(count)
     markets = 1 if rng.random() < 0.7 else 2
-    market_of = {
-        name: (MARKET if markets == 1 else f"m{rng.randrange(markets)}")
-        for name in names
-    }
+    market_of = _markets(names, markets, rng)
     corrupt_count = rng.randint(0, t)
     corrupt = tuple(sorted(rng.sample(range(n), corrupt_count)))
     behaviors = {

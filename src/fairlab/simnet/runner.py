@@ -101,15 +101,9 @@ class _Party:
     def has_unsent(self) -> bool:
         return any(s.unsent for s in self.streams)
 
-    def next_incarnation(self, delivered: Container[RequestId]) -> None:
-        for stream in self.streams:
-            stream.next_incarnation(delivered)
-
 
 class Simulation:
     def __init__(self, scenario: Scenario):
-        if not scenario.events and scenario.generator is not None:
-            raise ValueError("generator scenario was saved without materialized events")
         self.sc = scenario
         self.cfg = validate_config(scenario.n, scenario.t)
         digest = scenario.digest()  # encodes and hashes every event: taken once
@@ -223,18 +217,19 @@ class Simulation:
                 self.pool[mid] = Msg(recipient, vote, tag)
                 if self.rng is not None:
                     self.pool_order.insert(self.rng.randrange(len(self.pool_order) + 1), mid)
-            # A leader ingests its own vote directly.
-            if party.pid in self.engines:
-                outcome = self.engines[party.pid].store.ingest(vote)
-                self._rec_ingest(party.pid, vote, outcome)
+            self._ingest(party.pid, vote)  # a leader ingests its own vote directly
         stream.unsent = []
 
-    def _rec_ingest(self, leader: PartyId, vote: Vote, outcome) -> None:
+    def _ingest(self, pid: PartyId, vote: Vote) -> None:
+        """Hand a vote to the party's store when it leads, and record the outcome."""
+        if pid not in self.engines:
+            return
+        outcome = self.engines[pid].store.ingest(vote)
         if outcome.reason == "duplicate":
             return  # incarnation re-sends produce these in bulk
         # The commonest records are built as literals, without `_rec`'s kwargs.
         self.trace.records.append({
-            "kind": "ingest", "step": self.step_no, "leader": leader,
+            "kind": "ingest", "step": self.step_no, "leader": pid,
             "party": vote.signer, "seq": vote.seq, "request": vote.request,
             "status": outcome.status, "reason": outcome.reason})
         self.step_no += 1
@@ -251,9 +246,7 @@ class Simulation:
         self.step_no += 1
         if req.id not in recipient.seen:
             self._sight(recipient, req, "relay")
-        if msg.recipient in self.engines:
-            outcome = self.engines[msg.recipient].store.ingest(vote)
-            self._rec_ingest(msg.recipient, vote, outcome)
+        self._ingest(msg.recipient, vote)
 
     # -- schedule execution ---------------------------------------------------
 
@@ -379,7 +372,8 @@ class Simulation:
             if before.fallback_snapshot and not self.engines[pid].fallback_snapshot:
                 self._rec("engine", leader=pid, event="fallback-exit")
         for party in self.parties:
-            party.next_incarnation(self.chain.delivered)
+            for stream in party.streams:
+                stream.next_incarnation(self.chain.delivered)
         self._stepped_version.clear()
         self._rec("incarnation", block=self.chain.next_number)
 
@@ -394,19 +388,14 @@ class Simulation:
 
     def drain(self) -> None:
         self._rec("checkpoint", label="drain")
-        while True:
+        while self.pool or any(p.has_unsent() for p in self.parties):
             self.action_index += 1
-            moved = False
             for party in self.parties:
                 if party.has_unsent():
                     self._activate(party)
-                    moved = True
             for mid in list(self.pool):
                 self._deliver(mid, "drain")
-                moved = True
             self._step_leaders()
-            if not moved and not any(p.has_unsent() for p in self.parties):
-                return
 
     def finish(self) -> Trace:
         delivered = self.chain.delivered

@@ -197,6 +197,8 @@ class Scenario:
                 raise ValueError(f"scenario field 'requests market' must not contain '|', "
                                  f"not {market!r}")
         _check_events(self.events, self.n, self.requests)
+        if not self.events and self.generator is not None:
+            raise ValueError("generator scenario was saved without materialized events")
 
     def to_dict(self) -> dict:
         """Every field under its own name; only these five need converting to JSON."""
@@ -239,10 +241,9 @@ def instance_of(digest: str) -> str:
     return digest[:12]
 
 
-def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def scenario_text(scenario: Scenario) -> str:
+    """A scenario file's content: indented sorted-key JSON and a final newline."""
+    return json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def load_scenario(path: str) -> Scenario:

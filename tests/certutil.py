@@ -15,13 +15,10 @@ def _rebuild(cert, votes_by_party=None, requests=None):
     )
 
 
-def _resign(vote, ts=None, seq=None):
-    return make_vote(
-        vote.signer, vote.instance, vote.block,
-        vote.seq if seq is None else seq,
-        vote.ts if ts is None else ts,
-        vote.request,
-    )
+def resign(vote, **fields):
+    """`vote` with some signed fields changed, signed again by its signer."""
+    v = dataclasses.replace(vote, **fields)
+    return make_vote(v.signer, v.instance, v.block, v.seq, v.ts, v.request)
 
 
 def member_vote_count(cert, member):
@@ -104,8 +101,8 @@ def invert_timestamps(cert):
         a, b = votes[-2], votes[-1]
         if a.ts == b.ts:
             continue
-        votes[-2] = _resign(a, ts=b.ts)
-        votes[-1] = _resign(b, ts=a.ts)
+        votes[-2] = resign(a, ts=b.ts)
+        votes[-1] = resign(b, ts=a.ts)
         votes_by_party = dict(cert.votes_by_party)
         votes_by_party[party] = tuple(votes)
         return _rebuild(cert, votes_by_party=votes_by_party), party, len(votes) - 2

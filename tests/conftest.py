@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 
 import pytest
 
 from fairlab.core import make_request, validate_config
+from fairlab.leaders import new_leader
 from fairlab.simnet.generators import probabilistic_adversary, segment_schedule
 from fairlab.simnet.runner import Simulation
 from fairlab.votes import VoteStore, make_vote
@@ -22,6 +24,15 @@ def cfg7():
 
 def req(name, market="m"):
     return make_request(market, name.encode())
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def engine(cfg, mode, proposer=0, **kw):
+    """A leader engine over a request table of the test's own, which `cast` fills."""
+    return new_leader(cfg, mode, INSTANCE, proposer, {}, **kw)
 
 
 def new_store(cfg, timestamped=False, block=0):

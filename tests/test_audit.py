@@ -16,7 +16,7 @@ from fairlab.simnet.runner import Simulation
 from fairlab.simnet.scenario import Scenario
 from fairlab.simnet.trace import Trace
 
-from conftest import records, run, wrapped_hybrid_scenario
+from conftest import records, req, run, wrapped_hybrid_scenario
 from oracles import header_constraints, oracle_constraints, recount_block_fairness
 
 
@@ -124,9 +124,7 @@ def test_block_fairness_flags_unseen_member(cfg4):
         if rec.get("kind") == "request":
             ghost_base = rec
             break
-    ghost = dict(ghost_base)
-    ghost["id"] = "f" * 64
-    ghost["name"] = "ghost"
+    ghost = {**ghost_base, "id": req("ghost", ghost_base["market"]).id, "name": "ghost"}
     blocks = [r for r in lines if r.get("kind") == "block"]
     blocks[0]["requests"] = blocks[0]["requests"] + ["ghost"]
     lines.insert(1, ghost)

@@ -4,7 +4,6 @@
 from these pins; this test fails the same drift without running it. Both
 files are only read here."""
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -18,11 +17,9 @@ from perfbench import workloads  # noqa: E402
 
 from fairlab.simnet.runner import Simulation  # noqa: E402
 
+from conftest import sha256  # noqa: E402
+
 PINNED = json.loads((PERFBENCH / "pinned.json").read_text())
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
@@ -34,6 +31,6 @@ def test_seed0_digests_match_the_bench_pins(workload):
         sim = Simulation(scenario)
         trace = sim.run()
         got.append({"label": scenario.label, "instance": scenario.instance,
-                    "trace_sha256": _sha256(trace.to_text()),
-                    "chain_sha256": _sha256("\n".join(sim.chain_lines()))})
+                    "trace_sha256": sha256(trace.to_text()),
+                    "chain_sha256": sha256("\n".join(sim.chain_lines()))})
     assert got == pins["scenarios"]

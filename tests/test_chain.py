@@ -1,25 +1,19 @@
 import dataclasses
 
 from fairlab.chain import ACCEPTED, EQUIVOCATION, REJECTED, Chain, on_deliver
-from fairlab.leaders import NEVERENDING, neverending_step, new_leader
+from fairlab.leaders import NEVERENDING, neverending_step
 from fairlab.validity import certificate_from_dict, certificate_to_dict
-from fairlab.votes import make_vote
 
-from conftest import INSTANCE, req
+import certutil
+from conftest import cast, engine, req
 
 RA, RB = req("ra"), req("rb")
 
 
-def _ingest(state, party, seq, request, ts=None):
-    state.store.requests[request.id] = request  # the test's own table
-    vote = make_vote(party, state.store.instance, state.store.block, seq, ts, request.id)
-    return state.store.ingest(vote)
-
-
 def _single_request_state(cfg, request, proposer=0):
-    state = new_leader(cfg, NEVERENDING, INSTANCE, proposer, {})
+    state = engine(cfg, NEVERENDING, proposer)
     for party in range(cfg.n):
-        _ingest(state, party, 0, request)
+        cast(state.store, party, 0, request)
     return state
 
 
@@ -97,21 +91,16 @@ def test_duplicate_request_rejected(cfg4):
 
 def _rebless(cert, block):
     # re-sign the cited votes for the new height so only the duplication fails
-    votes_by_party = {
-        p: tuple(
-            make_vote(v.signer, v.instance, block, v.seq, v.ts, v.request)
-            for v in votes
-        )
-        for p, votes in cert.votes_by_party.items()
-    }
+    votes_by_party = {p: tuple(certutil.resign(v, block=block) for v in votes)
+                      for p, votes in cert.votes_by_party.items()}
     return dataclasses.replace(cert, block_number=block, votes_by_party=votes_by_party)
 
 
 def test_on_deliver_replays_undelivered(cfg4):
-    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0, {})
+    state = engine(cfg4, NEVERENDING)
     for party in range(4):
-        _ingest(state, party, 0, RA)
-        _ingest(state, party, 1, RB)
+        cast(state.store, party, 0, RA)
+        cast(state.store, party, 1, RB)
     cert = neverending_step(state)
     chain = Chain(cfg4)
     # the neverending closure ships both; craft a chain where only ra landed
@@ -126,11 +115,11 @@ def test_on_deliver_replays_undelivered(cfg4):
 
 
 def test_consecutive_deliveries_equal_union_replay(cfg4):
-    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0, {})
+    state = engine(cfg4, NEVERENDING)
     requests = [req(f"x{i}") for i in range(4)]
     for party in range(4):
         for seq, r in enumerate(requests):
-            _ingest(state, party, seq, r)
+            cast(state.store, party, seq, r)
     from fairlab.leaders import replay_undelivered
     one = replay_undelivered(
         replay_undelivered(state, 1, {requests[0].id}), 2,
@@ -150,10 +139,10 @@ def test_chain_invariants(cfg4):
     chain = Chain(cfg4)
     a = _single_request_state(cfg4, RA)
     assert chain.submit(neverending_step(a)).ok
-    b = new_leader(cfg4, NEVERENDING, INSTANCE, 1, {}, block_number=1)
+    b = engine(cfg4, NEVERENDING, 1, block_number=1)
     b.store.block = 1
     for party in range(4):
-        _ingest(b, party, 0, RB)
+        cast(b.store, party, 0, RB)
     assert chain.submit(neverending_step(b)).ok
     numbers = [cert.block_number for cert in chain.blocks]
     assert numbers == [0, 1]
@@ -166,14 +155,13 @@ def test_chain_invariants(cfg4):
 
 def test_external_validity_under_adversarial_submissions(cfg4):
     # the chain never stores a certificate the verifiers reject
-    import certutil
     from fairlab.validity import verify_certificate
 
-    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0, {})
+    state = engine(cfg4, NEVERENDING)
     names = ("ra", "rb")
     for party in range(4):
         for seq, name in enumerate(names):
-            _ingest(state, party, seq, req(name))
+            cast(state.store, party, seq, req(name))
     honest = neverending_step(state)
     chain = Chain(cfg4)
     hostile = [

@@ -74,21 +74,6 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_flags_tampered_chain(tmp_path, capsys):
-    scenario = tmp_path / "s.json"
-    chain = tmp_path / "c.jsonl"
-    run_command(["gen", "benign", "--requests", "2", "--seed", "1", "--out", str(scenario)])
-    run_command(["run", str(scenario), "--chain", str(chain)])
-    lines = chain.read_text().splitlines()
-    entry = json.loads(lines[1])
-    entry["certificate"]["requests"] = []
-    lines[1] = json.dumps(entry, sort_keys=True)
-    chain.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert run_command(["verify", str(chain)]) == 1
-    assert "empty-block" in capsys.readouterr().out
-
-
 def _chain_with(tmp_path, edit):
     """Run a benign scenario to a chain file, then rewrite its lines with
     `edit(lines)`, where lines[0] is the header and lines[1:] the blocks."""
@@ -116,6 +101,13 @@ def _edit_certificate(change):
         change(entry["certificate"])
         lines[1] = json.dumps(entry, sort_keys=True)
     return edit
+
+
+def test_verify_flags_tampered_chain(tmp_path, capsys):
+    chain = _chain_with(tmp_path, _edit_certificate(lambda c: c.update(requests=[])))
+    capsys.readouterr()
+    assert run_command(["verify", str(chain)]) == 1
+    assert "empty-block" in capsys.readouterr().out
 
 
 def _set_first_vote_seq(cert, seq):
@@ -204,6 +196,18 @@ def test_gen_probabilistic_refuses_p_outside_the_unit_interval(capsys, p):
     capsys.readouterr()
     assert run_command(["gen", "probabilistic", "--p", p]) == 2
     assert capsys.readouterr().err == "error: delivery probability must be in (0, 1]\n"
+
+
+def test_gen_probabilistic_refuses_a_base_without_events(tmp_path, capsys):
+    # The wrapper used to write such a base out (exit 0) for `run` to refuse.
+    base, out = tmp_path / "b.json", tmp_path / "s.json"
+    run_command(["gen", "segments", "--out", str(base)])
+    base.write_text(json.dumps({**json.loads(base.read_text()), "events": []}))
+    capsys.readouterr()
+    assert run_command(["gen", "probabilistic", "--base", str(base), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: generator scenario was saved without "
+                                       "materialized events\n")
+    assert not out.exists()
 
 
 def test_gen_writes_stdout_without_out(tmp_path, capsys):

@@ -15,7 +15,6 @@ protocol change and comes with new pins.
 """
 
 import dataclasses
-import hashlib
 
 import pytest
 
@@ -23,6 +22,7 @@ from fairlab.simnet.generators import benign_schedule, fuzz_scenario, probabilis
 from fairlab.simnet.runner import Simulation
 from fairlab.simnet.scenario import BehaviorSpec
 
+from conftest import sha256
 from test_acceptance import CFG4, _golden_suite
 
 # Escaped by the line encoding: non-ASCII (one astral, as a surrogate pair),
@@ -122,16 +122,9 @@ PINNED = {
 }
 
 
-def _sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @pytest.mark.parametrize("scenario", _scenarios(), ids=lambda sc: sc.label)
 def test_trace_and_chain_digests_pinned(scenario):
     sim = Simulation(scenario)
-    for event in scenario.events:
-        sim.execute(event)
-    sim.drain()
-    trace = sim.finish()
-    digests = (_sha256(trace.to_text()), _sha256("\n".join(sim.chain_lines())))
+    trace = sim.run()
+    digests = (sha256(trace.to_text()), sha256("\n".join(sim.chain_lines())))
     assert digests == PINNED[scenario.label]

@@ -64,9 +64,10 @@ def files(tmp_path_factory):
     return {kind: path.read_text() for kind, path in paths.items()}
 
 
-def _exit_code(capsys, argv, case, error=None):
+def _exit_code(capsys, argv, case, error=None, quoted=None):
     """Run the CLI; exit 2 must come with exactly one `error:` line. Given an
-    `error` message, the run must exit 2 with it."""
+    `error` message, the run must exit 2 with it; given `quoted`, a (start,
+    record) pair, with a message that starts so and ends quoting the record."""
     capsys.readouterr()
     code = run_command(argv)
     err = capsys.readouterr().err
@@ -75,6 +76,10 @@ def _exit_code(capsys, argv, case, error=None):
         assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
     if error is not None:
         assert (code, err) == (2, f"error: {error}\n"), (case, code, err)
+    if quoted is not None:
+        start, record = quoted
+        assert code == 2 and err.startswith(f"error: {start}"), (case, code, err)
+        assert err.endswith(f"{dict(sorted(record.items()))!r}\n"), (case, err)
     return code
 
 
@@ -160,7 +165,30 @@ PINNED_ERRORS = {
     "n-missing": "scenario file has no 'n' field",
     "market-with-separator": "scenario field 'requests market' must not contain '|', not 'a|b'",
     "t-missing": "scenario file has no 't' field",
+    "scenario-mode-unknown":
+        "unknown mode 'bogus', expected one of ('neverending', 'clocked', 'hybrid')",
+    "generator-without-events": "generator scenario was saved without materialized events",
     "trace-first-line-not-header": "trace does not start with a header record",
+    # n=4, t=1: the error quotes the impossible set.
+    "header-corrupt-repeated":
+        "trace header 'corrupt' must list at most t=1 distinct party ids, not [0, 0]",
+    "header-corrupt-over-budget":
+        "trace header 'corrupt' must list at most t=1 distinct party ids, not [0, 1]",
+    "header-corrupt-everyone":
+        "trace header 'corrupt' must list at most t=1 distinct party ids, not [0, 1, 2, 3]",
+}
+# The start of each message that quotes a trace record, and the kind of the
+# record it quotes: the first of that kind in the edited file.
+QUOTED_ERRORS = {
+    "sight-party-out-of-range": ("'sight' trace record names a party outside [0, 4)", "sight"),
+    "sight-request-undeclared": ("'sight' trace record names a party outside [0, 4)", "sight"),
+    "block-request-undeclared": ("'block' trace record names a request no 'request' record "
+                                 "declares", "block"),
+    "block-steps-zeroed": ("'block' trace record's step must be above", "block"),
+    "incarnation-block-shifted": ("'incarnation' trace record's block must be 1,",
+                                  "incarnation"),
+    "request-name-lone-surrogate": ("'request' trace record's market holds '|' or its id is "
+                                    "not the digest", "request"),
 }
 
 # Each mutates the scenario object in place, or returns the file's new content.
@@ -191,6 +219,10 @@ SCENARIO_CASES = {
         behaviors={**d.get("behaviors", {}), "9": {"kind": "silent"}}),
     "leaders-out-of-range": lambda d: d.update(leaders=[7]),
     "proposer_policy-unknown": lambda d: d.update(proposer_policy="bogus"),
+    # An unknown mode used to exit 2 as well, with "engine is not in hybrid mode".
+    "scenario-mode-unknown": lambda d: d.update(mode="bogus"),
+    # `fairlab run` refused this, and `gen probabilistic --base` wrote it out.
+    "generator-without-events": lambda d: d.update(events=[]),
     # Both requests hash b"req|a|b|c" (core.request_id), so one id named two
     # requests; a run that ships one failed its own audit with exit 2.
     "market-with-separator": lambda d: d.update(
@@ -223,16 +255,6 @@ def test_scenario_defaults_and_unknown_keys(files):
     assert Scenario.from_dict({**sparse, "comment": "x"}).digest() == full.digest()
 
 
-def test_unknown_mode_is_named_in_the_error(files, tmp_path, capsys):
-    # Exit 2 alone is no check: an unknown mode used to exit 2 as well, with
-    # "engine is not in hybrid mode".
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({**json.loads(files["scenario"]), "mode": "bogus"}))
-    capsys.readouterr()
-    assert run_command(["run", str(path)]) == 2
-    assert "'bogus'" in capsys.readouterr().err
-
-
 def test_repeated_corrupt_id_is_named_in_the_error(files, tmp_path, capsys):
     # The same file with the id once runs; with it twice the error says why.
     path = tmp_path / "s.json"
@@ -255,7 +277,9 @@ TRACE_CASES = {
     "trace-first-line-not-header": lambda lines: lines.pop(0),
     "header-n-string": lambda lines: lines[0].update(n="4"),
     "header-corrupt-int": lambda lines: lines[0].update(corrupt=5),
-    # n=4, t=1: a repeated id, more than t ids, and every party.
+    # n=4, t=1: a repeated id, more than t ids, and every party. The auditor
+    # used to give a verdict on the first two against a smaller honest set
+    # and fail on the third with `min() arg is an empty sequence`.
     "header-corrupt-repeated": lambda lines: lines[0].update(corrupt=[0, 0]),
     "header-corrupt-over-budget": lambda lines: lines[0].update(corrupt=[0, 1]),
     "header-corrupt-everyone": lambda lines: lines[0].update(corrupt=[0, 1, 2, 3]),
@@ -264,9 +288,11 @@ TRACE_CASES = {
     "sight-ts-string": lambda lines: _first_of_kind(lines, "sight").update(ts="x"),
     "block-requests-int": lambda lines: _first_of_kind(lines, "block").update(requests=5),
     "block-post-cutoff-int": lambda lines: _first_of_kind(lines, "block").update(post_cutoff=0),
+    # The auditor used to fail on these two with the bare KeyError text, `error: 9`.
     "sight-party-out-of-range": lambda lines: _first_of_kind(lines, "sight").update(party=9),
     "sight-request-undeclared": lambda lines: _first_of_kind(lines, "sight").update(
         request="0" * 64),
+    # The auditor used to take the unknown name as never sighted, exit 0 or 1.
     "block-request-undeclared": lambda lines: _first_of_kind(lines, "block").update(
         requests=["zzz"]),
     # Every block before its requests' sightings: block fairness used to
@@ -274,6 +300,12 @@ TRACE_CASES = {
     "block-steps-zeroed": lambda lines: [rec.update(step=0) for rec in lines
                                          if rec["kind"] == "block"],
     "sight-step-repeated": lambda lines: _second_sight_at_the_first_step(lines),
+    # Block fairness reads each incarnation's start by its block number.
+    "incarnation-block-shifted": lambda lines: [rec.update(block=rec["block"] + 1000)
+                                                for rec in lines if rec["kind"] == "incarnation"],
+    # Not the bare codec text: a name that does not encode has no request id.
+    "request-name-lone-surrogate": lambda lines: _first_of_kind(lines, "request").update(
+        name="\ud800"),
 }
 
 
@@ -292,61 +324,9 @@ def test_malformed_trace_exits_two(files, tmp_path, capsys, case):
     TRACE_CASES[case](lines)
     path = tmp_path / "t.jsonl"
     _write_lines(path, lines)
-    assert _exit_code(capsys, ["audit", str(path)], case, PINNED_ERRORS.get(case)) == 2
-
-
-@pytest.mark.parametrize("case", ["sight-party-out-of-range", "sight-request-undeclared"])
-def test_bad_sight_record_is_named_in_the_error(files, tmp_path, capsys, case):
-    # The auditor used to fail on these with the bare KeyError text, `error: 9`.
-    lines = _json_lines(files["trace"])
-    TRACE_CASES[case](lines)
-    path = tmp_path / "t.jsonl"
-    _write_lines(path, lines)
-    capsys.readouterr()
-    assert run_command(["audit", str(path)]) == 2
-    assert "'sight' trace record" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("case", ["header-corrupt-repeated", "header-corrupt-over-budget",
-                                  "header-corrupt-everyone"])
-def test_impossible_corruption_set_is_quoted_in_the_error(files, tmp_path, capsys, case):
-    # The auditor used to give a verdict on the first two against a smaller
-    # honest set (exit 0 and 1 on this trace) and fail on the third with
-    # `min() arg is an empty sequence`.
-    lines = _json_lines(files["trace"])
-    assert (lines[0]["n"], lines[0]["t"]) == (4, 1)
-    TRACE_CASES[case](lines)
-    path = tmp_path / "t.jsonl"
-    _write_lines(path, lines)
-    capsys.readouterr()
-    assert run_command(["audit", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"not {lines[0]['corrupt']!r}" in err
-
-
-def test_block_of_undeclared_requests_is_quoted_in_the_error(files, tmp_path, capsys):
-    # The auditor used to take the unknown name as never sighted and give a
-    # verdict on it, exit 0 or 1.
-    lines = _json_lines(files["trace"])
-    TRACE_CASES["block-request-undeclared"](lines)
-    path = tmp_path / "t.jsonl"
-    _write_lines(path, lines)
-    capsys.readouterr()
-    assert run_command(["audit", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "'block' trace record" in err and "'zzz'" in err
-
-
-def test_zeroed_block_step_is_quoted_in_the_error(files, tmp_path, capsys):
-    lines = _json_lines(files["trace"])
-    TRACE_CASES["block-steps-zeroed"](lines)
-    path = tmp_path / "t.jsonl"
-    _write_lines(path, lines)
-    capsys.readouterr()
-    assert run_command(["audit", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "'block' trace record's step must be above" in err
-    assert repr(_first_of_kind(lines, "block")) in err
+    start, kind = QUOTED_ERRORS.get(case, (None, None))
+    quoted = None if kind is None else (start, _first_of_kind(lines, kind))
+    assert _exit_code(capsys, ["audit", str(path)], case, PINNED_ERRORS.get(case), quoted) == 2
 
 
 def _repeat_sightings(records):
@@ -384,6 +364,15 @@ def _redeclare_requests(records):
     return again[0]
 
 
+def _relabel_markets(records):
+    """Move every request into a market of its own, under its old id, which
+    leaves no two requests in one market."""
+    requests = [rec for rec in records if rec["kind"] == "request"]
+    for rec in requests:
+        rec["market"] = "own-" + rec["name"]
+    return requests[0]
+
+
 def _redeliver_requests(records):
     """Append every earlier block's requests to the last block, which moves
     each request's last delivery to that block."""
@@ -401,18 +390,18 @@ TAMPER_ERROR = {
     _flag_blocks_post_cutoff: "post_cutoff must be",
     _redeclare_requests: "re-declares",
     _redeliver_requests: "already named",
+    _relabel_markets: "is not the digest of its market and name",
 }
 
 
-@pytest.mark.parametrize("tamper", [_repeat_sightings, _renumber_blocks,
-                                    _flag_blocks_post_cutoff, _redeclare_requests,
-                                    _redeliver_requests])
+@pytest.mark.parametrize("tamper", list(TAMPER_ERROR))
 def test_tampered_trace_cannot_hide_violations(tmp_path, capsys, tamper):
     # Swapping the first and last blocks' requests breaks relative block
     # fairness (exit 1). Each tamper used to make the same trace pass (exit 0):
     # a repeat of every sighting in reverse order, every block numbered 0,
     # every block flagged post-cutoff in hybrid mode, every request declared
-    # again in a market of its own, or every request delivered again last.
+    # again in a market of its own, every request delivered again last, or
+    # every request moved to a market of its own under its old id.
     scenario = benign_schedule(validate_config(4, 1), requests=3, seed=4)
     trace = run(dataclasses.replace(scenario, **TAMPER_MODE.get(tamper, {})))
     records = _json_lines("\n".join(trace.lines()))

@@ -8,33 +8,21 @@ from fairlab.leaders import (
     coin_stop,
     hybrid_step,
     neverending_step,
-    new_leader,
     replay_undelivered,
 )
 from fairlab.validity import verify_certificate
-from fairlab.votes import make_vote
 
-from conftest import INSTANCE, req, run
+from conftest import cast, engine, req, run
 
 M = {name: req(name) for name in ("m1", "m2", "m3", "m4")}
 RA, RB = req("ra"), req("rb")
 A1, A2, B1 = req("a1", market="A"), req("a2", market="A"), req("b1", market="B")
 
 
-def engine(cfg, mode, **kw):
-    return new_leader(cfg, mode, INSTANCE, 0, {}, **kw)
-
-
-def ingest(state, party, seq, request, ts=None):
-    state.store.requests[request.id] = request  # the test's own table
-    vote = make_vote(party, state.store.instance, state.store.block, seq, ts, request.id)
-    return state.store.ingest(vote)
-
-
 def test_neverending_single_request(cfg4):
     state = engine(cfg4, NEVERENDING)
     for party in range(4):
-        ingest(state, party, 0, RA)
+        cast(state.store, party, 0, RA)
     cert = neverending_step(state)
     assert cert is not None
     assert cert.requests == (RA.id,)
@@ -50,7 +38,7 @@ def test_neverending_cycle_emits_one_block_of_all(cfg4):
     names = ["m1", "m2", "m3", "m4"]
     for party, order in _cycle_rotation(4).items():
         for seq, idx in enumerate(order):
-            ingest(state, party, seq, M[names[idx]])
+            cast(state.store, party, seq, M[names[idx]])
     cert = neverending_step(state)
     assert cert is not None
     assert sorted(M[n].id for n in names) == sorted(cert.requests)
@@ -60,14 +48,14 @@ def test_neverending_waits_on_subquorum_blocker(cfg4):
     state = engine(cfg4, NEVERENDING)
     # ra reaches a strong quorum but only one party reports ra before rb, so
     # rb still blocks ra while holding fewer than n-t votes of its own
-    ingest(state, 0, 0, RB)
-    ingest(state, 0, 1, RA)
-    ingest(state, 1, 0, RB)
-    ingest(state, 1, 1, RA)
-    ingest(state, 3, 0, RA)
+    cast(state.store, 0, 0, RB)
+    cast(state.store, 0, 1, RA)
+    cast(state.store, 1, 0, RB)
+    cast(state.store, 1, 1, RA)
+    cast(state.store, 3, 0, RA)
     assert neverending_step(state) is None
     # rb completes a strong quorum: it joins and the block ships as a pair
-    ingest(state, 2, 0, RB)
+    cast(state.store, 2, 0, RB)
     cert = neverending_step(state)
     assert cert is not None
     assert set(cert.requests) == {RA.id, RB.id}
@@ -76,7 +64,7 @@ def test_neverending_waits_on_subquorum_blocker(cfg4):
 def test_clocked_single_request(cfg4):
     state = engine(cfg4, CLOCKED)
     for party, ts in ((0, 5), (1, 7), (2, 9)):
-        ingest(state, party, 0, RA, ts=ts)
+        cast(state.store, party, 0, RA, ts=ts)
     cert = clocked_step(state)
     assert cert is not None
     assert cert.requests == (RA.id,)
@@ -87,13 +75,13 @@ def test_clocked_single_request(cfg4):
 def test_clocked_admits_by_median(cfg4):
     state = engine(cfg4, CLOCKED)
     # ra quorum timestamps {10, 20, 30} -> pivot median 20
-    ingest(state, 0, 0, RB, ts=5)
-    ingest(state, 0, 1, RA, ts=10)
-    ingest(state, 1, 0, RB, ts=12)
-    ingest(state, 1, 1, RA, ts=20)
-    ingest(state, 2, 0, RA, ts=30)
+    cast(state.store, 0, 0, RB, ts=5)
+    cast(state.store, 0, 1, RA, ts=10)
+    cast(state.store, 1, 0, RB, ts=12)
+    cast(state.store, 1, 1, RA, ts=20)
+    cast(state.store, 2, 0, RA, ts=30)
     assert clocked_step(state) is None  # rb has t+1 votes below 20 but only 2 total
-    ingest(state, 3, 0, RB, ts=25)
+    cast(state.store, 3, 0, RB, ts=25)
     cert = clocked_step(state)
     assert cert is not None
     # oracle recount: rb has 2 = t+1 votes (5, 12) strictly below 20
@@ -105,12 +93,12 @@ def test_clocked_admits_by_median(cfg4):
 
 def test_clocked_leaves_later_request_out(cfg4):
     state = engine(cfg4, CLOCKED)
-    ingest(state, 0, 0, RA, ts=10)
-    ingest(state, 1, 0, RA, ts=20)
-    ingest(state, 2, 0, RA, ts=30)
-    ingest(state, 0, 1, RB, ts=21)
-    ingest(state, 1, 1, RB, ts=22)
-    ingest(state, 3, 0, RB, ts=23)
+    cast(state.store, 0, 0, RA, ts=10)
+    cast(state.store, 1, 0, RA, ts=20)
+    cast(state.store, 2, 0, RA, ts=30)
+    cast(state.store, 0, 1, RB, ts=21)
+    cast(state.store, 1, 1, RB, ts=22)
+    cast(state.store, 3, 0, RB, ts=23)
     cert = clocked_step(state)
     assert cert is not None
     assert cert.requests == (RA.id,)
@@ -119,7 +107,7 @@ def test_clocked_leaves_later_request_out(cfg4):
 def test_hybrid_benign_matches_neverending(cfg4):
     state = engine(cfg4, HYBRID, r_max=100)
     for party, ts in ((0, 1), (1, 2), (2, 3), (3, 4)):
-        ingest(state, party, 0, RA, ts=ts)
+        cast(state.store, party, 0, RA, ts=ts)
     cert = hybrid_step(state)
     assert cert is not None
     assert cert.requests == (RA.id,)
@@ -133,7 +121,7 @@ def test_hybrid_two_markets_ship_separately(cfg4):
         # votes for the two markets interleave in every stream
         order = [(A1, 1 + party), (B1, 5 + party)] if party % 2 else [(B1, 1 + party), (A1, 5 + party)]
         for seq, (r, ts) in enumerate(order):
-            ingest(state, party, seq, r, ts=ts)
+            cast(state.store, party, seq, r, ts=ts)
     # no cross-market blocking exists in either direction
     assert not blocks(state.store, A1.id, B1.id)
     assert not blocks(state.store, B1.id, A1.id)
@@ -176,7 +164,7 @@ def test_hybrid_candidate_members_block_each_other(cfg4, monkeypatch):
         order = names[:]
         rng.shuffle(order)
         for seq, r in enumerate(order):
-            ingest(state, party, seq, r, ts=(seq + 1) * 10 + party)
+            cast(state.store, party, seq, r, ts=(seq + 1) * 10 + party)
     from fairlab.votes import blocks
     candidates = _grown_candidates(monkeypatch, state)
     assert candidates
@@ -220,7 +208,7 @@ def test_closure_closed_flag_matches_brute_force_without_repeat_tests(cfg4, monk
                 # some parties miss some requests, leaving them below threshold
                 order = rng.sample(pool, rng.randint(len(pool) - 2, len(pool)))
                 for seq, r in enumerate(order):
-                    ingest(state, party, seq, r, ts=(seq + 1) * 10 + party)
+                    cast(state.store, party, seq, r, ts=(seq + 1) * 10 + party)
             store = state.store
             for seed, members, closed in _grown_candidates(monkeypatch, state):
                 outside = [r for r in store.by_request if r not in members]
@@ -236,7 +224,7 @@ def test_closure_closed_flag_matches_brute_force_without_repeat_tests(cfg4, monk
 def test_replay_preserves_order_and_reindexes(cfg4):
     state = engine(cfg4, NEVERENDING)
     for seq, r in enumerate((M["m1"], M["m2"], M["m3"])):
-        ingest(state, 0, seq, r)
+        cast(state.store, 0, seq, r)
     replayed = replay_undelivered(state, 1, {M["m2"].id})
     log = replayed.store.logs[0]
     assert [(v.seq, v.request) for v in log.accepted] == [
@@ -260,7 +248,7 @@ def test_replay_equivalent_to_fresh_store(cfg4):
             rng.shuffle(order)
             per_party[party] = order[: rng.randint(1, len(order))]
             for seq, r in enumerate(per_party[party]):
-                ingest(state, party, seq, r)
+                cast(state.store, party, seq, r)
         delivered = {r.id for r in rng.sample(requests, rng.randint(0, 2))}
         replayed = replay_undelivered(state, 1, delivered)
         fresh = engine(cfg4, NEVERENDING, block_number=1)
@@ -269,7 +257,7 @@ def test_replay_equivalent_to_fresh_store(cfg4):
             for r in order:
                 if r.id in delivered:
                     continue
-                ingest(fresh, party, seq, r)
+                cast(fresh.store, party, seq, r)
                 seq += 1
         a = neverending_step(replayed)
         b = neverending_step(fresh)
@@ -280,12 +268,12 @@ def test_replay_equivalent_to_fresh_store(cfg4):
 
 def test_replay_carries_permanent_exclusions(cfg4):
     state = engine(cfg4, NEVERENDING)
-    ingest(state, 1, 0, M["m1"])
-    ingest(state, 1, 0, M["m2"])  # equivocation
+    cast(state.store, 1, 0, M["m1"])
+    cast(state.store, 1, 0, M["m2"])  # equivocation
     assert state.store.logs[1].invalid
     replayed = replay_undelivered(state, 1, set())
     assert replayed.store.logs[1].invalid
-    out = ingest(replayed, 1, 1, M["m3"])
+    out = cast(replayed.store, 1, 1, M["m3"])
     assert out.reason == "party-invalid"
 
 
@@ -309,7 +297,7 @@ def test_engine_determinism(cfg4):
             for seq, r in enumerate(order):
                 script.append((party, seq, r, (seq + 1) * 10 + party))
         for party, seq, r, ts in script:
-            ingest(state, party, seq, r, ts=ts)
+            cast(state.store, party, seq, r, ts=ts)
             cert = hybrid_step(state)
             if cert is not None:
                 emitted.append((cert.block_number, cert.mode_tag, cert.requests))
@@ -362,13 +350,13 @@ def test_clocked_safety_exhaustive_two_request_enumeration(cfg4):
 def test_clocked_waits_for_member_strong_quorum(cfg4):
     state = engine(cfg4, CLOCKED)
     for party, ts in ((0, 10), (1, 20), (2, 30)):
-        ingest(state, party, 0, RA, ts=ts)
-    ingest(state, 3, 0, RB, ts=1)
-    ingest(state, 0, 1, RB, ts=15)
+        cast(state.store, party, 0, RA, ts=ts)
+    cast(state.store, 3, 0, RB, ts=1)
+    cast(state.store, 0, 1, RB, ts=15)
     # Pivot 20: rb is admitted (1 and 15 are below it) but holds 2 of the 3
     # votes a member needs, so the step waits.
     assert clocked_step(state) is None
-    ingest(state, 1, 1, RB, ts=25)
+    cast(state.store, 1, 1, RB, ts=25)
     cert = clocked_step(state)
     assert cert is not None
     assert cert.requests == (RB.id, RA.id)

@@ -12,7 +12,7 @@ from fairlab.simnet.generators import (
     segment_schedule,
 )
 from fairlab.simnet.runner import Simulation
-from fairlab.simnet.scenario import Scenario, load_scenario, save_scenario
+from fairlab.simnet.scenario import Scenario, load_scenario, scenario_text
 from fairlab.simnet.trace import Trace
 
 from conftest import records, run
@@ -270,7 +270,7 @@ def test_probabilistic_wrapper_rejects_bad_p(cfg4):
 def test_scenario_round_trip(tmp_path, cfg4):
     scenario = fuzz_scenario(41, mode="hybrid", r_max=9)
     path = tmp_path / "scenario.json"
-    save_scenario(scenario, str(path))
+    path.write_text(scenario_text(scenario))
     loaded = load_scenario(str(path))
     assert loaded.digest() == scenario.digest()
     assert run(loaded).to_text() == run(scenario).to_text()

@@ -4,43 +4,37 @@ from pathlib import Path
 
 import pytest
 
-from fairlab.leaders import CLOCKED, NEVERENDING, clocked_step, neverending_step, new_leader
+from fairlab.leaders import CLOCKED, NEVERENDING, clocked_step, neverending_step
 from fairlab.validity import certificate_from_dict, certificate_to_dict, verify_certificate
 from fairlab.votes import MedianSummary, VoteStore, make_vote
 
 import certutil
-from conftest import INSTANCE, req
+from conftest import INSTANCE, cast, engine, req
 
 M = {name: req(name) for name in ("m1", "m2", "m3", "m4")}
 RA, RB = req("ra"), req("rb")
 SA, SB, SC = req("sa"), req("sb"), req("sc")
 
 
-def _ingest(state, party, seq, request, ts=None):
-    state.store.requests[request.id] = request  # the test's own table
-    vote = make_vote(party, state.store.instance, state.store.block, seq, ts, request.id)
-    return state.store.ingest(vote)
-
-
 def cycle_cert(cfg):
-    state = new_leader(cfg, NEVERENDING, INSTANCE, 0, {})
+    state = engine(cfg, NEVERENDING)
     names = ["m1", "m2", "m3", "m4"]
     for party in range(4):
         for seq in range(4):
-            _ingest(state, party, seq, M[names[(party + seq) % 4]])
+            cast(state.store, party, seq, M[names[(party + seq) % 4]])
     cert = neverending_step(state)
     assert cert is not None
     return cert
 
 
 def clocked_cert(cfg):
-    state = new_leader(cfg, CLOCKED, INSTANCE, 0, {})
-    _ingest(state, 0, 0, RB, ts=5)
-    _ingest(state, 0, 1, RA, ts=10)
-    _ingest(state, 1, 0, RB, ts=12)
-    _ingest(state, 1, 1, RA, ts=20)
-    _ingest(state, 2, 0, RA, ts=30)
-    _ingest(state, 3, 0, RB, ts=25)
+    state = engine(cfg, CLOCKED)
+    cast(state.store, 0, 0, RB, ts=5)
+    cast(state.store, 0, 1, RA, ts=10)
+    cast(state.store, 1, 0, RB, ts=12)
+    cast(state.store, 1, 1, RA, ts=20)
+    cast(state.store, 2, 0, RA, ts=30)
+    cast(state.store, 3, 0, RB, ts=25)
     cert = clocked_step(state)
     assert cert is not None
     return cert
@@ -49,10 +43,10 @@ def clocked_cert(cfg):
 def stamped_cert(cfg):
     """Every party stamps a, b and c at 1, 5 and 9: the clocked engine ships
     [a], and b, stamped before c by everyone, stays out with it."""
-    state = new_leader(cfg, CLOCKED, INSTANCE, 0, {})
+    state = engine(cfg, CLOCKED)
     for party in range(cfg.n):
         for seq, (request, ts) in enumerate(((SA, 1), (SB, 5), (SC, 9))):
-            _ingest(state, party, seq, request, ts=ts)
+            cast(state.store, party, seq, request, ts=ts)
     cert = clocked_step(state)
     assert cert is not None and cert.requests == (SA.id,)
     return cert
@@ -123,10 +117,10 @@ def test_request_table_cannot_move_a_request_across_the_market_separator(cfg4):
     # it; relabeled into a market of its own, r2 used to block nothing and
     # the block verified.
     r1, r2 = req("r1"), req("x|y")
-    state = new_leader(cfg4, NEVERENDING, INSTANCE, 0, {})
+    state = engine(cfg4, NEVERENDING)
     for party in range(cfg4.n):
-        _ingest(state, party, 0, r2)
-        _ingest(state, party, 1, r1)
+        cast(state.store, party, 0, r2)
+        cast(state.store, party, 1, r1)
     cert = dataclasses.replace(neverending_step(state), requests=(r1.id,))
     assert verify_certificate(cfg4, cert).reason == "omitted-blocked-request"
     moved = req("y", market="m|x")
@@ -216,12 +210,6 @@ def test_quorum_counts_voters_not_votes(cfg4):
 
 # -- one row per certificate fault -------------------------------------------
 
-def _resigned(vote, **fields):
-    """`vote` with some signed fields changed, signed again by its voter."""
-    v = dataclasses.replace(vote, **fields)
-    return make_vote(v.signer, v.instance, v.block, v.seq, v.ts, v.request)
-
-
 def _with_votes(party, edit):
     """A mutation that replaces `party`'s cited history with `edit(history)`."""
     def mutate(cert):
@@ -246,26 +234,25 @@ def _zero_attestation(vote):
 FAULTS = [
     ("proposer-not-party", cycle_cert, lambda cert: dataclasses.replace(cert, proposer=4),
      "unknown-proposer"),
-    ("signer-not-key", cycle_cert, _with_votes(1, lambda vs: [
-        make_vote(0, v.instance, v.block, v.seq, v.ts, v.request) for v in vs]),
-     "bad-attestation"),
+    ("signer-not-key", cycle_cert,
+     _with_votes(1, lambda vs: [certutil.resign(v, signer=0) for v in vs]), "bad-attestation"),
     ("outsider-with-votes", cycle_cert,
      _with_votes(9, lambda vs: [make_vote(9, INSTANCE, 0, 0, None, M["m1"].id)]),
      "bad-attestation"),
     ("outsider-empty-history", cycle_cert, _with_votes(9, lambda vs: []), "bad-attestation"),
     ("other-block", cycle_cert,
-     _with_votes(2, lambda vs: [_resigned(vs[0], block=vs[0].block + 1)] + vs[1:]),
+     _with_votes(2, lambda vs: [certutil.resign(vs[0], block=vs[0].block + 1)] + vs[1:]),
      "bad-attestation"),
     ("other-instance", cycle_cert,
-     _with_votes(2, lambda vs: vs[:1] + [_resigned(vs[1], instance="other")] + vs[2:]),
+     _with_votes(2, lambda vs: vs[:1] + [certutil.resign(vs[1], instance="other")] + vs[2:]),
      "bad-attestation"),
     ("zeroed-attestation", cycle_cert,
      _with_votes(3, lambda vs: vs[:2] + [_zero_attestation(vs[2])] + vs[3:]), "bad-attestation"),
-    ("no-timestamp", clocked_cert, _with_votes(0, lambda vs: vs[:1] + [_resigned(vs[1], ts=None)]),
-     "missing-history"),
+    ("no-timestamp", clocked_cert,
+     _with_votes(0, lambda vs: vs[:1] + [certutil.resign(vs[1], ts=None)]), "missing-history"),
     ("vote-cited-twice", cycle_cert, _with_votes(0, lambda vs: vs + vs[:1]), "missing-history"),
     ("two-votes-one-seq", cycle_cert,
-     _with_votes(0, lambda vs: vs + [_resigned(vs[0], request=vs[1].request)]),
+     _with_votes(0, lambda vs: vs + [certutil.resign(vs[0], request=vs[1].request)]),
      "missing-history"),
     ("skipped-seq", cycle_cert, _with_votes(1, lambda vs: vs[:1] + vs[2:]), "missing-history"),
     ("no-seq-zero", cycle_cert, _with_votes(1, lambda vs: vs[1:]), "missing-history"),

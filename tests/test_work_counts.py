@@ -29,7 +29,7 @@ from fairlab.simnet.trace import Trace
 from fairlab.validity import certificate_from_dict, verify_certificate
 from fairlab.votes import Vote, make_vote, vote_payload, vote_verifies
 
-from conftest import wrapped_hybrid_scenario
+from conftest import req, wrapped_hybrid_scenario
 
 
 def _count_vote_work(monkeypatch, hashed):
@@ -300,15 +300,15 @@ def _nearly_agreeing_trace(n, t, requests, seed):
     ordered pairs are constraints of both kinds. Sightings take steps 0, 1,
     2, ... in file order, as a run's records do."""
     rng = random.Random(seed)
-    names = [f"r{i}" for i in range(requests)]
-    records = [{"kind": "request", "id": f"{i:064x}", "name": name, "market": "m"}
-               for i, name in enumerate(names)]
+    ids = [req(f"r{i}").id for i in range(requests)]
+    records = [{"kind": "request", "id": rid, "name": f"r{i}", "market": "m"}
+               for i, rid in enumerate(ids)]
     for party in range(n):
         order = list(range(requests))
         for _ in range(requests // 10):
             i = rng.randrange(requests - 1)
             order[i], order[i + 1] = order[i + 1], order[i]
-        records += [{"kind": "sight", "party": party, "request": f"{i:064x}", "ts": 3 * k + party,
+        records += [{"kind": "sight", "party": party, "request": ids[i], "ts": 3 * k + party,
                      "step": party * requests + k} for k, i in enumerate(order)]
     header = {"n": n, "t": t, "mode": "neverending", "corrupt": [n - 1]}
     return Trace(header=header, records=records)
