@@ -329,6 +329,54 @@ def test_malformed_trace_exits_two(files, tmp_path, capsys, case):
     assert _exit_code(capsys, ["audit", str(path)], case, PINNED_ERRORS.get(case), quoted) == 2
 
 
+@pytest.mark.parametrize("case", ["sight-party-out-of-range", "sight-request-undeclared"])
+def test_bad_sight_record_is_named_in_the_error(files, tmp_path, capsys, case):
+    lines = _json_lines(files["trace"])
+    TRACE_CASES[case](lines)
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    capsys.readouterr()
+    assert run_command(["audit", str(path)]) == 2
+    assert "'sight' trace record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["header-corrupt-repeated", "header-corrupt-over-budget",
+                                  "header-corrupt-everyone"])
+def test_impossible_corruption_set_is_quoted_in_the_error(files, tmp_path, capsys, case):
+    lines = _json_lines(files["trace"])
+    assert (lines[0]["n"], lines[0]["t"]) == (4, 1)
+    TRACE_CASES[case](lines)
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    capsys.readouterr()
+    assert run_command(["audit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"not {lines[0]['corrupt']!r}" in err
+
+
+def test_block_of_undeclared_requests_is_quoted_in_the_error(files, tmp_path, capsys):
+    lines = _json_lines(files["trace"])
+    TRACE_CASES["block-request-undeclared"](lines)
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    capsys.readouterr()
+    assert run_command(["audit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'block' trace record" in err and "'zzz'" in err
+
+
+def test_zeroed_block_step_is_quoted_in_the_error(files, tmp_path, capsys):
+    lines = _json_lines(files["trace"])
+    TRACE_CASES["block-steps-zeroed"](lines)
+    path = tmp_path / "t.jsonl"
+    _write_lines(path, lines)
+    capsys.readouterr()
+    assert run_command(["audit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'block' trace record's step must be above" in err
+    assert repr(_first_of_kind(lines, "block")) in err
+
+
 def _repeat_sightings(records):
     """Add a second copy of every sight record before the summary, in reverse
     order, with steps above the summary's, so that the steps still rise."""
