@@ -54,6 +54,7 @@ class TraceView:
         self.market: dict[str, str] = {}
         self.ts: dict[int, dict[str, int]] = {p: {} for p in range(n)}
         self.sight_step: dict[int, dict[str, int]] = {p: {} for p in range(n)}
+        clock = [-inf] * n  # each party's last sighting ts, rising strictly
         self.blocks: list[dict] = []
         self.final_pos: dict[str, tuple[int, int]] = {}
         self.incarnation_start: dict[int, int] = {0: 0}
@@ -105,7 +106,11 @@ class TraceView:
                 if name in self.sight_step[party]:
                     raise ValueError(f"'sight' trace record repeats an earlier sighting of "
                                      f"its request by its party: {rec!r}")
-                self.ts[party][name] = rec["ts"]
+                # The runner gives each party a strictly rising clock.
+                if rec["ts"] <= clock[party]:
+                    raise ValueError(f"'sight' trace record's ts must be above {clock[party]}, "
+                                     f"its party's previous sighting's: {rec!r}")
+                clock[party] = self.ts[party][name] = rec["ts"]
                 self.sight_step[party][name] = rec["step"]
             elif kind == "block":
                 number = len(self.blocks)

@@ -53,6 +53,9 @@ class Chain:
         breaks, or the verifier's own reason for an invalid certificate."""
         fault = verify_certificate(self.cfg, cert).reason
         number = cert.block_number
+        # One chain orders one instance's blocks: its first block names it.
+        if fault is None and self.blocks and cert.instance != self.blocks[0].instance:
+            return SubmitOutcome(REJECTED, "wrong-instance")
         if fault is None:
             prior = self._seen.setdefault((number, cert.proposer), [])
             if cert not in prior:

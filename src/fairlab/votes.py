@@ -263,12 +263,13 @@ class VoteStore:
         The accepted logs are gap-free, so a party holding r without r2
         reported r first."""
         others = self.by_request.get(r2, {})
-        return sum(
-            1
-            for party, (vote, _) in self.by_request.get(r, {}).items()
-            if not self.logs[party].invalid
-            and (party not in others or vote.seq < others[party][0].seq)
-        )
+        count = 0
+        for party, (vote, _) in self.by_request.get(r, {}).items():
+            if not self.logs[party].invalid and (
+                party not in others or vote.seq < others[party][0].seq
+            ):
+                count += 1
+        return count
 
     def votes_for(self, r: RequestId) -> list[Vote]:
         """Each voter's first accepted vote for r, in acceptance order. Votes a

@@ -25,6 +25,18 @@ def enumerate_max_median(timestamps, q):
     return max(lower_median(sub) for sub in combinations(sorted(timestamps), q))
 
 
+def count_before(logs, r, r2):
+    """The parties whose first vote for r comes before any vote for r2,
+    recounted from raw per-party logs: {party: [request id, in seq order]}."""
+    count = 0
+    for entries in logs.values():
+        if r not in entries:
+            continue
+        if r2 not in entries or entries.index(r) < entries.index(r2):
+            count += 1
+    return count
+
+
 def recount_block_fairness(view: TraceView) -> Verdict:
     """Block fairness by its first formula: for every (block, request) pair,
     count again the honest parties that sighted the request in time."""

@@ -33,7 +33,7 @@ from fairlab.votes import MedianSummary, median_bounds
 
 import certutil
 from conftest import records, run
-from oracles import enumerate_max_median, oracle_constraints
+from oracles import count_before, enumerate_max_median, oracle_constraints
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CFG4 = validate_config(4, 1)
@@ -297,25 +297,13 @@ def _removable_member(cfg, cert):
         return None
     # block-fair: any member still blocking another member once omitted
     table = cert.request_table
-    seqs = {
-        party: {v.request: v.seq for v in votes}
-        for party, votes in cert.votes_by_party.items()
-    }
-
-    def count_before(r, r2):
-        count = 0
-        for held in seqs.values():
-            if r not in held:
-                continue
-            if r2 not in held or held[r] < held[r2]:
-                count += 1
-        return count
-
+    # Each party's cited votes are its accepted log, in seq order.
+    logs = {party: [v.request for v in votes] for party, votes in cert.votes_by_party.items()}
     for member in cert.requests:
         for other in cert.requests:
             if other == member or table[member].market != table[other].market:
                 continue
-            if count_before(other, member) < cfg.t + 1:
+            if count_before(logs, other, member) < cfg.t + 1:
                 return member
     return None
 

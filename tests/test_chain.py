@@ -1,7 +1,7 @@
 import dataclasses
 
 from fairlab.chain import ACCEPTED, EQUIVOCATION, REJECTED, Chain, on_deliver
-from fairlab.leaders import NEVERENDING, neverending_step
+from fairlab.leaders import NEVERENDING, neverending_step, new_leader
 from fairlab.validity import certificate_from_dict, certificate_to_dict
 
 import certutil
@@ -75,6 +75,23 @@ def test_invalid_certificate_rejected(cfg4):
     chain = Chain(cfg4)
     out = chain.submit(bad)
     # The chain reports the verifier's own reason.
+    assert out.status == REJECTED and out.reason == "empty-block"
+
+
+def test_other_instance_rejected(cfg4):
+    # A valid certificate of another instance, at the next height and from
+    # another proposer: only its instance breaks a rule.
+    chain = Chain(cfg4)
+    assert chain.submit(neverending_step(_single_request_state(cfg4, RA))).ok
+    other = new_leader(cfg4, NEVERENDING, "other-instance", 1, {}, block_number=1)
+    for party in range(cfg4.n):
+        cast(other.store, party, 0, RB)
+    cert = neverending_step(other)
+    out = chain.submit(cert)
+    assert out.status == REJECTED and out.reason == "wrong-instance"
+    assert chain.next_number == 1 and chain.equivocators == []
+    # A certificate that fails verification keeps the verifier's reason.
+    out = chain.submit(dataclasses.replace(cert, requests=()))
     assert out.status == REJECTED and out.reason == "empty-block"
 
 

@@ -300,6 +300,8 @@ TRACE_CASES = {
     "block-steps-zeroed": lambda lines: [rec.update(step=0) for rec in lines
                                          if rec["kind"] == "block"],
     "sight-step-repeated": lambda lines: _second_sight_at_the_first_step(lines),
+    # The auditor used to take any ts, so a party's clock could stand still.
+    "sight-ts-repeated": lambda lines: _party_sights_twice_at_one_time(lines),
     # Block fairness reads each incarnation's start by its block number.
     "incarnation-block-shifted": lambda lines: [rec.update(block=rec["block"] + 1000)
                                                 for rec in lines if rec["kind"] == "incarnation"],
@@ -312,6 +314,11 @@ TRACE_CASES = {
 def _second_sight_at_the_first_step(lines):
     first, second = [rec for rec in lines if rec["kind"] == "sight"][:2]
     second["step"] = first["step"]
+
+
+def _party_sights_twice_at_one_time(lines):
+    first, *rest = [rec for rec in lines if rec["kind"] == "sight"]
+    next(rec for rec in rest if rec["party"] == first["party"])["ts"] = first["ts"]
 
 
 def _first_of_kind(lines, kind):
@@ -421,6 +428,16 @@ def _relabel_markets(records):
     return requests[0]
 
 
+def _zero_sighting_clocks(records):
+    """Set every sight record's ts to 0, which leaves no two honest sighting
+    intervals disjoint."""
+    sights = [rec for rec in records if rec["kind"] == "sight"]
+    for rec in sights:
+        rec["ts"] = 0
+    first = sights[0]["party"]
+    return next(rec for rec in sights[1:] if rec["party"] == first)
+
+
 def _redeliver_requests(records):
     """Append every earlier block's requests to the last block, which moves
     each request's last delivery to that block."""
@@ -430,7 +447,9 @@ def _redeliver_requests(records):
 
 
 # The hybrid gate passes when every violation sits in a post-cutoff block.
-TAMPER_MODE = {_flag_blocks_post_cutoff: {"mode": "hybrid", "r_max": 6}}
+TAMPER_MODE = {_flag_blocks_post_cutoff: {"mode": "hybrid", "r_max": 6},
+               # Timed fairness, which reads the clocks, gates a clocked trace.
+               _zero_sighting_clocks: {"mode": "clocked"}}
 # The rule each tamper breaks, as its error names it.
 TAMPER_ERROR = {
     _repeat_sightings: "repeats an earlier sighting",
@@ -439,6 +458,7 @@ TAMPER_ERROR = {
     _redeclare_requests: "re-declares",
     _redeliver_requests: "already named",
     _relabel_markets: "is not the digest of its market and name",
+    _zero_sighting_clocks: "ts must be above",
 }
 
 
@@ -448,8 +468,9 @@ def test_tampered_trace_cannot_hide_violations(tmp_path, capsys, tamper):
     # fairness (exit 1). Each tamper used to make the same trace pass (exit 0):
     # a repeat of every sighting in reverse order, every block numbered 0,
     # every block flagged post-cutoff in hybrid mode, every request declared
-    # again in a market of its own, every request delivered again last, or
-    # every request moved to a market of its own under its old id.
+    # again in a market of its own, every request delivered again last,
+    # every request moved to a market of its own under its old id, or every
+    # sighting at time 0 in clocked mode.
     scenario = benign_schedule(validate_config(4, 1), requests=3, seed=4)
     trace = run(dataclasses.replace(scenario, **TAMPER_MODE.get(tamper, {})))
     records = _json_lines("\n".join(trace.lines()))
@@ -832,3 +853,24 @@ def test_forged_pivot_timestamps_exit_one(files, tmp_path, capsys, case):
     capsys.readouterr()
     assert run_command(["verify", str(path)]) == 1
     assert "block 0: invalid (invalid-pivot)" in capsys.readouterr().out
+
+
+def test_chain_of_two_instances_exits_one(tmp_path, capsys):
+    # One run's header and block 0, then another run's block 1: each block
+    # verifies and the numbers run on, so the spliced file used to pass.
+    chains = []
+    for depth, seed in ((2, 1), (3, 2)):
+        scenario, chain = tmp_path / f"s{depth}.json", tmp_path / f"c{depth}.jsonl"
+        assert run_command(["gen", "segments", "--depth", str(depth), "--seed", str(seed),
+                            "--out", str(scenario)]) == 0
+        assert run_command(["run", str(scenario), "--mode", "clocked",
+                            "--chain", str(chain)]) == 0
+        chains.append(_json_lines(chain.read_text()))
+    (header, block0, *_), (_, _, block1, *_) = chains
+    assert block0["certificate"]["instance"] != block1["certificate"]["instance"]
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [header, block0, block1])
+    capsys.readouterr()
+    assert run_command(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "block 1: invalid (wrong-instance)" in out and "chain: INVALID" in out

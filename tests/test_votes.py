@@ -23,6 +23,7 @@ from fairlab.validity import certificate_from_dict, certificate_to_dict, verify_
 from fairlab.votes import ACCEPTED, BUFFERED, REJECTED, Vote, make_vote, vote_verifies
 
 from conftest import INSTANCE, cast, fill_logs, new_store, req, wrapped_hybrid_scenario
+from oracles import count_before
 
 R = {name: req(name) for name in ("r1", "r2", "r3", "r4", "r5")}
 
@@ -93,17 +94,6 @@ def test_wrong_incarnation_rejected(cfg4):
     assert out.status == REJECTED and out.reason == "wrong-block"
 
 
-def _count_before_oracle(logs, r, r2):
-    """Independent recount from raw per-party logs."""
-    count = 0
-    for entries in logs.values():
-        if r not in entries:
-            continue
-        if r2 not in entries or entries.index(r) < entries.index(r2):
-            count += 1
-    return count
-
-
 def test_count_before_matches_oracle(cfg4):
     store = new_store(cfg4)
     logs = {
@@ -114,7 +104,7 @@ def test_count_before_matches_oracle(cfg4):
     }
     fill_logs(store, logs)
     raw = {p: [r.id for r in rs] for p, rs in logs.items()}
-    expected = _count_before_oracle(raw, R["r1"].id, R["r2"].id)
+    expected = count_before(raw, R["r1"].id, R["r2"].id)
     assert expected == 3
     assert store.count_before(R["r1"].id, R["r2"].id) == 3
     assert store.count_before(R["r2"].id, R["r1"].id) == 1
@@ -153,7 +143,7 @@ def test_count_before_matches_oracle_random(n, t, rng):
     valid = {p: [v.request for v in log.accepted]
              for p, log in store.logs.items() if not log.invalid}
     for r, r2 in permutations(R.values(), 2):
-        assert store.count_before(r.id, r2.id) == _count_before_oracle(valid, r.id, r2.id)
+        assert store.count_before(r.id, r2.id) == count_before(valid, r.id, r2.id)
     # The quorum maps hold a request exactly when its distinct voters reach
     # t+1 (n-t); an excluded party's votes from before its exclusion count.
     cfg = store.cfg
@@ -200,7 +190,7 @@ def test_count_before_matches_oracle_after_every_ingest(n, t, rng):
         valid = {p: [v.request for v in log.accepted]
                  for p, log in store.logs.items() if not log.invalid}
         for r, r2 in permutations(R.values(), 2):
-            assert store.count_before(r.id, r2.id) == _count_before_oracle(valid, r.id, r2.id)
+            assert store.count_before(r.id, r2.id) == count_before(valid, r.id, r2.id)
 
 
 @pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
