@@ -5,7 +5,8 @@ ingests delivered votes and calls step(); a step emits at most one block
 certificate, naming the state's proposer, and the broadcast loop replays
 undelivered requests into a fresh incarnation after every accepted block.
 Certificates cite the full accepted vote logs, so the verifier can apply the
-engines' emission rules (`omits_blocker`, `timed_members`) with no leader state.
+engines' emission rules (`omits_blocker`, `timed_members`) and their
+strong-quorum test (`votes.quorate`) with no leader state.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .votes import (
     make_vote,
     max_median,
     median_bounds,
+    quorate,
     timed_precedes,
     timed_request_order,
 )
@@ -168,9 +170,15 @@ def _closure(state: LeaderState, seed: RequestId) -> tuple[list[RequestId], bool
     return members, closed
 
 
-def _build_certificate(state: LeaderState, requests: list[RequestId], mode_tag: str,
-                       pivot: Optional[MedianSummary]) -> BlockCertificate:
+def _build_certificate(state: LeaderState, members: list[RequestId],
+                       pivot: Optional[MedianSummary]) -> Optional[BlockCertificate]:
+    """The block of `members`, block-fair without a pivot and timed-fair in
+    cited-median order with one; None while a member lacks a strong quorum."""
     store = state.store
+    if not quorate(store, members):
+        return None
+    if pivot is not None:
+        members = timed_request_order(store, members)
     votes_by_party = {p: tuple(log.accepted) for p, log in store.logs.items() if log.accepted}
     # The store indexes exactly the requests the cited votes name.
     table = {rid: store.requests[rid] for rid in store.by_request}
@@ -178,8 +186,8 @@ def _build_certificate(state: LeaderState, requests: list[RequestId], mode_tag: 
         instance=store.instance,
         block_number=store.block,
         proposer=state.proposer,
-        mode_tag=mode_tag,
-        requests=tuple(requests),
+        mode_tag=BLOCK_FAIR if pivot is None else TIMED_FAIR,
+        requests=tuple(members),
         pivot=pivot,
         votes_by_party=votes_by_party,
         request_table=table,
@@ -212,9 +220,7 @@ def neverending_step(state: LeaderState) -> Optional[BlockCertificate]:
     if seed is None:
         return None
     members, closed = _closure(state, seed)
-    if not closed:
-        return None
-    return _build_certificate(state, members, BLOCK_FAIR, pivot=None)
+    return _build_certificate(state, members, None) if closed else None
 
 
 # -- clock-fair engine -------------------------------------------------------
@@ -226,17 +232,6 @@ def _first_quorum_pivot(state: LeaderState, seed: RequestId) -> MedianSummary:
     q = state.store.cfg.strong_size
     ts = tuple(v.ts for v in state.store.votes_for(seed)[:q])
     return MedianSummary(request=seed, timestamps=ts, m_r=median_bounds(ts, q)[0])
-
-
-def _timed_block(state: LeaderState, pivot: MedianSummary,
-                 pool: Iterable[RequestId]) -> Optional[BlockCertificate]:
-    """The timed-fair block of `timed_members`, in cited-median order; None
-    while a member lacks a strong quorum."""
-    store = state.store
-    members = timed_members(store, pivot, pool)
-    if any(m not in store.strong_at for m in members):
-        return None
-    return _build_certificate(state, timed_request_order(store, members), TIMED_FAIR, pivot)
 
 
 def clocked_step(state: LeaderState) -> Optional[BlockCertificate]:
@@ -259,34 +254,28 @@ def clocked_step(state: LeaderState) -> Optional[BlockCertificate]:
     # Admission sweeps everything currently known, not just the frozen set:
     # votes that arrived during the coverage wait are part of the cited
     # evidence and the block verifier holds the block to them.
-    return _timed_block(state, pivot, store.by_request)
+    return _build_certificate(state, timed_members(store, pivot, store.by_request), pivot)
 
 
 # -- hybrid engine -----------------------------------------------------------
 
 def _hybrid_block_fair(state: LeaderState) -> Optional[BlockCertificate]:
-    """Ship the first closed candidate, in seed quorum order, whose members
-    all hold a strong quorum; with none, enter the fallback if a candidate
-    crossed the cutoff. Every seed up to the crossing one is grown, shipped
-    or not: growth draws the coin and sets max_candidate_order."""
+    """Ship the first closed candidate, in seed quorum order, that the
+    builder accepts; with none, enter the fallback if a candidate crossed
+    the cutoff. Every seed up to the crossing one is grown, shipped or not:
+    growth draws the coin and sets max_candidate_order."""
     store = state.store
-    shipped = None
-    crossed = False
+    cert = None
     for seed in store.weak_at:
         members, closed = _closure(state, seed)
-        # Every shipped member needs a strong quorum behind it or the block
-        # certificate cannot carry n-t votes per request.
-        if shipped is None and closed and all(m in store.strong_at for m in members):
-            shipped = members
-        crossed = len(members) > state.r_max
-        if crossed:
+        if cert is None and closed:
+            cert = _build_certificate(state, members, None)
+        if len(members) > state.r_max:
+            if cert is None:
+                state.fallback_snapshot = tuple(store.by_request)
+                state.cutoff_events += 1
             break
-    if shipped is not None:
-        return _build_certificate(state, shipped, BLOCK_FAIR, pivot=None)
-    if crossed:
-        state.fallback_snapshot = tuple(store.by_request)
-        state.cutoff_events += 1
-    return None
+    return cert
 
 
 def _hybrid_fallback(state: LeaderState) -> Optional[BlockCertificate]:
@@ -298,11 +287,12 @@ def _hybrid_fallback(state: LeaderState) -> Optional[BlockCertificate]:
         if seed not in state.fallback_snapshot:
             continue
         low = _low_set(store, seed, math.inf)
-        if any(rid not in store.strong_at for rid in low):
+        if not quorate(store, low):
             continue
         # Seed and low set hold strong quorums, so the block ships.
         state.fallback_blocks_emitted += 1
-        return _timed_block(state, max_median(store, seed), low)
+        pivot = max_median(store, seed)
+        return _build_certificate(state, timed_members(store, pivot, low), pivot)
     return None
 
 
@@ -344,8 +334,8 @@ def replay_undelivered(state: LeaderState, next_block: int,
             replayed = make_vote(party, store.instance, next_block, seq, v.ts, v.request)
             fresh.ingest(replayed)
             seq += 1
-    # The old store already holds every exclusion carried into it.
-    for party, log in store.logs.items():
+        # The old store holds every exclusion carried into it; marking one here
+        # shifts later acceptance indices but keeps their order.
         if log.invalid:
             fresh.mark_invalid(party)
     snapshot = tuple(r for r in state.fallback_snapshot if r not in delivered)

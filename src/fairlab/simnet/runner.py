@@ -121,7 +121,7 @@ class Simulation:
             _Party(
                 pid,
                 scenario.clocks.get(pid, ClockSpec()),
-                scenario.behaviors.get(pid) if pid in self.corrupt else None,
+                scenario.behaviors.get(pid),
                 scenario.n,
                 self.leader_ids,
             )

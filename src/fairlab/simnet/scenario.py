@@ -65,6 +65,9 @@ def _parties(value, n: int, field: str) -> tuple[int, ...]:
     ):
         raise ValueError(f"scenario field {field!r} must list party ids in [0, {n}), "
                          f"not {value!r}")
+    if len(set(value)) < len(value):
+        # A repeat would give one run two scenario digests, or step a leader twice.
+        raise ValueError(f"scenario field {field!r} repeats a party id: {list(value)!r}")
     return tuple(value)
 
 
@@ -153,11 +156,6 @@ class Scenario:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         _int(self.r_max, "r_max", 0, math.inf)
         self.corrupt = _parties(self.corrupt, self.n, "corrupt")
-        if len(set(self.corrupt)) < len(self.corrupt):
-            # The run and its trace header see a set; a repeat would give
-            # one run two scenario digests.
-            raise ValueError(f"scenario field 'corrupt' repeats a party id: "
-                             f"{list(self.corrupt)!r}")
         if len(self.corrupt) > self.t:
             raise ValueError("corruption set larger than the fault budget")
         if self.leaders is not None:
@@ -169,6 +167,10 @@ class Scenario:
             if outside:
                 raise ValueError(f"scenario field {name!r} must be keyed by party ids in "
                                  f"[0, {self.n}), not {outside[0]!r}")
+        honest = [p for p in self.behaviors if p not in self.corrupt]
+        if honest:  # the run would give the party no behavior and no sign of it
+            raise ValueError(f"scenario field 'behaviors' names party {honest[0]}, "
+                             f"which 'corrupt' does not list")
         if self.proposer_policy not in PROPOSER_POLICIES:
             raise ValueError(f"unknown proposer policy {self.proposer_policy!r}, "
                              f"expected one of {PROPOSER_POLICIES}")

@@ -21,7 +21,7 @@ from typing import NoReturn, Optional
 # `verify` is not called here: perfbench/tracing.py patches it by this name.
 from .core import PARTY_IDS, QuorumConfig, Request, party_key, request_id, verify
 from .leaders import BLOCK_FAIR, TIMED_FAIR, BlockCertificate, omits_blocker, timed_members
-from .votes import MedianSummary, Vote, VoteStore, median_bounds, timed_request_order
+from .votes import MedianSummary, Vote, VoteStore, median_bounds, quorate, timed_request_order
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,14 @@ _INGEST_FAULTS = {
 
 def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutcome:
     """Block validity: a party as proposer, non-empty, a strong quorum of
-    fully-historied votes per member, and the members the engines' emission
-    rules ask for (`leaders.omits_blocker`, `leaders.timed_members`). The
-    cited votes are admitted, in cited order, by `VoteStore.ingest`, the
-    rule the engines' stores apply; the first refusal that condemns the
-    certificate names its fault. A certificate with timestamped votes or a
-    timed tag gets the timestamped vote rules: voters whose timestamps run
-    against their sequence numbers lose their votes from the mismatch
-    onward, which can drop a member below quorum."""
+    fully-historied votes per member (`votes.quorate`), and the members the
+    engines' emission rules ask for (`leaders.omits_blocker`,
+    `leaders.timed_members`). The cited votes are admitted, in cited order,
+    by `VoteStore.ingest`, the rule the engines' stores apply; the first
+    refusal that condemns the certificate names its fault. A certificate
+    with timestamped votes or a timed tag gets the timestamped vote rules:
+    voters whose timestamps run against their sequence numbers lose their
+    votes from the mismatch onward, which can drop a member below quorum."""
     if not 0 <= cert.proposer < cfg.n:
         return VerifyOutcome("unknown-proposer")
     timestamped = cert.mode_tag == TIMED_FAIR or any(
@@ -88,9 +88,8 @@ def verify_certificate(cfg: QuorumConfig, cert: BlockCertificate) -> VerifyOutco
         # A market with the separator in it could relabel a request (request_id).
         if "|" in req.market or request_id(req.market, req.payload) != rid:
             return VerifyOutcome("bad-attestation")
-    for rid in cert.requests:
-        if rid not in store.strong_at:
-            return VerifyOutcome("insufficient-votes")
+    if not quorate(store, cert.requests):
+        return VerifyOutcome("insufficient-votes")
     if any(log.invalid for log in store.logs.values()):
         # Some voter's timestamps ran against its sequence numbers.
         return VerifyOutcome("timestamp-order")

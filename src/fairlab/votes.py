@@ -8,9 +8,9 @@ backwards relative to sequence numbers in timestamped mode). Accepted votes
 from before an exclusion remain usable.
 
 The fairness relations read the store and its quorum configuration: the
-blocking relation (`blocks`) and the median-timestamp rules, whose one
-median formula is `median_bounds`: every pivot, pivot check and in-block
-order of a timed block takes one of its two bounds.
+strong-quorum test (`quorate`), the blocking relation (`blocks`) and the
+median-timestamp rules, whose one median formula is `median_bounds`: each
+pivot, pivot check and timed block's in-block order takes one of its bounds.
 """
 
 from __future__ import annotations
@@ -291,6 +291,12 @@ class MedianSummary:
     request: RequestId
     timestamps: tuple[Timestamp, ...]
     m_r: Timestamp
+
+
+def quorate(store: VoteStore, requests: Iterable[RequestId]) -> bool:
+    """True iff every request holds a strong quorum, as each block member must.
+    A map, not a generator, costs the verifier one Python call per certificate."""
+    return all(map(store.strong_at.__contains__, requests))
 
 
 def blocks(store: VoteStore, r2: RequestId, r: RequestId) -> bool:

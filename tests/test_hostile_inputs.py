@@ -164,6 +164,9 @@ PINNED_ERRORS = {
     "votes-entry-not-a-list": "certificate field 'votes' must be a list, not dict",
     "n-missing": "scenario file has no 'n' field",
     "market-with-separator": "scenario field 'requests market' must not contain '|', not 'a|b'",
+    "leaders-repeated": "scenario field 'leaders' repeats a party id: [0, 0]",
+    "behavior-for-honest-party":
+        "scenario field 'behaviors' names party 0, which 'corrupt' does not list",
     "t-missing": "scenario file has no 't' field",
     "scenario-mode-unknown":
         "unknown mode 'bogus', expected one of ('neverending', 'clocked', 'hybrid')",
@@ -218,6 +221,10 @@ SCENARIO_CASES = {
     "behaviors-key-out-of-range": lambda d: d.update(
         behaviors={**d.get("behaviors", {}), "9": {"kind": "silent"}}),
     "leaders-out-of-range": lambda d: d.update(leaders=[7]),
+    # Leader 0 stepped, and replayed its store, twice per block.
+    "leaders-repeated": lambda d: d.update(leaders=[0, 0]),
+    # An honest party's behavior was dropped without a word: it voted as usual.
+    "behavior-for-honest-party": lambda d: d.update(behaviors={"0": {"kind": "silent"}}),
     "proposer_policy-unknown": lambda d: d.update(proposer_policy="bogus"),
     # An unknown mode used to exit 2 as well, with "engine is not in hybrid mode".
     "scenario-mode-unknown": lambda d: d.update(mode="bogus"),

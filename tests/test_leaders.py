@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 from fairlab.leaders import (
@@ -112,6 +113,25 @@ def test_hybrid_benign_matches_neverending(cfg4):
     assert cert is not None
     assert cert.requests == (RA.id,)
     assert cert.mode_tag == "block-fair"
+
+
+def test_hybrid_passes_over_a_closed_candidate_without_a_strong_quorum(cfg4, monkeypatch):
+    # ra completes its weak quorum first and nothing blocks it, but only two
+    # parties vote it: the builder refuses it and the next seed, rb, ships.
+    state = engine(cfg4, HYBRID, r_max=100)
+    for party in (0, 1):
+        cast(state.store, party, 0, RA, ts=1)
+        cast(state.store, party, 1, RB, ts=2)
+    for party in (2, 3):
+        cast(state.store, party, 0, RB, ts=1)
+    candidates = _grown_candidates(monkeypatch, state)
+    assert candidates[0] == (RA.id, (RA.id,), True)
+    cert = hybrid_step(state)
+    assert cert.requests == (RB.id,)
+    assert not state.fallback_snapshot
+    assert verify_certificate(cfg4, cert).ok
+    forged = dataclasses.replace(cert, requests=(RA.id,))
+    assert verify_certificate(cfg4, forged).reason == "insufficient-votes"
 
 
 def test_hybrid_two_markets_ship_separately(cfg4):

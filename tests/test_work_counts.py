@@ -188,7 +188,7 @@ def test_standalone_verify_checks_each_cited_vote_once(monkeypatch, hybrid_chain
 def test_standalone_verify_makes_few_python_calls(hybrid_chain):
     # Python-level calls, as the profiler sees them, while rebuilding and
     # verifying the chain's 40 certificates (344 cited votes, 155 table
-    # rows): about 4,600 on Python 3.10 and 3.11, fewer on later versions.
+    # rows): 4,261 on Python 3.11.7.
     # Calling a checker per row, party key and field, and a generated
     # dataclass __init__ per request, made 6,721.
     cfg, certs = hybrid_chain
