@@ -58,15 +58,15 @@ class BlockCertificate:
     request_table: dict[RequestId, Request]
 
 
-def coin_stop(shared_seed: str, block_number: int, admissions_past_cutoff: int,
+def coin_stop(shared_seed: str, block_number: int, event: str,
               stop_probability: float) -> bool:
-    """Deterministic pseudo-random stop bit; equal inputs give equal bits on
-    every party, so a distributed evaluation cannot diverge."""
+    """Deterministic pseudo-random stop bit for one event of one block; equal
+    inputs give equal bits on every party, so a distributed evaluation cannot
+    diverge. The hybrid engine's event is `f"{seed}|{size}"`: growing seed's
+    candidate to `size` members, past r_max."""
     if stop_probability >= 1.0:
         return True
-    h = hashlib.sha256(
-        f"{shared_seed}|{block_number}|{admissions_past_cutoff}".encode()
-    ).digest()
+    h = hashlib.sha256(f"{shared_seed}|{block_number}|{event}".encode()).digest()
     draw = int.from_bytes(h[:8], "big") / float(1 << 64)
     return draw < stop_probability
 
@@ -82,7 +82,6 @@ class LeaderState:
     coin_stop_p: float
     # Non-empty exactly while the fallback phase runs.
     fallback_snapshot: tuple[RequestId, ...] = ()
-    admissions_past_cutoff: int = 0
     fallback_blocks_emitted: int = 0
     max_candidate_order: int = 0
     cutoff_events: int = 0
@@ -157,12 +156,11 @@ def _closure(state: LeaderState, seed: RequestId) -> tuple[list[RequestId], bool
                 members.append(rid)
                 member_set.add(rid)
                 changed = True
-                if hybrid and len(members) > state.r_max:
-                    state.admissions_past_cutoff += 1
-                    if coin_stop(state.coin_seed, store.block,
-                                 state.admissions_past_cutoff, state.coin_stop_p):
-                        changed = False  # the coin stops growth
-                        break
+                if hybrid and len(members) > state.r_max and coin_stop(
+                        state.coin_seed, store.block, f"{seed}|{len(members)}",
+                        state.coin_stop_p):
+                    changed = False  # the coin stops growth
+                    break
             else:
                 tested[rid] = len(members)
     closed = not omits_blocker(store, members, tested)

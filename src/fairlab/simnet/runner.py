@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Container
-from dataclasses import dataclass
 from typing import Optional
 
 from ..core import PartyId, Request, RequestId, make_request, validate_config
@@ -29,13 +28,6 @@ from ..votes import Vote, make_vote
 from .scenario import (EQUIVOCATE, REORDER, SILENT, SKEW, BehaviorSpec, ClockSpec, Scenario,
                        instance_of)
 from .trace import Trace
-
-
-@dataclass(slots=True)
-class Msg:
-    recipient: PartyId
-    vote: Vote  # carries its sender (signer) and request id
-    tag: str
 
 
 class _Stream:
@@ -134,14 +126,20 @@ class Simulation:
             for pid in self.leader_ids
         }
         self.chain = Chain(self.cfg)
-        self.pool: dict[int, Msg] = {}  # in id order: ids only grow, none is re-pooled
+        # message id -> (recipient, vote, tag): one pooled copy of a vote, which
+        # carries its sender (signer) and request id; the tag is the sender's
+        # sighting tag, which `flush` filters on. In id order: ids only grow,
+        # none is re-pooled.
+        self.pool: dict[int, tuple[PartyId, Vote, str]] = {}
         # The probabilistic wrapper's seeded sweep order over pool messages.
         self.pool_order: list[int] = []
         self._next_mid = 0  # message ids are dense: every id below was sent
         self.rng = random.Random(scenario.wrapper_seed) if scenario.failure_p else None
         self.step_no = 0
         self.action_index = 0
-        self._stepped_version: dict[PartyId, int] = {}
+        # Leaders whose store changed since their last step; every leader
+        # steps first.
+        self._changed: set[PartyId] = set(self.engines)
         self._registered: set[RequestId] = set()
         # The steps of each request name's first and last honest sighting.
         self.first_seen: dict[str, int] = {}
@@ -198,6 +196,7 @@ class Simulation:
     def _send(self, party: _Party, stream: _Stream) -> None:
         """Send the stream's unsent votes, numbering them after its sent ones."""
         block = self.chain.next_number  # nothing here ships a block
+        pool = self.pool
         for rid in stream.unsent:
             seen_ts, tag = party.seen[rid]
             if stream.rng is None:
@@ -211,22 +210,30 @@ class Simulation:
                              ts if self.timestamped else None, rid)
             self._rec("vote", party=party.pid, block=block, seq=seq,
                       request=rid, ts=vote.ts, audience=stream.audience)
+            first = mid = self._next_mid
             for recipient in stream.recipients:
-                mid = self._next_mid
-                self._next_mid += 1
-                self.pool[mid] = Msg(recipient, vote, tag)
-                if self.rng is not None:
-                    self.pool_order.insert(self.rng.randrange(len(self.pool_order) + 1), mid)
+                pool[mid] = (recipient, vote, tag)
+                mid += 1
+            self._next_mid = mid
+            if self.rng is not None:
+                order = self.pool_order
+                for new in range(first, mid):
+                    order.insert(self.rng.randrange(len(order) + 1), new)
             self._ingest(party.pid, vote)  # a leader ingests its own vote directly
         stream.unsent = []
 
     def _ingest(self, pid: PartyId, vote: Vote) -> None:
         """Hand a vote to the party's store when it leads, and record the outcome."""
-        if pid not in self.engines:
+        engine = self.engines.get(pid)
+        if engine is None:
             return
-        outcome = self.engines[pid].store.ingest(vote)
+        store = engine.store
+        version = store.version
+        outcome = store.ingest(vote)
         if outcome.reason == "duplicate":
             return  # incarnation re-sends produce these in bulk
+        if store.version != version:
+            self._changed.add(pid)
         # The commonest records are built as literals, without `_rec`'s kwargs.
         self.trace.records.append({
             "kind": "ingest", "step": self.step_no, "leader": pid,
@@ -235,18 +242,17 @@ class Simulation:
         self.step_no += 1
 
     def _deliver(self, mid: int, via: str) -> None:
-        msg = self.pool.pop(mid)
-        recipient = self.parties[msg.recipient]
-        vote = msg.vote
+        to, vote, _ = self.pool.pop(mid)
+        recipient = self.parties[to]
         req = self.by_id[vote.request]
         self._activate(recipient)
         self.trace.records.append({
-            "kind": "deliver", "step": self.step_no, "msg": mid, "to": msg.recipient,
+            "kind": "deliver", "step": self.step_no, "msg": mid, "to": to,
             "sender": vote.signer, "request": vote.request, "via": via})
         self.step_no += 1
         if req.id not in recipient.seen:
             self._sight(recipient, req, "relay")
-        self._ingest(msg.recipient, vote)
+        self._ingest(to, vote)
 
     # -- schedule execution ---------------------------------------------------
 
@@ -271,10 +277,10 @@ class Simulation:
             tags = event.get("tags")
             seen_only = event.get("seen_only", False)
             for mid in list(self.pool):
-                msg = self.pool[mid]
-                if tags is not None and msg.tag not in tags:
+                to, vote, tag = self.pool[mid]
+                if tags is not None and tag not in tags:
                     continue
-                if seen_only and msg.vote.request not in self.parties[msg.recipient].seen:
+                if seen_only and vote.request not in self.parties[to].seen:
                     continue
                 self._deliver(mid, "flush")
         elif action == "checkpoint":
@@ -300,7 +306,7 @@ class Simulation:
         corrupt = self.corrupt
         if corrupt:
             eligible = [mid for mid in self.pool_order
-                        if pool[mid].recipient not in corrupt and pool[mid].vote.signer not in corrupt]
+                        if pool[mid][0] not in corrupt and pool[mid][1].signer not in corrupt]
         else:
             eligible = self.pool_order.copy()
         draw = self.rng.random
@@ -323,14 +329,15 @@ class Simulation:
         return self.leader_ids
 
     def _step_leaders(self) -> None:
-        """Step every proposer whose store changed since its last step, and
-        start over after each block, until no proposer ships one."""
-        stepped = self._stepped_version  # _on_block clears it in place
-        while True:
+        """Step, in proposer order, every proposer whose store changed since
+        its last step, and start over after each block, until no proposer
+        ships one. A block changes every leader's store, so every leader
+        steps after it. An engine's step never changes its own store."""
+        changed = self._changed  # _ingest and _on_block fill it in place
+        while changed:
             for pid in self._proposers():
-                marker = self.engines[pid].store.version
-                if stepped.get(pid) != marker:
-                    stepped[pid] = marker
+                if pid in changed:
+                    changed.discard(pid)
                     if self._turn(pid):
                         break
             else:
@@ -374,7 +381,7 @@ class Simulation:
         for party in self.parties:
             for stream in party.streams:
                 stream.next_incarnation(self.chain.delivered)
-        self._stepped_version.clear()
+        self._changed.update(self.leader_ids)
         self._rec("incarnation", block=self.chain.next_number)
 
     # -- run loop, drain and summary --------------------------------------------

@@ -313,6 +313,27 @@ def test_hybrid_cutoff_sacrifice_is_real_and_confined(cfg4):
     assert report.gate_ok()
 
 
+def test_gates_hold_where_honest_sightings_differ():
+    # A complete run's relays leave every honest party with the same
+    # sightings. Cut short at half its events and finished without a drain,
+    # a run may leave an honest party without a request that others sighted,
+    # and every mode's gate must still hold there.
+    runs = differ = 0
+    for mode, r_max in (("neverending", 0), ("clocked", 0), ("hybrid", 2)):
+        for n, t in ((4, 1), (7, 2)):
+            for seed in range(12):
+                scenario = fuzz_scenario(seed, n=n, t=t, mode=mode, r_max=r_max)
+                sim = Simulation(scenario)
+                for event in scenario.events[:len(scenario.events) // 2]:
+                    sim.execute(event)
+                trace = sim.finish()
+                assert audit_trace(trace).gate_ok(), (mode, n, seed)
+                view = TraceView(trace)
+                differ += len({frozenset(view.sight_step[p]) for p in view.honest}) > 1
+                runs += 1
+    assert runs == 72 and differ >= 40
+
+
 @pytest.fixture(scope="module")
 def fuzz_traces():
     """Fuzz runs in every mode at n=4 and n=7, and the wrapped hybrid run."""

@@ -298,10 +298,15 @@ def test_replay_carries_permanent_exclusions(cfg4):
 
 
 def test_coin_stop_deterministic_and_biased():
-    assert coin_stop("s", 3, 7, 0.4) == coin_stop("s", 3, 7, 0.4)
-    assert coin_stop("s", 0, 0, 1.0)
-    hits = sum(coin_stop("seed", 1, k, 0.25) for k in range(10_000))
+    # The event key names a seed and the candidate size it grows to.
+    assert coin_stop("s", 3, "r|7", 0.4) == coin_stop("s", 3, "r|7", 0.4)
+    assert coin_stop("s", 0, "r|1", 1.0)
+    hits = sum(coin_stop("seed", 1, f"r|{k}", 0.25) for k in range(10_000))
     assert abs(hits / 10_000 - 0.25) < 0.02
+    # Shared seed, block and event each feed the bit.
+    draws = {args: [coin_stop(*args[:2], f"{args[2]}|{k}", 0.5) for k in range(64)]
+             for args in (("s", 3, "r"), ("t", 3, "r"), ("s", 4, "r"), ("s", 3, "q"))}
+    assert len({tuple(bits) for bits in draws.values()}) == len(draws)
 
 
 def test_engine_determinism(cfg4):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import fairlab.leaders
 from fairlab.core import validate_config
 from fairlab.simnet.generators import (
     benign_schedule,
@@ -336,6 +337,41 @@ def test_randomized_coin_cutoff_end_to_end(cfg4):
     assert summary["delivered"] == 12
     from fairlab.audit import audit_trace
     assert audit_trace(a).violations_confined_post_cutoff
+
+
+def test_hybrid_leaders_draw_one_coin_bit_per_event(cfg4, monkeypatch):
+    # Four hybrid leaders grow candidates as often as their own steps come,
+    # yet each event, a seed's candidate growing past r_max to one size in
+    # one block, gets one bit, whichever leader draws it and however often.
+    real_closure, real_coin = fairlab.leaders._closure, fairlab.leaders.coin_stop
+    growing = []  # [state, seed, draws so far] of each closure being grown
+    bits, drawers = {}, {}  # (block, seed, size) -> bits drawn, leaders drawing
+
+    def closure(state, seed):
+        growing.append([state, seed, 0])
+        try:
+            return real_closure(state, seed)
+        finally:
+            growing.pop()
+
+    def coin(*args):
+        bit = real_coin(*args)
+        frame = growing[-1]
+        state, seed, draws = frame
+        frame[2] += 1
+        # A closure draws once per admission past r_max, one member at a time.
+        key = (state.store.block, seed, state.r_max + 1 + draws)
+        bits.setdefault(key, set()).add(bit)
+        drawers.setdefault(key, set()).add(state.proposer)
+        return bit
+
+    monkeypatch.setattr(fairlab.leaders, "_closure", closure)
+    monkeypatch.setattr(fairlab.leaders, "coin_stop", coin)
+    for depth in range(4, 11):
+        run(dataclasses.replace(segment_schedule(cfg4, depth), mode="hybrid", r_max=4,
+                                coin_stop_p=0.5))
+    assert sum(len(leaders) > 1 for leaders in drawers.values()) >= 5
+    assert {key: drawn for key, drawn in bits.items() if len(drawn) > 1} == {}
 
 
 def test_trace_and_chain_lines_build_no_encoder(monkeypatch):

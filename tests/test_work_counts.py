@@ -4,7 +4,10 @@ check is not hashed again. The hybrid fallback tests timed precedence only
 for a block it ships, and ends only at an incarnation change. The auditor
 builds its constraint sets from a bounded number of reads per party and
 request, not from every pair against every party. Stand-alone verification
-rebuilds and checks a chain with a bounded number of Python-level calls."""
+rebuilds and checks a chain with a bounded number of Python-level calls.
+The simulator sends a vote with no Python-level call per recipient, and
+steps a leader only when its store changed since its last step or a block
+shipped."""
 
 import dataclasses
 import json
@@ -204,6 +207,69 @@ def test_standalone_verify_makes_few_python_calls(hybrid_chain):
         sys.setprofile(None)
     assert all(outcome.ok for outcome in outcomes)
     assert calls["call"] <= 4_700
+
+
+def _calls_to_send_one_vote(n):
+    """Python-level calls while party 0 of an n-party clocked run sends its
+    second vote to the n-1 others. Its first vote, sent unprofiled when it
+    sights the second request, fills the signing key's cache."""
+    cfg = validate_config(n, (n - 1) // 3)
+    scenario = dataclasses.replace(benign_schedule(cfg, requests=2, seed=0), mode="clocked")
+    sim = Simulation(scenario)
+    for name in scenario.requests:
+        sim.execute({"a": "see", "party": 0, "request": name})
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        calls[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        sim._activate(sim.parties[0])
+    finally:
+        sys.setprofile(None)
+    assert len(sim.pool) == 2 * (n - 1)
+    return calls["call"]
+
+
+def test_sending_a_vote_makes_no_call_per_recipient():
+    # A pooled copy is a plain tuple, so 21 recipients cost no more Python
+    # calls than 9. An object per copy made one generated __init__ call each.
+    assert _calls_to_send_one_vote(22) == _calls_to_send_one_vote(10) > 0
+
+
+@pytest.mark.parametrize("scenario, steps", [
+    (dataclasses.replace(benign_schedule(validate_config(22, 7), requests=12, seed=0),
+                         mode="clocked"), 320),
+    (wrapped_hybrid_scenario(), 332),
+], ids=["benign-clocked-n22", "wrapped-hybrid"])
+def test_leaders_step_when_their_store_changed(monkeypatch, scenario, steps):
+    # After every action, each engine's last step saw its current store at
+    # its current version: no leader misses a change. The pinned step counts
+    # show that no leader steps without one.
+    seen = {}  # leader -> (store, version) at its last step
+    taken = []  # the leader of each step
+    real_step = runner.leader_step
+
+    def stepping(state):
+        taken.append(state.proposer)
+        seen[state.proposer] = (state.store, state.store.version)
+        return real_step(state)
+
+    monkeypatch.setattr(runner, "leader_step", stepping)
+    sim = Simulation(scenario)
+
+    def check():
+        for pid, state in sim.engines.items():
+            store, version = seen[pid]
+            assert store is state.store and version == store.version, pid
+
+    for event in scenario.events:
+        sim.execute(event)
+        check()
+    sim.drain()
+    check()
+    assert len(taken) == steps
 
 
 def test_fallback_tests_timed_precedence_once_per_block(monkeypatch):
