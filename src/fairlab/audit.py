@@ -60,7 +60,9 @@ class TraceView:
         self.incarnation_start: dict[int, int] = {0: 0}
         fallback = False  # an engine entered the fallback earlier in the file
         last_step = -1  # the steps below rise strictly in file order
-        for rec in trace.records:
+        for rec in trace.rows:
+            if type(rec) is tuple:  # a runner's deliver, ingest or vote: none is audited
+                continue
             kind = rec["kind"]
             fields = AUDITED_FIELDS.get(kind)
             if fields is None:

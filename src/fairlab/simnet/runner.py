@@ -164,7 +164,9 @@ class Simulation:
     # -- trace helpers -------------------------------------------------------
 
     def _rec(self, kind: str, **fields) -> None:
-        self.trace.records.append({"kind": kind, "step": self.step_no, **fields})
+        """Record an event as a dict row. `_send`, `_ingest` and `_deliver`
+        append theirs as tuples instead, in the key order of trace._KEYS."""
+        self.trace.rows.append({"kind": kind, "step": self.step_no, **fields})
         self.step_no += 1
 
     def _sight(self, party: _Party, req: Request, via: str, tag: Optional[str] = None) -> None:
@@ -197,6 +199,7 @@ class Simulation:
         """Send the stream's unsent votes, numbering them after its sent ones."""
         block = self.chain.next_number  # nothing here ships a block
         pool = self.pool
+        rows = self.trace.rows
         for rid in stream.unsent:
             seen_ts, tag = party.seen[rid]
             if stream.rng is None:
@@ -208,8 +211,9 @@ class Simulation:
             stream.sent.append(rid)
             vote = make_vote(party.pid, self.instance, block, seq,
                              ts if self.timestamped else None, rid)
-            self._rec("vote", party=party.pid, block=block, seq=seq,
-                      request=rid, ts=vote.ts, audience=stream.audience)
+            rows.append(("vote", stream.audience, block, party.pid, rid, seq, self.step_no,
+                         vote.ts))
+            self.step_no += 1
             first = mid = self._next_mid
             for recipient in stream.recipients:
                 pool[mid] = (recipient, vote, tag)
@@ -234,11 +238,8 @@ class Simulation:
             return  # incarnation re-sends produce these in bulk
         if store.version != version:
             self._changed.add(pid)
-        # The commonest records are built as literals, without `_rec`'s kwargs.
-        self.trace.records.append({
-            "kind": "ingest", "step": self.step_no, "leader": pid,
-            "party": vote.signer, "seq": vote.seq, "request": vote.request,
-            "status": outcome.status, "reason": outcome.reason})
+        self.trace.rows.append(("ingest", pid, vote.signer, outcome.reason, vote.request,
+                                vote.seq, outcome.status, self.step_no))
         self.step_no += 1
 
     def _deliver(self, mid: int, via: str) -> None:
@@ -246,9 +247,8 @@ class Simulation:
         recipient = self.parties[to]
         req = self.by_id[vote.request]
         self._activate(recipient)
-        self.trace.records.append({
-            "kind": "deliver", "step": self.step_no, "msg": mid, "to": to,
-            "sender": vote.signer, "request": vote.request, "via": via})
+        self.trace.rows.append(("deliver", mid, vote.request, vote.signer, self.step_no, to,
+                                via))
         self.step_no += 1
         if req.id not in recipient.seen:
             self._sight(recipient, req, "relay")

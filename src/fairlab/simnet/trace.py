@@ -8,27 +8,66 @@ the auditor to reconstruct every honest party's local view.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Union
 
 from ..core import canonical_json, parse_json
 
-# The runner's per-copy records, `deliver`, `ingest` and `vote`, are nearly all
-# of a wide run's lines, and canonical_json's sorted-keys encoder costs about
-# twice what a template does. `Trace.lines` writes each of the three through
-# one f-string that lists the keys in sorted order, writes ints through str()
-# and strings through the escaper canonical_json's encoder uses, so it gives
-# canonical_json's bytes. A run repeats few strings (request ids, `via`,
-# status and reason), so each `lines()` call keeps their quoted forms in a
-# dict that lives as long as the call. A record takes its template only when
-# its key set is the runner's and every value has the exact type the template
-# expects; any other record (a bool, a float, a missing or extra key) goes
-# through canonical_json. tests/test_trace_lines.py holds the two to one
-# output.
+# A trace holds its records as rows. The runner's per-copy records, `deliver`,
+# `ingest` and `vote`, are nearly all of a wide run's lines; it stores each as
+# a flat tuple, `(kind, *values)`, with the values in the sorted order of
+# their keys (`_KEYS`), which is cheaper to build and to keep than a dict.
+# Every other record, and every record read back from a file, is a dict.
+# `Trace.lines` encodes the rows only when the trace is written: a dict row
+# through canonical_json, a tuple row through one f-string per kind that lists
+# the keys in sorted order, writes ints through str() and strings through the
+# escaper canonical_json's encoder uses, so it gives canonical_json's bytes.
+# A tuple row is not type-checked again: the scenario checks make every value
+# an int, a string or, where `_KEYS` allows it, None. A run repeats few
+# strings (request ids, `via`, status and reason), so each `lines()` call
+# keeps their quoted forms in a dict that lives as long as the call.
+# `Trace.records` gives every row as a dict, in file order.
+# tests/test_trace_lines.py holds the two encodings to one output.
+
+_KEYS = {
+    "deliver": ("kind", "msg", "request", "sender", "step", "to", "via"),
+    # reason: a string or None
+    "ingest": ("kind", "leader", "party", "reason", "request", "seq", "status", "step"),
+    # audience: a string or None; ts: an int or None
+    "vote": ("kind", "audience", "block", "party", "request", "seq", "step", "ts"),
+}
+
+Row = Union[dict, tuple]
+
+
+def _as_dict(row: Row) -> dict:
+    return row if type(row) is dict else dict(zip(_KEYS[row[0]], row))
+
+
+class Records(Sequence):
+    """A read-only view of a trace's rows, each given as a dict."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[Row]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_as_dict(row) for row in self._rows[index]]
+        return _as_dict(self._rows[index])
+
+    def __iter__(self):
+        return map(_as_dict, self._rows)
 
 
 class _Quoted(dict):
-    """str -> its JSON string literal, quoted on first use."""
+    """str -> its JSON string literal, quoted on first use; None -> null."""
 
     def __missing__(self, text: str) -> str:
         literal = self[text] = _quote(text)
@@ -38,52 +77,33 @@ class _Quoted(dict):
 @dataclass
 class Trace:
     header: dict
-    records: list[dict] = field(default_factory=list)
+    rows: list[Row] = field(default_factory=list)
+
+    @property
+    def records(self) -> Records:
+        return Records(self.rows)
 
     def lines(self) -> list[str]:
         out = [canonical_json({"kind": "header", **self.header})]
         append = out.append
-        q = _Quoted()
-        for rec in self.records:
-            kind = rec.get("kind")
-            try:
-                # With the length checked, reading every key proves the key set.
-                if kind == "deliver" and len(rec) == 7:
-                    msg, request, sender = rec["msg"], rec["request"], rec["sender"]
-                    step, to, via = rec["step"], rec["to"], rec["via"]
-                    if (type(kind) is type(request) is type(via) is str
-                            and type(msg) is type(sender) is type(step) is type(to) is int):
-                        append(f'{{"kind": "deliver", "msg": {msg}, "request": {q[request]}, '
-                               f'"sender": {sender}, "step": {step}, "to": {to}, '
-                               f'"via": {q[via]}}}')
-                        continue
-                elif kind == "ingest" and len(rec) == 8:
-                    leader, party, reason = rec["leader"], rec["party"], rec["reason"]
-                    request, seq, status = rec["request"], rec["seq"], rec["status"]
-                    step = rec["step"]
-                    if (type(kind) is type(request) is type(status) is str
-                            and type(leader) is type(party) is type(seq) is type(step) is int
-                            and (reason is None or type(reason) is str)):
-                        reason = "null" if reason is None else q[reason]
-                        append(f'{{"kind": "ingest", "leader": {leader}, "party": {party}, '
-                               f'"reason": {reason}, "request": {q[request]}, "seq": {seq}, '
-                               f'"status": {q[status]}, "step": {step}}}')
-                        continue
-                elif kind == "vote" and len(rec) == 8:
-                    audience, block, party = rec["audience"], rec["block"], rec["party"]
-                    request, seq, step, ts = rec["request"], rec["seq"], rec["step"], rec["ts"]
-                    if (type(kind) is type(request) is str
-                            and type(block) is type(party) is type(seq) is type(step) is int
-                            and (audience is None or type(audience) is str)
-                            and (ts is None or type(ts) is int)):
-                        audience = "null" if audience is None else q[audience]
-                        append(f'{{"audience": {audience}, "block": {block}, "kind": "vote", '
-                               f'"party": {party}, "request": {q[request]}, "seq": {seq}, '
-                               f'"step": {step}, "ts": {"null" if ts is None else ts}}}')
-                        continue
-            except KeyError:
-                pass
-            append(canonical_json(rec))
+        q = _Quoted({None: "null"})
+        for row in self.rows:
+            if type(row) is dict:
+                append(canonical_json(row))
+            elif row[0] == "deliver":
+                _, msg, request, sender, step, to, via = row
+                append(f'{{"kind": "deliver", "msg": {msg}, "request": {q[request]}, '
+                       f'"sender": {sender}, "step": {step}, "to": {to}, "via": {q[via]}}}')
+            elif row[0] == "ingest":
+                _, leader, party, reason, request, seq, status, step = row
+                append(f'{{"kind": "ingest", "leader": {leader}, "party": {party}, '
+                       f'"reason": {q[reason]}, "request": {q[request]}, "seq": {seq}, '
+                       f'"status": {q[status]}, "step": {step}}}')
+            else:  # vote
+                _, audience, block, party, request, seq, step, ts = row
+                append(f'{{"audience": {q[audience]}, "block": {block}, "kind": "vote", '
+                       f'"party": {party}, "request": {q[request]}, "seq": {seq}, '
+                       f'"step": {step}, "ts": {"null" if ts is None else ts}}}')
         return out
 
     def to_text(self) -> str:
@@ -102,7 +122,7 @@ class Trace:
         if not records or records[0]["kind"] != "header":
             raise ValueError("trace does not start with a header record")
         header = {k: v for k, v in records[0].items() if k != "kind"}
-        return cls(header=header, records=records[1:])
+        return cls(header=header, rows=records[1:])
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -115,7 +135,9 @@ class Trace:
 
     @property
     def summary(self) -> dict:
-        for r in reversed(self.records):
-            if r["kind"] == "summary":
-                return r
+        """The last `summary` record; the last row of a finished run's trace,
+        so walking back from the end decodes no tuple row before it."""
+        for rec in reversed(self.records):
+            if rec["kind"] == "summary":
+                return rec
         raise ValueError("trace has no summary record")

@@ -143,7 +143,7 @@ def _cut_and_complete(scenario, stops):
         for event in scenario.events[done:stop]:
             sim.execute(event)
         done = stop
-        yield Trace(header=sim.trace.header, records=list(sim.trace.records))
+        yield Trace(header=sim.trace.header, rows=list(sim.trace.rows))
     for event in scenario.events[done:]:
         sim.execute(event)
     sim.drain()

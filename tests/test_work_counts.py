@@ -377,7 +377,7 @@ def _nearly_agreeing_trace(n, t, requests, seed):
         records += [{"kind": "sight", "party": party, "request": ids[i], "ts": 3 * k + party,
                      "step": party * requests + k} for k, i in enumerate(order)]
     header = {"n": n, "t": t, "mode": "neverending", "corrupt": [n - 1]}
-    return Trace(header=header, records=records)
+    return Trace(header=header, rows=records)
 
 
 @pytest.mark.parametrize("builder", ["relative_constraints", "timed_constraints"])
