@@ -135,7 +135,6 @@ class Simulation:
         self.pool_order: list[int] = []
         self._next_mid = 0  # message ids are dense: every id below was sent
         self.rng = random.Random(scenario.wrapper_seed) if scenario.failure_p else None
-        self.step_no = 0
         self.action_index = 0
         # Leaders whose store changed since their last step; every leader
         # steps first.
@@ -164,10 +163,11 @@ class Simulation:
     # -- trace helpers -------------------------------------------------------
 
     def _rec(self, kind: str, **fields) -> None:
-        """Record an event as a dict row. `_send`, `_ingest` and `_deliver`
-        append theirs as tuples instead, in the key order of trace._KEYS."""
-        self.trace.rows.append({"kind": kind, "step": self.step_no, **fields})
-        self.step_no += 1
+        """Record an event as a dict row; an event's step is its row's index.
+        `_send`, `_ingest` and `_deliver` append theirs as tuples instead, in
+        the key order of trace._KEYS, with no step."""
+        rows = self.trace.rows
+        rows.append({"kind": kind, "step": len(rows), **fields})
 
     def _sight(self, party: _Party, req: Request, via: str, tag: Optional[str] = None) -> None:
         """A party's first sighting of a request; its first sighting by
@@ -180,8 +180,9 @@ class Simulation:
         ts = party.sight(req, via if tag is None else tag,
                          scheduled_on_chain=req.id in self.chain.delivered)
         if party.pid not in self.corrupt:
-            self.first_seen.setdefault(req.name, self.step_no)
-            self.last_seen[req.name] = self.step_no
+            step = len(self.trace.rows)  # the sight record's
+            self.first_seen.setdefault(req.name, step)
+            self.last_seen[req.name] = step
         if via == "schedule":
             self._rec("sight", party=party.pid, request=req.id, ts=ts, via=via, tag=tag)
         else:
@@ -211,9 +212,7 @@ class Simulation:
             stream.sent.append(rid)
             vote = make_vote(party.pid, self.instance, block, seq,
                              ts if self.timestamped else None, rid)
-            rows.append(("vote", stream.audience, block, party.pid, rid, seq, self.step_no,
-                         vote.ts))
-            self.step_no += 1
+            rows.append(("vote", stream.audience, block, party.pid, rid, seq, vote.ts))
             first = mid = self._next_mid
             for recipient in stream.recipients:
                 pool[mid] = (recipient, vote, tag)
@@ -239,17 +238,14 @@ class Simulation:
         if store.version != version:
             self._changed.add(pid)
         self.trace.rows.append(("ingest", pid, vote.signer, outcome.reason, vote.request,
-                                vote.seq, outcome.status, self.step_no))
-        self.step_no += 1
+                                vote.seq, outcome.status))
 
     def _deliver(self, mid: int, via: str) -> None:
         to, vote, _ = self.pool.pop(mid)
         recipient = self.parties[to]
         req = self.by_id[vote.request]
         self._activate(recipient)
-        self.trace.rows.append(("deliver", mid, vote.request, vote.signer, self.step_no, to,
-                                via))
-        self.step_no += 1
+        self.trace.rows.append(("deliver", mid, vote.request, vote.signer, to, via))
         if req.id not in recipient.seen:
             self._sight(recipient, req, "relay")
         self._ingest(to, vote)
@@ -286,7 +282,7 @@ class Simulation:
         elif action == "checkpoint":
             self._rec("checkpoint", label=event["label"])
             if event["label"] == "injection-complete":
-                self.injection_end_step = self.step_no
+                self.injection_end_step = len(self.trace.rows)
                 self.injection_end_action = self.action_index
         else:
             raise ValueError(f"unknown schedule action {action!r}")
@@ -366,7 +362,7 @@ class Simulation:
     def _on_block(self, cert: BlockCertificate) -> None:
         post_cutoff = any(e.cutoff_events > 0 for e in self.engines.values())
         if self.first_block_step is None:
-            self.first_block_step = self.step_no
+            self.first_block_step = len(self.trace.rows)
             self.first_block_action = self.action_index
         self._rec("block", number=cert.block_number, proposer=cert.proposer,
                   tag=cert.mode_tag,
@@ -421,7 +417,7 @@ class Simulation:
                 str(p): e.fallback_blocks_emitted for p, e in self.engines.items()
             },
             equivocators=list(self.chain.equivocators),
-            elapsed_steps=self.step_no,
+            elapsed_steps=len(self.trace.rows),
             first_block_step=self.first_block_step,
             first_block_action=self.first_block_action,
             injection_end_step=self.injection_end_step,

@@ -1,9 +1,10 @@
 """Trace files: the complete record of one simulation, one event per line.
 
 The first line is a header carrying the scenario digest and configuration; the
-last line is a run summary. Everything in between is ordered by a global step
-counter the parties never observe. The record stream is complete enough for
-the auditor to reconstruct every honest party's local view.
+last line is a run summary. Everything in between is ordered by a global step,
+each record's place after the header (0, 1, 2, ...), that the parties never
+observe. The record stream is complete enough for the auditor to reconstruct
+every honest party's local view.
 """
 
 from __future__ import annotations
@@ -11,43 +12,60 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Union
+from typing import Optional, Union
 
 from ..core import canonical_json, parse_json
 
-# A trace holds its records as rows. The runner's per-copy records, `deliver`,
-# `ingest` and `vote`, are nearly all of a wide run's lines; it stores each as
-# a flat tuple, `(kind, *values)`, with the values in the sorted order of
-# their keys (`_KEYS`), which is cheaper to build and to keep than a dict.
-# Every other record, and every record read back from a file, is a dict.
-# `Trace.lines` encodes the rows only when the trace is written: a dict row
-# through canonical_json, a tuple row through one f-string per kind that lists
-# the keys in sorted order, writes ints through str() and strings through the
+# A trace holds its records as rows, and a row's step is its place among the
+# rows (0, 1, 2, ...). The runner's per-copy records, `deliver`, `ingest` and
+# `vote`, are nearly all of a wide run's lines; it stores each as a flat
+# tuple, `(kind, *values)`, with the values in the sorted order of their keys
+# (`_KEYS`), which is cheaper to build and to keep than a dict. A tuple row
+# holds no step: its step is its position. Every other record, and every
+# record read back from a file, is a dict that carries its own `step`.
+# The rows are encoded only when the trace is written: a dict row through
+# canonical_json, a tuple row through one f-string per kind that lists the
+# keys in sorted order, writes ints through str() and strings through the
 # escaper canonical_json's encoder uses, so it gives canonical_json's bytes.
 # A tuple row is not type-checked again: the scenario checks make every value
 # an int, a string or, where `_KEYS` allows it, None. A run repeats few
 # strings (request ids, `via`, status and reason), so each `lines()` call
 # keeps their quoted forms in a dict that lives as long as the call.
-# `Trace.records` gives every row as a dict, in file order.
+# `save` writes `to_text` of `CHUNK_ROWS` rows at a time and `to_text()`
+# joins the same chunks, so neither holds a list of every line; the bytes are
+# the same.
+# `Trace.records` gives every row as a dict, in file order, a tuple row's
+# with its index as its step.
 # tests/test_trace_lines.py holds the two encodings to one output.
 
+# About 90 KB of a wide run's text. Chunks of 2,048 rows (about 360 KB) made
+# `to_text` 10-20% slower at n=22 than one list of every line, in page faults
+# on fresh memory; 512 rows measured even with it (Python 3.11, Linux).
+CHUNK_ROWS = 512
+
 _KEYS = {
-    "deliver": ("kind", "msg", "request", "sender", "step", "to", "via"),
+    "deliver": ("kind", "msg", "request", "sender", "to", "via"),
     # reason: a string or None
-    "ingest": ("kind", "leader", "party", "reason", "request", "seq", "status", "step"),
+    "ingest": ("kind", "leader", "party", "reason", "request", "seq", "status"),
     # audience: a string or None; ts: an int or None
-    "vote": ("kind", "audience", "block", "party", "request", "seq", "step", "ts"),
+    "vote": ("kind", "audience", "block", "party", "request", "seq", "ts"),
 }
 
 Row = Union[dict, tuple]
 
 
-def _as_dict(row: Row) -> dict:
-    return row if type(row) is dict else dict(zip(_KEYS[row[0]], row))
+def _as_dict(row: Row, step: int) -> dict:
+    """A row as its record: a dict row as it is, a tuple row with `step`."""
+    if type(row) is dict:
+        return row
+    rec = dict(zip(_KEYS[row[0]], row))
+    rec["step"] = step
+    return rec
 
 
 class Records(Sequence):
-    """A read-only view of a trace's rows, each given as a dict."""
+    """A read-only view of a trace's rows, each given as a dict; a tuple
+    row's step is its index."""
 
     __slots__ = ("_rows",)
 
@@ -58,12 +76,23 @@ class Records(Sequence):
         return len(self._rows)
 
     def __getitem__(self, index):
+        rows = self._rows
+        steps = range(len(rows))[index]  # IndexError and TypeError as the list's
         if isinstance(index, slice):
-            return [_as_dict(row) for row in self._rows[index]]
-        return _as_dict(self._rows[index])
+            return list(map(_as_dict, rows[index], steps))
+        return _as_dict(rows[index], steps)
 
     def __iter__(self):
-        return map(_as_dict, self._rows)
+        # _as_dict written out: `map(_as_dict, rows, count())` iterated an
+        # n=22 run's rows 3-5% slower (Python 3.11).
+        keys = _KEYS
+        for step, row in enumerate(self._rows):
+            if type(row) is dict:
+                yield row
+            else:
+                rec = dict(zip(keys[row[0]], row))
+                rec["step"] = step
+                yield rec
 
 
 class _Quoted(dict):
@@ -83,33 +112,42 @@ class Trace:
     def records(self) -> Records:
         return Records(self.rows)
 
-    def lines(self) -> list[str]:
-        out = [canonical_json({"kind": "header", **self.header})]
+    def lines(self, start: int = 0, stop: Optional[int] = None) -> list[str]:
+        """The lines of rows[start:stop], after the header line when start is
+        0: by default every line of the trace, without newlines."""
+        out = [canonical_json({"kind": "header", **self.header})] if start == 0 else []
         append = out.append
         q = _Quoted({None: "null"})
-        for row in self.rows:
+        for step, row in enumerate(self.rows[start:stop], start):
             if type(row) is dict:
                 append(canonical_json(row))
             elif row[0] == "deliver":
-                _, msg, request, sender, step, to, via = row
+                _, msg, request, sender, to, via = row
                 append(f'{{"kind": "deliver", "msg": {msg}, "request": {q[request]}, '
                        f'"sender": {sender}, "step": {step}, "to": {to}, "via": {q[via]}}}')
             elif row[0] == "ingest":
-                _, leader, party, reason, request, seq, status, step = row
+                _, leader, party, reason, request, seq, status = row
                 append(f'{{"kind": "ingest", "leader": {leader}, "party": {party}, '
                        f'"reason": {q[reason]}, "request": {q[request]}, "seq": {seq}, '
                        f'"status": {q[status]}, "step": {step}}}')
             else:  # vote
-                _, audience, block, party, request, seq, step, ts = row
+                _, audience, block, party, request, seq, ts = row
                 append(f'{{"audience": {q[audience]}, "block": {block}, "kind": "vote", '
                        f'"party": {party}, "request": {q[request]}, "seq": {seq}, '
                        f'"step": {step}, "ts": {"null" if ts is None else ts}}}')
         return out
 
-    def to_text(self) -> str:
-        lines = self.lines()
-        lines.append("")  # the final newline, without copying the joined text
-        return "\n".join(lines)
+    def to_text(self, start: int = 0, stop: Optional[int] = None) -> str:
+        """The lines of rows[start:stop], after the header line when start is
+        0, each ending in a newline: by default the whole trace text. It is
+        encoded CHUNK_ROWS rows at a time, so no list of every line is held."""
+        stop = len(self.rows) if stop is None else min(stop, len(self.rows))
+        pieces = []
+        for first in range(start, max(stop, start + 1), CHUNK_ROWS):
+            lines = self.lines(first, min(first + CHUNK_ROWS, stop))
+            lines.append("")  # the final newline, without copying the joined piece
+            pieces.append("\n".join(lines))
+        return "".join(pieces)
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":
@@ -125,8 +163,10 @@ class Trace:
         return cls(header=header, rows=records[1:])
 
     def save(self, path: str) -> None:
+        """Write the trace CHUNK_ROWS rows at a time; the file is `to_text()`."""
         with open(path, "w") as fh:
-            fh.write(self.to_text())
+            for start in range(0, max(len(self.rows), 1), CHUNK_ROWS):
+                fh.write(self.to_text(start, start + CHUNK_ROWS))
 
     @classmethod
     def load(cls, path: str) -> "Trace":

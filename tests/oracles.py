@@ -37,6 +37,27 @@ def count_before(logs, r, r2):
     return count
 
 
+def block_fair_fault(n, t, histories, block, market):
+    """Why a block-fair certificate may not ship `block`, by the definitions,
+    or None when it may: `histories` maps each cited party to the request ids
+    it voted for, in sequence order, every vote well-formed; `market` maps
+    each request id to its market. The block needs every member voted for by
+    n-t parties ("insufficient-votes"). Then, for every member m and every
+    cited request r2 outside the block in m's market, t+1 parties, one of
+    them honest, must hold m without r2 or before it, or r2 may have to come
+    no later than m ("omitted-blocked-request"). It calls no protocol code:
+    `count_before` above recounts the raw histories."""
+    if any(sum(m in h for h in histories.values()) < n - t for m in block):
+        return "insufficient-votes"
+    cited = {r for h in histories.values() for r in h}
+    for m in block:
+        for r2 in cited:
+            if (r2 not in block and market[r2] == market[m]
+                    and count_before(histories, m, r2) < t + 1):
+                return "omitted-blocked-request"
+    return None
+
+
 def recount_block_fairness(view: TraceView) -> Verdict:
     """Block fairness by its first formula: for every (block, request) pair,
     count again the honest parties that sighted the request in time."""

@@ -1,10 +1,11 @@
 """Trace line encoding: the runner keeps its `deliver`, `ingest` and `vote`
-records as tuple rows, values in sorted-key order, and `Trace.lines` renders
-them from per-kind templates, with the quoted strings kept for the length of
-one call; every dict row goes through `canonical_json`. A tuple row's line
-must be `canonical_json` of its dict form, `Trace.records` must give that
-dict form, and a trace read back from its lines must write and audit the
-same."""
+records as tuple rows, values in sorted-key order and no step, since a row's
+step is its place in the trace, and `Trace.lines` renders them from per-kind
+templates, with the quoted strings kept for the length of one call; every
+dict row goes through `canonical_json`. A tuple row's line must be
+`canonical_json` of its dict form, `Trace.records` must give that dict form,
+a trace read back from its lines must write and audit the same, and the
+chunked writers, `save` and `to_text`, must write what `lines` gives."""
 
 import dataclasses
 import tracemalloc
@@ -29,27 +30,27 @@ from test_core import ODD_TEXT
 _text = st.text() | st.sampled_from(ODD_TEXT + ["\ud800", "x\udfffy", "\U0010ffff"])
 _ints = st.integers() | st.integers(min_value=2**64, max_value=2**80) | st.integers(max_value=-1)
 
-# The fields the runner writes for each kind, with their value types.
+# The fields the runner writes for each kind but `step`, with their value types.
 FIELDS = {
-    "deliver": {"msg": "int", "request": "str", "sender": "int", "step": "int", "to": "int",
-                "via": "str"},
+    "deliver": {"msg": "int", "request": "str", "sender": "int", "to": "int", "via": "str"},
     "ingest": {"leader": "int", "party": "int", "reason": "str|null", "request": "str",
-               "seq": "int", "status": "str", "step": "int"},
+               "seq": "int", "status": "str"},
     "vote": {"audience": "str|null", "block": "int", "party": "int", "request": "str",
-             "seq": "int", "step": "int", "ts": "int|null"},
+             "seq": "int", "ts": "int|null"},
 }
 TEMPLATED = tuple(FIELDS)
 
 
 def _row(rec):
-    """A record's tuple row: its kind, then its other values in sorted-key order."""
+    """A step-free record's tuple row: its kind, then its other values in
+    sorted-key order."""
     return (rec["kind"], *(rec[key] for key in sorted(rec) if key != "kind"))
 
 
 @st.composite
 def per_copy_record(draw, strings):
-    """A well-typed `deliver`, `ingest` or `vote` record, its strings drawn
-    from `strings`."""
+    """A well-typed `deliver`, `ingest` or `vote` record without its step,
+    its strings drawn from `strings`."""
     values = {"int": _ints, "str": strings,
               "int|null": st.none() | _ints, "str|null": st.none() | strings}
     kind = draw(st.sampled_from(sorted(FIELDS)))
@@ -67,9 +68,11 @@ def per_copy_traces(draw):
 @settings(max_examples=400, deadline=None)
 @given(per_copy_traces())
 def test_template_lines_equal_canonical_json(records):
+    # A tuple row holds no step; its record's step is its index.
     trace = Trace({"n": 4}, [_row(rec) for rec in records])
-    assert trace.lines()[1:] == [canonical_json(rec) for rec in records]
-    assert list(trace.records) == records
+    expected = [{**rec, "step": step} for step, rec in enumerate(records)]
+    assert trace.lines()[1:] == [canonical_json(rec) for rec in expected]
+    assert list(trace.records) == expected
 
 
 @pytest.mark.parametrize("mode,r_max", [("neverending", 0), ("clocked", 0), ("hybrid", 3)])
@@ -116,9 +119,12 @@ def _benign_clocked_22():
     pytest.param(wrapped_hybrid_scenario(), id="wrapped-hybrid"),
 ])
 def test_records_and_reloaded_trace_match_the_runner_trace(scenario):
+    # The runner gives every record, tuple row or dict, its index as its step.
     trace = run(scenario)
     lines = trace.lines()
-    assert list(trace.records) == [parse_json(line) for line in lines[1:]]
+    records = list(trace.records)
+    assert [rec["step"] for rec in records] == list(range(len(records)))
+    assert records == [parse_json(line) for line in lines[1:]]
     reloaded = Trace.from_lines(lines)
     assert reloaded.lines() == lines
     assert audit_trace(reloaded).to_dict() == audit_trace(trace).to_dict()
@@ -126,10 +132,10 @@ def test_records_and_reloaded_trace_match_the_runner_trace(scenario):
 
 def test_wide_run_and_its_text_stay_within_memory_bound():
     # Tuple rows hold a run's records in less than its text takes. The peak
-    # covers the rows, the lines and the joined text: 3.33 times the text on
-    # Python 3.11, where 7-8-key dict rows took 4.28 times. Strings, tuples
-    # and ints are the same size on Python 3.10-3.13, so the bound leaves
-    # about 10% for the interpreter's own allocations to differ.
+    # covers the rows, the chunks and the text joined from them: 2.81-2.82
+    # times the text on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0, where a
+    # list of every line and step-holding tuples took 3.29-3.33 times (and
+    # 7-8-key dict rows 4.28 times on 3.11). The bound leaves about 10%.
     sim = Simulation(_benign_clocked_22())
     tracemalloc.start()
     try:
@@ -138,4 +144,71 @@ def test_wide_run_and_its_text_stay_within_memory_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.7 * len(text), (peak, len(text))
+    assert peak <= 3.1 * len(text), (peak, len(text))
+
+
+def test_wide_run_and_its_saved_file_stay_within_memory_bound(tmp_path):
+    # `save` writes one chunk at a time and never holds the whole text, so
+    # the peak is the run's own, its rows and one chunk: 0.72-0.74 times the
+    # file on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0, where writing the
+    # whole `to_text()` took 3.15-3.21 times. A writer that held the whole
+    # text would add at least the file's size.
+    path = tmp_path / "trace.jsonl"
+    sim = Simulation(_benign_clocked_22())
+    tracemalloc.start()
+    try:
+        sim.run().save(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 1.25 * size, (peak, size)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return run(_benign_clocked_22())
+
+
+def _chunk_edge_traces(wide):
+    """Traces whose rows end at, and one past, a chunk's end; a run of many
+    chunks; and that run read back, where every row is a dict."""
+    assert len(wide.rows) > 4 * trace_module.CHUNK_ROWS
+    yield "header-only", Trace(wide.header)
+    yield "one-chunk", Trace(wide.header, wide.rows[:trace_module.CHUNK_ROWS])
+    yield "one-chunk-and-a-row", Trace(wide.header, wide.rows[:trace_module.CHUNK_ROWS + 1])
+    yield "wide-run", wide
+    yield "wide-run-reloaded", Trace.from_lines(wide.lines())
+
+
+def test_saved_file_and_text_equal_the_lines_at_chunk_edges(wide, tmp_path):
+    for name, trace in _chunk_edge_traces(wide):
+        path = tmp_path / f"{name}.jsonl"
+        trace.save(str(path))
+        text = "\n".join(trace.lines()) + "\n"
+        assert trace.to_text() == text, name
+        assert path.read_bytes() == text.encode(), name
+
+
+def test_records_give_a_tuple_row_its_index_as_its_step(wide):
+    # Dict rows carry their own step: here none equals its index, so only a
+    # tuple row's position can give the steps below.
+    rows = [("deliver", 5, "r", 1, 2, "flush"), {"kind": "sight", "step": 9},
+            ("ingest", 2, 1, None, "r", 0, "accepted"), {"kind": "summary", "step": 0},
+            ("vote", None, 0, 1, "r", 0, 3)]
+    records = Trace({"n": 4}, rows).records
+    steps = [0, 9, 2, 0, 4]
+    assert [rec["step"] for rec in records] == steps
+    assert [records[i]["step"] for i in range(5)] == steps
+    assert [records[i]["step"] for i in range(-5, 0)] == steps
+    assert [rec["step"] for rec in reversed(records)] == steps[::-1]
+    for index in (slice(1, 4), slice(None, None, -2), slice(-2, None), slice(3, 1)):
+        assert [rec["step"] for rec in records[index]] == steps[index]
+    with pytest.raises(IndexError):
+        records[5]
+    records = wide.records
+    everything = list(records)
+    assert records[-1] == everything[-1] and records[-2] == everything[-2]
+    assert records[100:3000:7] == everything[100:3000:7]
+    assert list(reversed(records)) == everything[::-1]
+
