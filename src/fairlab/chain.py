@@ -84,7 +84,12 @@ class Chain:
 
 def on_deliver(chain: Chain, leaders: list[LeaderState]) -> list[LeaderState]:
     """Advance every leader into the incarnation for the next block, replaying
-    votes whose requests were not delivered."""
+    votes whose requests were not delivered. The leaders of one instance share
+    the votes signed for the next block, so each distinct carried vote is
+    signed once per hand-off."""
+    signed: dict[str, dict] = {}  # instance -> replay_undelivered's `signed`
     return [
-        replay_undelivered(state, chain.next_number, chain.delivered) for state in leaders
+        replay_undelivered(state, chain.next_number, chain.delivered,
+                           signed.setdefault(state.store.instance, {}))
+        for state in leaders
     ]

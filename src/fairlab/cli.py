@@ -20,7 +20,7 @@ from typing import Optional
 
 from .audit import audit_trace
 from .chain import Chain
-from .core import canonical_json, parse_json, validate_config
+from .core import canonical_json, parse_json_lines, validate_config
 from .leaders import MODES
 from .simnet.generators import (
     benign_schedule,
@@ -134,19 +134,26 @@ def _audit(args: argparse.Namespace) -> int:
 
 def _verify(args: argparse.Namespace) -> int:
     with open(args.chain) as fh:
-        lines = [parse_json(line) for line in fh if line.strip()]
-    if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "chain-header":
+        lines = list(parse_json_lines(fh))
+    if not lines or not isinstance(lines[0][1], dict) or lines[0][1].get("kind") != "chain-header":
         raise ValueError("chain file does not start with a chain-header line")
-    cfg = validate_config(lines[0]["n"], lines[0]["t"])
+    (at, header), *entries = lines
+    try:
+        cfg = validate_config(header["n"], header["t"])
+    except KeyError as exc:
+        raise _missing_key(at, exc) from None
     # Replaying through Chain.submit applies a run's chain-level rules too:
     # consecutive numbers, no re-delivery, no proposer equivocation.
     chain = Chain(cfg)
     results = []
-    for entry in lines[1:]:
+    for at, entry in entries:
         if not isinstance(entry, dict):
-            raise ValueError("chain entry is not a JSON object")
-        number = uint64(entry["number"], "number")
-        cert = certificate_from_dict(entry["certificate"])
+            raise ValueError(f"line {at}: chain entry is not a JSON object")
+        try:
+            number = uint64(entry["number"], "number")
+            cert = certificate_from_dict(entry["certificate"])
+        except KeyError as exc:
+            raise _missing_key(at, exc) from None
         if number != cert.block_number:
             reason = "wrong-block-number"
         else:
@@ -160,6 +167,11 @@ def _verify(args: argparse.Namespace) -> int:
             + ("" if row["reason"] is None else f" ({row['reason']})") for row in results]
     return _report(args, all_ok, {"blocks": results, "ok": all_ok},
                    "\n".join(rows + [f"chain: {'ok' if all_ok else 'INVALID'}"]))
+
+
+def _missing_key(at: int, exc: KeyError) -> ValueError:
+    """The error for file line `at`, which lacks the key `exc` names."""
+    return ValueError(f"line {at} has no {exc.args[0]!r} field")
 
 
 def _report(args: argparse.Namespace, ok: bool, payload: dict, text: str) -> int:

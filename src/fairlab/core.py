@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -128,11 +129,31 @@ def parse_json(text: str):
         raise ValueError("JSON text nests too deeply to parse") from None
 
 
+def parse_json_lines(lines: Iterable[str]) -> Iterator[tuple[int, object]]:
+    """(line number, value) for each non-blank line of a file of one JSON value
+    per line, in `parse_json`'s rules, numbered from 1 with blank lines
+    counted. A line that does not parse raises ValueError naming its line,
+    and for a syntax error its column."""
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            value = parse_json(line)
+        except json.JSONDecodeError as exc:
+            # `json` places an error at a cut line's end after its newline.
+            column = min(exc.pos, len(line.rstrip("\n"))) + 1
+            raise ValueError(f"line {number}: {exc.msg}: column {column}") from None
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        yield number, value
+
+
 # Attestations are simulation-level stand-ins for signatures. Each party owns a
 # derived key; honest and byzantine code paths only ever sign with their own
 # identity, so forgery is impossible by construction rather than by hardness.
-# One exception: `leaders.replay_undelivered` re-signs each carried vote as its
-# voter for the next incarnation (ROADMAP item 3 removes it).
+# One exception: `leaders.replay_undelivered` signs each carried vote again as
+# its voter for the next incarnation, once per hand-off for all the leaders
+# (ROADMAP item 3 removes it).
 
 @lru_cache(maxsize=1024)  # every sign and verify derives one; parties are few
 def _party_key(party: PartyId) -> bytes:

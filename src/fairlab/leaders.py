@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Container, Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import PartyId, QuorumConfig, Request, RequestId
@@ -316,25 +316,47 @@ def step(state: LeaderState) -> list[BlockCertificate]:
 # -- replay ------------------------------------------------------------------
 
 def replay_undelivered(state: LeaderState, next_block: int,
-                       delivered: Container[RequestId]) -> LeaderState:
-    """Fresh incarnation for the next block: re-ingest, per party in original
-    order, every accepted vote for a request that was not delivered, with
-    sequence numbers re-assigned densely from zero. Permanent exclusions and
-    the fallback phase carry over, the phase until its snapshot is delivered;
-    the vote store itself starts clean."""
+                       delivered: Container[RequestId],
+                       signed: Optional[dict[tuple, Vote]] = None) -> LeaderState:
+    """Fresh incarnation for the next block: carry, per party in original
+    order, every accepted vote for a request that was not delivered, signed
+    again for the next block with sequence numbers re-assigned densely from
+    zero. Permanent exclusions and the fallback phase carry over, the phase
+    until its snapshot is delivered; the vote store itself starts clean.
+
+    The old store admitted these votes in this order, so every `ingest` check
+    passes for them again: one block, gap-free seqs, strictly rising
+    timestamps, and a party valid until its carried exclusion. They enter
+    through `VoteStore.accept`, unhashed, and the store ends as `ingest`
+    would leave it. `signed` maps `(party, seq, ts, request)` to the vote
+    already signed for `next_block` of this instance; leaders of one hand-off
+    share it (`chain.on_deliver`), so equal carried votes are one object."""
     store = state.store
-    fresh = VoteStore(store.cfg, store.timestamped, store.instance, next_block, store.requests)
+    instance = store.instance
+    fresh = VoteStore(store.cfg, store.timestamped, instance, next_block, store.requests)
+    if signed is None:
+        signed = {}
+    accept = fresh.accept
     for party, log in store.logs.items():
         seq = 0
         for v in log.accepted:
-            if v.request in delivered:
+            request = v.request
+            if request in delivered:
                 continue
-            replayed = make_vote(party, store.instance, next_block, seq, v.ts, v.request)
-            fresh.ingest(replayed)
+            key = (party, seq, v.ts, request)
+            vote = signed.get(key)
+            if vote is None:
+                vote = signed[key] = make_vote(party, instance, next_block, seq, v.ts, request)
+            accept(vote)
             seq += 1
         # The old store holds every exclusion carried into it; marking one here
         # shifts later acceptance indices but keeps their order.
         if log.invalid:
             fresh.mark_invalid(party)
     snapshot = tuple(r for r in state.fallback_snapshot if r not in delivered)
-    return replace(state, store=fresh, fallback_snapshot=snapshot)
+    return LeaderState(mode=state.mode, store=fresh, proposer=state.proposer,
+                       r_max=state.r_max, coin_seed=state.coin_seed,
+                       coin_stop_p=state.coin_stop_p, fallback_snapshot=snapshot,
+                       fallback_blocks_emitted=state.fallback_blocks_emitted,
+                       max_candidate_order=state.max_candidate_order,
+                       cutoff_events=state.cutoff_events)

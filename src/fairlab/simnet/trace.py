@@ -15,7 +15,7 @@ from itertools import count
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Union
 
-from ..core import canonical_json, parse_json
+from ..core import canonical_json, parse_json_lines
 
 # A trace holds its records as rows, and a row's step is its place among the
 # rows (0, 1, 2, ...). The runner's per-copy records, `deliver`, `ingest` and
@@ -143,12 +143,16 @@ class Trace:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "Trace":
-        """Parse a trace file's lines, as read; ValueError when a line is not
-        a JSON object with a string `kind` or the first is not the header.
-        The auditor's TraceView checks the records it reads."""
-        records = [parse_json(line) for line in lines if line.strip()]
-        if not all(isinstance(r, dict) and isinstance(r.get("kind"), str) for r in records):
-            raise ValueError("trace line is not a JSON object with a string 'kind'")
+        """Parse a trace file's lines, as read; ValueError, naming the file
+        line, when a line is not a JSON object with a string `kind`, and when
+        the first is not the header. The auditor's TraceView checks the
+        records it reads."""
+        records = []
+        for number, rec in parse_json_lines(lines):
+            if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)):
+                raise ValueError(f"line {number}: trace line is not a JSON object "
+                                 f"with a string 'kind'")
+            records.append(rec)
         if not records or records[0]["kind"] != "header":
             raise ValueError("trace does not start with a header record")
         header = {k: v for k, v in records.pop(0).items() if k != "kind"}

@@ -161,7 +161,9 @@ class VoteStore:
     """Single-writer view of all validated votes for one protocol incarnation.
 
     Readers use `logs`, `by_request`, `requests`, `weak_at`, `strong_at`,
-    `version`, `count_before` and `votes_for`; `ingest` is the one way in.
+    `version`, `count_before` and `votes_for`. `ingest` is the one way in for
+    a vote; `leaders.replay_undelivered` re-enters votes an earlier store
+    admitted, in their admitted order, through `accept`, unchecked.
     `version` is the acceptance index: each accepted vote is stored with the
     value it had before the acceptance bumped it, and an exclusion bumps it
     too, so indices rise strictly in acceptance order but may skip values.
@@ -231,8 +233,11 @@ class VoteStore:
         return IngestOutcome(ACCEPTED, None, accepted[v.seq:])
 
     def accept(self, v: Vote) -> None:
-        """Append v to its party's log. The caller has checked that v is the
-        party's next sequence number and that the party is still valid.
+        """Append v to its party's log. v passes every `ingest` check: it is
+        the party's next sequence number, the party is still valid and, in a
+        timestamped store, v is stamped above the party's last vote. `ingest`
+        makes the checks; replay carries votes an earlier store admitted in
+        this order.
 
         A party that votes one request twice is one voter for it: its first
         vote is the one counted, ordered and cited as its report."""

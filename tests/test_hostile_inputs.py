@@ -605,6 +605,75 @@ def test_repeated_json_key_is_named_in_the_error(files, tmp_path, capsys, kind):
     assert f"repeats the key {key!r}" in err
 
 
+# -- errors that name the file line ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def benign_files(tmp_path_factory):
+    """The trace and chain of `fairlab gen benign --parties 10 --faults 3
+    --requests 12` run through `fairlab run`: 4,661 trace lines."""
+    root = tmp_path_factory.mktemp("benign")
+    scenario, trace, chain = root / "b.json", root / "t.jsonl", root / "c.jsonl"
+    assert run_command(["gen", "benign", "--parties", "10", "--faults", "3", "--requests", "12",
+                        "--out", str(scenario)]) == 0
+    assert run_command(["run", str(scenario), "--out", str(trace), "--chain", str(chain)]) == 0
+    return {"trace": trace.read_text(), "chain": chain.read_text()}
+
+
+def _drop_key(key, within=None):
+    """A line's JSON object without `key`, at the top or in the object `within`."""
+    def edit(line):
+        obj = json.loads(line)
+        del (obj if within is None else obj[within])[key]
+        return json.dumps(obj)
+    return edit
+
+
+# (command, file, file line, its edit, the error); `{width}` is the line's
+# length before the edit. `files` is the depth-2 clocked segments run.
+LINE_ERROR_CASES = {
+    # Each cut line loses its closing brace.
+    "trace-line-cut": ("audit", "benign", "trace", 51, lambda line: line[:-1],
+                       "line 51: Expecting ',' delimiter: column {width}"),
+    "trace-line-not-an-object": ("audit", "files", "trace", 4, lambda line: "5",
+                                 "line 4: trace line is not a JSON object with a string 'kind'"),
+    "trace-line-repeats-a-key": ("audit", "files", "trace", 3,
+                                 lambda line: line[:-1] + ', "kind": "x"}',
+                                 "line 3: JSON object repeats the key 'kind'"),
+    "chain-line-cut": ("verify", "benign", "chain", 3, lambda line: line[:-1],
+                       "line 3: Expecting ',' delimiter: column {width}"),
+    "chain-header-without-n": ("verify", "files", "chain", 1, _drop_key("n"),
+                               "line 1 has no 'n' field"),
+    # A blank line counts: the entry without a certificate is file line 3.
+    "chain-entry-without-certificate": ("verify", "files", "chain", 2,
+                                        lambda line: "\n" + _drop_key("certificate")(line),
+                                        "line 3 has no 'certificate' field"),
+    "certificate-without-requests-table": ("verify", "files", "chain", 3,
+                                           _drop_key("requests_table", "certificate"),
+                                           "line 3 has no 'requests_table' field"),
+    "chain-entry-not-an-object": ("verify", "files", "chain", 2, lambda line: "[]",
+                                  "line 2: chain entry is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_ERROR_CASES))
+def test_malformed_line_is_named_in_the_error(files, benign_files, tmp_path, capsys, case):
+    # Each used to name only a place within its line (`line 2 column 1`, the
+    # place after its newline) or the bare missing key (`error: 'n'`).
+    command, source, kind, number, edit, error = LINE_ERROR_CASES[case]
+    lines = (benign_files if source == "benign" else files)[kind].split("\n")
+    width = len(lines[number - 1])
+    lines[number - 1] = edit(lines[number - 1])
+    text = "\n".join(lines)
+    path = tmp_path / "file.jsonl"
+    path.write_text(text)
+    capsys.readouterr()
+    assert run_command([command, str(path)]) == 2, case
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error.format(width=width)}\n"
+    # Nothing is written: no output, and the file as it was.
+    assert captured.out == "" and path.read_text() == text
+
+
 @pytest.mark.parametrize("command", ["run", "audit", "verify"])
 def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
     # A scenario, trace or chain file of nested arrays used to escape the CLI

@@ -1,6 +1,7 @@
 """Work counts. A vote's attested bytes are encoded once, when the vote is
 built, and every signature and check reuses them; a vote that passed its
-check is not hashed again. The hybrid fallback tests timed precedence only
+check is not hashed again. A hand-off signs each distinct carried vote once
+for all its leaders, and only the chain's verifier hashes it. The hybrid fallback tests timed precedence only
 for a block it ships, and ends only at an incarnation change. The auditor
 builds its constraint sets from a bounded number of reads per party and
 request, not from every pair against every party. Stand-alone verification
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairlab.chain
 import fairlab.leaders
 import fairlab.validity
 import fairlab.votes
@@ -52,18 +54,108 @@ def _count_vote_work(monkeypatch, hashed):
     return calls
 
 
+WORK_SCENARIOS = {
+    "benign-clocked-n10": lambda: dataclasses.replace(
+        benign_schedule(validate_config(10, 3), requests=12, seed=0), mode="clocked"),
+    "wrapped-hybrid": wrapped_hybrid_scenario,
+}
+
+
+def _record_built_votes(monkeypatch, owner, built):
+    """Append every vote that `owner.make_vote` builds to `built`."""
+    real = owner.make_vote
+
+    def making(*args):
+        vote = real(*args)
+        built.append(vote)
+        return vote
+
+    monkeypatch.setattr(owner, "make_vote", making)
+
+
 def test_one_encoding_per_signed_vote(monkeypatch):
-    hashed = []  # the payload of every check, kept alive so ids stay unique
-    calls = _count_vote_work(monkeypatch, hashed)
-    scenario = dataclasses.replace(benign_schedule(validate_config(10, 3), requests=12, seed=0),
-                                   mode="clocked")
-    Simulation(scenario).run()
-    # Leaders and chain verification are handed many copies of each signed
-    # vote; each vote object is hashed at its first check and never again.
-    assert calls["verify"] == calls["sign"] > 0
-    # A vote derives its payload object once, so the object names the vote.
-    assert len({id(payload) for payload in hashed}) == len(hashed)
-    assert calls["vote_payload"] == calls["sign"]
+    # The runner signs each vote a party sends; each hand-off signs its
+    # carried votes (`replay_undelivered`). Each vote is encoded once, when it
+    # is built. A sent vote is hashed once, at its first check, by a leader's
+    # ingest or the chain's verifier. A replayed vote enters its stores
+    # unchecked and is hashed only when the chain's verifier first checks it.
+    for label, make_scenario in WORK_SCENARIOS.items():
+        with monkeypatch.context() as patch:
+            hashed = []  # the payload of every check, kept alive so ids stay unique
+            calls = _count_vote_work(patch, hashed)
+            sent, replayed = [], []
+            _record_built_votes(patch, runner, sent)
+            _record_built_votes(patch, fairlab.leaders, replayed)
+            first_checks = []  # (payload of a vote at its first check, in the verifier)
+            in_verifier = []
+            real_check = fairlab.votes.vote_verifies
+            real_verify = fairlab.chain.verify_certificate
+
+            def checking(v):
+                if not v.verified:
+                    first_checks.append((v.payload, bool(in_verifier)))
+                return real_check(v)
+
+            def verifying(cfg, cert):
+                in_verifier.append(cert)
+                try:
+                    return real_verify(cfg, cert)
+                finally:
+                    in_verifier.pop()
+
+            patch.setattr(fairlab.votes, "vote_verifies", checking)
+            patch.setattr(fairlab.chain, "verify_certificate", verifying)
+            Simulation(make_scenario()).run()
+
+        assert calls["sign"] == len(sent) + len(replayed) and replayed, label
+        # A vote derives its payload object once, so the object names the vote.
+        assert calls["vote_payload"] == calls["sign"], label
+        assert len({id(payload) for payload in hashed}) == len(hashed), label
+        # Exactly the first checks hash, each vote's once.
+        assert [id(p) for p in hashed] == [id(p) for p, _ in first_checks], label
+        sent_ids = {id(v.payload) for v in sent}
+        replayed_ids = {id(v.payload) for v in replayed}
+        assert {id(p) for p, _ in first_checks} <= sent_ids | replayed_ids, label
+        replay_checks = [verifier for p, verifier in first_checks if id(p) in replayed_ids]
+        assert replay_checks and all(replay_checks), label
+        assert len(replay_checks) < len(first_checks), label
+
+
+# Carried votes over every leader of every hand-off, and the distinct ones
+# signed. The benign run's ten leaders never carry one vote alike; the
+# wrapped hybrid run's four share 324 of 768.
+CARRIED = {"benign-clocked-n10": (110, 110), "wrapped-hybrid": (768, 444)}
+
+
+def test_a_hand_off_signs_each_carried_vote_once(monkeypatch):
+    # The leaders of one hand-off share the votes signed for the next block:
+    # each distinct carried (party, seq, ts, request) is signed exactly once.
+    for label, make_scenario in WORK_SCENARIOS.items():
+        with monkeypatch.context() as patch:
+            signed = []
+            _record_built_votes(patch, fairlab.leaders, signed)
+            real = runner.on_deliver
+            carried = distinct = 0
+
+            def counting(chain, states):
+                nonlocal carried, distinct
+                keys = []
+                for state in states:
+                    for party, log in state.store.logs.items():
+                        kept = [v for v in log.accepted if v.request not in chain.delivered]
+                        keys += [(party, seq, v.ts, v.request) for seq, v in enumerate(kept)]
+                signed.clear()
+                fresh = real(chain, states)
+                made = Counter((v.signer, v.seq, v.ts, v.request) for v in signed)
+                assert made == Counter(set(keys)), label
+                assert {v.block for v in signed} <= {chain.next_number}, label
+                carried += len(keys)
+                distinct += len(made)
+                return fresh
+
+            patch.setattr(runner, "on_deliver", counting)
+            Simulation(make_scenario()).run()
+        assert (carried, distinct) == CARRIED[label]
 
 
 UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
